@@ -116,6 +116,20 @@ addEngineFlag(CommandLine &cli)
                 "instruction; same outcomes, slower)");
 }
 
+void
+addSnapshotFlags(CommandLine &cli)
+{
+    const interp::SnapshotConfig defaults;
+    cli.addFlag("snapshot-stride", std::to_string(defaults.stride),
+                "golden-run snapshot stride in value instructions "
+                "(0 disables the snapshot tier; never affects "
+                "outcomes)");
+    cli.addFlag("snapshot-budget-mb",
+                std::to_string(defaults.byte_budget >> 20),
+                "resident byte budget per workload for the snapshot "
+                "store, MiB");
+}
+
 interp::EngineKind
 engineFlag(const CommandLine &cli)
 {

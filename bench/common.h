@@ -19,6 +19,7 @@
 #include "encore/pipeline.h"
 #include "fault/models/fault_model.h"
 #include "interp/decoded.h"
+#include "interp/snapshot.h"
 #include "support/cli.h"
 #include "support/table.h"
 #include "support/thread_pool.h"
@@ -131,6 +132,10 @@ void addEngineFlag(CommandLine &cli);
 /// Resolved --engine value; exits with an actionable message on
 /// anything parseEngineKind rejects.
 interp::EngineKind engineFlag(const CommandLine &cli);
+
+/// Registers --snapshot-stride and --snapshot-budget-mb, with the
+/// library's interp::SnapshotConfig defaults as theirs.
+void addSnapshotFlags(CommandLine &cli);
 
 /// Registers --fault-model (default reg-bit) / --detector (default
 /// analytic), the injection-scenario axis shared by every binary that

@@ -62,13 +62,7 @@ main(int argc, char **argv)
                 "directory for durable per-campaign trial stores; a "
                 "rerun resumes interrupted campaigns instead of "
                 "restarting them (empty = in-memory campaigns)");
-    cli.addFlag("snapshot-stride", "1024",
-                "golden-run snapshot stride in value instructions "
-                "(0 disables the snapshot tier; never affects "
-                "outcomes)");
-    cli.addFlag("snapshot-budget-mb", "64",
-                "resident byte budget per workload for the snapshot "
-                "store, MiB");
+    bench::addSnapshotFlags(cli);
     cli.addFlag("workloads", "",
                 "comma-separated workload names to run (empty = the "
                 "whole suite); note the per-campaign seeds depend on "

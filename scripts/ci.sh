@@ -8,11 +8,10 @@
 # the coordinator/worker service), then a campaign-planner smoke
 # (sweep-reuse tally identity against brute force, plus a tiny
 # adaptive early-stopping campaign), a scenario-matrix smoke (every
-# fault-model x detector pair byte-identical across --jobs) and two
-# warn-only perf smokes:
-# injection throughput on two medium workloads against the committed
-# BENCH_injection.json, and interpreter throughput (the fused
-# superinstruction tier) against the committed BENCH_interp.json.
+# fault-model x detector pair byte-identical across --jobs), the repo
+# benchmark's seed-1 output digests (perfbench/), and a warn-only
+# interpreter-throughput smoke (the fused superinstruction tier)
+# against the committed BENCH_interp.json.
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
@@ -100,55 +99,31 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
     done
 done
 
-echo "==> [perf] injection-throughput smoke (warn-only)"
-# A filtered fig8 run on two medium workloads, compared per-workload
-# against the committed BENCH_injection.json. Warn-only: CI machines
-# differ too much for a hard throughput gate, but a big drop right
-# next to the change that caused it is exactly what a reviewer wants
-# to see. The coverage numbers of a filtered run are not comparable
-# to the committed full-suite run (per-campaign seeds depend on suite
-# position) — only trials/s is compared here.
-perf_json="${build_root}/perf_smoke.json"
-"${build_root}/tier1/bench/fig8_fault_coverage" \
-    --workloads mpeg2dec,pegwitdec --trials 200 \
-    --json "${perf_json}" > /dev/null
-python3 - "${repo_root}/BENCH_injection.json" "${perf_json}" <<'EOF'
-import json, sys
-base_path, cur_path = sys.argv[1], sys.argv[2]
-try:
-    with open(base_path) as f:
-        base = {w["name"]: w for w in json.load(f)["workloads"]}
-except (OSError, ValueError, KeyError) as e:
-    print(f"perf-smoke: cannot read baseline {base_path}: {e} "
-          "(skipping comparison)")
-    sys.exit(0)
-with open(cur_path) as f:
-    cur = json.load(f)
-for w in cur["workloads"]:
-    name, tps = w["name"], w["trials_per_sec"]
-    ref = base.get(name)
-    if ref is None:
-        print(f"perf-smoke: {name}: {tps:.1f} trials/s "
-              "(no committed baseline)")
-        continue
-    ref_tps = ref["trials_per_sec"]
-    delta = (tps - ref_tps) / ref_tps * 100 if ref_tps else 0.0
-    flag = "  <-- WARNING: >20% below committed baseline" \
-        if delta < -20 else ""
-    print(f"perf-smoke: {name}: {tps:.1f} trials/s "
-          f"(baseline {ref_tps:.1f}, {delta:+.1f}%){flag}")
-print("perf-smoke: warn-only; a slower CI machine is expected to "
-      "show negative deltas")
-EOF
+echo "==> [perfbench] seed-1 output digests (campaign, durable, sweep)"
+# Hard gate on the repo benchmark's output checks: at seed 1 every
+# cell's outcome tally must hash to the digest in perfbench/digests,
+# which were recorded on the decoded engine with snapshots off. One
+# unit per workload (--seconds 0) runs the default trial path (fused
+# engine, snapshot seek, hooks armed at the fault anchor, golden
+# resync) against them. run.py builds into .bench_build/ under the
+# repo root and exits non-zero on any mismatch.
+for workload in campaign durable sweep; do
+    (cd "${repo_root}" && python3 perfbench/run.py --workload "${workload}" \
+        --seed 1 --seconds 0 --trace 0) > /dev/null || {
+        echo "perfbench: ${workload} failed its seed-1 output checks" >&2
+        exit 1
+    }
+    echo "perfbench: ${workload} digests held"
+done
 
 echo "==> [perf] interpreter-throughput smoke (warn-only)"
 # The fused superinstruction tier is the engine under every campaign
 # above; a silent regression there shows up everywhere. bench_passes
 # measures reference/decoded/fused throughput per workload; the means
-# are compared against the committed BENCH_interp.json. Warn-only for
-# the same machine-variance reason, with a tighter 10% threshold on
-# the *ratio* fused/reference — the ratio divides out most of the
-# machine difference that makes raw Mi/s incomparable.
+# are compared against the committed BENCH_interp.json. Warn-only:
+# CI machines differ too much for a hard throughput gate, so the 10%
+# threshold is on the *ratio* fused/reference — the ratio divides out
+# most of the machine difference that makes raw Mi/s incomparable.
 interp_json="${build_root}/interp_smoke.json"
 "${build_root}/tier1/bench/bench_passes" \
     --interp-json="${interp_json}" --analysis-json= \
@@ -186,4 +161,4 @@ print("interp-smoke: warn-only; see BENCH_interp.json provenance for "
       "the baseline build")
 EOF
 
-echo "==> ci passed (tier1 + tsan campaign lane + planner smoke + scenario matrix + perf smokes)"
+echo "==> ci passed (tier1 + tsan campaign lane + planner smoke + scenario matrix + perfbench digests + interp smoke)"

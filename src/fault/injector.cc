@@ -75,23 +75,22 @@ namespace {
 class TrialHooks : public interp::ExecHooks
 {
   public:
-    /// `start_value_index` is the value-instruction count already
-    /// executed before these hooks see their first filterResult — 0
-    /// for a full run, the snapshot's value_count when the trial
-    /// resumes from a prefix snapshot. Pre-injection the hooks are
-    /// pure pass-throughs, so skipping the prefix callbacks changes
-    /// nothing except where the internal counter starts. (Every model
-    /// anchors on a value index, so this holds for all of them: a
-    /// branch/memory strike happens at the first matching site *after*
-    /// the anchor value instruction executes.)
+    /// The hooks must be armed at the plan's anchor,
+    /// `plan.target_value_index` (Interpreter::setHooks): their value
+    /// counter starts there, at the value instruction their first
+    /// filterResult sees. Before the anchor the hooks would be pure
+    /// pass-throughs, so skipping the prefix callbacks changes nothing
+    /// but where the counter starts. (Every model anchors on a value
+    /// index, so this holds for all of them: a branch/memory strike
+    /// happens at the first matching site *after* the anchor value
+    /// instruction executes.)
     TrialHooks(interp::Interpreter &interp,
                const models::InjectionPlan &plan,
-               const models::DetectionPlan &detection,
-               std::uint64_t start_value_index)
+               const models::DetectionPlan &detection)
         : interp_(interp),
           plan_(plan),
           detection_(detection),
-          value_count_(start_value_index)
+          value_count_(plan.target_value_index)
     {
     }
 
@@ -348,8 +347,8 @@ class TrialHooks : public interp::ExecHooks
             // per-instruction callbacks are silent no-ops, so drop
             // them from the dispatch loop entirely: the rollback
             // replay ahead is where most of the trial's instructions
-            // run, and it proceeds at observer-free interpreter speed
-            // (onRuntimeError stays live for the crash-loop guard).
+            // run, and it proceeds hook-free and fused (onRuntimeError
+            // stays live for the crash-loop guard).
             interp_.armGoldenResync();
             interp_.quiesceHooks();
         }
@@ -675,10 +674,12 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     // The trial rides entirely on the hook interface (including memory
     // taint via ExecHooks::onMemoryAccess) — the observer list stays
     // empty, keeping per-instruction observer dispatch off the
-    // campaign hot path.
-    TrialHooks hooks(interp, plan, detection,
-                     snap ? snap->exec.value_count : 0);
-    interp.setHooks(&hooks);
+    // campaign hot path. The hooks arm at the anchor: the stretch from
+    // the snapshot up to it runs hook-free and fused, and so does the
+    // post-rollback replay once the hooks quiesce, leaving only the
+    // fault window hooked.
+    TrialHooks hooks(interp, plan, detection);
+    interp.setHooks(&hooks, plan.target_value_index);
     // Trials never read RunResult::globals — output equality is checked
     // in place against the golden snapshot, saving a full copy of
     // global memory per trial.

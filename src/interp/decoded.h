@@ -113,8 +113,9 @@ enum class FusedOp : std::uint8_t
 
 /// Longest fused sequence, in source instructions. The interpreter's
 /// de-fuse guard derives its barrier windows from this, so raising it
-/// widens the window in which heads near a snapshot/resync barrier
-/// fall back to unfused stepping.
+/// widens the window in which heads near a value barrier (snapshot
+/// capture, hook arm point) fall back to unfused stepping, and the
+/// reach of the head that can cover a resync anchor.
 constexpr std::uint8_t kMaxFuseLen = 8;
 
 /// Size of the extended dispatch space (base opcodes + fused forms).

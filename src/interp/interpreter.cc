@@ -57,15 +57,19 @@
 // trace (injection targets, memory-access callbacks, detection poll
 // points, even the ip seen by a mid-component ExecError) is identical
 // to dispatching the components individually. The only loop-top work a
-// handler does NOT replay at interior boundaries is the snapshot/
-// resync barrier and budget checks; ENCORE_FUSE_GUARD therefore
-// re-dispatches the head unfused whenever one of those could fire
-// before the sequence ends (see recomputeFuseLimits).
+// handler does NOT replay at interior boundaries is the value-barrier
+// (snapshot capture, hook arming), resync and budget checks;
+// ENCORE_FUSE_GUARD therefore re-dispatches the head unfused whenever
+// a value barrier or the budget could fire before the sequence ends
+// (see recomputeFuseLimits), and for the one head that covers an armed
+// resync anchor on a pass where the watch could fire inside it (see
+// armGoldenResync).
 
 #define ENCORE_FUSE_GUARD                                               \
     do {                                                                \
         if (value_count_ >= fuse_value_limit_ ||                        \
-            dyn_count_ > fuse_dyn_limit_) {                             \
+            dyn_count_ > fuse_dyn_limit_ ||                             \
+            (&inst == resync_head_ && resyncCouldFireInHead())) {       \
             dispatch_op = static_cast<unsigned>(inst.op);               \
             goto L_redispatch;                                          \
         }                                                               \
@@ -378,9 +382,6 @@ Interpreter::run(const std::string &func_name,
     next_token_ = 0;
     if (recorder_)
         snapshot_barrier_ = recorder_->firstBarrier();
-    resync_target_ = nullptr;
-    resync_barrier_ = kNoSnapshotBarrier;
-    trial_stop_ = false;
 
     // Set up the initial frame (reusing the pooled slot, if any).
     {
@@ -399,9 +400,6 @@ Interpreter::resumeRun(const Snapshot &snap, const PagePool &pool)
 {
     ENCORE_ASSERT(!snap.exec.frames.empty(),
                   "resumeRun from a snapshot with no frames");
-    resync_target_ = nullptr;
-    resync_barrier_ = kNoSnapshotBarrier;
-    trial_stop_ = false;
     memory_.restore(snap.mem, pool);
     restoreExecState(snap.exec);
     return execLoop();
@@ -424,6 +422,14 @@ Interpreter::execLoop()
         return result;
     };
 
+    disarmGoldenResync();
+    trial_stop_ = false;
+    // Every run re-arms the installed hooks at their arm point; until
+    // then the hot call sites see no hooks and fusion is not pinned.
+    hot_hooks_ = nullptr;
+    hooks_unfused_ = false;
+    arm_barrier_ = hooks_ ? hooks_arm_at_ : kNoSnapshotBarrier;
+    value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
     recomputeFuseLimits();
 
     while (true) {
@@ -431,14 +437,14 @@ Interpreter::execLoop()
             return finish(RunResult::Status::InstructionLimit,
                           "instruction limit exceeded");
 
-        // Stride barrier of the snapshot recorder (golden run only):
-        // the loop top is a consistent between-instructions boundary,
-        // so the captured state is exactly what a trial restored here
-        // would have reached by re-executing the prefix.
-        if (value_count_ >= snapshot_barrier_) {
-            snapshot_barrier_ = recorder_->capture(*this);
-            recomputeFuseLimits();
-        }
+        // Value-count events: a snapshot capture (golden run) or the
+        // hooks' arm point (trials). The loop top is a consistent
+        // between-instructions boundary, so a captured state is
+        // exactly what a trial restored here would have reached by
+        // re-executing the prefix, and armed hooks see every callback
+        // from this boundary on.
+        if (value_count_ >= value_barrier_)
+            crossValueBarrier();
 
         Frame &frame = frames_[depth_ - 1];
 
@@ -448,8 +454,9 @@ Interpreter::execLoop()
         // caller adopt the golden outcome. The anchor's top-frame
         // instruction index is hoisted into resync_top_ip_ so the
         // armed steady state (the whole rolled-back replay) pays two
-        // compares per instruction, not a ladder call: equality is
-        // only possible at the anchor's exact code position.
+        // compares per dispatch, not a ladder call: equality is only
+        // possible at the anchor's exact code position, which stays a
+        // dispatch boundary (see armGoldenResync).
         if (value_count_ >= resync_barrier_ &&
             frame.ip == resync_top_ip_ && tryGoldenResync()) {
             result.golden_resync = true;
@@ -1105,27 +1112,54 @@ Interpreter::applyValueOp(ir::Opcode op, std::uint64_t a, std::uint64_t b,
 }
 
 void
+Interpreter::crossValueBarrier()
+{
+    // The de-fuse window below the barrier makes the first loop top at
+    // or past it the one where value_count_ equals it exactly.
+    if (value_count_ >= arm_barrier_) {
+        arm_barrier_ = kNoSnapshotBarrier;
+        hot_hooks_ = hooks_;
+        hooks_unfused_ = hooks_->needsUnfusedDispatch();
+    }
+    if (value_count_ >= snapshot_barrier_)
+        snapshot_barrier_ = recorder_->capture(*this);
+    value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
+    recomputeFuseLimits();
+}
+
+void
+Interpreter::quiesceHooks()
+{
+    hot_hooks_ = nullptr;
+    hooks_unfused_ = false;
+    arm_barrier_ = kNoSnapshotBarrier;
+    value_barrier_ = snapshot_barrier_;
+    // Runs inside a detection callback: the handler in flight is
+    // abandoned right after, so the new limits apply from the next
+    // dispatch on.
+    recomputeFuseLimits();
+}
+
+void
 Interpreter::recomputeFuseLimits()
 {
     // Interior boundaries of a fused sequence (after each non-final
-    // component) must stay strictly below every value-count barrier;
-    // the worst case is a maximal all-value run, kMaxFuseLen - 1
-    // values before the final component. Sequences are bounded by
-    // kMaxFuseLen source instructions, bounding the budget overshoot
-    // the same way. An attached observer, a hook that needs unfused
-    // dispatch (branch/memory filter points exist only in the unfused
+    // component) must stay strictly below the value barrier; the worst
+    // case is a maximal all-value run, kMaxFuseLen - 1 values before
+    // the final component. Sequences are bounded by kMaxFuseLen source
+    // instructions, bounding the budget overshoot the same way. An
+    // attached observer, armed hooks that need unfused dispatch
+    // (branch/memory filter points exist only in the unfused
     // handlers), or a Decoded-engine cache (which has no fused heads
-    // anyway) pins the limit to 0: every head then permanently
-    // de-fuses and the trace is the one-instruction-per-dispatch one.
+    // anyway) pins the limit to 0: every head then de-fuses and the
+    // trace is the one-instruction-per-dispatch one.
     constexpr std::uint64_t kMaxInteriorValues = kMaxFuseLen - 1;
     constexpr std::uint64_t kMaxFusedLen = kMaxFuseLen;
-    const std::uint64_t barrier =
-        std::min(snapshot_barrier_, resync_barrier_);
     if (!observers_.empty() || !decoded_->fused() || hooks_unfused_)
         fuse_value_limit_ = 0;
     else
-        fuse_value_limit_ = barrier >= kMaxInteriorValues
-                                ? barrier - kMaxInteriorValues
+        fuse_value_limit_ = value_barrier_ >= kMaxInteriorValues
+                                ? value_barrier_ - kMaxInteriorValues
                                 : 0;
     fuse_dyn_limit_ =
         max_instrs_ >= kMaxFusedLen ? max_instrs_ - kMaxFusedLen : 0;
@@ -1134,8 +1168,7 @@ Interpreter::recomputeFuseLimits()
 void
 Interpreter::armGoldenResync()
 {
-    resync_target_ = nullptr;
-    resync_barrier_ = kNoSnapshotBarrier;
+    disarmGoldenResync();
     if (!resync_store_)
         return;
     // Anchor strictly after the *current* value count. Although the
@@ -1156,14 +1189,67 @@ Interpreter::armGoldenResync()
         return;
     resync_target_ = anchor;
     resync_barrier_ = anchor->exec.value_count;
-    resync_top_ip_ = anchor->exec.frames.back().ip;
+    const SnapFrame &top = anchor->exec.frames.back();
+    resync_top_ip_ = top.ip;
     resync_full_compares_ = 0;
-    // The new barrier narrows the de-fuse window; retighten it so no
-    // fused sequence straddles the anchor's loop-top boundary. (This
-    // runs inside a detection callback — the handler in flight is
-    // abandoned right after, so the stale limit is never consulted
-    // mid-sequence.)
-    recomputeFuseLimits();
+    // The watch may fire only where the live cursor sits on the
+    // anchor's instruction at a loop top. A fused sequence passes its
+    // interior instructions without one, so the head whose span covers
+    // the anchor (sequences are disjoint and never cross a block, so
+    // it is the nearest head before the anchor, if that one reaches
+    // it) must de-fuse on every pass where the watch could fire there.
+    // Every other head stays fused: the watch then sees exactly the
+    // boundaries the decoded engine sees at the anchor's instruction,
+    // and fires at the same one.
+    const DecodedFunction &func = decoded_->function(top.func_index);
+    const std::uint32_t reach =
+        std::min<std::uint32_t>(top.ip, kMaxFuseLen - 1);
+    std::uint32_t head = top.ip;
+    for (std::uint32_t h = top.ip; h > top.ip - reach;) {
+        if (func.code[--h].fused_len > 1) {
+            if (h + func.code[h].fused_len > top.ip)
+                head = h;
+            break;
+        }
+    }
+    if (head == top.ip)
+        return;
+    resync_head_ = &func.code[head];
+    // The anchor usually sits in a hot loop, and de-fusing its head on
+    // every pass would cost that loop its fusion for the whole replay.
+    // But the watch fires only on a pass whose top-frame registers all
+    // equal the anchor's, and the components ahead of the anchor write
+    // only their own destinations: every other register already holds
+    // its anchor-instruction value when the head dispatches. Those are
+    // pinned, and a pass that misses one (or runs at another depth)
+    // stays fused — tryGoldenResync's cheap tests would reject it
+    // without a side effect.
+    resync_pins_.clear();
+    for (std::uint32_t r = 0; r < func.num_regs; ++r) {
+        bool written = false;
+        for (std::uint32_t i = head; i < top.ip; ++i)
+            written = written || func.code[i].dest == r;
+        if (!written)
+            resync_pins_.emplace_back(r, top.regs[r]);
+    }
+}
+
+bool
+Interpreter::resyncCouldFireInHead()
+{
+    if (depth_ != resync_target_->exec.frames.size())
+        return false;
+    const std::uint64_t *regs = frames_[depth_ - 1].regs;
+    for (std::size_t i = 0; i < resync_pins_.size(); ++i) {
+        if (regs[resync_pins_[i].first] != resync_pins_[i].second) {
+            // Try the register that told this pass apart first next
+            // time: in a loop it is usually the induction variable,
+            // which then rejects each later pass in one compare.
+            std::swap(resync_pins_[0], resync_pins_[i]);
+            return false;
+        }
+    }
+    return true;
 }
 
 bool
@@ -1195,9 +1281,7 @@ Interpreter::tryGoldenResync()
     const std::uint64_t suffix_dyn =
         resync_golden_dyn_ - exec.dyn_count;
     if (dyn_count_ + suffix_dyn >= max_instrs_) {
-        resync_target_ = nullptr;
-        resync_barrier_ = kNoSnapshotBarrier;
-        recomputeFuseLimits();
+        disarmGoldenResync();
         return false;
     }
 
@@ -1206,9 +1290,7 @@ Interpreter::tryGoldenResync()
     // O(live memory) walk. A trial that hasn't locked on within the
     // cap just runs to completion the ordinary way.
     if (++resync_full_compares_ > kMaxResyncFullCompares) {
-        resync_target_ = nullptr;
-        resync_barrier_ = kNoSnapshotBarrier;
-        recomputeFuseLimits();
+        disarmGoldenResync();
         return false;
     }
 

@@ -38,6 +38,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "interp/decoded.h"
@@ -104,38 +105,38 @@ class Interpreter
     void clearObservers() { observers_.clear(); }
 
     /// Installs active hooks (not owned); pass nullptr to remove. The
-    /// hook's needsUnfusedDispatch() capability is sampled here: hooks
-    /// that use the branch/memory filter points pin superinstruction
-    /// fusion off for as long as they stay installed (the filter points
-    /// exist only in the unfused handlers).
+    /// rare call sites (onRuntimeError, onDetectionHandled) are live
+    /// for the whole of every later run. The per-instruction ones
+    /// (filterResult, shouldTriggerDetection, onMemoryAccess, and the
+    /// branch/memory filter points) arm in each run at the first loop
+    /// top whose value count reaches `arm_value_index`, so the hooks
+    /// see exactly the callbacks a run armed from its start would hand
+    /// them from that boundary on, and nothing before it. Hooks whose
+    /// callbacks are pure pass-throughs before some value index pass
+    /// that index here, and the prefix runs hook-free and fused. The
+    /// hook's needsUnfusedDispatch() capability is sampled when the
+    /// hooks arm: such hooks pin superinstruction fusion off from then
+    /// until quiesceHooks() (the filter points exist only in the
+    /// unfused handlers).
     void
-    setHooks(ExecHooks *hooks)
+    setHooks(ExecHooks *hooks, std::uint64_t arm_value_index = 0)
     {
         hooks_ = hooks;
-        hot_hooks_ = hooks;
-        hooks_unfused_ = hooks && hooks->needsUnfusedDispatch();
+        hooks_arm_at_ = arm_value_index;
     }
 
     /// Drops the installed hooks from the per-instruction hot sites
-    /// (filterResult, shouldTriggerDetection, onMemoryAccess) while
-    /// keeping the rare ones (onRuntimeError, onDetectionHandled)
-    /// live. The hooks themselves call this once they become pure
-    /// pass-throughs — after a rollback dissolves the taint, every
-    /// hot callback is an observationally-silent no-op, yet the
-    /// post-rollback replay is exactly where most of a trial's
-    /// instructions execute; skipping the virtual dispatch there
-    /// roughly halves replay cost. Re-installed by the next
-    /// setHooks(). Also lifts an unfused-dispatch pin, so the
-    /// post-rollback replay re-fuses.
-    void
-    quiesceHooks()
-    {
-        hot_hooks_ = nullptr;
-        if (hooks_unfused_) {
-            hooks_unfused_ = false;
-            recomputeFuseLimits();
-        }
-    }
+    /// for the rest of the current run (and cancels a pending arm),
+    /// while keeping the rare ones live. The hooks themselves call this
+    /// once they become pure pass-throughs — after a rollback dissolves
+    /// the taint, every hot callback is an observationally-silent
+    /// no-op, yet the post-rollback replay is exactly where most of a
+    /// trial's instructions execute. Also lifts an unfused-dispatch
+    /// pin, so the replay runs fused: only the one fused head covering
+    /// an armed golden-resync anchor de-fuses, on the passes where the
+    /// watch could fire (see armGoldenResync). The next run re-arms the
+    /// hooks.
+    void quiesceHooks();
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
     void setMaxInstructions(std::uint64_t limit) { max_instrs_ = limit; }
@@ -202,6 +203,10 @@ class Interpreter
     /// reconverge with the golden run at-or-after the current
     /// position. When the live state matches the anchor, the dispatch
     /// loop finishes immediately with RunResult::golden_resync set.
+    /// The anchor's top-frame instruction must stay a dispatch
+    /// boundary wherever the watch could fire there, so the one fused
+    /// head whose span covers it (if any) de-fuses on those passes;
+    /// every other head stays fused.
     void armGoldenResync();
 
     /// Asks the dispatch loop to finish (status Ok) as soon as the
@@ -334,9 +339,13 @@ class Interpreter
                                              std::uint64_t b,
                                              std::uint64_t c);
 
+    /// Loop-top work at value_barrier_: arms pending hooks and/or
+    /// captures a snapshot, then moves the barrier to the next event.
+    void crossValueBarrier();
+
     /// Recomputes the de-fuse guard thresholds (see fuse_value_limit_
     /// below). Called whenever an input changes: loop entry, a
-    /// snapshot capture, arming a resync watch.
+    /// value-barrier crossing, quiescing the hooks.
     void recomputeFuseLimits();
 
     /// Exact-equality test of the live state against the armed resync
@@ -350,17 +359,32 @@ class Interpreter
     /// full-compare cap is exhausted.
     bool tryGoldenResync();
 
+    /// De-fuse test for resync_head_: false when the current frame's
+    /// depth or a pinned register already rules out a match at the
+    /// anchor inside this pass of the sequence.
+    bool resyncCouldFireInHead();
+
+    void
+    disarmGoldenResync()
+    {
+        resync_target_ = nullptr;
+        resync_barrier_ = kNoSnapshotBarrier;
+        resync_head_ = nullptr;
+    }
+
     std::shared_ptr<const DecodedModule> decoded_;
     const ir::Module &module_;
     Memory memory_;
     std::vector<Observer *> observers_;
     ExecHooks *hooks_ = nullptr;
-    /// Same as hooks_ at the per-instruction call sites, but nulled by
-    /// quiesceHooks() once the hooks declare themselves pass-through.
+    /// Value index at which each run arms hooks_ (setHooks).
+    std::uint64_t hooks_arm_at_ = 0;
+    /// Same as hooks_ at the per-instruction call sites once armed;
+    /// null before the arm point and after quiesceHooks().
     ExecHooks *hot_hooks_ = nullptr;
-    /// Cached hooks_->needsUnfusedDispatch(): pins fusion off (see
-    /// recomputeFuseLimits) and gates the branch/memory filter call
-    /// sites. Cleared by quiesceHooks().
+    /// Cached hooks_->needsUnfusedDispatch() while armed: pins fusion
+    /// off (see recomputeFuseLimits) and gates the branch/memory filter
+    /// call sites. Cleared by quiesceHooks().
     bool hooks_unfused_ = false;
     std::uint64_t max_instrs_ = 200'000'000;
     bool capture_globals_ = true;
@@ -381,11 +405,16 @@ class Interpreter
     std::uint64_t rollback_count_ = 0;
     std::uint64_t next_token_ = 0;
 
-    /// Snapshot recording: the loop captures into `recorder_` whenever
-    /// value_count_ crosses `snapshot_barrier_` (kNoSnapshotBarrier
-    /// keeps the check a single never-taken compare on normal runs).
+    /// Value-count events: the recorder's next capture
+    /// (`snapshot_barrier_`) and the pending hook arm point
+    /// (`arm_barrier_`, kNoSnapshotBarrier once armed or with no
+    /// hooks). The loop top checks only their minimum,
+    /// `value_barrier_`, so a run with neither pays one never-taken
+    /// compare for both.
     SnapshotStore *recorder_ = nullptr;
     std::uint64_t snapshot_barrier_ = kNoSnapshotBarrier;
+    std::uint64_t arm_barrier_ = kNoSnapshotBarrier;
+    std::uint64_t value_barrier_ = kNoSnapshotBarrier;
 
     /// Golden resync: `resync_barrier_` stays kNoSnapshotBarrier until
     /// armGoldenResync() picks an anchor, keeping the loop-top check a
@@ -398,6 +427,13 @@ class Interpreter
     /// watch can reject every other code position with one compare
     /// before calling into the tryGoldenResync ladder.
     std::uint32_t resync_top_ip_ = ~0u;
+    /// The fused head whose span covers the anchor's top-frame
+    /// instruction, or null; the de-fuse guard refuses only this head,
+    /// and only on passes resyncCouldFireInHead() allows.
+    const DecodedInst *resync_head_ = nullptr;
+    /// (register, anchor value) for every anchor-frame register the
+    /// head's components ahead of the anchor do not write.
+    std::vector<std::pair<ir::RegId, std::uint64_t>> resync_pins_;
     std::uint32_t resync_full_compares_ = 0;
 
     /// Outcome-sealed early exit (requestTrialStop): checked only on
@@ -411,11 +447,13 @@ class Interpreter
     /// budget) could fire at an interior boundary; otherwise the guard
     /// redispatches the head unfused and the sequence executes one
     /// source instruction per loop iteration, hitting every boundary
-    /// exactly as EngineKind::Decoded would. fuse_value_limit_ is the
-    /// nearer of the snapshot/resync barriers minus the most values a
-    /// sequence's non-final components can produce; observers force 0
-    /// (permanent de-fuse — observers must see each instruction).
-    /// fuse_dyn_limit_ keeps the whole sequence under max_instrs_.
+    /// exactly as EngineKind::Decoded would. fuse_value_limit_ is
+    /// value_barrier_ minus the most values a sequence's non-final
+    /// components can produce; observers force 0 (permanent de-fuse —
+    /// observers must see each instruction). fuse_dyn_limit_ keeps the
+    /// whole sequence under max_instrs_. The resync watch needs only
+    /// its anchor position as a boundary, so it de-fuses resync_head_
+    /// alone instead of feeding these limits.
     std::uint64_t fuse_value_limit_ = 0;
     std::uint64_t fuse_dyn_limit_ = 0;
 };

@@ -154,9 +154,9 @@ Memory::enableDirtyTracking(std::uint32_t page_words)
     std::uint32_t shift = 0;
     while ((1u << shift) < page_words && shift < 20)
         ++shift;
-    // Idempotent on the trial path: runTrialAt re-asserts tracking per
-    // trial, and re-marking every page would throw away the mirror's
-    // whole benefit.
+    // Idempotent on the trial path: FaultInjector::runTrialPlanned
+    // re-asserts tracking per trial, and re-marking every page would
+    // throw away the mirror's whole benefit.
     if (tracking_ && shift == page_shift_)
         return;
     page_shift_ = shift;

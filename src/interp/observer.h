@@ -72,11 +72,13 @@ class ExecHooks
   public:
     virtual ~ExecHooks() = default;
 
-    /// Capability query, sampled once by Interpreter::setHooks. Hooks
-    /// that need the per-instruction branch/memory filter points below
-    /// must return true: those points exist only in the unfused
-    /// handlers, so the interpreter pins superinstruction fusion off
-    /// while such hooks are installed (and re-fuses on quiesceHooks).
+    /// Capability query, sampled once per run when the hooks arm (at
+    /// the value index given to Interpreter::setHooks). Hooks that need
+    /// the per-instruction branch/memory filter points below must
+    /// return true: those points exist only in the unfused handlers,
+    /// so the interpreter pins superinstruction fusion off from the
+    /// arm point until quiesceHooks() or the end of the run. Before
+    /// the arm point the run stays fused.
     virtual bool
     needsUnfusedDispatch() const
     {

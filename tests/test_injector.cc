@@ -425,7 +425,7 @@ TEST(OutcomeTable, InstructionLimitIsNotRecoverable)
 {
     // An injected execution that blows the run budget maps to
     // NotRecoverable whether or not detection fired. The budget counts
-    // restored prefix instructions too (see runTrialAt), so this
+    // restored prefix instructions too (see runTrialPlanned), so this
     // mapping is identical with and without the snapshot tier.
     for (const bool detected : {false, true}) {
         TrialObservation obs;

@@ -465,6 +465,218 @@ TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
     }
 }
 
+/// One hot hook callback with every argument a hook could act on.
+struct HookCall
+{
+    char kind; ///< f filterResult, d detection poll, m memory access,
+               ///< b branch filter, o memory-op filter
+    const ir::Instruction *inst;
+    std::uint64_t dyn_index;
+    std::uint64_t detail; ///< value, target, or (object, offset, store)
+
+    bool operator==(const HookCall &) const = default;
+};
+
+/// Pass-through hooks that log every hot callback.
+class RecordingHooks : public ExecHooks
+{
+  public:
+    explicit RecordingHooks(bool unfused) : unfused_(unfused) {}
+
+    bool needsUnfusedDispatch() const override { return unfused_; }
+
+    std::uint64_t
+    filterResult(const ir::Instruction &inst, std::uint64_t dyn_index,
+                 std::uint64_t value) override
+    {
+        calls.push_back({'f', &inst, dyn_index, value});
+        return value;
+    }
+
+    bool
+    shouldTriggerDetection(const ir::Instruction &next,
+                           std::uint64_t dyn_index) override
+    {
+        calls.push_back({'d', &next, dyn_index, 0});
+        return false;
+    }
+
+    void
+    onMemoryAccess(const ir::Function &, const ir::Instruction &inst,
+                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+                   std::uint64_t dyn_index) override
+    {
+        calls.push_back({'m', &inst, dyn_index,
+                         memoryDetail(object, offset, is_store)});
+    }
+
+    void
+    filterBranchTarget(const ir::Instruction &inst, std::uint32_t &target,
+                       std::uint32_t, std::uint64_t dyn_index) override
+    {
+        calls.push_back({'b', &inst, dyn_index, target});
+    }
+
+    std::uint64_t
+    filterMemoryOp(const ir::Instruction &inst, bool is_store,
+                   ir::ObjectId object, std::uint32_t &offset,
+                   std::uint64_t dyn_index) override
+    {
+        calls.push_back({'o', &inst, dyn_index,
+                         memoryDetail(object, offset, is_store)});
+        return 0;
+    }
+
+    std::vector<HookCall> calls;
+
+  private:
+    static std::uint64_t
+    memoryDetail(ir::ObjectId object, std::uint32_t offset, bool is_store)
+    {
+        return (std::uint64_t{object} << 33) |
+               (std::uint64_t{offset} << 1) | (is_store ? 1 : 0);
+    }
+
+    bool unfused_;
+};
+
+/// The callbacks of a run armed at value index 0 that a run armed at
+/// `k` must see: everything after the instruction that produced value
+/// k - 1, i.e. from the first loop top whose value count is k.
+std::vector<HookCall>
+callsFromValue(const std::vector<HookCall> &all, std::uint64_t k)
+{
+    auto it = all.begin();
+    for (std::uint64_t values = 0; values < k && it != all.end(); ++it)
+        values += it->kind == 'f';
+    return {it, all.end()};
+}
+
+/// The instruction that produced value index `k` in a full log.
+const ir::Instruction *
+valueInst(const std::vector<HookCall> &all, std::uint64_t k)
+{
+    for (const HookCall &call : all)
+        if (call.kind == 'f' && k-- == 0)
+            return call.inst;
+    return nullptr;
+}
+
+/// Index of the fused head whose span holds `src`, or -1.
+int
+fusedHeadOf(const DecodedFunction &func, const ir::Instruction *src)
+{
+    for (std::size_t h = 0; h < func.code.size(); ++h) {
+        const std::size_t len = func.code[h].fused_len;
+        for (std::size_t i = h; len > 1 && i < h + len; ++i)
+            if (func.code[i].src == src)
+                return static_cast<int>(h);
+    }
+    return -1;
+}
+
+/// Requires `got` to be exactly the from-start log cut at value `k`.
+void
+expectCallsFromValue(const std::vector<HookCall> &got,
+                     const std::vector<HookCall> &all, std::uint64_t k)
+{
+    const std::vector<HookCall> want = callsFromValue(all, k);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_TRUE(got[i] == want[i])
+            << "callback " << i << ": got " << got[i].kind << "@"
+            << got[i].dyn_index << ", want " << want[i].kind << "@"
+            << want[i].dyn_index;
+}
+
+TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
+{
+    // Hooks armed at value index K must be invisible before the first
+    // loop top whose value count is K and see exactly what hooks armed
+    // from the start see from there on — whether K falls inside what
+    // the fused engine runs as one sequence, on a snapshot barrier
+    // (the same loop-top compare handles both events), at 0, or past
+    // the end of the program. Covered with and without the unfused-
+    // dispatch pin, which must switch on at K too.
+    auto module = ir::parseModule(kSnapshotLoopText);
+    constexpr std::uint64_t kStride = 16;
+    const Recorded rec =
+        recordSnapshots(*module, EngineKind::Fused, kStride);
+    ASSERT_TRUE(rec.result.ok()) << rec.result.error;
+    const Snapshot *snap = rec.store->findAtOrBefore(3 * kStride);
+    ASSERT_NE(snap, nullptr);
+    const std::uint64_t k_snapshot = snap->exec.value_count;
+    ASSERT_EQ(k_snapshot, 3 * kStride);
+    // Entry produces one value and each iteration eight; the second
+    // value of iteration 2 is the load inside the body's first fused
+    // run, so value count 19 is reached mid-sequence.
+    constexpr std::uint64_t kInside = 1 + 2 * 8 + 2;
+    const std::uint64_t k_past_end = rec.result.value_instrs + 10;
+
+    for (const bool unfused : {false, true}) {
+        SCOPED_TRACE(unfused ? "unfused hooks" : "fusable hooks");
+        Interpreter interp(rec.cache);
+        RecordingHooks from_start(unfused);
+        interp.setHooks(&from_start, 0);
+        const RunResult full = interp.run("main", {41});
+        ASSERT_TRUE(full.ok()) << full.error;
+        const std::vector<HookCall> &all = from_start.calls;
+
+        const DecodedFunction &main_fn =
+            *rec.cache->functionByName("main");
+        const int head = fusedHeadOf(main_fn, valueInst(all, kInside));
+        ASSERT_NE(head, -1);
+        EXPECT_EQ(fusedHeadOf(main_fn, valueInst(all, kInside - 1)),
+                  head);
+
+        for (const std::uint64_t k :
+             {kInside, k_snapshot, std::uint64_t{0}, k_past_end}) {
+            SCOPED_TRACE("armed at " + std::to_string(k));
+            RecordingHooks armed(unfused);
+            interp.setHooks(&armed, k);
+            const RunResult run = interp.run("main", {41});
+            EXPECT_EQ(run.return_value, full.return_value);
+            EXPECT_EQ(run.dyn_instrs, full.dyn_instrs);
+            EXPECT_EQ(run.value_instrs, full.value_instrs);
+            expectCallsFromValue(armed.calls, all, k);
+            EXPECT_EQ(armed.calls.empty(), k == k_past_end);
+        }
+
+        // A run resumed from the snapshot and armed at its value count
+        // sees the same suffix.
+        RecordingHooks resumed(unfused);
+        interp.setHooks(&resumed, k_snapshot);
+        const RunResult from_snap =
+            interp.resumeRun(*snap, rec.store->pool());
+        EXPECT_EQ(from_snap.dyn_instrs, full.dyn_instrs);
+        expectCallsFromValue(resumed.calls, all, k_snapshot);
+
+        // Recording while the hooks arm on a barrier: every capture
+        // still lands exactly on its barrier.
+        SnapshotConfig config;
+        config.stride = kStride;
+        SnapshotStore store(config);
+        RecordingHooks recording(unfused);
+        interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+        interp.setSnapshotRecorder(&store);
+        interp.setHooks(&recording, k_snapshot);
+        interp.run("main", {41});
+        interp.setSnapshotRecorder(nullptr);
+        interp.memoryRef().disableDirtyTracking();
+        expectCallsFromValue(recording.calls, all, k_snapshot);
+        ASSERT_EQ(store.size(), rec.store->size());
+        for (std::size_t i = 1; i <= store.size(); ++i) {
+            const Snapshot *got = store.findAtOrBefore(i * kStride);
+            ASSERT_NE(got, nullptr);
+            EXPECT_EQ(got->exec.value_count, i * kStride);
+            EXPECT_EQ(got->exec.dyn_count,
+                      rec.store->findAtOrBefore(i * kStride)
+                          ->exec.dyn_count);
+        }
+        interp.setHooks(nullptr);
+    }
+}
+
 TEST(SelectOp, PicksByCondition)
 {
     auto module = ir::parseModule(R"(

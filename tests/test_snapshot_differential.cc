@@ -14,6 +14,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "encore/pipeline.h"
 #include "fault/injector.h"
 #include "fault/models/fault_model.h"
@@ -178,6 +180,67 @@ TEST(SnapshotDifferential, CfBranchModelBitIdenticalOnAndOff)
                            static_cast<fault::FaultOutcome>(i));
         }
     }
+}
+
+TEST(SnapshotDifferential, ResyncIsEngineIdentical)
+{
+    // Golden resync fires only where the live cursor sits on the
+    // anchor's instruction at a loop top. The decoded engine stops at
+    // every instruction, so its resync count is the ground truth; a
+    // fused sequence that ran across the anchor would silently drop
+    // resyncs — the trial then runs to its end instead — without
+    // changing a single outcome. Comparing the counts is what catches
+    // that.
+    struct Scenario
+    {
+        const char *model;
+        std::vector<std::string> workloads; ///< empty = whole suite
+    };
+    const std::vector<Scenario> scenarios = {
+        {"reg-bit", {}},
+        {"cf-branch", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
+        {"mem-bus", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
+    };
+
+    std::uint64_t total_resyncs = 0;
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
+        SCOPED_TRACE(w.name);
+        const Prepared p = runPipeline(w);
+
+        fault::FaultInjector decoded(*p.module, p.report,
+                                     interp::EngineKind::Decoded);
+        fault::FaultInjector fused(*p.module, p.report,
+                                   interp::EngineKind::Fused);
+        ASSERT_TRUE(decoded.prepare(w.entry, w.train_args));
+        ASSERT_TRUE(fused.prepare(w.entry, w.train_args));
+        interp::Interpreter interp_decoded(decoded.decodedModule());
+        interp::Interpreter interp_fused(fused.decodedModule());
+
+        for (const Scenario &s : scenarios) {
+            if (!s.workloads.empty() &&
+                std::find(s.workloads.begin(), s.workloads.end(),
+                          w.name) == s.workloads.end())
+                continue;
+            SCOPED_TRACE(s.model);
+            fault::CampaignConfig cc;
+            cc.trials = 120;
+            cc.seed = 20261016;
+            cc.trial.dmax = 100;
+            cc.trial.model = fault::models::findFaultModel(s.model);
+            ASSERT_NE(cc.trial.model, nullptr);
+            cc.model_masking = false; // every trial executes
+            for (std::uint64_t t = 0; t < cc.trials; ++t)
+                EXPECT_EQ(fused.runCampaignTrial(t, cc, interp_fused),
+                          decoded.runCampaignTrial(t, cc, interp_decoded))
+                    << "trial " << t;
+            // Cumulative over this workload's scenarios so far.
+            EXPECT_EQ(fused.snapshotStats().resyncs,
+                      decoded.snapshotStats().resyncs);
+        }
+        total_resyncs += decoded.snapshotStats().resyncs;
+    }
+    // The comparison only bites if trials actually resynced.
+    EXPECT_GT(total_resyncs, 0u);
 }
 
 TEST(SnapshotDifferential, AdaptiveStrideStaysWithinBudget)

@@ -349,12 +349,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
                 "trial-store background flush period");
     cli.addFlag("flush-batch", "256",
                 "trial-store records per batched write");
-    cli.addFlag("snapshot-stride", "1024",
-                "golden-run snapshot stride in value instructions "
-                "(0 disables the snapshot tier; never affects "
-                "outcomes)");
-    cli.addFlag("snapshot-budget-mb", "64",
-                "resident byte budget for the snapshot store, MiB");
+    bench::addSnapshotFlags(cli);
     bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
@@ -864,12 +859,7 @@ cmdWorker(int argc, char **argv)
     cli.addFlag("throttle-us", "0",
                 "chaos/test hook: sleep this long after every trial "
                 "(pacing only; never affects outcomes)");
-    cli.addFlag("snapshot-stride", "1024",
-                "golden-run snapshot stride in value instructions "
-                "(0 disables the snapshot tier; never affects "
-                "outcomes)");
-    cli.addFlag("snapshot-budget-mb", "64",
-                "resident byte budget for the snapshot store, MiB");
+    bench::addSnapshotFlags(cli);
     bench::addEngineFlag(cli);
     cli.parse(argc, argv);
 
