@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # One-command CI gate: the tier-1 verify (full build + full ctest
 # suite, which includes the campaign determinism and CLI end-to-end
-# tests, the distributed-service wire-protocol tests, and the chaos
-# soak that SIGKILLs a serve/worker fleet member mid-campaign)
-# followed by the ThreadSanitizer campaign lane (the concurrent
-# trial-store writer, the multi-threaded campaign/resume paths, and
-# the coordinator/worker service), then a campaign-planner smoke
+# tests, among them a shard SIGKILLed mid-campaign, resumed and
+# merged) followed by the ThreadSanitizer campaign lane (the
+# concurrent trial-store writer and the multi-threaded
+# campaign/resume/shard/merge paths), then a campaign-planner smoke
 # (sweep-reuse tally identity against brute force, plus a tiny
 # adaptive early-stopping campaign), a scenario-matrix smoke (every
 # fault-model x detector pair byte-identical across --jobs), the repo
@@ -32,10 +31,10 @@ echo "==> [tsan] configure + build"
 cmake -B "${build_root}/tsan" -S "${repo_root}" \
     -DENCORE_SANITIZE=thread > /dev/null
 cmake --build "${build_root}/tsan" -j > /dev/null
-echo "==> [tsan] campaign smoke: concurrent store writer + runner + service"
+echo "==> [tsan] campaign smoke: concurrent store writer + runner"
 (cd "${build_root}/tsan" &&
     ctest --output-on-failure \
-        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_planner|test_fault_models|test_snapshot_differential')
+        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential')
 
 echo "==> [planner] sweep-reuse tally identity + adaptive smoke"
 # Hard gate on the planner's central contract: a sidecar-reuse run

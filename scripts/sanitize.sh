@@ -12,15 +12,14 @@
 #               + test_campaign (resume/shard/merge with a durable
 #               store under worker-thread parallelism, including the
 #               fault-model x detector scenario matrix)
-#               + test_campaign_service (coordinator poll loop vs
-#               worker threads, store flusher and progress ticker in
-#               one process — the distributed-service race gate)
 #               + test_fault_models (registry singletons read from
 #               every worker) + test_snapshot_differential (parallel
 #               campaigns through the unfused branch/memory hook
 #               dispatch path)
 #   address   : the full suite (heap/stack/use-after-free gate for the
-#               pooled interpreter state: frames, undo logs, memory)
+#               pooled interpreter state: frames, undo logs, memory;
+#               also the trial-store reader against crafted headers and
+#               the SIGKILLed-shard resume + merge in test_campaign_cli)
 #   undefined : the full suite (overflow/misalignment/OOB-shift gate
 #               for the interned-ID set machinery and bit-twiddling
 #               in the decoded engine; recovery is disabled so any
@@ -45,7 +44,7 @@ run_lane() {
     (cd "${build_dir}" && ctest --output-on-failure "$@")
 }
 
-run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_campaign_service|test_fault_models|test_snapshot_differential'
+run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_fault_models|test_snapshot_differential'
 run_lane address
 run_lane undefined
 

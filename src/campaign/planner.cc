@@ -30,7 +30,7 @@ constexpr std::size_t kNumOutcomes = kTallyOutcomeSlots;
 /// pseudo-op counts *outside* the struck function's closure. They go
 /// into per-function "tail" groups whose fingerprint includes the
 /// whole instrumented module hash, so they never reuse across
-/// configurations. See DESIGN.md §11.
+/// configurations. See DESIGN.md §10.
 constexpr std::uint64_t kTailSlack = 2;
 
 bool
@@ -480,7 +480,7 @@ struct CampaignPlanner::Impl
     {
         if (options.sidecar_path.empty() || sidecar_checked)
             return;
-        // The reuse soundness argument (DESIGN.md §11) attributes a
+        // The reuse soundness argument (DESIGN.md §10) attributes a
         // trial to the function containing its anchor value
         // instruction. Non-anchored models strike at the *next*
         // branch/memory op, which may sit in a different function, so
@@ -570,61 +570,6 @@ CampaignPlanner::CampaignPlanner(
 }
 
 CampaignPlanner::~CampaignPlanner() = default;
-
-const std::vector<TrialDraw> &
-CampaignPlanner::draws()
-{
-    impl_->prepare();
-    return impl_->draws;
-}
-
-std::vector<std::uint64_t>
-CampaignPlanner::trialsToExecute()
-{
-    impl_->prepare();
-    impl_->probeSidecar();
-    std::vector<std::uint64_t> trials;
-    for (const Impl::Group &group : impl_->groups) {
-        if (group.reused)
-            continue;
-        trials.insert(trials.end(), group.trials.begin(),
-                      group.trials.end());
-    }
-    std::sort(trials.begin(), trials.end());
-    return trials;
-}
-
-fault::CampaignResult
-CampaignPlanner::reusedBase()
-{
-    impl_->prepare();
-    impl_->probeSidecar();
-    fault::CampaignResult base;
-    base.counts[static_cast<int>(fault::FaultOutcome::Masked)] +=
-        impl_->masked_count;
-    base.trials += impl_->masked_count;
-    for (const Impl::Group &group : impl_->groups) {
-        if (!group.reused)
-            continue;
-        for (std::size_t i = 0; i < kNumOutcomes; ++i)
-            base.counts[i] += group.counts[i];
-        base.trials += group.trials.size();
-    }
-    return base;
-}
-
-std::vector<std::uint8_t>
-CampaignPlanner::trialStrata()
-{
-    impl_->prepare();
-    // Masked draws belong to no group; they keep the zero initializer
-    // (kStratumMasked) and never reach the lease table anyway.
-    std::vector<std::uint8_t> strata(impl_->draws.size(), 0);
-    for (const Impl::Group &group : impl_->groups)
-        for (const std::uint64_t trial : group.trials)
-            strata[trial] = static_cast<std::uint8_t>(group.stratum);
-    return strata;
-}
 
 PlanSummary
 CampaignPlanner::plan()

@@ -13,7 +13,7 @@
  *   (program semantics, fault-model parameters, the struck function's
  *    instrumentation closure)
  *
- * — see DESIGN.md §11 for the soundness argument. Each group's outcome
+ * — see DESIGN.md §10 for the soundness argument. Each group's outcome
  * tally is keyed by a fingerprint over exactly those inputs and stored
  * in a CRC'd sidecar table (campaign/tally_store.h). A later sweep
  * point (different γ/η/budget) re-injects only the groups whose
@@ -101,7 +101,7 @@ struct GroupSummary
     /// (false: unprotected code of `function`).
     bool protected_region = false;
     /// Tail groups race detection against program end and never reuse
-    /// across configs (see DESIGN.md §11).
+    /// across configs (see DESIGN.md §10).
     bool tail = false;
     std::uint64_t trials = 0;
     bool reused = false;
@@ -188,25 +188,6 @@ class CampaignPlanner
     PlanSummary plan();
     PlanSummary run();
     PlanSummary runAdaptive();
-
-    /// The precomputed per-trial draws (index = trial). Exposed for
-    /// tests and the serve path's stratum-tagged lease planning.
-    const std::vector<TrialDraw> &draws();
-
-    /// Ascending trial indices the sidecar cannot cover — the
-    /// execution set a planner-filtered `serve` distributes to
-    /// workers. Masked trials are excluded (they never execute).
-    std::vector<std::uint64_t> trialsToExecute();
-
-    /// Tallies folded from the sidecar for the reused groups plus the
-    /// exact masked count, i.e. everything trialsToExecute() omits.
-    fault::CampaignResult reusedBase();
-
-    /// Per-trial stratum index (size = config.trials). Modelled-masked
-    /// draws are stratum 0; the rest carry the class of the struck
-    /// code. The serve path tags each lease with the stratum of the
-    /// chunk's first trial so worker logs attribute their share.
-    std::vector<std::uint8_t> trialStrata();
 
   private:
     struct Impl;

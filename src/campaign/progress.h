@@ -49,8 +49,7 @@ struct ProgressSnapshot
 };
 
 /// Renders a snapshot as the canonical heartbeat JSON object (no
-/// trailing newline). The JSONL heartbeat file and the campaign
-/// service's Progress frame both emit exactly this.
+/// trailing newline), one line of the JSONL heartbeat file.
 std::string formatHeartbeatJson(const ProgressSnapshot &snapshot);
 
 class ProgressMeter

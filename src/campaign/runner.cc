@@ -1,5 +1,6 @@
 #include "campaign/runner.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -16,8 +17,6 @@ namespace {
 
 constexpr int kNumOutcomes =
     static_cast<int>(fault::FaultOutcome::NumOutcomes);
-
-} // namespace
 
 /// Fatal with a diagnostic naming every differing identity field —
 /// "fingerprint mismatch" alone would leave the user guessing which
@@ -82,6 +81,8 @@ requireHeaderMatches(const StoreHeader &want, const StoreHeader &found,
            "\nEither rerun with the original configuration, or point "
            "--store at a fresh path.");
 }
+
+} // namespace
 
 std::optional<ShardSpec>
 parseShardSpec(const std::string &text)
@@ -353,8 +354,9 @@ mergeTrialStores(const std::vector<std::string> &paths,
     if (paths.empty())
         return std::string("merge: no trial stores given");
 
-    std::vector<std::uint8_t> done;
-    std::vector<std::uint8_t> shard_seen;
+    // Shard indices merged so far. Distinct shards own disjoint trial
+    // indices, so duplicates can only sit inside one store.
+    std::vector<std::uint32_t> shards;
     for (const std::string &path : paths) {
         StoreContents contents;
         if (const auto err = readTrialStore(path, contents))
@@ -363,8 +365,6 @@ mergeTrialStores(const std::vector<std::string> &paths,
         if (out.stores_merged == 0) {
             out.header = h;
             out.header.shard_index = 0;
-            done.assign(h.total_trials, 0);
-            shard_seen.assign(h.shard_count, 0);
         } else {
             const StoreHeader &c = out.header;
             if (h.config_fingerprint != c.config_fingerprint)
@@ -395,16 +395,13 @@ mergeTrialStores(const std::vector<std::string> &paths,
                        "means a different experiment there — refusing "
                        "to combine";
         }
-        if (h.shard_index >= h.shard_count)
-            return "merge: '" + path + "' has shard index " +
-                   std::to_string(h.shard_index) + " >= shard count " +
-                   std::to_string(h.shard_count);
-        if (shard_seen[h.shard_index])
+        if (std::find(shards.begin(), shards.end(), h.shard_index) !=
+            shards.end())
             return "merge: shard " + std::to_string(h.shard_index) +
                    "/" + std::to_string(h.shard_count) +
                    " appears twice ('" + path + "' duplicates an "
                    "earlier store)";
-        shard_seen[h.shard_index] = 1;
+        shards.push_back(h.shard_index);
 
         const ShardSpec spec{h.shard_index, h.shard_count};
         for (const TrialRecord &record : contents.records) {
@@ -421,9 +418,9 @@ mergeTrialStores(const std::vector<std::string> &paths,
                        std::to_string(h.shard_index) + "/" +
                        std::to_string(h.shard_count) +
                        " does not own";
-            if (done[record.trial])
-                continue;
-            done[record.trial] = 1;
+        }
+        keepFirstRecordPerTrial(contents.records);
+        for (const TrialRecord &record : contents.records) {
             ++out.result.counts[record.outcome];
             ++out.result.trials;
             out.result.replay_cost += record.aux;
@@ -434,13 +431,12 @@ mergeTrialStores(const std::vector<std::string> &paths,
     if (out.result.trials != out.header.total_trials) {
         const std::uint64_t missing =
             out.header.total_trials - out.result.trials;
-        std::uint64_t shards_missing = 0;
-        for (const std::uint8_t seen : shard_seen)
-            shards_missing += seen ? 0 : 1;
+        const std::uint64_t shards_missing =
+            out.header.shard_count - shards.size();
         std::string detail =
             shards_missing > 0
                 ? std::to_string(shards_missing) + " of " +
-                      std::to_string(shard_seen.size()) +
+                      std::to_string(out.header.shard_count) +
                       " shard stores were not given"
                 : "some shards were interrupted — `encore_campaign "
                   "resume` each store to fill the gaps";

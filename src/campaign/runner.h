@@ -66,14 +66,6 @@ struct ShardSpec
 /// i >= N, or N == 0.
 std::optional<ShardSpec> parseShardSpec(const std::string &text);
 
-/// Fatal unless `found` matches `want` on every campaign-identity
-/// field (snapshot provenance deliberately excluded), naming each
-/// mismatched field in the diagnostic. Shared by `resume` and the
-/// campaign service's store-adoption path.
-void requireHeaderMatches(const StoreHeader &want,
-                          const StoreHeader &found,
-                          const std::string &path);
-
 struct RunnerOptions
 {
     /// Trial store path; "" runs without durability (still sharded,

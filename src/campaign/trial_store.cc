@@ -107,6 +107,11 @@ readTrialStore(const std::string &path, StoreContents &out)
         get<std::uint32_t>(header_bytes, 72);
     out.header.fault_model_id = get<std::uint32_t>(header_bytes, 76);
     out.header.detector_id = get<std::uint32_t>(header_bytes, 80);
+    if (out.header.shard_index >= out.header.shard_count)
+        return "trial store '" + path + "' declares shard " +
+               std::to_string(out.header.shard_index) + "/" +
+               std::to_string(out.header.shard_count) +
+               "; the shard index must be below a non-zero shard count";
     out.valid_bytes = kTrialStoreHeaderSize;
 
     // Records: accept the longest prefix of whole, CRC-clean records
@@ -144,6 +149,23 @@ readTrialStore(const std::string &path, StoreContents &out)
             out.dropped_bytes = end - out.valid_bytes;
     }
     return std::nullopt;
+}
+
+void
+keepFirstRecordPerTrial(std::vector<TrialRecord> &records)
+{
+    // Stable, so the first record of a trial in file order heads its
+    // run and survives std::unique.
+    std::stable_sort(records.begin(), records.end(),
+                     [](const TrialRecord &a, const TrialRecord &b) {
+                         return a.trial < b.trial;
+                     });
+    const auto same_trial = [](const TrialRecord &a,
+                               const TrialRecord &b) {
+        return a.trial == b.trial;
+    };
+    records.erase(std::unique(records.begin(), records.end(), same_trial),
+                  records.end());
 }
 
 TrialStoreWriter::TrialStoreWriter(std::ofstream out,

@@ -127,11 +127,18 @@ struct StoreContents
 
 /// Reads a store. Returns nullopt on success, an error message when
 /// the store is unusable (missing file, bad magic/version/record
-/// size, corrupt header). A torn or CRC-corrupt record is NOT an
-/// error: reading stops at the first bad record and the remainder is
-/// reported via `dropped_bytes` — that is the crash-recovery path.
+/// size, corrupt header, shard index not below a non-zero shard
+/// count). A torn or CRC-corrupt record is NOT an error: reading stops
+/// at the first bad record and the remainder is reported via
+/// `dropped_bytes` — that is the crash-recovery path.
 std::optional<std::string> readTrialStore(const std::string &path,
                                           StoreContents &out);
+
+/// Drops every record whose trial index already appeared earlier in
+/// `records` and sorts the rest by trial index. Its memory is
+/// proportional to the records, never to the header's total_trials,
+/// which a crafted store can set to anything.
+void keepFirstRecordPerTrial(std::vector<TrialRecord> &records);
 
 /**
  * Concurrent batched appender. Worker threads call add(); records

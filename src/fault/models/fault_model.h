@@ -9,8 +9,8 @@
 namespace encore::fault::models {
 
 // Stable numeric identity for a fault model. These values are written
-// into trial-store headers and wire-protocol CampaignSpecs, so they are
-// part of the durable format: never renumber, only append.
+// into trial-store headers, so they are part of the durable format:
+// never renumber, only append.
 enum class FaultModelId : std::uint32_t {
   RegBit = 0,
   MultiBit = 1,

@@ -8,7 +8,8 @@
  *  - Resume re-executes exactly the missing trial indices.
  *  - Shards 0/2 + 1/2 merged are byte-identical to the unsharded run.
  *  - Merge refuses mismatched fingerprints, duplicate shards, and
- *    incomplete campaigns with a clear diagnostic.
+ *    incomplete campaigns with a clear diagnostic, also when a
+ *    crafted header claims far more trials than fit in memory.
  */
 #include <gtest/gtest.h>
 
@@ -405,6 +406,30 @@ TEST(CampaignMerge, RefusesIncompleteCampaign)
     EXPECT_NE(err->find("campaign incomplete"), std::string::npos);
     EXPECT_NE(err->find("1 of 2 shard stores were not given"),
               std::string::npos);
+}
+
+TEST(CampaignMerge, HugeTrialCountHeaderIsIncompleteNotACrash)
+{
+    // A CRC-valid header claiming 2^60 trials: merge must tally the
+    // few records it reads, not allocate per claimed trial.
+    StoreHeader header;
+    header.total_trials = std::uint64_t{1} << 60;
+    const std::string path = tempStorePath("huge_header.trials");
+    std::string error;
+    auto writer = TrialStoreWriter::create(path, header, {}, &error);
+    ASSERT_NE(writer, nullptr) << error;
+    writer->add(7, 0);
+    writer->add(1ULL << 59, 1);
+    writer->add(7, 0);
+    ASSERT_TRUE(writer->finish());
+
+    MergeSummary merged;
+    const auto err = mergeTrialStores({path}, merged);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_NE(err->find("campaign incomplete: 1152921504606846974 of "
+                        "1152921504606846976 trials missing"),
+              std::string::npos)
+        << *err;
 }
 
 TEST(CampaignMerge, RefusesDuplicateShard)

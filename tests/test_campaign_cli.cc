@@ -2,20 +2,28 @@
  * @file
  * End-to-end tests of the real encore_campaign binary (path injected
  * by CMake as ENCORE_CAMPAIGN_TOOL): kill/resume determinism, shard +
- * merge determinism, and the exit-status contract — merge of
- * mismatched stores must fail with a non-zero exit and a fingerprint
- * diagnostic on stderr.
+ * merge determinism — including a shard SIGKILLed mid-campaign — and
+ * the exit-status contract: merge of mismatched stores must fail with
+ * a non-zero exit and a fingerprint diagnostic on stderr.
  */
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
+
+#include "campaign/trial_store.h"
 
 namespace {
+
+namespace campaign = encore::campaign;
 
 const char *kWorkload = "cjpeg";
 
@@ -31,6 +39,15 @@ tempDir()
         return d;
     }();
     return dir;
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path);
+    std::ostringstream out;
+    out << in.rdbuf();
+    return out.str();
 }
 
 struct CommandResult
@@ -52,11 +69,36 @@ runTool(const std::string &args)
     CommandResult result;
     result.exit_code =
         WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-    std::ifstream in(capture);
-    std::ostringstream out;
-    out << in.rdbuf();
-    result.output = out.str();
+    result.output = slurp(capture);
     return result;
+}
+
+/// Starts the tool in the background with its output in `log`; the
+/// returned pid is the tool itself (the shell execs it), so a signal
+/// sent to it reaches the campaign process.
+pid_t
+spawnTool(const std::string &args, const std::string &log)
+{
+    const std::string command = "exec " +
+                                std::string(ENCORE_CAMPAIGN_TOOL) +
+                                " " + args + " > " + log + " 2>&1";
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+        ::execl("/bin/sh", "sh", "-c", command.c_str(),
+                static_cast<char *>(nullptr));
+        ::_exit(127);
+    }
+    return pid;
+}
+
+/// The X of `inspect`'s "missing X of Y owned trials" line.
+std::uint64_t
+missingOf(const std::string &inspect_output)
+{
+    const auto pos = inspect_output.find("missing ");
+    return pos == std::string::npos
+               ? 0
+               : std::stoull(inspect_output.substr(pos + 8));
 }
 
 /// Everything from "trials N" on — the aggregate table whose
@@ -84,10 +126,13 @@ const std::string kCommon =
 TEST(CampaignCli, HelpAndUnknownSubcommand)
 {
     EXPECT_EQ(runTool("--help").exit_code, 0);
-    const CommandResult unknown = runTool("frobnicate");
-    EXPECT_NE(unknown.exit_code, 0);
-    EXPECT_NE(unknown.output.find("unknown subcommand"),
-              std::string::npos);
+    for (const char *command : {"frobnicate", "serve", "worker"}) {
+        const CommandResult unknown = runTool(command);
+        EXPECT_EQ(unknown.exit_code, 1) << command;
+        EXPECT_NE(unknown.output.find("unknown subcommand"),
+                  std::string::npos)
+            << command;
+    }
 }
 
 TEST(CampaignCli, UnknownWorkloadListsAvailable)
@@ -176,6 +221,85 @@ TEST(CampaignCli, ShardedRunsMergeToUnshardedAggregate)
     EXPECT_NE(partial.exit_code, 0);
     EXPECT_NE(partial.output.find("campaign incomplete"),
               std::string::npos);
+}
+
+TEST(CampaignCli, SigkilledShardResumesAndMergesByteIdentical)
+{
+    const std::string flags =
+        " --workload cjpeg --trials 50000 --seed 777 --dmax 50 "
+        "--no-masking";
+    const CommandResult baseline = runTool("run" + flags + " --jobs 2");
+    ASSERT_EQ(baseline.exit_code, 0) << baseline.output;
+    const std::string want = aggregateOf(baseline.output);
+    ASSERT_FALSE(want.empty());
+
+    // Shard 0 runs on one thread and is SIGKILLed once its store holds
+    // at least one record.
+    const std::string shard0 = storePath("sigkill_s0.trials");
+    const std::string shard1 = storePath("sigkill_s1.trials");
+    const std::string log = storePath("sigkill_s0.log");
+    const std::string shard0_flags =
+        flags + " --shard 0/2 --store " + shard0;
+    const pid_t victim = spawnTool("run" + shard0_flags + " --jobs 1", log);
+    ASSERT_GT(victim, 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    bool saw_records = false;
+    while (!saw_records && std::chrono::steady_clock::now() < deadline) {
+        std::error_code ec;
+        const auto size = std::filesystem::file_size(shard0, ec);
+        saw_records = !ec && size >= campaign::kTrialStoreHeaderSize +
+                                         campaign::kTrialRecordSize;
+        if (!saw_records)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::kill(victim, SIGKILL);
+    ::waitpid(victim, nullptr, 0);
+    ASSERT_TRUE(saw_records) << slurp(log);
+
+    // The premise: the kill left the shard unfinished.
+    const CommandResult killed = runTool("inspect --store " + shard0);
+    ASSERT_EQ(killed.exit_code, 0) << killed.output;
+    ASSERT_GT(missingOf(killed.output), 0u) << killed.output;
+
+    const CommandResult resumed =
+        runTool("resume" + shard0_flags + " --jobs 2");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    ASSERT_EQ(runTool("run" + flags + " --jobs 2 --shard 1/2 --store " +
+                      shard1)
+                  .exit_code,
+              0);
+    const CommandResult merged =
+        runTool("merge --stores " + shard0 + "," + shard1);
+    ASSERT_EQ(merged.exit_code, 0) << merged.output;
+    EXPECT_EQ(aggregateOf(merged.output), want);
+}
+
+TEST(CampaignCli, InspectOfHugeTrialCountHeaderReportsMissing)
+{
+    // A CRC-valid header claiming 2^60 trials: inspect must describe
+    // the two records it holds, not allocate per claimed trial.
+    campaign::StoreHeader header;
+    header.total_trials = std::uint64_t{1} << 60;
+    const std::string path = storePath("huge_header.trials");
+    std::string error;
+    auto writer =
+        campaign::TrialStoreWriter::create(path, header, {}, &error);
+    ASSERT_NE(writer, nullptr) << error;
+    writer->add(3, 0);
+    writer->add(3, 0);
+    writer->add(1ULL << 59, 1);
+    ASSERT_TRUE(writer->finish());
+
+    const CommandResult result = runTool("inspect --store " + path);
+    ASSERT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("missing 1152921504606846974 of "
+                                 "1152921504606846976 owned trials"),
+              std::string::npos)
+        << result.output;
+    EXPECT_NE(result.output.find("1 duplicate/foreign"),
+              std::string::npos)
+        << result.output;
 }
 
 TEST(CampaignCli, MergeRefusesMismatchedFingerprints)

@@ -51,8 +51,8 @@ TEST(FaultModelRegistry, DefaultsAreTheLegacyScenario)
 
 TEST(FaultModelRegistry, IdsAreDurable)
 {
-    // These values live in trial-store headers and wire specs: any
-    // renumbering silently reinterprets old campaign data.
+    // These values live in trial-store headers: any renumbering
+    // silently reinterprets old campaign data.
     EXPECT_EQ(findFaultModel("reg-bit")->id(), FaultModelId::RegBit);
     EXPECT_EQ(findFaultModel("multi-bit")->id(),
               FaultModelId::MultiBit);

@@ -224,7 +224,6 @@ TEST(Planner, SameConfigSecondRunReusesEverything)
     Harness second = prepare();
     CampaignPlanner cold(*second.injector, second.report, config,
                          options);
-    EXPECT_TRUE(cold.trialsToExecute().empty());
     const PlanSummary reused = cold.run();
     EXPECT_EQ(reused.executed, 0u);
     EXPECT_EQ(reused.groups_reused, reused.groups);
@@ -300,44 +299,6 @@ TEST(Planner, GammaFlipReinjectsExactlyTheChangedFunctions)
     // brute force over the new instrumentation.
     const fault::CampaignResult brute = b.injector->runCampaign(config);
     EXPECT_EQ(formatAggregate(summary.result), formatAggregate(brute));
-}
-
-TEST(Planner, ReusedBaseAndExecutionSetPartitionTheUniverse)
-{
-    const std::string sidecar = tempPath("planner_partition.tally");
-    const fault::CampaignConfig config = campaignConfig();
-    PlannerOptions options;
-    options.sidecar_path = sidecar;
-    options.program_key = 9;
-
-    Harness a = prepare(1.0);
-    CampaignPlanner warm(*a.injector, a.report, config, options);
-    warm.run();
-
-    Harness b = prepare(2e4);
-    CampaignPlanner planner(*b.injector, b.report, config, options);
-    const std::vector<std::uint64_t> to_run = planner.trialsToExecute();
-    const fault::CampaignResult base = planner.reusedBase();
-
-    // The serve path's contract: base tallies + the execution set
-    // cover every trial exactly once.
-    std::uint64_t base_total = 0;
-    for (std::size_t i = 0; i < kTallyOutcomeSlots; ++i)
-        base_total += base.counts[i];
-    EXPECT_EQ(base_total + to_run.size(), config.trials);
-    // Ascending and within range.
-    for (std::size_t i = 1; i < to_run.size(); ++i)
-        EXPECT_LT(to_run[i - 1], to_run[i]);
-    if (!to_run.empty()) {
-        EXPECT_LT(to_run.back(), config.trials);
-    }
-    // No masked trial is ever in the execution set.
-    for (const std::uint64_t trial : to_run) {
-        EXPECT_FALSE(
-            drawCampaignTrial(trial, config,
-                              b.injector->golden().value_instrs)
-                .masked);
-    }
 }
 
 // --- Adaptive sampling ----------------------------------------------

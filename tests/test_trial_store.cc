@@ -65,6 +65,23 @@ appendBytes(const std::string &path, const std::string &bytes)
               static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Overwrites one u32 header field and re-seals the header CRC, so
+/// the field's own check (not the CRC check) is what trips.
+void
+patchHeaderField(const std::string &path, std::size_t offset,
+                 std::uint32_t value)
+{
+    std::fstream file(path, std::ios::binary | std::ios::in |
+                                std::ios::out);
+    char header[kTrialStoreHeaderSize];
+    file.read(header, sizeof header);
+    std::memcpy(header + offset, &value, sizeof value);
+    const std::uint32_t crc = crc32(header, 84);
+    std::memcpy(header + 84, &crc, sizeof crc);
+    file.seekp(0);
+    file.write(header, sizeof header);
+}
+
 void
 corruptByte(const std::string &path, std::uint64_t offset)
 {
@@ -236,28 +253,51 @@ TEST(TrialStore, CorruptHeaderIsAnError)
     EXPECT_NE(err->find("corrupt header"), std::string::npos);
 }
 
+TEST(TrialStore, BadShardHeaderIsAnError)
+{
+    // CRC-valid headers whose shard coordinates own nothing: a zero
+    // shard count (every ownership test would divide by it) and an
+    // index at or past the count.
+    const std::uint32_t shards[][2] = {{0, 0}, {3, 0}, {2, 2}, {7, 2}};
+    for (const auto &[index, count] : shards) {
+        const std::string path = tempStorePath("bad_shard.trials");
+        writeRecords(path, sampleHeader(), {{0, 1}});
+        patchHeaderField(path, 48, index);
+        patchHeaderField(path, 52, count);
+        StoreContents contents;
+        const auto err = readTrialStore(path, contents);
+        ASSERT_TRUE(err.has_value()) << index << "/" << count;
+        EXPECT_NE(err->find("shard index must be below a non-zero "
+                            "shard count"),
+                  std::string::npos)
+            << *err;
+    }
+}
+
 TEST(TrialStore, WrongFormatVersionIsAnError)
 {
     const std::string path = tempStorePath("bad_version.trials");
     writeRecords(path, sampleHeader(), {{0, 1}});
-    // Patch the version field and re-seal the header CRC so the
-    // version check (not the CRC check) is what trips.
-    std::fstream file(path, std::ios::binary | std::ios::in |
-                                std::ios::out);
-    char header[kTrialStoreHeaderSize];
-    file.read(header, sizeof header);
-    const std::uint32_t version = kTrialStoreVersion + 7;
-    std::memcpy(header + 8, &version, sizeof version);
-    const std::uint32_t crc = crc32(header, 84);
-    std::memcpy(header + 84, &crc, sizeof crc);
-    file.seekp(0);
-    file.write(header, sizeof header);
-    file.close();
+    patchHeaderField(path, 8, kTrialStoreVersion + 7);
 
     StoreContents contents;
     const auto err = readTrialStore(path, contents);
     ASSERT_TRUE(err.has_value());
     EXPECT_NE(err->find("format version"), std::string::npos);
+}
+
+TEST(TrialStore, KeepFirstRecordPerTrialKeepsTheEarliest)
+{
+    std::vector<TrialRecord> records = {
+        {5, 1, 10}, {2, 3, 0}, {5, 4, 20}, {2, 6, 0}, {9, 0, 0}};
+    keepFirstRecordPerTrial(records);
+    ASSERT_EQ(records.size(), 3u);
+    EXPECT_EQ(records[0].trial, 2u);
+    EXPECT_EQ(records[0].outcome, 3u);
+    EXPECT_EQ(records[1].trial, 5u);
+    EXPECT_EQ(records[1].outcome, 1u);
+    EXPECT_EQ(records[1].aux, 10u);
+    EXPECT_EQ(records[2].trial, 9u);
 }
 
 TEST(TrialStore, BatchedWritesAllLandByFinish)

@@ -12,30 +12,21 @@
  *            refusing stores with mismatched campaign identity
  *   inspect  print a store's header, record count and outcome tally
  *            without executing anything
- *   serve    coordinator daemon: leases trial chunks to connected
- *            workers over TCP and ingests their records into the
- *            store (see src/campaign/service.h)
- *   worker   connect to a coordinator, reproduce its campaign
- *            identity, and execute leased trials until drained
  *
  * Determinism contract: any split of a campaign across kills,
- * resumes, shards, thread counts and distributed workers yields a
- * byte-identical aggregate table to one uninterrupted single-process
- * run (see src/campaign/runner.h). Exit status is 0 on success, 1 on
+ * resumes, shards and thread counts yields a byte-identical aggregate
+ * table to one uninterrupted single-process run (see
+ * src/campaign/runner.h). Exit status is 0 on success, 1 on
  * any refusal (invalid config, identity mismatch, unusable store).
  */
-#include <unistd.h>
-
 #include <iostream>
 #include <memory>
 
 #include "campaign/planner.h"
 #include "campaign/runner.h"
-#include "campaign/service.h"
 #include "common.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
-#include "support/socket.h"
 #include "support/strings.h"
 #include "workloads/workload.h"
 
@@ -47,7 +38,7 @@ void
 usage(std::ostream &os)
 {
     os << "usage: encore_campaign "
-          "<run|resume|plan|merge|inspect|serve|worker> [flags]\n"
+          "<run|resume|plan|merge|inspect> [flags]\n"
           "  run     --workload <name> [--store <path>] [--trials N] "
           "[--seed S]\n"
           "          [--jobs J] [--dmax D] [--mask R] [--no-masking]\n"
@@ -64,12 +55,6 @@ usage(std::ostream &os)
           "          no trial executes (run flags plus --sidecar)\n"
           "  merge   --stores <a,b,...> [--json <path>]\n"
           "  inspect --store <path>\n"
-          "  serve   run flags (minus --jobs/--shard) plus [--port P]\n"
-          "          [--port-file <path>] [--chunk K] "
-          "[--lease-timeout-ms T]\n"
-          "          [--sidecar <path>] (lease only what reuse cannot "
-          "cover)\n"
-          "  worker  --connect host:port [--jobs J] [--label L]\n"
           "Pass --help after a subcommand for its full flag list.\n";
 }
 
@@ -152,7 +137,7 @@ struct PreparedInjector
 };
 
 /// Full pipeline + snapshot tier + golden run; fatal when the golden
-/// run itself fails. Shared by run/resume, serve and worker.
+/// run itself fails. Shared by run/resume and plan.
 PreparedInjector
 prepareInjector(const workloads::Workload &workload,
                 std::uint64_t snapshot_stride,
@@ -623,18 +608,19 @@ cmdInspect(int argc, char **argv)
             std::cerr << "  " << name << "\n";
         return 1;
     }
+    // Foreign records are dropped before duplicates, so a valid record
+    // behind a foreign one for the same trial still counts.
+    std::vector<campaign::TrialRecord> records;
+    for (const campaign::TrialRecord &record : contents.records)
+        if (record.outcome < static_cast<std::uint32_t>(
+                                 fault::FaultOutcome::NumOutcomes) &&
+            spec.owns(record.trial))
+            records.push_back(record);
+    campaign::keepFirstRecordPerTrial(records);
+    const std::uint64_t bad_records =
+        contents.records.size() - records.size();
     fault::CampaignResult tally;
-    std::vector<std::uint8_t> done(h.total_trials, 0);
-    std::uint64_t bad_records = 0;
-    for (const campaign::TrialRecord &record : contents.records) {
-        if (record.outcome >=
-                static_cast<std::uint32_t>(
-                    fault::FaultOutcome::NumOutcomes) ||
-            !spec.owns(record.trial) || done[record.trial]) {
-            ++bad_records;
-            continue;
-        }
-        done[record.trial] = 1;
+    for (const campaign::TrialRecord &record : records) {
         ++tally.counts[record.outcome];
         ++tally.trials;
         tally.replay_cost += record.aux;
@@ -678,295 +664,6 @@ cmdInspect(int argc, char **argv)
     return 0;
 }
 
-int
-cmdServe(int argc, char **argv)
-{
-    CommandLine cli;
-    cli.addFlag("workload", "",
-                "workload the campaign injects into (workers must "
-                "have the same build)");
-    cli.addFlag("store", "",
-                "trial store path; \"\" serves without durability");
-    cli.addFlag("trials", "10000", "total campaign trials");
-    cli.addFlag("seed", "12345", "campaign RNG seed");
-    cli.addFlag("dmax", "100",
-                "detection latency bound, dynamic instructions");
-    cli.addFlag("mask", "0.91", "hardware masking rate in [0, 1]");
-    cli.addFlag("no-masking", "false",
-                "inject every trial (skip the modelled masking coin)");
-    cli.addFlag("budget-factor", "4.0",
-                "execution budget multiplier over the golden run");
-    cli.addFlag("host", "127.0.0.1", "interface to listen on");
-    cli.addFlag("port", "0",
-                "TCP port; 0 picks an ephemeral port (see "
-                "--port-file)");
-    cli.addFlag("port-file", "",
-                "write \"host:port\" here once listening — the "
-                "rendezvous file workers read");
-    cli.addFlag("chunk", "1024", "trial indices per lease");
-    cli.addFlag("lease-timeout-ms", "5000",
-                "revoke and re-lease a chunk whose worker has not "
-                "heartbeat-renewed it within this");
-    cli.addFlag("progress", "false",
-                "print an in-place progress line to stderr");
-    cli.addFlag("progress-interval-ms", "500",
-                "progress/heartbeat period, monotonic clock");
-    cli.addFlag("heartbeat", "",
-                "append a JSONL heartbeat to this path for external "
-                "monitors");
-    cli.addFlag("flush-interval-ms", "200",
-                "trial-store background flush period");
-    cli.addFlag("flush-batch", "256",
-                "trial-store records per batched write");
-    cli.addFlag("sidecar", "",
-                "planner tally sidecar: lease only the trials reuse "
-                "cannot cover and fold the stored tallies into the "
-                "aggregate");
-    bench::addFaultModelFlag(cli);
-    bench::addDetectorFlag(cli);
-    bench::addJsonFlag(cli, "");
-    cli.parse(argc, argv);
-
-    const workloads::Workload *workload =
-        resolveWorkload(cli.getString("workload"));
-    if (workload == nullptr)
-        return 1;
-    const fault::CampaignConfig config =
-        campaignFromFlags(cli, /*has_jobs=*/false);
-    fault::validateCampaignConfig(config);
-
-    // The coordinator never executes a trial; it prepares the golden
-    // run only to derive the campaign identity workers must
-    // reproduce. Snapshot tier off — provenance stays zero.
-    PreparedInjector pi = prepareInjector(*workload, 0, 0);
-
-    campaign::CampaignSpec spec;
-    spec.workload = workload->name;
-    spec.seed = config.seed;
-    spec.trials = config.trials;
-    spec.dmax = config.trial.dmax;
-    spec.run_budget_factor = config.trial.run_budget_factor;
-    spec.masking_rate = config.masking_rate;
-    spec.model_masking = config.model_masking;
-    spec.fault_model =
-        static_cast<std::uint32_t>(configModel(config).id());
-    spec.detector =
-        static_cast<std::uint32_t>(configDetector(config).id());
-    spec.config_fingerprint =
-        campaign::campaignFingerprint(*pi.injector, config);
-    spec.module_hash = pi.injector->moduleHash();
-
-    campaign::StoreHeader header;
-    header.config_fingerprint = spec.config_fingerprint;
-    header.module_hash = spec.module_hash;
-    header.seed = config.seed;
-    header.total_trials = config.trials;
-    header.shard_index = 0;
-    header.shard_count = 1;
-    header.fault_model_id = spec.fault_model;
-    header.detector_id = spec.detector;
-
-    campaign::ServiceOptions options;
-    options.host = cli.getString("host");
-    const std::uint64_t port = cli.getUint("port");
-    if (port > 65535)
-        fatalf("--port must be at most 65535, got ", port);
-    options.port = static_cast<std::uint16_t>(port);
-    options.port_file = cli.getString("port-file");
-    options.chunk_trials = cli.getUint("chunk");
-    options.lease_timeout =
-        std::chrono::milliseconds(cli.getUint("lease-timeout-ms"));
-    options.store_path = cli.getString("store");
-    options.store.flush_interval =
-        std::chrono::milliseconds(cli.getUint("flush-interval-ms"));
-    options.store.flush_batch =
-        static_cast<std::size_t>(cli.getUint("flush-batch"));
-    options.progress = cli.getBool("progress");
-    options.heartbeat_path = cli.getString("heartbeat");
-    options.progress_interval =
-        std::chrono::milliseconds(cli.getUint("progress-interval-ms"));
-    options.label = workload->name + " serve";
-
-    if (!cli.getString("sidecar").empty()) {
-        // Planner-filtered serve: distribute only the trials the
-        // sidecar cannot cover, stratum-tag the leases, and fold the
-        // reused tallies (plus the exact masked count) into the final
-        // aggregate. Workers are oblivious — they execute whatever
-        // indices they are leased. Executed tallies do not flow back
-        // into the sidecar here; a local planned `run` does that.
-        campaign::PlannerOptions popts;
-        popts.sidecar_path = cli.getString("sidecar");
-        popts.program_key = fnv1a64(workload->name);
-        campaign::CampaignPlanner planner(*pi.injector,
-                                          pi.prepared.report, config,
-                                          popts);
-        options.planned = true;
-        options.planned_missing = planner.trialsToExecute();
-        options.planned_base = planner.reusedBase();
-        options.trial_stratum = planner.trialStrata();
-        std::cerr << "planner: " << options.planned_missing.size()
-                  << " of " << config.trials
-                  << " trials need execution; "
-                  << options.planned_base.trials
-                  << " folded (masked stratum + sidecar reuse)\n";
-    }
-
-    campaign::CampaignService service(spec, header, options);
-    const campaign::ServiceSummary summary = service.serve();
-
-    // Stats first, aggregate last: scripted consumers take the
-    // trailing table and must see exactly what `run` prints.
-    std::cout << "campaign " << workload->name << " seed "
-              << config.seed << " dmax " << config.trial.dmax
-              << " (serve)\n"
-              << scenarioLine(config)
-              << "resumed " << summary.resumed << ", ingested "
-              << summary.ingested << " fresh records ("
-              << summary.duplicates << " duplicates dropped)\n"
-              << "workers: " << summary.workers_seen << " seen, "
-              << summary.workers_lost << " lost; leases reissued "
-              << summary.leases_reissued << "\n\n"
-              << campaign::formatAggregate(summary.result);
-
-    const bool json_ok = bench::writeJsonReport(
-        cli.getString("json"), [&](std::ostream &out) {
-            writeCampaignJson(out, "serve", workload->name, config,
-                              summary.result);
-        });
-    return json_ok && summary.complete && summary.heartbeat_ok ? 0 : 1;
-}
-
-int
-cmdWorker(int argc, char **argv)
-{
-    CommandLine cli;
-    cli.addFlag("connect", "",
-                "coordinator address, host:port (the serve "
-                "--port-file contents)");
-    cli.addFlag("label", "",
-                "worker label for coordinator logs (default "
-                "pid:<pid>)");
-    cli.addFlag("jobs", "1",
-                "threads executing leased trials (0 = all hardware "
-                "threads); never affects results");
-    cli.addFlag("heartbeat-interval-ms", "1000",
-                "lease liveness period");
-    cli.addFlag("idle-timeout-ms", "60000",
-                "give up when the coordinator goes silent for this "
-                "long");
-    cli.addFlag("batch-records", "4096",
-                "records per RESULT-BATCH frame");
-    cli.addFlag("throttle-us", "0",
-                "chaos/test hook: sleep this long after every trial "
-                "(pacing only; never affects outcomes)");
-    bench::addSnapshotFlags(cli);
-    bench::addEngineFlag(cli);
-    cli.parse(argc, argv);
-
-    const std::string address = cli.getString("connect");
-    const std::size_t colon = address.rfind(':');
-    if (colon == std::string::npos || colon == 0 ||
-        colon + 1 >= address.size())
-        fatalf("worker: --connect expects host:port, got '", address,
-               "'");
-    const std::string host = address.substr(0, colon);
-    const auto port = parseInt(address.substr(colon + 1));
-    if (!port || *port <= 0 || *port > 65535)
-        fatalf("worker: bad port in '", address, "'");
-
-    std::string error;
-    Socket socket =
-        Socket::connectTo(host, static_cast<std::uint16_t>(*port),
-                          &error);
-    if (!socket.valid())
-        fatal(error);
-
-    std::string label = cli.getString("label");
-    if (label.empty())
-        label = "pid:" + std::to_string(::getpid());
-
-    const auto idle_timeout =
-        std::chrono::milliseconds(cli.getUint("idle-timeout-ms"));
-    campaign::FrameReader reader;
-    const auto spec =
-        campaign::workerHandshake(socket, reader, label, idle_timeout);
-    if (!spec)
-        fatal("worker: handshake with the coordinator failed");
-
-    const workloads::Workload *workload =
-        workloads::findWorkload(spec->workload);
-    if (workload == nullptr)
-        fatalf("worker: the coordinator's campaign runs workload '",
-               spec->workload, "', which this build does not have");
-
-    fault::CampaignConfig config;
-    config.trials = spec->trials;
-    config.seed = spec->seed;
-    config.jobs = 1; // execution threading comes from WorkerOptions
-    config.trial.dmax = spec->dmax;
-    config.trial.run_budget_factor = spec->run_budget_factor;
-    config.masking_rate = spec->masking_rate;
-    config.model_masking = spec->model_masking;
-    // A model/detector id this build does not know means a different
-    // experiment per trial index — refuse rather than fill the
-    // coordinator's store with records drawn under the wrong model.
-    config.trial.model =
-        fault::models::faultModelById(spec->fault_model);
-    if (config.trial.model == nullptr)
-        fatalf("worker: the coordinator's campaign runs fault-model "
-               "id ",
-               spec->fault_model,
-               ", which this build does not have — build skew; "
-               "refusing to execute");
-    config.trial.detector =
-        fault::models::detectorById(spec->detector);
-    if (config.trial.detector == nullptr)
-        fatalf("worker: the coordinator's campaign runs detector id ",
-               spec->detector,
-               ", which this build does not have — build skew; "
-               "refusing to execute");
-    fault::validateCampaignConfig(config);
-
-    PreparedInjector pi =
-        prepareInjector(*workload, cli.getUint("snapshot-stride"),
-                        cli.getUint("snapshot-budget-mb"),
-                        bench::engineFlag(cli));
-
-    // Refuse to execute under identity skew: records from a worker
-    // whose build or config differs from the coordinator's would
-    // silently corrupt the store.
-    const std::uint64_t fingerprint =
-        campaign::campaignFingerprint(*pi.injector, config);
-    if (fingerprint != spec->config_fingerprint ||
-        pi.injector->moduleHash() != spec->module_hash)
-        fatalf("worker: campaign identity mismatch with the "
-               "coordinator (fingerprint ",
-               fingerprint, " vs ", spec->config_fingerprint,
-               ", module hash ", pi.injector->moduleHash(), " vs ",
-               spec->module_hash,
-               ") — build or configuration skew; refusing to execute");
-
-    campaign::WorkerOptions options;
-    options.jobs = static_cast<std::size_t>(cli.getUint("jobs"));
-    options.heartbeat_interval = std::chrono::milliseconds(
-        cli.getUint("heartbeat-interval-ms"));
-    options.idle_timeout = idle_timeout;
-    options.max_batch_records =
-        static_cast<std::size_t>(cli.getUint("batch-records"));
-    options.throttle =
-        std::chrono::microseconds(cli.getUint("throttle-us"));
-
-    const campaign::WorkerSummary summary = campaign::runWorkerLoop(
-        socket, reader, *pi.injector, config, options);
-    std::cout << "worker " << label << " executed " << summary.executed
-              << " trials over " << summary.leases << " lease"
-              << (summary.leases == 1 ? "" : "s")
-              << (summary.drained ? " (drained cleanly)"
-                                  : " (connection lost)")
-              << "\n";
-    return summary.drained ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -991,10 +688,6 @@ main(int argc, char **argv)
         return cmdMerge(argc - 1, argv + 1);
     if (command == "inspect")
         return cmdInspect(argc - 1, argv + 1);
-    if (command == "serve")
-        return cmdServe(argc - 1, argv + 1);
-    if (command == "worker")
-        return cmdWorker(argc - 1, argv + 1);
     std::cerr << "error: unknown subcommand '" << command << "'\n";
     usage(std::cerr);
     return 1;
