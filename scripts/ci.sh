@@ -3,14 +3,16 @@
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
 # merged) followed by the ThreadSanitizer campaign lane (the
-# concurrent trial-store writer and the multi-threaded
-# campaign/resume/shard/merge paths), then a campaign-planner smoke
-# (sweep-reuse tally identity against brute force, plus a tiny
-# adaptive early-stopping campaign), a scenario-matrix smoke (every
-# fault-model x detector pair byte-identical across --jobs), the repo
-# benchmark's seed-1 output digests (perfbench/), and a warn-only
-# interpreter-throughput smoke (the fused superinstruction tier)
-# against the committed BENCH_interp.json.
+# concurrent trial-store writer, the pooled trial loop and the
+# multi-threaded campaign/resume/shard/merge and planner paths; the
+# same test set as scripts/sanitize.sh's thread lane), then a
+# campaign-planner smoke (sweep-reuse tally identity against brute
+# force, plus a tiny adaptive early-stopping campaign), a
+# scenario-matrix smoke (every fault-model x detector pair
+# byte-identical across --jobs), the repo benchmark's seed-1 output
+# digests (perfbench/), and a warn-only interpreter-throughput smoke
+# (the fused superinstruction tier) against the committed
+# BENCH_interp.json.
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
@@ -34,7 +36,7 @@ cmake --build "${build_root}/tsan" -j > /dev/null
 echo "==> [tsan] campaign smoke: concurrent store writer + runner"
 (cd "${build_root}/tsan" &&
     ctest --output-on-failure \
-        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential')
+        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector')
 
 echo "==> [planner] sweep-reuse tally identity + adaptive smoke"
 # Hard gate on the planner's central contract: a sidecar-reuse run

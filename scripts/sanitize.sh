@@ -12,10 +12,12 @@
 #               + test_campaign (resume/shard/merge with a durable
 #               store under worker-thread parallelism, including the
 #               fault-model x detector scenario matrix)
-#               + test_fault_models (registry singletons read from
-#               every worker) + test_snapshot_differential (parallel
-#               campaigns through the unfused branch/memory hook
-#               dispatch path)
+#               + test_planner (planner runs and adaptive rounds at
+#               --jobs 4) + test_fault_models (registry singletons read
+#               from every worker) + test_snapshot_differential
+#               (parallel campaigns through the unfused branch/memory
+#               hook dispatch path) + test_injector (the pooled trial
+#               loop, fault::runTrials, at 4 threads)
 #   address   : the full suite (heap/stack/use-after-free gate for the
 #               pooled interpreter state: frames, undo logs, memory;
 #               also the trial-store reader against crafted headers and
@@ -44,7 +46,7 @@ run_lane() {
     (cd "${build_dir}" && ctest --output-on-failure "$@")
 }
 
-run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_fault_models|test_snapshot_differential'
+run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector'
 run_lane address
 run_lane undefined
 

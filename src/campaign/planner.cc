@@ -8,13 +8,10 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "campaign/runner.h"
-#include "fault/masking.h"
 #include "ir/basic_block.h"
 #include "ir/module.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
-#include "support/rng.h"
 #include "support/stats.h"
 #include "support/strings.h"
 
@@ -167,32 +164,6 @@ const char *const kStratumNames[kNumStrata] = {
 
 } // namespace
 
-TrialDraw
-drawCampaignTrial(std::uint64_t trial,
-                  const fault::CampaignConfig &config,
-                  std::uint64_t golden_value_instrs)
-{
-    // Mirrors runCampaignTrial + runTrial draw order exactly: masking
-    // coin (when modelled), then the model's plan, then the
-    // detector's.
-    TrialDraw draw;
-    Rng rng = Rng::forStream(config.seed, trial);
-    if (config.model_masking &&
-        fault::MaskingModel(config.masking_rate).isMasked(rng)) {
-        draw.masked = true;
-        return draw;
-    }
-    const fault::models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *fault::models::defaultDetector();
-    draw.plan = model.draw(rng, golden_value_instrs);
-    draw.detection = detector.draw(rng, config.trial.dmax);
-    return draw;
-}
-
 struct CampaignPlanner::Impl
 {
     const fault::FaultInjector &injector;
@@ -201,7 +172,7 @@ struct CampaignPlanner::Impl
     PlannerOptions options;
 
     bool prepared = false;
-    std::vector<TrialDraw> draws;
+    std::vector<fault::TrialDraw> draws;
     std::uint64_t masked_count = 0;
 
     struct Group
@@ -233,22 +204,6 @@ struct CampaignPlanner::Impl
     {
     }
 
-    const fault::models::FaultModel &
-    faultModel() const
-    {
-        return config.trial.model
-                   ? *config.trial.model
-                   : *fault::models::defaultFaultModel();
-    }
-
-    const fault::models::Detector &
-    detectorModel() const
-    {
-        return config.trial.detector
-                   ? *config.trial.detector
-                   : *fault::models::defaultDetector();
-    }
-
     const encore::RegionReport *
     regionReport(ir::RegionId id) const
     {
@@ -268,20 +223,7 @@ struct CampaignPlanner::Impl
     {
         std::uint64_t h = fnv1a64("encore-tally-group-v1");
         h = fnv1a64Mix(options.program_key, h);
-        h = fnv1a64(injector.entry(), h);
-        h = fnv1a64Mix(injector.args().size(), h);
-        for (const std::uint64_t arg : injector.args())
-            h = fnv1a64Mix(arg, h);
-        h = fnv1a64Mix(config.seed, h);
-        h = fnv1a64Mix(config.trials, h);
-        h = fnv1a64Mix(config.trial.dmax, h);
-        h = fnv1a64(&config.trial.run_budget_factor,
-                    sizeof config.trial.run_budget_factor, h);
-        h = fnv1a64(&config.masking_rate, sizeof config.masking_rate,
-                    h);
-        h = fnv1a64Mix(config.model_masking ? 1 : 0, h);
-        h = fnv1a64(faultModel().name(), h);
-        h = fnv1a64(detectorModel().name(), h);
+        h = fault::mixCampaignIdentity(h, injector, config);
         h = fnv1a64Mix(injector.golden().value_instrs, h);
         h = fnv1a64Mix(injector.golden().return_value, h);
         return h;
@@ -299,12 +241,12 @@ struct CampaignPlanner::Impl
             fatal("campaign planner: the injector is not prepared "
                   "(no golden run)");
 
-        // 1. Precompute every trial's fault parameters from the seed
-        //    stream — no execution needed.
+        // 1. Draw every trial up front — no execution needed. These are
+        //    the draws run() and runAdaptive() execute.
         draws.reserve(config.trials);
         for (std::uint64_t t = 0; t < config.trials; ++t) {
             draws.push_back(
-                drawCampaignTrial(t, config, golden.value_instrs));
+                fault::drawTrial(config, t, golden.value_instrs));
             if (draws.back().masked)
                 ++masked_count;
         }
@@ -312,7 +254,7 @@ struct CampaignPlanner::Impl
         // 2. Sorted unique fault sites for the attribution run.
         std::vector<std::uint64_t> targets;
         targets.reserve(draws.size() - masked_count);
-        for (const TrialDraw &draw : draws)
+        for (const fault::TrialDraw &draw : draws)
             if (!draw.masked)
                 targets.push_back(draw.plan.target_value_index);
         std::sort(targets.begin(), targets.end());
@@ -409,7 +351,7 @@ struct CampaignPlanner::Impl
             index;
         const std::uint64_t base = baseFingerprint();
         for (std::uint64_t t = 0; t < draws.size(); ++t) {
-            const TrialDraw &draw = draws[t];
+            const fault::TrialDraw &draw = draws[t];
             if (draw.masked)
                 continue;
             const auto site_it = std::lower_bound(
@@ -486,17 +428,17 @@ struct CampaignPlanner::Impl
         // branch/memory op, which may sit in a different function, so
         // the attribution — and with it the group fingerprint — would
         // be unsound.
-        if (!faultModel().anchoredStrike())
+        if (!config.trial.model->anchoredStrike())
             fatalf("campaign planner: compositional reuse requires an "
                    "anchored-strike fault model; '",
-                   faultModel().name(),
+                   config.trial.model->name(),
                    "' is not one — rerun without --sidecar");
         // Tally records carry outcome counts only; folding them in
         // would silently drop the reused trials' replay cost.
-        if (detectorModel().reportsReplayCost())
+        if (config.trial.detector->reportsReplayCost())
             fatalf("campaign planner: tally reuse does not account "
                    "replay cost; the '",
-                   detectorModel().name(),
+                   config.trial.detector->name(),
                    "' detector reports it — rerun without --sidecar");
         sidecar_checked = true;
         const std::string &path = options.sidecar_path;
@@ -525,6 +467,25 @@ struct CampaignPlanner::Impl
             for (std::size_t i = 0; i < kNumOutcomes; ++i)
                 group.counts[i] = it->second.counts[i];
         }
+    }
+
+    /// Executes the draws of `trials`. Each outcome also lands at its
+    /// list position in `outcomes`, for the per-group and per-stratum
+    /// tallies.
+    fault::CampaignResult
+    execute(const std::vector<std::uint64_t> &trials,
+            std::vector<std::uint8_t> &outcomes) const
+    {
+        outcomes.assign(trials.size(), 0);
+        return fault::runTrials(
+            injector, config.jobs, trials.size(),
+            [&](std::uint64_t i, interp::Interpreter &interp) {
+                const fault::TrialResult result =
+                    injector.runTrial(draws[trials[i]], config.trial,
+                                      interp);
+                outcomes[i] = static_cast<std::uint8_t>(result.outcome);
+                return result;
+            });
     }
 
     void
@@ -609,9 +570,8 @@ CampaignPlanner::run()
     }
 
     std::vector<std::uint8_t> outcomes;
-    std::vector<std::uint32_t> auxs;
-    executeTrialList(impl_->injector, impl_->config, to_run, outcomes,
-                     {}, &auxs);
+    const fault::CampaignResult executed =
+        impl_->execute(to_run, outcomes);
     for (std::size_t i = 0; i < to_run.size(); ++i)
         ++impl_->groups[group_of[i]].counts[outcomes[i]];
 
@@ -639,8 +599,7 @@ CampaignPlanner::run()
             stratum_sampled[group.stratum] += group.trials.size();
     }
     summary.result.trials = impl_->config.trials;
-    for (const std::uint32_t aux : auxs)
-        summary.result.replay_cost += aux;
+    summary.result.replay_cost = executed.replay_cost;
 
     // Persist the freshly executed groups (last-wins append).
     if (!impl_->options.sidecar_path.empty()) {
@@ -720,8 +679,7 @@ CampaignPlanner::runAdaptive()
 
     std::uint64_t sampled[kNumStrata] = {};
     std::uint64_t covered[kNumStrata] = {};
-    std::uint64_t counts[kNumStrata][kNumOutcomes] = {};
-    std::uint64_t replay_cost = 0;
+    fault::CampaignResult executed;
 
     auto execute_round = [&](const std::uint64_t (&add)[kNumStrata]) {
         std::vector<std::uint64_t> trials;
@@ -732,18 +690,11 @@ CampaignPlanner::runAdaptive()
                 stratum_of.push_back(s);
             }
         std::vector<std::uint8_t> outcomes;
-        std::vector<std::uint32_t> auxs;
-        executeTrialList(impl_->injector, impl_->config, trials,
-                         outcomes, {}, &auxs);
-        for (const std::uint32_t aux : auxs)
-            replay_cost += aux;
-        for (std::size_t i = 0; i < trials.size(); ++i) {
-            const int s = stratum_of[i];
-            ++counts[s][outcomes[i]];
+        executed.merge(impl_->execute(trials, outcomes));
+        for (std::size_t i = 0; i < trials.size(); ++i)
             if (isCoveredOutcome(
                     static_cast<fault::FaultOutcome>(outcomes[i])))
-                ++covered[s];
-        }
+                ++covered[stratum_of[i]];
         for (int s = kStratumIdempotent; s < kNumStrata; ++s)
             sampled[s] += add[s];
     };
@@ -849,17 +800,12 @@ CampaignPlanner::runAdaptive()
     summary.high = std::min(1.0, coverage + half);
     summary.ci_met = ci_met;
 
+    summary.result = executed;
     summary.result
         .counts[static_cast<int>(fault::FaultOutcome::Masked)] +=
         impl_->masked_count;
     summary.result.trials += impl_->masked_count;
-    for (int s = kStratumIdempotent; s < kNumStrata; ++s) {
-        for (std::size_t i = 0; i < kNumOutcomes; ++i)
-            summary.result.counts[i] += counts[s][i];
-        summary.result.trials += sampled[s];
-        summary.executed += sampled[s];
-    }
-    summary.result.replay_cost = replay_cost;
+    summary.executed = executed.trials;
 
     for (int s = 0; s < kNumStrata; ++s) {
         StratumSummary stratum;

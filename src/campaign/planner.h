@@ -4,11 +4,11 @@
  * sampling on top of the fault-injection campaign machinery.
  *
  * The planner sits between the benches / CLI and the raw campaign
- * execution path. It precomputes every trial's fault parameters from
- * the counter-based seed stream (no execution needed), attributes each
- * fault site to the function and region it strikes with one hooked
- * golden-speed run, and partitions the trial universe into *groups*
- * whose outcomes are a pure function of
+ * execution path. It draws every trial up front with fault::drawTrial
+ * (no execution needed), attributes each fault site to the function
+ * and region it strikes with one hooked golden-speed run, and
+ * partitions the trial universe into *groups* whose outcomes are a
+ * pure function of
  *
  *   (program semantics, fault-model parameters, the struck function's
  *    instrumentation closure)
@@ -45,31 +45,6 @@
 #include "fault/injector.h"
 
 namespace encore::campaign {
-
-/**
- * The fault parameters of one campaign trial, precomputed from the
- * counter-based stream Rng::forStream(seed, trial) without executing
- * anything. Replicates runCampaignTrial's draw order exactly: masking
- * coin (when modelled), then the fault model's injection plan, then
- * the detector's detection plan — through the same registry draw
- * functions the injector uses, so the planner's precomputation is
- * valid for every (model, detector) pair by construction.
- */
-struct TrialDraw
-{
-    bool masked = false;
-    fault::models::InjectionPlan plan;
-    fault::models::DetectionPlan detection;
-};
-
-/// Draws trial `trial`'s parameters via the campaign's fault model
-/// and detector (config.trial.model / .detector; null means the
-/// defaults). `golden_value_instrs` is the fault-site universe size
-/// (injector.golden().value_instrs). For a masked draw only `masked`
-/// is meaningful.
-TrialDraw drawCampaignTrial(std::uint64_t trial,
-                            const fault::CampaignConfig &config,
-                            std::uint64_t golden_value_instrs);
 
 struct PlannerOptions
 {
@@ -169,9 +144,11 @@ std::string formatPlanSummary(const PlanSummary &summary);
  *                 executes; fills the universe/group/strata counts and
  *                 what reuse would save.
  * run()         — the full campaign: reused groups fold their stored
- *                 tallies, the rest execute; the aggregate is
- *                 tally-identical to FaultInjector::runCampaign and
- *                 re-executed trials are bit-identical to it.
+ *                 tallies, the rest execute the draws plan() grouped
+ *                 (the trials attributed are the trials run); the
+ *                 aggregate is tally-identical to
+ *                 FaultInjector::runCampaign and re-executed trials are
+ *                 bit-identical to it.
  * runAdaptive() — stratified sampling with early stopping; no sidecar
  *                 interaction (an early-stopped sample must never be
  *                 folded into exhaustive tallies).

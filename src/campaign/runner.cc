@@ -9,7 +9,6 @@
 #include "support/checksum.h"
 #include "support/diagnostics.h"
 #include "support/strings.h"
-#include "support/thread_pool.h"
 
 namespace encore::campaign {
 
@@ -107,77 +106,7 @@ campaignFingerprint(const fault::FaultInjector &injector,
 {
     std::uint64_t hash = fnv1a64("encore-campaign-v1");
     hash = fnv1a64Mix(injector.moduleHash(), hash);
-    hash = fnv1a64(injector.entry(), hash);
-    hash = fnv1a64Mix(injector.args().size(), hash);
-    for (const std::uint64_t arg : injector.args())
-        hash = fnv1a64Mix(arg, hash);
-    hash = fnv1a64Mix(config.seed, hash);
-    hash = fnv1a64Mix(config.trials, hash);
-    hash = fnv1a64Mix(config.trial.dmax, hash);
-    hash = fnv1a64(&config.trial.run_budget_factor,
-                   sizeof config.trial.run_budget_factor, hash);
-    hash = fnv1a64(&config.masking_rate, sizeof config.masking_rate,
-                   hash);
-    hash = fnv1a64Mix(config.model_masking ? 1 : 0, hash);
-    // Scenario identity: the same trial index produces a different
-    // outcome under a different fault model or detector, so both names
-    // are part of the fingerprint (defaults included).
-    const fault::models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *fault::models::defaultDetector();
-    hash = fnv1a64(model.name(), hash);
-    hash = fnv1a64(detector.name(), hash);
-    return hash;
-}
-
-void
-executeTrialList(
-    const fault::FaultInjector &injector,
-    const fault::CampaignConfig &config,
-    const std::vector<std::uint64_t> &trials,
-    std::vector<std::uint8_t> &outcomes,
-    const std::function<void(std::uint64_t, fault::FaultOutcome,
-                             std::uint32_t)> &sink,
-    std::vector<std::uint32_t> *aux_out)
-{
-    // Outcomes land slot-free in a preallocated array indexed by the
-    // list position — no shared mutable state beyond whatever the
-    // sink synchronizes internally.
-    outcomes.assign(trials.size(), 0);
-    if (aux_out)
-        aux_out->assign(trials.size(), 0);
-    auto run_one = [&](std::uint64_t i, interp::Interpreter &interp) {
-        std::uint32_t aux = 0;
-        const fault::FaultOutcome outcome =
-            injector.runCampaignTrial(trials[i], config, interp, aux);
-        outcomes[i] = static_cast<std::uint8_t>(outcome);
-        if (aux_out)
-            (*aux_out)[i] = aux;
-        if (sink)
-            sink(trials[i], outcome, aux);
-    };
-
-    const std::size_t jobs = resolveJobs(config.jobs);
-    if (jobs <= 1 || trials.size() <= 1) {
-        interp::Interpreter interp(injector.decodedModule());
-        for (std::uint64_t i = 0; i < trials.size(); ++i)
-            run_one(i, interp);
-    } else {
-        ThreadPool pool(jobs);
-        std::vector<std::unique_ptr<interp::Interpreter>> workers(
-            pool.slotCount());
-        pool.parallelFor(trials.size(),
-                         [&](std::uint64_t i, std::size_t slot) {
-                             if (!workers[slot])
-                                 workers[slot] = std::make_unique<
-                                     interp::Interpreter>(
-                                     injector.decodedModule());
-                             run_one(i, *workers[slot]);
-                         });
-    }
+    return fault::mixCampaignIdentity(hash, injector, config);
 }
 
 CampaignRunner::CampaignRunner(const fault::FaultInjector &injector,
@@ -211,14 +140,10 @@ CampaignRunner::header() const
     }
     // Scenario identity, checked by resume/merge and surfaced by
     // `inspect`.
-    const fault::models::FaultModel &model =
-        config_.trial.model ? *config_.trial.model
-                            : *fault::models::defaultFaultModel();
-    const fault::models::Detector &detector =
-        config_.trial.detector ? *config_.trial.detector
-                               : *fault::models::defaultDetector();
-    header.fault_model_id = static_cast<std::uint32_t>(model.id());
-    header.detector_id = static_cast<std::uint32_t>(detector.id());
+    header.fault_model_id =
+        static_cast<std::uint32_t>(config_.trial.model->id());
+    header.detector_id =
+        static_cast<std::uint32_t>(config_.trial.detector->id());
     return header;
 }
 
@@ -314,20 +239,21 @@ CampaignRunner::run()
     meter_options.initial = summary.result;
     ProgressMeter meter(meter_options);
 
-    std::vector<std::uint8_t> outcomes;
-    std::vector<std::uint32_t> auxs;
-    executeTrialList(injector_, config_, missing, outcomes,
-                     [&](std::uint64_t trial,
-                         fault::FaultOutcome outcome,
-                         std::uint32_t aux) {
-                         if (writer)
-                             writer->add(trial, static_cast<
-                                                    std::uint32_t>(
-                                                    outcome),
-                                         aux);
-                         meter.note(outcome);
-                     },
-                     &auxs);
+    const std::uint64_t value_instrs = injector_.golden().value_instrs;
+    const fault::CampaignResult executed = fault::runTrials(
+        injector_, config_.jobs, missing.size(),
+        [&](std::uint64_t i, interp::Interpreter &interp) {
+            const std::uint64_t trial = missing[i];
+            const fault::TrialResult result = injector_.runTrial(
+                fault::drawTrial(config_, trial, value_instrs),
+                config_.trial, interp);
+            if (writer)
+                writer->add(trial,
+                            static_cast<std::uint32_t>(result.outcome),
+                            result.aux);
+            meter.note(result.outcome);
+            return result;
+        });
 
     if (writer && !writer->finish())
         fatalf("trial store '", path,
@@ -336,12 +262,8 @@ CampaignRunner::run()
                "missing.");
     meter.finish();
 
-    for (const std::uint8_t outcome : outcomes)
-        ++summary.result.counts[outcome];
-    for (const std::uint32_t aux : auxs)
-        summary.result.replay_cost += aux;
-    summary.result.trials += missing.size();
-    summary.executed = missing.size();
+    summary.result.merge(executed);
+    summary.executed = executed.trials;
     summary.complete = summary.result.trials == summary.shard_trials;
     return summary;
 }

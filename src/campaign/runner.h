@@ -9,11 +9,12 @@
  * [0, trials). The runner exploits that three ways:
  *
  *  - **Resume.** On startup it reads the store's valid prefix,
- *    recomputes which indices are missing, and re-shards only those
- *    across the thread pool. A campaign killed at trial 99,999 of
- *    100,000 re-executes one trial; the aggregate is bit-identical to
- *    an uninterrupted run because per-outcome counts are
- *    order-independent sums of per-trial outcomes that never change.
+ *    recomputes which indices are missing, and runs only those
+ *    through fault::runTrials, writing each result to the store as it
+ *    lands. A campaign killed at trial 99,999 of 100,000 re-executes
+ *    one trial; the aggregate is bit-identical to an uninterrupted run
+ *    because per-outcome counts are order-independent sums of
+ *    per-trial outcomes that never change.
  *
  *  - **Multi-process sharding.** Shard i of N owns the indices with
  *    `t % N == i` (stride partitioning keeps shard workloads
@@ -23,9 +24,10 @@
  *
  *  - **Identity checking.** The store header carries a fingerprint of
  *    everything that determines trial outcomes (module hash, entry,
- *    args, seed, trials, Dmax, run budget, masking). Resume and merge
- *    refuse a store whose fingerprint does not match instead of
- *    silently mixing trials from different experiments.
+ *    args, seed, trials, Dmax, run budget, masking, fault model and
+ *    detector). Resume and merge refuse a store whose fingerprint does
+ *    not match instead of silently mixing trials from different
+ *    experiments.
  *
  * The runner validates its CampaignConfig on entry
  * (fault::validateCampaignConfig) and exits through
@@ -36,7 +38,6 @@
 #define ENCORE_CAMPAIGN_RUNNER_H
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -107,31 +108,10 @@ struct RunSummary
     std::uint64_t recovered_dropped_bytes = 0;
 };
 
-/// The shared campaign execution core: executes an explicit list of
-/// trial indices across `config.jobs` pooled per-worker interpreters
-/// through FaultInjector::runCampaignTrial. Outcomes land at the
-/// matching position of `outcomes` (resized by the call), so the
-/// result is bit-identical at any job count or schedule. `sink`, when
-/// non-null, is invoked from worker threads after each trial (store
-/// writes, progress accounting) and must be thread-safe. Both
-/// CampaignRunner::run() and the campaign planner execute through
-/// this single entry point.
-/// The sink's third argument is the trial's auxiliary cost counter
-/// (replay cost); `aux_out`, when non-null, is resized alongside
-/// `outcomes` and receives it positionally.
-void executeTrialList(
-    const fault::FaultInjector &injector,
-    const fault::CampaignConfig &config,
-    const std::vector<std::uint64_t> &trials,
-    std::vector<std::uint8_t> &outcomes,
-    const std::function<void(std::uint64_t, fault::FaultOutcome,
-                             std::uint32_t)> &sink = {},
-    std::vector<std::uint32_t> *aux_out = nullptr);
-
-/// Fingerprint of everything that determines trial outcomes: module
-/// hash, entry, args, seed, trials, Dmax, run budget factor, masking
-/// rate, masking model. Deliberately excludes `jobs` and the shard
-/// spec — neither may change results.
+/// Fingerprint of everything that determines trial outcomes: the
+/// module hash, then fault::mixCampaignIdentity's config fields.
+/// Deliberately excludes `jobs` and the shard spec — neither may
+/// change results.
 std::uint64_t campaignFingerprint(const fault::FaultInjector &injector,
                                   const fault::CampaignConfig &config);
 

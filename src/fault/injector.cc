@@ -1,5 +1,6 @@
 #include "fault/injector.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -48,6 +49,26 @@ validateCampaignConfig(const CampaignConfig &config)
                config.trial.run_budget_factor);
     if (config.trial.dmax == 0)
         fatal("campaign config: dmax must be > 0 dynamic instructions");
+}
+
+TrialDraw
+drawTrial(const CampaignConfig &config, std::uint64_t trial,
+          std::uint64_t golden_value_instrs)
+{
+    // Everything comes from trial t's own stream, so its draw is
+    // independent of every other trial and of the thread (or process)
+    // that runs it. Model before detector: for the default pair this
+    // is the historical (target, bit, latency) order.
+    TrialDraw draw;
+    Rng rng = Rng::forStream(config.seed, trial);
+    if (config.model_masking &&
+        MaskingModel(config.masking_rate).isMasked(rng)) {
+        draw.masked = true;
+        return draw;
+    }
+    draw.plan = config.trial.model->draw(rng, golden_value_instrs);
+    draw.detection = config.trial.detector->draw(rng, config.trial.dmax);
+    return draw;
 }
 
 namespace {
@@ -592,61 +613,14 @@ FaultInjector::prepare(const std::string &entry,
     return prepared_;
 }
 
-FaultOutcome
-FaultInjector::runTrial(Rng &rng, const TrialConfig &config) const
-{
-    std::lock_guard<std::mutex> lock(scratch_mutex_);
-    if (!scratch_)
-        scratch_ = std::make_unique<interp::Interpreter>(decoded_);
-    return runTrial(rng, config, *scratch_);
-}
-
-FaultOutcome
-FaultInjector::runTrial(Rng &rng, const TrialConfig &config,
+TrialResult
+FaultInjector::runTrial(const TrialDraw &draw, const TrialConfig &config,
                         interp::Interpreter &interp) const
 {
+    if (draw.masked)
+        return {};
     ENCORE_ASSERT(prepared_, "runTrial before a successful prepare()");
-    ENCORE_ASSERT(golden_.value_instrs > 0,
-                  "golden run executed no value-producing instructions");
-
-    // Model first, detector second — for the default pair this is the
-    // historical draw order (target, bit, latency), preserving
-    // byte-identity with pre-registry campaigns.
-    const models::FaultModel &model =
-        config.model ? *config.model : *models::defaultFaultModel();
-    const models::Detector &detector =
-        config.detector ? *config.detector : *models::defaultDetector();
-    const models::InjectionPlan plan =
-        model.draw(rng, golden_.value_instrs);
-    const models::DetectionPlan detection =
-        detector.draw(rng, config.dmax);
-    return runTrialPlanned(plan, detection, config, interp);
-}
-
-FaultOutcome
-FaultInjector::runTrialAt(std::uint64_t target_value_index, int bit,
-                          std::uint64_t latency,
-                          const TrialConfig &config,
-                          interp::Interpreter &interp) const
-{
-    models::InjectionPlan plan;
-    plan.kind = models::InjectionPlan::Kind::RegFlip;
-    plan.target_value_index = target_value_index;
-    plan.xor_mask = 1ULL << bit;
-    models::DetectionPlan detection;
-    detection.kind = models::DetectionPlan::Kind::Latency;
-    detection.latency = latency;
-    return runTrialPlanned(plan, detection, config, interp);
-}
-
-FaultOutcome
-FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
-                               const models::DetectionPlan &detection,
-                               const TrialConfig &config,
-                               interp::Interpreter &interp,
-                               std::uint32_t *aux) const
-{
-    ENCORE_ASSERT(prepared_, "runTrial before a successful prepare()");
+    const models::InjectionPlan &plan = draw.plan;
 
     // Seek: the latest golden-run snapshot at-or-before the anchor.
     // Pre-injection the trial hooks are pure pass-throughs (the
@@ -678,7 +652,7 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
     // the snapshot up to it runs hook-free and fused, and so does the
     // post-rollback replay once the hooks quiesce, leaving only the
     // fault window hooked.
-    TrialHooks hooks(interp, plan, detection);
+    TrialHooks hooks(interp, plan, draw.detection);
     interp.setHooks(&hooks, plan.target_value_index);
     // Trials never read RunResult::globals — output equality is checked
     // in place against the golden snapshot, saving a full copy of
@@ -724,18 +698,7 @@ FaultInjector::runTrialPlanned(const models::InjectionPlan &plan,
             result.return_value == golden_.return_value &&
             interp.globalsMatch(golden_.globals);
     }
-    if (aux)
-        *aux = hooks.replayCost();
-    return classifyTrialOutcome(obs);
-}
-
-FaultOutcome
-FaultInjector::runCampaignTrial(std::uint64_t trial,
-                                const CampaignConfig &config,
-                                interp::Interpreter &interp) const
-{
-    std::uint32_t aux = 0;
-    return runCampaignTrial(trial, config, interp, aux);
+    return {classifyTrialOutcome(obs), hooks.replayCost()};
 }
 
 FaultOutcome
@@ -744,83 +707,71 @@ FaultInjector::runCampaignTrial(std::uint64_t trial,
                                 interp::Interpreter &interp,
                                 std::uint32_t &aux) const
 {
-    // Trial t draws everything — the masking coin first, then the
-    // fault parameters — from its own counter-derived stream, so the
-    // outcome of trial t is independent of every other trial and of
-    // the thread (or process) that happens to run it. The masking coin
-    // comes before the model draws, so a trial index is masked or not
-    // independently of which model the campaign runs — trial indices
-    // stay aligned across models.
-    aux = 0;
-    Rng rng = Rng::forStream(config.seed, trial);
-    if (config.model_masking &&
-        MaskingModel(config.masking_rate).isMasked(rng))
-        return FaultOutcome::Masked;
-
-    const models::FaultModel &model =
-        config.trial.model ? *config.trial.model
-                           : *models::defaultFaultModel();
-    const models::Detector &detector =
-        config.trial.detector ? *config.trial.detector
-                              : *models::defaultDetector();
-    const models::InjectionPlan plan =
-        model.draw(rng, golden_.value_instrs);
-    const models::DetectionPlan detection =
-        detector.draw(rng, config.trial.dmax);
-    return runTrialPlanned(plan, detection, config.trial, interp, &aux);
+    const TrialResult result = runTrial(
+        drawTrial(config, trial, golden_.value_instrs), config.trial,
+        interp);
+    aux = result.aux;
+    return result.outcome;
 }
 
 CampaignResult
 FaultInjector::runCampaign(const CampaignConfig &config) const
 {
     validateCampaignConfig(config);
-
-    auto run_one = [&](std::uint64_t t, CampaignResult &acc,
-                       interp::Interpreter &interp) {
-        std::uint32_t aux = 0;
-        const FaultOutcome outcome =
-            runCampaignTrial(t, config, interp, aux);
-        ++acc.counts[static_cast<int>(outcome)];
-        ++acc.trials;
-        acc.replay_cost += aux;
-    };
-
-    const std::size_t jobs = resolveJobs(config.jobs);
-    if (jobs <= 1) {
-        CampaignResult result;
-        interp::Interpreter interp(decoded_);
-        for (std::uint64_t t = 0; t < config.trials; ++t)
-            run_one(t, result, interp);
-        return result;
-    }
-
-    ThreadPool pool(jobs);
-    // One accumulator and one pooled interpreter per worker slot,
-    // merged below: no shared writes on the trial path, and each
-    // worker's frames / undo logs / memory image are recycled across
-    // its trials (constructed lazily so idle slots cost nothing).
-    std::vector<CampaignResult> shards(pool.slotCount());
-    std::vector<std::unique_ptr<interp::Interpreter>> workers(
-        pool.slotCount());
-    pool.parallelFor(config.trials,
-                     [&](std::uint64_t t, std::size_t slot) {
-                         if (!workers[slot]) {
-                             workers[slot] =
-                                 std::make_unique<interp::Interpreter>(
-                                     decoded_);
-                         }
-                         run_one(t, shards[slot], *workers[slot]);
+    return runTrials(*this, config.jobs, config.trials,
+                     [&](std::uint64_t t, interp::Interpreter &interp) {
+                         return runTrial(
+                             drawTrial(config, t, golden_.value_instrs),
+                             config.trial, interp);
                      });
+}
+
+CampaignResult
+runTrials(
+    const FaultInjector &injector, std::size_t jobs, std::uint64_t n,
+    const std::function<TrialResult(std::uint64_t, interp::Interpreter &)>
+        &body)
+{
+    ThreadPool pool(std::min<std::uint64_t>(resolveJobs(jobs),
+                                            std::max<std::uint64_t>(n, 1)));
+    // One tally and one pooled interpreter per worker slot, merged
+    // below: no shared writes on the trial path, and each worker's
+    // frames / undo logs / memory image are recycled across its trials
+    // (constructed lazily so idle slots cost nothing).
+    std::vector<CampaignResult> tallies(pool.slotCount());
+    std::vector<std::unique_ptr<interp::Interpreter>> interps(
+        pool.slotCount());
+    pool.parallelFor(n, [&](std::uint64_t i, std::size_t slot) {
+        if (!interps[slot])
+            interps[slot] = std::make_unique<interp::Interpreter>(
+                injector.decodedModule());
+        tallies[slot].add(body(i, *interps[slot]));
+    });
 
     CampaignResult result;
-    for (const CampaignResult &shard : shards) {
-        for (int i = 0; i < static_cast<int>(FaultOutcome::NumOutcomes);
-             ++i)
-            result.counts[i] += shard.counts[i];
-        result.trials += shard.trials;
-        result.replay_cost += shard.replay_cost;
-    }
+    for (const CampaignResult &tally : tallies)
+        result.merge(tally);
     return result;
+}
+
+std::uint64_t
+mixCampaignIdentity(std::uint64_t hash, const FaultInjector &injector,
+                    const CampaignConfig &config)
+{
+    hash = fnv1a64(injector.entry(), hash);
+    hash = fnv1a64Mix(injector.args().size(), hash);
+    for (const std::uint64_t arg : injector.args())
+        hash = fnv1a64Mix(arg, hash);
+    hash = fnv1a64Mix(config.seed, hash);
+    hash = fnv1a64Mix(config.trials, hash);
+    hash = fnv1a64Mix(config.trial.dmax, hash);
+    hash = fnv1a64(&config.trial.run_budget_factor,
+                   sizeof config.trial.run_budget_factor, hash);
+    hash = fnv1a64(&config.masking_rate, sizeof config.masking_rate, hash);
+    hash = fnv1a64Mix(config.model_masking ? 1 : 0, hash);
+    hash = fnv1a64(config.trial.model->name(), hash);
+    hash = fnv1a64(config.trial.detector->name(), hash);
+    return hash;
 }
 
 } // namespace encore::fault

@@ -21,11 +21,14 @@
  * detection landing in a different region instance than the fault is
  * Not Recoverable, matching the paper's criterion (s + l < n).
  *
- * Trials are mutually independent — each is a pure function of
- * (module, golden run, trial seed) — so campaigns shard them across a
- * work-stealing thread pool (CampaignConfig::jobs). Counter-based
- * per-trial seeding keeps campaign results bit-identical at any
- * thread count.
+ * A trial has one definition in three pieces: drawTrial draws its fault
+ * parameters, FaultInjector::runTrial executes the draw, and runTrials
+ * is the pooled loop that spreads trials across a work-stealing thread
+ * pool (CampaignConfig::jobs). runCampaign, the durable runner and the
+ * planner all go through them. Trials are mutually independent — each
+ * is a pure function of (module, golden run, trial seed) — so
+ * counter-based per-trial seeding keeps campaign results bit-identical
+ * at any thread count.
  *
  * Execution cost per trial is kept allocation-free in steady state:
  * the injector pre-decodes the instrumented module once (one immutable
@@ -37,8 +40,8 @@
 #ifndef ENCORE_FAULT_INJECTOR_H
 #define ENCORE_FAULT_INJECTOR_H
 
+#include <functional>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "encore/pipeline.h"
@@ -72,11 +75,11 @@ struct TrialConfig
     /// Execution budget multiplier over the golden run length (runaway
     /// corrupted executions are cut off and counted unrecoverable).
     double run_budget_factor = 4.0;
-    /// Fault model and detector; nullptr selects the registry defaults
-    /// (reg-bit under the analytical Dmax detector — the pre-registry
-    /// behaviour, byte-identical to it).
-    const models::FaultModel *model = nullptr;
-    const models::Detector *detector = nullptr;
+    /// Fault model and detector; the registry defaults are reg-bit
+    /// under the analytical Dmax detector (the pre-registry behaviour,
+    /// byte-identical to it).
+    const models::FaultModel *model = models::defaultFaultModel();
+    const models::Detector *detector = models::defaultDetector();
 };
 
 struct CampaignConfig
@@ -103,6 +106,40 @@ struct CampaignConfig
 /// nonsense tables (e.g. a 0-trial campaign whose every fraction is 0).
 void validateCampaignConfig(const CampaignConfig &config);
 
+/// The fault parameters of one campaign trial. For a masked draw only
+/// `masked` is meaningful.
+struct TrialDraw
+{
+    bool masked = false;
+    models::InjectionPlan plan;
+    models::DetectionPlan detection;
+};
+
+/// Draws campaign trial `trial` from its own counter-derived stream
+/// Rng::forStream(config.seed, trial): the masking coin first (when
+/// config.model_masking), then the fault model's injection plan, then
+/// the detector's detection plan. The coin comes before the model
+/// draws, so whether a trial index is masked does not depend on the
+/// model. `golden_value_instrs` is the fault-site universe
+/// (FaultInjector::golden().value_instrs). The only code that draws a
+/// trial: campaigns, the durable runner and the planner all execute
+/// what it returns.
+TrialDraw drawTrial(const CampaignConfig &config, std::uint64_t trial,
+                    std::uint64_t golden_value_instrs);
+
+/// What one trial yields.
+struct TrialResult
+{
+    FaultOutcome outcome = FaultOutcome::Masked;
+    /// Replayed dynamic instructions under the replay detector,
+    /// saturated to 32 bits; 0 otherwise. The durable trial store
+    /// persists it next to the outcome so resumed and merged campaigns
+    /// reproduce replay-cost aggregates exactly.
+    std::uint32_t aux = 0;
+
+    bool operator==(const TrialResult &) const = default;
+};
+
 struct CampaignResult
 {
     std::uint64_t counts[static_cast<int>(FaultOutcome::NumOutcomes)] = {};
@@ -111,6 +148,24 @@ struct CampaignResult
     /// Dichev-style recovery-cost side of the replay detector. Always 0
     /// under the analytical detector.
     std::uint64_t replay_cost = 0;
+
+    void
+    add(const TrialResult &trial)
+    {
+        ++counts[static_cast<int>(trial.outcome)];
+        ++trials;
+        replay_cost += trial.aux;
+    }
+
+    void
+    merge(const CampaignResult &other)
+    {
+        for (int i = 0; i < static_cast<int>(FaultOutcome::NumOutcomes);
+             ++i)
+            counts[i] += other.counts[i];
+        trials += other.trials;
+        replay_cost += other.replay_cost;
+    }
 
     std::uint64_t
     count(FaultOutcome outcome) const
@@ -208,73 +263,33 @@ class FaultInjector
     bool prepare(const std::string &entry,
                  const std::vector<std::uint64_t> &args);
 
-    /// Runs one trial on a lazily created injector-owned scratch
-    /// interpreter (so single-trial callers — tests, table1 — stop
-    /// paying decode-frame allocation per trial). Thread-safe after
-    /// prepare(), but calls through this overload serialize on the
-    /// scratch interpreter's mutex; campaign workers use the pooled
-    /// overload below instead.
-    FaultOutcome runTrial(Rng &rng, const TrialConfig &config) const;
+    /// Executes one drawn trial on a caller-owned interpreter (which
+    /// must have been constructed over decodedModule()); the one trial
+    /// executor. A masked draw yields Masked without executing.
+    /// Otherwise the fault strikes per draw.plan and detection fires
+    /// per draw.detection (or at the first symptom). When the snapshot
+    /// tier is active, execution starts from the nearest snapshot
+    /// at-or-before the plan's anchor — bit-identical to a full run by
+    /// construction. The trial installs its own hooks and clears them
+    /// before returning, so one interpreter serves any number of
+    /// trials and steady-state trials allocate nothing.
+    TrialResult runTrial(const TrialDraw &draw, const TrialConfig &config,
+                         interp::Interpreter &interp) const;
 
-    /// Runs one trial on a caller-owned interpreter (which must have
-    /// been constructed over decodedModule()). Campaign workers call
-    /// this with one pooled interpreter per worker so steady-state
-    /// trials allocate nothing; the trial installs its own hooks and
-    /// clears them again before returning.
-    FaultOutcome runTrial(Rng &rng, const TrialConfig &config,
-                          interp::Interpreter &interp) const;
-
-    /// Deterministic single-trial execution with explicit fault
-    /// parameters (the Rng overloads draw target/bit/latency and call
-    /// this). `target_value_index` is the value-producing dynamic
-    /// instruction whose destination gets `bit` flipped; detection
-    /// fires `latency` dynamic instructions later (or at the first
-    /// symptom). Useful for replaying one specific trial and for
-    /// pinning down outcome edges in tests. When the snapshot tier is
-    /// active, execution starts from the nearest snapshot at-or-before
-    /// the target — bit-identical to a full run by construction.
-    FaultOutcome runTrialAt(std::uint64_t target_value_index, int bit,
-                            std::uint64_t latency,
-                            const TrialConfig &config,
-                            interp::Interpreter &interp) const;
-
-    /// Deterministic single-trial execution from fully drawn plans —
-    /// the common core every overload above funnels into. When `aux`
-    /// is non-null it receives the trial's auxiliary cost counter
-    /// (replayed dynamic instructions under the replay detector,
-    /// saturated to 32 bits; 0 otherwise).
-    FaultOutcome runTrialPlanned(const models::InjectionPlan &plan,
-                                 const models::DetectionPlan &detection,
-                                 const TrialConfig &config,
-                                 interp::Interpreter &interp,
-                                 std::uint32_t *aux = nullptr) const;
-
-    /// Runs campaign trial `trial` — the masking coin plus (when not
-    /// masked) one injected execution — on a caller-owned pooled
-    /// interpreter. The outcome is a pure function of (module, golden
-    /// run, config.seed, trial): all randomness comes from the
-    /// counter-derived stream Rng::forStream(config.seed, trial). Both
-    /// runCampaign and the durable campaign runner (src/campaign/)
-    /// execute trials through this single entry point, which is what
-    /// makes a resumed or sharded campaign bit-identical to an
-    /// uninterrupted single-process one.
-    FaultOutcome runCampaignTrial(std::uint64_t trial,
-                                  const CampaignConfig &config,
-                                  interp::Interpreter &interp) const;
-
-    /// Same, with the per-trial auxiliary cost counter out-param (the
-    /// durable trial store persists it next to the outcome so resumed
-    /// and merged campaigns reproduce replay-cost aggregates exactly).
+    /// Campaign trial `trial`: runTrial of drawTrial(config, trial,
+    /// golden().value_instrs), with the result's aux in `aux`. The
+    /// outcome is a pure function of (module, golden run, config.seed,
+    /// trial), which is what makes a resumed or sharded campaign
+    /// bit-identical to an uninterrupted single-process one.
     FaultOutcome runCampaignTrial(std::uint64_t trial,
                                   const CampaignConfig &config,
                                   interp::Interpreter &interp,
                                   std::uint32_t &aux) const;
 
-    /// Runs a whole campaign (including modelled masking), sharding
-    /// trials across `config.jobs` threads with per-worker outcome
-    /// accumulators. Per-trial seeding makes the result bit-identical
-    /// regardless of thread count or schedule. Fatal on an invalid
-    /// config (see validateCampaignConfig).
+    /// Runs a whole campaign (including modelled masking) through
+    /// runTrials on `config.jobs` threads. Per-trial seeding makes the
+    /// result bit-identical regardless of thread count or schedule.
+    /// Fatal on an invalid config (see validateCampaignConfig).
     CampaignResult runCampaign(const CampaignConfig &config) const;
 
     const interp::RunResult &golden() const { return golden_; }
@@ -321,12 +336,31 @@ class FaultInjector
     /// (in practice prepare() happens once, before trials start).
     interp::SnapshotConfig snap_config_;
     std::shared_ptr<interp::SnapshotStore> snapshots_;
-
-    /// Scratch interpreter for the convenience runTrial overload;
-    /// lazily created, guarded by its mutex.
-    mutable std::mutex scratch_mutex_;
-    mutable std::unique_ptr<interp::Interpreter> scratch_;
 };
+
+/// The pooled trial loop every campaign runs on: calls body(i, interp)
+/// for each i in [0, n) across `jobs` threads (0 = all hardware
+/// threads; never more threads than trials), giving each thread one
+/// interpreter over injector.decodedModule() and one tally of the
+/// bodies' results, and returns the merged tally. Sums do not depend on
+/// order, so the result is identical at any `jobs`. `body` runs
+/// concurrently on different threads; anything it writes besides its
+/// return value must be thread-safe.
+CampaignResult runTrials(
+    const FaultInjector &injector, std::size_t jobs, std::uint64_t n,
+    const std::function<TrialResult(std::uint64_t, interp::Interpreter &)>
+        &body);
+
+/// Mixes into `hash` every campaign-config input a trial outcome
+/// depends on: entry, argument count, arguments, seed, trials, Dmax,
+/// run budget factor, masking rate, masking on/off, fault-model name
+/// and detector name. The trial-store fingerprint and the planner's
+/// tally-group keys both hash this run of fields, so an input added
+/// here reaches both. `jobs` is deliberately absent: it never changes
+/// results.
+std::uint64_t mixCampaignIdentity(std::uint64_t hash,
+                                  const FaultInjector &injector,
+                                  const CampaignConfig &config);
 
 } // namespace encore::fault
 

@@ -80,9 +80,6 @@ class FaultModel {
   // cannot be attributed to planner groups by anchor, so compositional
   // sidecar reuse is refused for them.
   virtual bool anchoredStrike() const { return true; }
-  // True when the model needs the interpreter's unfused dispatch path
-  // (per-instruction branch/memory filter hooks have no fused variants).
-  virtual bool needsUnfusedDispatch() const { return false; }
 };
 
 // A detector draws a detection plan for one trial. Same determinism

@@ -61,7 +61,6 @@ class CfBranchModel final : public FaultModel {
     return plan;
   }
   bool anchoredStrike() const override { return false; }
-  bool needsUnfusedDispatch() const override { return true; }
 };
 
 class MemBusModel final : public FaultModel {
@@ -82,7 +81,6 @@ class MemBusModel final : public FaultModel {
     return plan;
   }
   bool anchoredStrike() const override { return false; }
-  bool needsUnfusedDispatch() const override { return true; }
 };
 
 // --- Detectors ------------------------------------------------------------

@@ -154,7 +154,7 @@ Memory::enableDirtyTracking(std::uint32_t page_words)
     std::uint32_t shift = 0;
     while ((1u << shift) < page_words && shift < 20)
         ++shift;
-    // Idempotent on the trial path: FaultInjector::runTrialPlanned
+    // Idempotent on the trial path: FaultInjector::runTrial
     // re-asserts tracking per trial, and re-marking every page would
     // throw away the mirror's whole benefit.
     if (tracking_ && shift == page_shift_)

@@ -176,6 +176,21 @@ TEST(FingerprintTest, SensitiveToOutcomeInputsOnly)
     EXPECT_NE(campaignFingerprint(*setup.injector, other_mask), fp);
 }
 
+TEST(FingerprintTest, ValuesAreStableAcrossBuilds)
+{
+    // Every store header carries the fingerprint; a value that changes
+    // between builds makes every existing store refuse to resume.
+    // Pinned for the default pair and one non-default pair.
+    Harness setup = prepare();
+    fault::CampaignConfig config = campaignConfig();
+    EXPECT_EQ(campaignFingerprint(*setup.injector, config),
+              0xaf702112ec7d3e4fULL);
+    config.trial.model = fault::models::findFaultModel("cf-branch");
+    config.trial.detector = fault::models::findDetector("replay");
+    EXPECT_EQ(campaignFingerprint(*setup.injector, config),
+              0x3dfc669f01c66df3ULL);
+}
+
 TEST(CampaignRunner, MatchesInMemoryCampaignWithoutAStore)
 {
     Harness setup = prepare();
@@ -501,7 +516,7 @@ TEST(CampaignScenarioMatrix, FingerprintSeparatesEveryPair)
         }
     EXPECT_EQ(fingerprints.size(), pairs);
 
-    // The default pair's fingerprint equals the null-pointer config's:
+    // A default-constructed config is the explicit default pair:
     // pre-registry stores resume under the explicit default scenario.
     fault::CampaignConfig implicit = campaignConfig();
     fault::CampaignConfig explicit_default = campaignConfig();

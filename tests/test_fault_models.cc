@@ -70,11 +70,6 @@ TEST(FaultModelRegistry, CapabilityBits)
     EXPECT_FALSE(findFaultModel("cf-branch")->anchoredStrike());
     EXPECT_FALSE(findFaultModel("mem-bus")->anchoredStrike());
 
-    EXPECT_FALSE(findFaultModel("reg-bit")->needsUnfusedDispatch());
-    EXPECT_FALSE(findFaultModel("multi-bit")->needsUnfusedDispatch());
-    EXPECT_TRUE(findFaultModel("cf-branch")->needsUnfusedDispatch());
-    EXPECT_TRUE(findFaultModel("mem-bus")->needsUnfusedDispatch());
-
     EXPECT_FALSE(findDetector("analytic")->reportsReplayCost());
     EXPECT_TRUE(findDetector("replay")->reportsReplayCost());
 }

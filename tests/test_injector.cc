@@ -154,18 +154,18 @@ TEST(Injector, ZeroLatencyRecoversProtectedFaults)
     // With Dmax = 0 detection fires on the very next instruction; any
     // fault striking inside a protected region must recover. Dmax = 0
     // is rejected at *campaign* entry (validateCampaignConfig), so the
-    // latency extreme is exercised through the single-trial interface.
+    // latency extreme is exercised through drawTrial + runTrial.
     Harness setup = prepare();
-    TrialConfig trial;
-    trial.dmax = 0;
+    CampaignConfig config;
+    config.seed = 12345;
+    config.model_masking = false;
+    config.trial.dmax = 0;
+    interp::Interpreter interp(setup.injector->decodedModule());
     CampaignResult result;
-    result.trials = 120;
-    for (std::uint64_t t = 0; t < result.trials; ++t) {
-        Rng rng = Rng::forStream(12345, t);
-        const FaultOutcome outcome =
-            setup.injector->runTrial(rng, trial);
-        ++result.counts[static_cast<int>(outcome)];
-    }
+    for (std::uint64_t t = 0; t < 120; ++t)
+        result.add(setup.injector->runTrial(
+            drawTrial(config, t, setup.injector->golden().value_instrs),
+            config.trial, interp));
     EXPECT_EQ(result.count(FaultOutcome::RecoveryFailed), 0u);
     EXPECT_EQ(result.count(FaultOutcome::SilentCorruption), 0u);
     EXPECT_GT(result.count(FaultOutcome::RecoveredIdempotent) +
@@ -340,7 +340,6 @@ TEST(Injector, MaskedTrialIndicesAlignAcrossModels)
     // every fault model, and per-trial results stay comparable across
     // scenario sweeps.
     Harness setup = prepare();
-    interp::Interpreter interp(setup.injector->decodedModule());
     CampaignConfig config;
     config.trials = 150;
     config.seed = 5150;
@@ -353,8 +352,9 @@ TEST(Injector, MaskedTrialIndicesAlignAcrossModels)
         std::vector<bool> masked;
         for (std::uint64_t t = 0; t < config.trials; ++t)
             masked.push_back(
-                setup.injector->runCampaignTrial(t, config, interp) ==
-                FaultOutcome::Masked);
+                drawTrial(config, t,
+                          setup.injector->golden().value_instrs)
+                    .masked);
         if (reference.empty()) {
             reference = masked;
             // The pattern must be non-trivial for the comparison to
@@ -374,16 +374,27 @@ TEST(Injector, MaskedTrialIndicesAlignAcrossModels)
 
 TEST(Injector, TrialOutcomeIsPureFunctionOfTrialSeed)
 {
-    // Re-running a single trial stream reproduces the same outcome —
-    // the property the parallel shard merge relies on.
+    // Re-drawing and re-running a trial reproduces the same result,
+    // on a fresh interpreter and on one reused across trials alike —
+    // the properties the parallel shard merge and the pooled trial
+    // loop rely on.
     Harness setup = prepareProgram(kProgram2, 40);
-    TrialConfig trial;
-    trial.dmax = 50;
+    const std::uint64_t value_instrs =
+        setup.injector->golden().value_instrs;
+    CampaignConfig config;
+    config.seed = 77;
+    config.model_masking = false;
+    config.trial.dmax = 50;
+    interp::Interpreter reused(setup.injector->decodedModule());
     for (std::uint64_t t = 0; t < 25; ++t) {
-        Rng a = Rng::forStream(77, t);
-        Rng b = Rng::forStream(77, t);
-        EXPECT_EQ(setup.injector->runTrial(a, trial),
-                  setup.injector->runTrial(b, trial));
+        interp::Interpreter fresh(setup.injector->decodedModule());
+        const TrialResult first = setup.injector->runTrial(
+            drawTrial(config, t, value_instrs), config.trial, fresh);
+        EXPECT_EQ(setup.injector->runTrial(
+                      drawTrial(config, t, value_instrs), config.trial,
+                      reused),
+                  first)
+            << "trial " << t;
     }
 }
 
@@ -425,8 +436,8 @@ TEST(OutcomeTable, InstructionLimitIsNotRecoverable)
 {
     // An injected execution that blows the run budget maps to
     // NotRecoverable whether or not detection fired. The budget counts
-    // restored prefix instructions too (see runTrialPlanned), so this
-    // mapping is identical with and without the snapshot tier.
+    // restored prefix instructions too (see FaultInjector::runTrial),
+    // so this mapping is identical with and without the snapshot tier.
     for (const bool detected : {false, true}) {
         TrialObservation obs;
         obs.status = interp::RunResult::Status::InstructionLimit;
@@ -491,33 +502,17 @@ TEST(Injector, TargetBeyondTerminationIsBenignEndToEnd)
 {
     // End-to-end companion to the classifier test: aim the fault at
     // value instruction == golden value count (one past the last one
-    // ever produced). The run terminates without injecting, output
-    // matches golden, outcome is Benign — on both the scratch-
-    // interpreter seam and a caller-owned interpreter.
+    // ever produced). No draw lands there, so the draw is built by
+    // hand. The run terminates without injecting, output matches
+    // golden, outcome is Benign.
     Harness setup = prepare(30);
-    const std::uint64_t past_end = setup.injector->golden().value_instrs;
-    TrialConfig trial;
+    TrialDraw draw;
+    draw.plan.target_value_index = setup.injector->golden().value_instrs;
+    draw.plan.xor_mask = 1;
+    draw.detection.latency = 10;
     interp::Interpreter interp(setup.injector->decodedModule());
-    EXPECT_EQ(setup.injector->runTrialAt(past_end, 0, 10, trial, interp),
+    EXPECT_EQ(setup.injector->runTrial(draw, TrialConfig{}, interp).outcome,
               FaultOutcome::Benign);
-}
-
-TEST(Injector, ScratchTrialMatchesPooledInterpreterTrial)
-{
-    // The 2-arg runTrial (lazy injector-owned scratch interpreter)
-    // must produce the same outcome stream as the caller-owned-
-    // interpreter overload: same trial seeds, same outcomes.
-    Harness setup = prepareProgram(kProgram2, 45);
-    TrialConfig trial;
-    trial.dmax = 80;
-    interp::Interpreter pooled(setup.injector->decodedModule());
-    for (std::uint64_t t = 0; t < 40; ++t) {
-        Rng a = Rng::forStream(909, t);
-        Rng b = Rng::forStream(909, t);
-        EXPECT_EQ(setup.injector->runTrial(a, trial),
-                  setup.injector->runTrial(b, trial, pooled))
-            << "trial " << t;
-    }
 }
 
 TEST(Injector, SymptomaticFaultsDetectedBeforeWildAccess)

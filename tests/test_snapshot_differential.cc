@@ -1,6 +1,6 @@
 /**
  * @file
- * Differential guard for the snapshot tier: trial outcomes must be
+ * Differential guard for the snapshot tier: trial results must be
  * bit-identical with snapshots on and off, for every workload in the
  * suite, per trial and in aggregate, sequentially and across threads.
  *
@@ -44,6 +44,17 @@ runPipeline(const workloads::Workload &w)
     return p;
 }
 
+/// Campaign trial `t` of `cc`, drawn and executed on `interp`.
+fault::TrialResult
+runTrial(const fault::FaultInjector &injector,
+         const fault::CampaignConfig &cc, std::uint64_t t,
+         interp::Interpreter &interp)
+{
+    return injector.runTrial(
+        fault::drawTrial(cc, t, injector.golden().value_instrs), cc.trial,
+        interp);
+}
+
 TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
 {
     // A stride small enough that even the shortest workloads cross
@@ -81,12 +92,12 @@ TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
         cc.trial.dmax = 100;
         cc.model_masking = false; // every trial takes the restore path
 
-        // Per-trial: same seed stream, same outcome, trial by trial.
+        // Per-trial: same seed stream, same result, trial by trial.
         interp::Interpreter interp_on(on.decodedModule());
         interp::Interpreter interp_off(off.decodedModule());
         for (std::uint64_t t = 0; t < cc.trials; ++t)
-            EXPECT_EQ(on.runCampaignTrial(t, cc, interp_on),
-                      off.runCampaignTrial(t, cc, interp_off))
+            EXPECT_EQ(runTrial(on, cc, t, interp_on),
+                      runTrial(off, cc, t, interp_off))
                 << "trial " << t;
 
         // Aggregate: identical outcome tables sequentially and across
@@ -129,6 +140,7 @@ TEST(SnapshotDifferential, CfBranchModelBitIdenticalOnAndOff)
     // barrier and the strike site before redirecting control; if the
     // restore missed any interpreter state, that resync would evaluate
     // a branch differently and the redirect would land elsewhere.
+    // Under the replay detector the trial's replay cost must match too.
     const fault::models::FaultModel *model =
         fault::models::findFaultModel("cf-branch");
     ASSERT_NE(model, nullptr);
@@ -152,32 +164,39 @@ TEST(SnapshotDifferential, CfBranchModelBitIdenticalOnAndOff)
         on.configureSnapshots(snap_on);
         ASSERT_TRUE(on.prepare(w->entry, w->train_args));
 
-        fault::CampaignConfig cc;
-        cc.trials = 25;
-        cc.seed = 20260808;
-        cc.trial.dmax = 100;
-        cc.trial.model = model;
-        cc.model_masking = false; // every trial takes the restore path
+        for (const char *detector : {"analytic", "replay"}) {
+            SCOPED_TRACE(detector);
+            fault::CampaignConfig cc;
+            cc.trials = 25;
+            cc.seed = 20260808;
+            cc.trial.dmax = 100;
+            cc.trial.model = model;
+            cc.trial.detector = fault::models::findDetector(detector);
+            ASSERT_NE(cc.trial.detector, nullptr);
+            cc.model_masking = false; // every trial takes the restore path
 
-        interp::Interpreter interp_on(on.decodedModule());
-        interp::Interpreter interp_off(off.decodedModule());
-        for (std::uint64_t t = 0; t < cc.trials; ++t)
-            EXPECT_EQ(on.runCampaignTrial(t, cc, interp_on),
-                      off.runCampaignTrial(t, cc, interp_off))
-                << "trial " << t;
+            interp::Interpreter interp_on(on.decodedModule());
+            interp::Interpreter interp_off(off.decodedModule());
+            for (std::uint64_t t = 0; t < cc.trials; ++t)
+                EXPECT_EQ(runTrial(on, cc, t, interp_on),
+                          runTrial(off, cc, t, interp_off))
+                    << "trial " << t;
 
-        for (const std::size_t jobs : {1u, 4u}) {
-            cc.jobs = jobs;
-            const fault::CampaignResult a = on.runCampaign(cc);
-            const fault::CampaignResult b = off.runCampaign(cc);
-            ASSERT_EQ(a.trials, b.trials);
-            for (int i = 0;
-                 i < static_cast<int>(fault::FaultOutcome::NumOutcomes);
-                 ++i)
-                EXPECT_EQ(a.counts[i], b.counts[i])
-                    << "jobs " << jobs << ", outcome "
-                    << outcomeName(
-                           static_cast<fault::FaultOutcome>(i));
+            for (const std::size_t jobs : {1u, 4u}) {
+                cc.jobs = jobs;
+                const fault::CampaignResult a = on.runCampaign(cc);
+                const fault::CampaignResult b = off.runCampaign(cc);
+                ASSERT_EQ(a.trials, b.trials);
+                EXPECT_EQ(a.replay_cost, b.replay_cost) << "jobs " << jobs;
+                for (int i = 0;
+                     i <
+                     static_cast<int>(fault::FaultOutcome::NumOutcomes);
+                     ++i)
+                    EXPECT_EQ(a.counts[i], b.counts[i])
+                        << "jobs " << jobs << ", outcome "
+                        << outcomeName(
+                               static_cast<fault::FaultOutcome>(i));
+            }
         }
     }
 }
@@ -190,16 +209,18 @@ TEST(SnapshotDifferential, ResyncIsEngineIdentical)
     // fused sequence that ran across the anchor would silently drop
     // resyncs — the trial then runs to its end instead — without
     // changing a single outcome. Comparing the counts is what catches
-    // that.
+    // that. Each trial's result, replay cost included, must match too.
     struct Scenario
     {
         const char *model;
+        const char *detector;
         std::vector<std::string> workloads; ///< empty = whole suite
     };
     const std::vector<Scenario> scenarios = {
-        {"reg-bit", {}},
-        {"cf-branch", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
-        {"mem-bus", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
+        {"reg-bit", "analytic", {}},
+        {"reg-bit", "replay", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
+        {"cf-branch", "analytic", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
+        {"mem-bus", "analytic", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
     };
 
     std::uint64_t total_resyncs = 0;
@@ -221,17 +242,19 @@ TEST(SnapshotDifferential, ResyncIsEngineIdentical)
                 std::find(s.workloads.begin(), s.workloads.end(),
                           w.name) == s.workloads.end())
                 continue;
-            SCOPED_TRACE(s.model);
+            SCOPED_TRACE(std::string(s.model) + " + " + s.detector);
             fault::CampaignConfig cc;
             cc.trials = 120;
             cc.seed = 20261016;
             cc.trial.dmax = 100;
             cc.trial.model = fault::models::findFaultModel(s.model);
             ASSERT_NE(cc.trial.model, nullptr);
+            cc.trial.detector = fault::models::findDetector(s.detector);
+            ASSERT_NE(cc.trial.detector, nullptr);
             cc.model_masking = false; // every trial executes
             for (std::uint64_t t = 0; t < cc.trials; ++t)
-                EXPECT_EQ(fused.runCampaignTrial(t, cc, interp_fused),
-                          decoded.runCampaignTrial(t, cc, interp_decoded))
+                EXPECT_EQ(runTrial(fused, cc, t, interp_fused),
+                          runTrial(decoded, cc, t, interp_decoded))
                     << "trial " << t;
             // Cumulative over this workload's scenarios so far.
             EXPECT_EQ(fused.snapshotStats().resyncs,

@@ -76,21 +76,6 @@ campaignFromFlags(const CommandLine &cli, bool has_jobs)
     return config;
 }
 
-const fault::models::FaultModel &
-configModel(const fault::CampaignConfig &config)
-{
-    return config.trial.model ? *config.trial.model
-                              : *fault::models::defaultFaultModel();
-}
-
-const fault::models::Detector &
-configDetector(const fault::CampaignConfig &config)
-{
-    return config.trial.detector
-               ? *config.trial.detector
-               : *fault::models::defaultDetector();
-}
-
 /// "scenario <model> + <detector>" line for the human-readable
 /// output, printed only when either differs from the default so the
 /// classic reg-bit/analytic output stays byte-identical to older
@@ -98,15 +83,13 @@ configDetector(const fault::CampaignConfig &config)
 std::string
 scenarioLine(const fault::CampaignConfig &config)
 {
-    const fault::models::FaultModel &model = configModel(config);
-    const fault::models::Detector &detector = configDetector(config);
-    if (&model == fault::models::defaultFaultModel() &&
-        &detector == fault::models::defaultDetector())
+    if (config.trial.model == fault::models::defaultFaultModel() &&
+        config.trial.detector == fault::models::defaultDetector())
         return "";
     std::string line = "scenario ";
-    line += model.name();
+    line += config.trial.model->name();
     line += " + ";
-    line += detector.name();
+    line += config.trial.detector->name();
     line += "\n";
     return line;
 }
@@ -229,9 +212,9 @@ writeCampaignJson(std::ostream &out, const std::string &mode,
         << "  \"masking_rate\": " << config.masking_rate << ",\n"
         << "  \"model_masking\": "
         << (config.model_masking ? "true" : "false") << ",\n"
-        << "  \"fault_model\": \"" << configModel(config).name()
+        << "  \"fault_model\": \"" << config.trial.model->name()
         << "\",\n"
-        << "  \"detector\": \"" << configDetector(config).name()
+        << "  \"detector\": \"" << config.trial.detector->name()
         << "\",\n"
         << "  \"replay_cost\": " << result.replay_cost << ",\n"
         << "  \"counts\": {";
@@ -263,9 +246,9 @@ writePlannerJson(std::ostream &out, const std::string &mode,
         << "  \"seed\": " << config.seed << ",\n"
         << "  \"trials\": " << config.trials << ",\n"
         << "  \"dmax\": " << config.trial.dmax << ",\n"
-        << "  \"fault_model\": \"" << configModel(config).name()
+        << "  \"fault_model\": \"" << config.trial.model->name()
         << "\",\n"
-        << "  \"detector\": \"" << configDetector(config).name()
+        << "  \"detector\": \"" << config.trial.detector->name()
         << "\",\n"
         << "  \"replay_cost\": " << summary.result.replay_cost
         << ",\n"
