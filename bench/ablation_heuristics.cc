@@ -12,11 +12,9 @@
  * Reported per configuration: projected overhead, dynamic fraction
  * protected, and region counts — averaged over all workloads.
  *
- * --planner-bench switches to the campaign-planner comparison and
- * writes BENCH_planner.json: (A) wall-clock of sweeping the same
- * config grid with fault campaigns, brute force vs sidecar reuse
- * (tally-identity asserted per point), and (B) trials-to-target-CI,
- * fixed-count vs adaptive stratified sampling, per workload.
+ * --planner-bench switches to the campaign-planner comparison: the
+ * wall-clock of sweeping the same config grid with fault campaigns,
+ * brute force vs sidecar reuse (tally identity asserted per point).
  */
 #include <chrono>
 #include <filesystem>
@@ -27,7 +25,6 @@
 #include "fault/injector.h"
 #include "support/checksum.h"
 #include "support/diagnostics.h"
-#include "support/stats.h"
 #include "support/strings.h"
 
 using namespace encore;
@@ -182,29 +179,16 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-/// Planner comparison mode: config-sweep reuse (phase A) and adaptive
-/// trials-to-CI (phase B), written to --json.
+/// Planner comparison mode: the ablation grid swept with fault
+/// campaigns, brute force vs sidecar reuse, per workload.
 int
 runPlannerBench(const CommandLine &cli)
 {
     const std::uint64_t seed = cli.getUint("seed");
-    std::uint64_t trials = cli.getUint("trials");
-    if (trials == 0)
-        trials = 600;
-    std::uint64_t sweep_trials = cli.getUint("sweep-trials");
-    if (sweep_trials == 0)
-        sweep_trials = trials;
-    const std::uint64_t universe = cli.getUint("adaptive-universe");
-    const double target_ci = cli.getDouble("target-ci");
-    const double confidence = cli.getDouble("confidence");
-    std::string json_path = cli.getString("json");
-    if (json_path.empty())
-        json_path = "BENCH_planner.json";
+    const std::uint64_t sweep_trials = cli.getUint("trials");
 
-    // Scenario axis for both phases. Phase A's sidecar reuse refuses
-    // non-anchored models and replay-cost detectors (the planner's
-    // probeSidecar gates), so off-default pairs are mostly useful for
-    // the phase-B adaptive comparison.
+    // Sidecar reuse refuses non-anchored models and replay-cost
+    // detectors (the planner's probeSidecar gates).
     const fault::models::FaultModel &fault_model =
         bench::faultModelFlag(cli);
     const fault::models::Detector &detector = bench::detectorFlag(cli);
@@ -218,30 +202,23 @@ runPlannerBench(const CommandLine &cli)
     const std::vector<GridPoint> grid = ablationGrid();
     bench::printHeader(
         "Planner benchmark",
-        "Phase A: " + std::to_string(grid.size()) +
-            "-point config sweep at " + std::to_string(sweep_trials) +
+        std::to_string(grid.size()) + "-point config sweep at " +
+            std::to_string(sweep_trials) +
             " trials/point, brute force vs sidecar reuse "
-            "(tally-identity\nasserted per point). Phase B: fixed-" +
-            std::to_string(trials) +
-            " vs adaptive stratified sampling to a\n+-" +
-            formatPercent(target_ci, 1) + " CI at " +
-            formatPercent(confidence, 0) + " confidence, universe " +
-            std::to_string(universe) + " trials per workload.");
+            "(tally-identity\nasserted per point).");
     if (&fault_model != fault::models::defaultFaultModel() ||
         &detector != fault::models::defaultDetector())
         std::cout << "Scenario: " << fault_model.name() << " + "
                   << detector.name() << ".\n\n";
 
-    // --- Phase A: sweep reuse over the ablation grid -----------------
     struct SweepRow
     {
-        std::string name;
         double brute_seconds = 0.0;
         double planner_seconds = 0.0;
         std::uint64_t brute_executed = 0;
         std::uint64_t planner_executed = 0;
     };
-    std::vector<SweepRow> sweep;
+    double brute_total = 0.0, planner_total = 0.0;
     const std::string sidecar_dir = "planner_bench_sidecars";
     std::filesystem::create_directories(sidecar_dir);
     for (const std::string &name : sweep_names) {
@@ -256,7 +233,6 @@ runPlannerBench(const CommandLine &cli)
             return 1;
         }
         SweepRow sweep_row;
-        sweep_row.name = name;
         const std::string sidecar =
             sidecar_dir + "/" + name + ".tally";
         std::filesystem::remove(sidecar); // cold start every run
@@ -290,7 +266,7 @@ runPlannerBench(const CommandLine &cli)
             sweep_row.planner_seconds += secondsSince(start);
             sweep_row.planner_executed += planned.executed;
 
-            // The tentpole's contract: reuse must be invisible in the
+            // The planner's contract: reuse must be invisible in the
             // tallies at every sweep point.
             for (std::size_t i = 0;
                  i < static_cast<std::size_t>(
@@ -312,154 +288,15 @@ runPlannerBench(const CommandLine &cli)
                                  1)
                   << "x), executed " << sweep_row.brute_executed
                   << " vs " << sweep_row.planner_executed << "\n";
-        sweep.push_back(sweep_row);
+        brute_total += sweep_row.brute_seconds;
+        planner_total += sweep_row.planner_seconds;
     }
 
-    // --- Phase B: adaptive trials-to-CI over every workload ----------
-    struct AdaptiveRow
-    {
-        std::string name;
-        double fixed_covered = 0.0;
-        double fixed_ci_half = 0.0;
-        double adaptive_covered = 0.0;
-        double adaptive_ci_half = 0.0;
-        std::uint64_t adaptive_executed = 0;
-        bool ci_met = false;
-    };
-    std::vector<AdaptiveRow> adaptive;
-    const double z = confidenceZ(confidence);
-    for (const workloads::Workload &w : workloads::allWorkloads()) {
-        EncoreConfig config;
-        auto prepared = bench::prepareWorkload(w, config);
-        fault::FaultInjector injector(*prepared.module,
-                                      prepared.report);
-        if (!injector.prepare(w.entry, w.train_args)) {
-            std::cerr << "golden run failed for " << w.name
-                      << "; skipping\n";
-            continue;
-        }
-        AdaptiveRow row;
-        row.name = w.name;
-
-        fault::CampaignConfig fixed;
-        fixed.trials = trials;
-        fixed.seed = seed;
-        fixed.jobs = 1;
-        fixed.trial.dmax = 100;
-        fixed.trial.model = &fault_model;
-        fixed.trial.detector = &detector;
-        const fault::CampaignResult fixed_result =
-            injector.runCampaign(fixed);
-        row.fixed_covered = fixed_result.coveredFraction();
-        const std::uint64_t fixed_covered_count = static_cast<
-            std::uint64_t>(row.fixed_covered *
-                               static_cast<double>(fixed_result.trials) +
-                           0.5);
-        const Proportion fixed_ci = wilsonInterval(
-            fixed_covered_count, fixed_result.trials, z);
-        row.fixed_ci_half =
-            (fixed_ci.high - fixed_ci.low) / 2.0;
-
-        fault::CampaignConfig wide = fixed;
-        wide.trials = universe;
-        campaign::PlannerOptions popts;
-        popts.target_ci = target_ci;
-        popts.confidence = confidence;
-        campaign::CampaignPlanner planner(injector, prepared.report,
-                                          wide, popts);
-        const campaign::PlanSummary s = planner.runAdaptive();
-        row.adaptive_covered = s.coverage;
-        row.adaptive_ci_half = s.ci_half;
-        row.adaptive_executed = s.executed;
-        row.ci_met = s.ci_met;
-        std::cout << w.name << ": fixed " << trials << " -> "
-                  << formatPercent(row.fixed_covered) << "+-"
-                  << formatPercent(row.fixed_ci_half)
-                  << "; adaptive " << row.adaptive_executed
-                  << " executed -> "
-                  << formatPercent(row.adaptive_covered) << "+-"
-                  << formatPercent(row.adaptive_ci_half)
-                  << (row.ci_met ? "" : " (target not met)") << "\n";
-        adaptive.push_back(row);
-    }
-    std::uint64_t fewer = 0;
-    for (const AdaptiveRow &row : adaptive)
-        if (row.adaptive_executed < trials && row.ci_met)
-            ++fewer;
-    double brute_total = 0.0, planner_total = 0.0;
-    for (const SweepRow &row : sweep) {
-        brute_total += row.brute_seconds;
-        planner_total += row.planner_seconds;
-    }
     const double speedup =
         brute_total / std::max(planner_total, 1e-9);
     std::cout << "\nsweep speedup " << formatFixed(speedup, 1)
-              << "x over " << grid.size() << " grid points; adaptive "
-              << "beat fixed-" << trials << " on " << fewer << " of "
-              << adaptive.size() << " workloads\n";
-
-    const bool json_ok = bench::writeJsonReport(
-        json_path, [&](std::ostream &out) {
-            out << "  \"bench\": \"ablation_planner\",\n"
-                << "  \"grid_points\": " << grid.size() << ",\n"
-                << "  \"trials_per_point\": " << sweep_trials << ",\n"
-                << "  \"seed\": " << seed << ",\n"
-                << "  \"fault_model\": \"" << fault_model.name()
-                << "\",\n  \"detector\": \"" << detector.name()
-                << "\",\n"
-                << "  \"sweep\": {\n"
-                << "    \"total_brute_seconds\": "
-                << formatFixed(brute_total, 4) << ",\n"
-                << "    \"total_planner_seconds\": "
-                << formatFixed(planner_total, 4) << ",\n"
-                << "    \"speedup\": " << formatFixed(speedup, 2)
-                << ",\n    \"workloads\": [\n";
-            for (std::size_t i = 0; i < sweep.size(); ++i) {
-                const SweepRow &row = sweep[i];
-                out << "      {\"name\": \"" << row.name
-                    << "\", \"brute_seconds\": "
-                    << formatFixed(row.brute_seconds, 4)
-                    << ", \"planner_seconds\": "
-                    << formatFixed(row.planner_seconds, 4)
-                    << ", \"speedup\": "
-                    << formatFixed(row.brute_seconds /
-                                       std::max(row.planner_seconds,
-                                                1e-9),
-                                   2)
-                    << ", \"brute_trials\": " << row.brute_executed
-                    << ", \"planner_executed\": "
-                    << row.planner_executed << "}"
-                    << (i + 1 < sweep.size() ? "," : "") << "\n";
-            }
-            out << "    ]\n  },\n"
-                << "  \"adaptive\": {\n"
-                << "    \"target_ci\": "
-                << formatFixed(target_ci, 6) << ",\n"
-                << "    \"confidence\": "
-                << formatFixed(confidence, 4) << ",\n"
-                << "    \"universe\": " << universe << ",\n"
-                << "    \"fixed_trials\": " << trials << ",\n"
-                << "    \"fewer_than_fixed\": " << fewer << ",\n"
-                << "    \"workloads\": [\n";
-            for (std::size_t i = 0; i < adaptive.size(); ++i) {
-                const AdaptiveRow &row = adaptive[i];
-                out << "      {\"name\": \"" << row.name
-                    << "\", \"fixed_covered\": "
-                    << formatFixed(row.fixed_covered, 6)
-                    << ", \"fixed_ci_half\": "
-                    << formatFixed(row.fixed_ci_half, 6)
-                    << ", \"adaptive_covered\": "
-                    << formatFixed(row.adaptive_covered, 6)
-                    << ", \"adaptive_ci_half\": "
-                    << formatFixed(row.adaptive_ci_half, 6)
-                    << ", \"adaptive_executed\": "
-                    << row.adaptive_executed << ", \"ci_met\": "
-                    << (row.ci_met ? "true" : "false") << "}"
-                    << (i + 1 < adaptive.size() ? "," : "") << "\n";
-            }
-            out << "    ]\n  }\n}\n";
-        });
-    return json_ok ? 0 : 1;
+              << "x over " << grid.size() << " grid points\n";
+    return 0;
 }
 
 } // namespace
@@ -467,27 +304,18 @@ runPlannerBench(const CommandLine &cli)
 int
 main(int argc, char **argv)
 {
-    CommandLine cli = bench::standardFlags("0");
+    // --trials sizes the --planner-bench sweep (trials per grid
+    // point; the heuristic table runs no campaign). The default is
+    // heavy enough that the per-point planner overhead (fingerprint +
+    // sidecar IO) amortises the way a real sweep does.
+    CommandLine cli = bench::standardFlags("3000");
     cli.addFlag("planner-bench", "false",
-                "run the campaign-planner comparison (sweep reuse + "
-                "adaptive sampling) instead of the heuristic table");
+                "run the campaign-planner sweep-reuse comparison "
+                "instead of the heuristic table");
     cli.addFlag("planner-workloads", "mpeg2dec,cjpeg,djpeg,rawcaudio",
-                "workloads for the phase-A sweep-reuse comparison "
-                "(phase B always covers the whole suite)");
-    cli.addFlag("sweep-trials", "3000",
-                "trials per grid point in the phase-A sweep; heavier "
-                "than phase B's fixed count so the per-point planner "
-                "overhead (fingerprint + sidecar IO) amortises the "
-                "way a real sweep does");
-    cli.addFlag("adaptive-universe", "20000",
-                "trial universe per workload for the adaptive arm");
-    cli.addFlag("target-ci", "0.005",
-                "adaptive stopping rule: CI half-width target");
-    cli.addFlag("confidence", "0.95",
-                "two-sided confidence level of the adaptive CI");
+                "workloads for the sweep-reuse comparison");
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
-    bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
     if (cli.getBool("planner-bench"))
         return runPlannerBench(cli);

@@ -9,20 +9,18 @@
  * Before the registered benchmarks run, main() measures the decoded
  * interpreter directly — per-workload decode time (DecodedModule
  * construction) and execution throughput of the tree-walking reference
- * engine vs the flat pre-decoded engine — and writes the results to
- * BENCH_interp.json so the interpreter's performance trajectory is
- * tracked alongside BENCH_injection.json.
+ * engine vs the flat pre-decoded engine — and prints the results;
+ * --interp-json=PATH also writes them as a machine-readable report,
+ * and an explicit empty --interp-json= skips the measurement.
  */
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <fstream>
 #include <iostream>
 
 #include "analysis/intervals.h"
 #include "analysis/liveness.h"
 #include "common.h"
-#include "encore/analysis_base.h"
 #include "encore/pipeline.h"
 #include "interp/decoded.h"
 #include "interp/interpreter.h"
@@ -312,274 +310,31 @@ writeInterpJson(const std::vector<InterpStats> &stats,
     });
 }
 
-/**
- * Direct measurement of the analysis pipeline: per-workload phase
- * timings (one full runConfig at the default configuration) and the
- * throughput of a multi-config sweep with the shared analysis base +
- * region memo versus the cold --no-analysis-cache path.
- */
-struct PhaseRow
-{
-    std::string name;
-    AnalysisPhaseTimings timings;
-};
-
-std::vector<PhaseRow>
-measureAnalysisPhases()
-{
-    std::vector<PhaseRow> rows;
-    for (const auto &w : workloads::allWorkloads()) {
-        auto module = w.build();
-        EncoreConfig config;
-        for (const auto &name : w.opaque)
-            config.opaque_functions.insert(name);
-        PhaseRow row;
-        row.name = w.name;
-        AnalysisBase base(*module,
-                          {RunSpec{w.entry, w.train_args}},
-                          config.profile_max_instrs);
-        runConfig(base, config, nullptr, &row.timings);
-        row.timings.accumulate(base.setupTimings());
-        rows.push_back(std::move(row));
-    }
-    return rows;
-}
-
-/// The Figure 5 sweep: four Pmin settings.
-std::vector<EncoreConfig>
-fig5Configs()
-{
-    std::vector<EncoreConfig> configs;
-    for (const double pmin : {-1.0, 0.0, 0.1, 0.25}) {
-        EncoreConfig config;
-        config.prune = pmin >= 0.0;
-        config.pmin = std::max(pmin, 0.0);
-        configs.push_back(config);
-    }
-    return configs;
-}
-
-/// The ablation grid (mirrors ablation_heuristics.cc).
-std::vector<EncoreConfig>
-ablationConfigs()
-{
-    std::vector<EncoreConfig> configs;
-    configs.emplace_back(); // baseline
-    for (const double pmin : {-1.0, 0.0, 0.1, 0.25}) {
-        EncoreConfig config;
-        config.prune = pmin >= 0.0;
-        config.pmin = std::max(pmin, 0.0);
-        configs.push_back(config);
-    }
-    for (const double gamma : {5.0, 50.0, 500.0, 5000.0}) {
-        EncoreConfig config;
-        config.gamma = gamma;
-        configs.push_back(config);
-    }
-    {
-        EncoreConfig config;
-        config.merge_regions = false;
-        configs.push_back(config);
-    }
-    for (const double eta : {10.0, 100.0, 1000.0}) {
-        EncoreConfig config;
-        config.eta = eta;
-        configs.push_back(config);
-    }
-    for (const double bytes : {64.0, 256.0, 1024.0, 8192.0}) {
-        EncoreConfig config;
-        config.max_storage_bytes = bytes;
-        configs.push_back(config);
-    }
-    {
-        EncoreConfig config;
-        config.use_call_summaries = false;
-        configs.push_back(config);
-    }
-    {
-        EncoreConfig config;
-        config.auto_tune = false;
-        configs.push_back(config);
-    }
-    {
-        EncoreConfig config;
-        config.alias_mode = EncoreConfig::AliasMode::Optimistic;
-        configs.push_back(config);
-    }
-    return configs;
-}
-
-/// Seconds to evaluate `configs` over the whole suite. Cached shares
-/// one analysis base + region memo per workload; cold rebuilds and
-/// re-profiles per config point (the --no-analysis-cache path). Best
-/// of `reps` attempts.
-double
-sweepSeconds(const std::vector<EncoreConfig> &configs, bool cached,
-             int reps)
-{
-    double best = 0.0;
-    for (int rep = 0; rep < reps; ++rep) {
-        const auto start = std::chrono::steady_clock::now();
-        for (const auto &w : workloads::allWorkloads()) {
-            if (cached) {
-                bench::WorkloadSession session(w);
-                for (const EncoreConfig &config : configs)
-                    benchmark::DoNotOptimize(
-                        session.analyze(config).regions.size());
-            } else {
-                for (EncoreConfig config : configs) {
-                    auto module = w.build();
-                    for (const auto &name : w.opaque)
-                        config.opaque_functions.insert(name);
-                    AnalysisBase base(*module,
-                                      {RunSpec{w.entry, w.train_args}},
-                                      config.profile_max_instrs);
-                    benchmark::DoNotOptimize(
-                        analyzeConfig(base, config)
-                            .report.regions.size());
-                }
-            }
-        }
-        const double elapsed = secondsSince(start);
-        best = rep == 0 ? elapsed : std::min(best, elapsed);
-    }
-    return best;
-}
-
-bool
-writeAnalysisJson(const std::string &path)
-{
-    const std::vector<PhaseRow> rows = measureAnalysisPhases();
-
-    const int reps = 3;
-    const std::vector<EncoreConfig> fig5 = fig5Configs();
-    const std::vector<EncoreConfig> grid = ablationConfigs();
-    const double fig5_cold = sweepSeconds(fig5, false, reps);
-    const double fig5_cached = sweepSeconds(fig5, true, reps);
-    const double grid_cold = sweepSeconds(grid, false, reps);
-    const double grid_cached = sweepSeconds(grid, true, reps);
-    const std::size_t n = workloads::allWorkloads().size();
-
-    AnalysisPhaseTimings total;
-    for (const PhaseRow &row : rows)
-        total.accumulate(row.timings);
-    std::cout << "Analysis phases (suite totals): profile "
-              << formatFixed(total.profile * 1e3, 1) << " ms, structures "
-              << formatFixed(total.structures * 1e3, 1)
-              << " ms, formation "
-              << formatFixed(total.formation * 1e3, 1) << " ms, dataflow "
-              << formatFixed(total.dataflow * 1e3, 1)
-              << " ms, select+merge "
-              << formatFixed(total.select_merge * 1e3, 1)
-              << " ms, instrument "
-              << formatFixed(total.instrument * 1e3, 1) << " ms\n";
-    std::cout << "Sweep throughput (config points/sec over " << n
-              << " workloads):\n";
-    const auto cps = [n](std::size_t configs, double seconds) {
-        return seconds > 0.0
-                   ? static_cast<double>(configs * n) / seconds
-                   : 0.0;
-    };
-    std::cout << "  fig5 (4 configs): cold "
-              << formatFixed(cps(fig5.size(), fig5_cold), 1)
-              << "/s, cached "
-              << formatFixed(cps(fig5.size(), fig5_cached), 1)
-              << "/s (speedup "
-              << formatFixed(fig5_cached > 0.0 ? fig5_cold / fig5_cached
-                                               : 0.0,
-                             2)
-              << "x)\n";
-    std::cout << "  ablation grid (" << grid.size()
-              << " configs): cold "
-              << formatFixed(cps(grid.size(), grid_cold), 1)
-              << "/s, cached "
-              << formatFixed(cps(grid.size(), grid_cached), 1)
-              << "/s (speedup "
-              << formatFixed(grid_cached > 0.0 ? grid_cold / grid_cached
-                                               : 0.0,
-                             2)
-              << "x)\n";
-
-    return bench::writeJsonReport(path, [&](std::ostream &json) {
-        const auto phase_fields = [&json](
-                                      const AnalysisPhaseTimings &t) {
-            json << "{\"profile\": " << formatFixed(t.profile, 6)
-                 << ", \"structures\": " << formatFixed(t.structures, 6)
-                 << ", \"formation\": " << formatFixed(t.formation, 6)
-                 << ", \"dataflow\": " << formatFixed(t.dataflow, 6)
-                 << ", \"select_merge\": "
-                 << formatFixed(t.select_merge, 6)
-                 << ", \"instrument\": " << formatFixed(t.instrument, 6)
-                 << "}";
-        };
-        json << "  \"bench\": \"bench_passes/analysis\",\n"
-             << "  \"phase_seconds_total\": ";
-        phase_fields(total);
-        json << ",\n  \"sweeps\": {\n"
-             << "    \"fig5\": {\"configs\": " << fig5.size()
-             << ", \"workloads\": " << n << ", \"cold_seconds\": "
-             << formatFixed(fig5_cold, 4) << ", \"cached_seconds\": "
-             << formatFixed(fig5_cached, 4)
-             << ", \"cold_configs_per_sec\": "
-             << formatFixed(cps(fig5.size(), fig5_cold), 2)
-             << ", \"cached_configs_per_sec\": "
-             << formatFixed(cps(fig5.size(), fig5_cached), 2)
-             << ", \"speedup\": "
-             << formatFixed(
-                    fig5_cached > 0.0 ? fig5_cold / fig5_cached : 0.0, 2)
-             << "},\n"
-             << "    \"ablation_grid\": {\"configs\": " << grid.size()
-             << ", \"workloads\": " << n << ", \"cold_seconds\": "
-             << formatFixed(grid_cold, 4) << ", \"cached_seconds\": "
-             << formatFixed(grid_cached, 4)
-             << ", \"cold_configs_per_sec\": "
-             << formatFixed(cps(grid.size(), grid_cold), 2)
-             << ", \"cached_configs_per_sec\": "
-             << formatFixed(cps(grid.size(), grid_cached), 2)
-             << ", \"speedup\": "
-             << formatFixed(
-                    grid_cached > 0.0 ? grid_cold / grid_cached : 0.0, 2)
-             << "}\n  },\n"
-             << "  \"workloads\": [\n";
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            json << "    {\"name\": \"" << rows[i].name
-                 << "\", \"phase_seconds\": ";
-            phase_fields(rows[i].timings);
-            json << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
-        }
-        json << "  ]\n}\n";
-    });
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    // --interp-json=PATH / --analysis-json=PATH override the stats
-    // destinations; an empty path skips that direct measurement
-    // (useful for quick benchmark filters). Remaining flags go to
-    // google-benchmark.
-    std::string interp_json = "BENCH_interp.json";
-    std::string analysis_json = "BENCH_analysis.json";
+    // --interp-json=PATH also writes the interpreter measurement as a
+    // report (no file by default); an explicit empty --interp-json=
+    // skips the measurement (useful for quick benchmark filters).
+    // Remaining flags go to google-benchmark.
+    std::string interp_json;
+    bool measure_interp = true;
     std::vector<char *> bench_args;
     bench_args.push_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const std::string interp_prefix = "--interp-json=";
-        const std::string analysis_prefix = "--analysis-json=";
-        if (arg.rfind(interp_prefix, 0) == 0)
+        if (arg.rfind(interp_prefix, 0) == 0) {
             interp_json = arg.substr(interp_prefix.size());
-        else if (arg.rfind(analysis_prefix, 0) == 0)
-            analysis_json = arg.substr(analysis_prefix.size());
-        else
+            measure_interp = !interp_json.empty();
+        } else {
             bench_args.push_back(argv[i]);
+        }
     }
 
-    if (!analysis_json.empty() && !writeAnalysisJson(analysis_json))
-        return 1;
-
-    if (!interp_json.empty()) {
+    if (measure_interp) {
         const std::vector<InterpStats> stats = measureInterpreters();
         std::cout << "Interpreter throughput (training inputs):\n";
         for (const InterpStats &s : stats) {

@@ -271,9 +271,9 @@ writeJsonReport(const std::string &path,
                      "--json \"\" to disable the report.\n";
         return false;
     }
-    // Every report opens with the build provenance so committed
-    // numbers stay attributable to the build that produced them; the
-    // body supplies the remaining fields and the closing brace.
+    // Every report opens with the build provenance so its numbers stay
+    // attributable to the build that produced them; the body supplies
+    // the remaining fields and the closing brace.
     json << "{\n  \"build\": " << buildInfoJson() << ",\n";
     body(json);
     json.flush();

@@ -11,16 +11,15 @@
  *
  * Workload preparation and campaign trials both run on --jobs threads
  * (counter-based per-trial seeding keeps every number bit-identical to
- * --jobs 1). Campaign throughput is additionally written to a
- * machine-readable BENCH_injection.json so the performance trajectory
- * can be tracked across revisions.
+ * --jobs 1). --json writes the campaign throughput as a
+ * machine-readable report.
  */
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 
-#include "campaign/planner.h"
 #include "campaign/runner.h"
 #include "common.h"
 #include "fault/injector.h"
@@ -55,9 +54,7 @@ main(int argc, char **argv)
     cli.addFlag("dmax", "1000,100,10",
                 "comma-separated detection latencies to evaluate");
     cli.addFlag("mask", "0.91", "hardware masking rate");
-    cli.addFlag("json", "BENCH_injection.json",
-                "path for machine-readable campaign throughput "
-                "(empty = disabled)");
+    bench::addJsonFlag(cli, "");
     cli.addFlag("store", "",
                 "directory for durable per-campaign trial stores; a "
                 "rerun resumes interrupted campaigns instead of "
@@ -68,14 +65,6 @@ main(int argc, char **argv)
                 "whole suite); note the per-campaign seeds depend on "
                 "suite position, so a filtered run's coverage numbers "
                 "are not comparable to a full run's");
-    cli.addFlag("adaptive", "false",
-                "stratified adaptive sampling with early stopping: "
-                "cells report coverage +- CI instead of executing "
-                "every trial (see src/campaign/planner.h)");
-    cli.addFlag("target-ci", "0.005",
-                "adaptive stopping rule: CI half-width target");
-    cli.addFlag("confidence", "0.95",
-                "two-sided confidence level of the adaptive CI");
     bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
@@ -90,22 +79,20 @@ main(int argc, char **argv)
     const fault::models::Detector &detector = bench::detectorFlag(cli);
     const std::string json_path = cli.getString("json");
     const std::string store_dir = cli.getString("store");
-    const bool adaptive = cli.getBool("adaptive");
-    const double target_ci = cli.getDouble("target-ci");
-    const double ci_confidence = cli.getDouble("confidence");
-    if (adaptive && !store_dir.empty()) {
-        std::cerr << "error: --adaptive and --store are mutually "
-                     "exclusive (an early-stopped sample must not "
-                     "masquerade as an exhaustive trial store)\n";
-        return 1;
-    }
     if (!store_dir.empty())
         std::filesystem::create_directories(store_dir);
 
     std::vector<std::uint64_t> dmaxes;
-    for (const std::string &field : split(cli.getString("dmax"), ','))
-        dmaxes.push_back(
-            static_cast<std::uint64_t>(parseInt(field).value_or(100)));
+    for (const std::string &field : split(cli.getString("dmax"), ',')) {
+        const auto dmax = parseInt(field);
+        if (!dmax || *dmax <= 0) {
+            std::cerr << "error: --dmax expects comma-separated positive "
+                         "integers, got '"
+                      << field << "'\n";
+            return 1;
+        }
+        dmaxes.push_back(static_cast<std::uint64_t>(*dmax));
+    }
 
     bench::printHeader(
         "Figure 8",
@@ -124,7 +111,10 @@ main(int argc, char **argv)
     std::vector<std::string> headers{"benchmark"};
     for (const std::uint64_t dmax : dmaxes)
         headers.push_back("Dmax=" + std::to_string(dmax));
-    headers.push_back("idem/ckpt @" + std::to_string(dmaxes[1]));
+    // The idem/ckpt split is shown for the second latency (the paper's
+    // Dmax=100), or the only one when --dmax names a single value.
+    const std::size_t split_d = std::min<std::size_t>(1, dmaxes.size() - 1);
+    headers.push_back("idem/ckpt @" + std::to_string(dmaxes[split_d]));
     Table table(headers);
 
     std::vector<double> sums(dmaxes.size(), 0.0);
@@ -206,27 +196,6 @@ main(int argc, char **argv)
             campaign.trial.model = &model;
             campaign.trial.detector = &detector;
             fault::CampaignResult result;
-            if (adaptive) {
-                campaign::PlannerOptions popts;
-                popts.target_ci = target_ci;
-                popts.confidence = ci_confidence;
-                campaign::CampaignPlanner planner(
-                    injector, prepared.report, campaign, popts);
-                const campaign::PlanSummary s = planner.runAdaptive();
-                row.push_back(formatPercent(s.coverage) + "+-" +
-                              formatPercent(s.ci_half));
-                sums[d] += s.coverage;
-                suite_sums[w.suite][d] += s.coverage;
-                wp.trials += s.executed;
-                total_replay_cost += s.result.replay_cost;
-                if (d == 1) {
-                    // The idem/ckpt split of the stratified sample is
-                    // not an unbiased universe estimate; leave the
-                    // cell empty rather than implying one.
-                    split_cell = "-";
-                }
-                continue;
-            }
             if (store_dir.empty()) {
                 result = injector.runCampaign(campaign);
             } else {
@@ -248,7 +217,7 @@ main(int argc, char **argv)
             sums[d] += covered;
             suite_sums[w.suite][d] += covered;
             wp.trials += result.trials;
-            if (d == 1) {
+            if (d == split_d) {
                 split_cell =
                     formatPercent(result.fraction(
                         fault::FaultOutcome::RecoveredIdempotent)) +
@@ -316,14 +285,7 @@ main(int argc, char **argv)
                  << "  \"detector\": \"" << detector.name()
                  << "\",\n"
                  << "  \"replay_cost\": " << total_replay_cost
-                 << ",\n";
-            if (adaptive)
-                json << "  \"adaptive\": true,\n"
-                     << "  \"target_ci\": "
-                     << formatFixed(target_ci, 6) << ",\n"
-                     << "  \"confidence\": "
-                     << formatFixed(ci_confidence, 4) << ",\n";
-            json
+                 << ",\n"
                  << "  \"jobs\": " << jobs << ",\n"
                  << "  \"hardware_threads\": "
                  << std::thread::hardware_concurrency() << ",\n"

@@ -14,7 +14,6 @@
 #include <optional>
 #include <vector>
 
-#include "campaign/planner.h"
 #include "campaign/runner.h"
 #include "common.h"
 #include "fault/injector.h"
@@ -35,28 +34,18 @@ main(int argc, char **argv)
     cli.addFlag("store", "",
                 "directory for durable trial stores when --trials > 0 "
                 "(campaigns resume across reruns; empty = in-memory)");
-    cli.addFlag("adaptive", "false",
-                "adaptive stratified sampling for the measured-"
-                "coverage column: --trials becomes the sampling "
-                "budget cap and the row reports coverage +- CI");
-    cli.addFlag("target-ci", "0.005",
-                "adaptive stopping rule: CI half-width target");
-    cli.addFlag("confidence", "0.95",
-                "two-sided confidence level of the adaptive CI");
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
     cli.parse(argc, argv);
     const std::size_t jobs = bench::jobsFlag(cli);
     const std::string json_path = cli.getString("json");
-    const std::uint64_t trials =
-        static_cast<std::uint64_t>(cli.getInt("trials"));
-    const std::uint64_t seed =
-        static_cast<std::uint64_t>(cli.getInt("seed"));
-    const std::uint64_t dmax =
-        static_cast<std::uint64_t>(cli.getInt("dmax"));
+    // getUint, not getInt-and-cast: `--trials -1` must be an error,
+    // not a campaign of 2^64-1 trials.
+    const std::uint64_t trials = cli.getUint("trials");
+    const std::uint64_t seed = cli.getUint("seed");
+    const std::uint64_t dmax = cli.getUint("dmax");
     const double mask_rate = cli.getDouble("mask");
     const std::string store_dir = cli.getString("store");
-    const bool adaptive = cli.getBool("adaptive");
     // The scenario axis: --fault-model / --detector accept comma-
     // separated lists (empty = all registered), and the measured
     // column runs one campaign per pair. The first pair backs the
@@ -77,12 +66,6 @@ main(int argc, char **argv)
         scenarios.size() == 1 &&
         scenarios[0].model == fault::models::defaultFaultModel() &&
         scenarios[0].detector == fault::models::defaultDetector();
-    if (adaptive && !store_dir.empty()) {
-        std::cerr << "error: --adaptive and --store are mutually "
-                     "exclusive (an early-stopped sample must not "
-                     "masquerade as an exhaustive trial store)\n";
-        return 1;
-    }
     if (!store_dir.empty())
         std::filesystem::create_directories(store_dir);
 
@@ -104,8 +87,6 @@ main(int argc, char **argv)
     struct ScenarioResult
     {
         double covered = 0.0;
-        double ci_half = 0.0;
-        std::uint64_t executed = 0;
         std::uint64_t replay_cost = 0;
     };
     struct WorkloadRow
@@ -116,10 +97,7 @@ main(int argc, char **argv)
         std::vector<ScenarioResult> measured;
     };
     RunningStats coverage;
-    RunningStats ci_halves;
-    std::uint64_t adaptive_executed = 0;
     std::vector<RunningStats> scenario_cov(scenarios.size());
-    std::vector<RunningStats> scenario_ci(scenarios.size());
     std::vector<std::uint64_t> scenario_replay(scenarios.size(), 0);
     bench::mapWorkloads(
         jobs,
@@ -154,61 +132,33 @@ main(int argc, char **argv)
                         campaign.trial.dmax = dmax;
                         campaign.trial.model = sc.model;
                         campaign.trial.detector = sc.detector;
-                        ScenarioResult measured;
-                        if (adaptive) {
-                            campaign::PlannerOptions popts;
-                            popts.target_ci =
-                                cli.getDouble("target-ci");
-                            popts.confidence =
-                                cli.getDouble("confidence");
-                            campaign::CampaignPlanner planner(
-                                injector, prepared.report, campaign,
-                                popts);
-                            const campaign::PlanSummary s =
-                                planner.runAdaptive();
-                            measured.covered = s.coverage;
-                            measured.ci_half = s.ci_half;
-                            measured.executed = s.executed;
-                            measured.replay_cost =
-                                s.result.replay_cost;
-                        } else {
-                            campaign::RunnerOptions opts;
-                            if (!store_dir.empty()) {
-                                // The default pair keeps the historic
-                                // store name so existing campaigns
-                                // resume; other scenarios get their
-                                // own stores (the header would refuse
-                                // the mismatch anyway).
-                                std::string store_name =
-                                    w.name + "_d" +
-                                    std::to_string(dmax);
-                                if (sc.model !=
-                                        fault::models::
-                                            defaultFaultModel() ||
-                                    sc.detector !=
-                                        fault::models::
-                                            defaultDetector())
-                                    store_name +=
-                                        "_" +
-                                        std::string(
-                                            sc.model->name()) +
-                                        "_" +
-                                        std::string(
-                                            sc.detector->name());
-                                opts.store_path = store_dir + "/" +
-                                                  store_name +
-                                                  ".trials";
-                            }
-                            campaign::CampaignRunner runner(
-                                injector, campaign, opts);
-                            const fault::CampaignResult result =
-                                runner.run().result;
-                            measured.covered =
-                                result.coveredFraction();
-                            measured.replay_cost =
-                                result.replay_cost;
+                        campaign::RunnerOptions opts;
+                        if (!store_dir.empty()) {
+                            // The default pair keeps the historic
+                            // store name so existing campaigns resume;
+                            // other scenarios get their own stores
+                            // (the header would refuse the mismatch
+                            // anyway).
+                            std::string store_name =
+                                w.name + "_d" + std::to_string(dmax);
+                            if (sc.model !=
+                                    fault::models::defaultFaultModel() ||
+                                sc.detector !=
+                                    fault::models::defaultDetector())
+                                store_name +=
+                                    "_" + std::string(sc.model->name()) +
+                                    "_" +
+                                    std::string(sc.detector->name());
+                            opts.store_path =
+                                store_dir + "/" + store_name + ".trials";
                         }
-                        row.measured.push_back(measured);
+                        campaign::CampaignRunner runner(injector,
+                                                        campaign, opts);
+                        const fault::CampaignResult result =
+                            runner.run().result;
+                        row.measured.push_back(
+                            {result.coveredFraction(),
+                             result.replay_cost});
                     }
                 }
             }
@@ -224,14 +174,10 @@ main(int argc, char **argv)
             }
             for (std::size_t i = 0; i < row.measured.size(); ++i) {
                 scenario_cov[i].add(row.measured[i].covered);
-                scenario_ci[i].add(row.measured[i].ci_half);
                 scenario_replay[i] += row.measured[i].replay_cost;
             }
-            if (!row.measured.empty()) {
+            if (!row.measured.empty())
                 coverage.add(row.measured[0].covered);
-                ci_halves.add(row.measured[0].ci_half);
-                adaptive_executed += row.measured[0].executed;
-            }
         });
 
     Table table({"Attributes", "Enterprise", "Architectural",
@@ -252,9 +198,6 @@ main(int argc, char **argv)
     table.addRow({"Guaranteed Recovery", "Yes", "Yes",
                   coverage.count() > 0
                       ? "No (" + formatPercent(coverage.mean()) +
-                            (adaptive ? "+-" + formatPercent(
-                                                   ci_halves.mean())
-                                      : std::string()) +
                             " measured at Dmax=" +
                             std::to_string(dmax) + ")"
                       : "No"});
@@ -266,14 +209,10 @@ main(int argc, char **argv)
                      "fault-model x detector pair):\n";
         Table scen({"Scenario", "Covered", "Replay cost"});
         for (std::size_t i = 0; i < scenarios.size(); ++i) {
-            std::string covered =
-                formatPercent(scenario_cov[i].mean());
-            if (adaptive)
-                covered += "+-" + formatPercent(scenario_ci[i].mean());
             scen.addRow(
                 {std::string(scenarios[i].model->name()) + " + " +
                      std::string(scenarios[i].detector->name()),
-                 covered,
+                 formatPercent(scenario_cov[i].mean()),
                  scenarios[i].detector->reportsReplayCost()
                      ? std::to_string(scenario_replay[i]) + " instrs"
                      : std::string("-")});
@@ -304,13 +243,8 @@ main(int argc, char **argv)
                 out << ",\n  \"measured_coverage\": {\"trials\": "
                     << trials << ", \"dmax\": " << dmax
                     << ", \"mean_covered\": "
-                    << formatFixed(coverage.mean(), 6);
-                if (adaptive)
-                    out << ", \"adaptive\": true"
-                        << ", \"mean_ci_half\": "
-                        << formatFixed(ci_halves.mean(), 6)
-                        << ", \"executed\": " << adaptive_executed;
-                out << ", \"scenarios\": [";
+                    << formatFixed(coverage.mean(), 6)
+                    << ", \"scenarios\": [";
                 for (std::size_t i = 0; i < scenarios.size(); ++i) {
                     if (i > 0)
                         out << ", ";

@@ -7,12 +7,11 @@
 # multi-threaded campaign/resume/shard/merge and planner paths; the
 # same test set as scripts/sanitize.sh's thread lane), then a
 # campaign-planner smoke (sweep-reuse tally identity against brute
-# force, plus a tiny adaptive early-stopping campaign), a
-# scenario-matrix smoke (every fault-model x detector pair
+# force), a scenario-matrix smoke (every fault-model x detector pair
 # byte-identical across --jobs), the repo benchmark's seed-1 output
 # digests (perfbench/), and a warn-only interpreter-throughput smoke
-# (the fused superinstruction tier) against the committed
-# BENCH_interp.json.
+# (the fused superinstruction tier against the decoded and reference
+# engines, measured in one run).
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
@@ -38,14 +37,13 @@ echo "==> [tsan] campaign smoke: concurrent store writer + runner"
     ctest --output-on-failure \
         -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector')
 
-echo "==> [planner] sweep-reuse tally identity + adaptive smoke"
+echo "==> [planner] sweep-reuse tally identity"
 # Hard gate on the planner's central contract: a sidecar-reuse run
 # must produce the exact same outcome tally as brute force. Three
 # runs of the same campaign — brute, planner cold (everything
 # executed, sidecar written), planner warm (everything folded from
 # the sidecar) — must agree line-for-line from the "trials N" block
-# down, and the warm run must execute zero trials. Then a tiny
-# adaptive campaign checks the early-stopping path end to end.
+# down, and the warm run must execute zero trials.
 planner_dir="${build_root}/planner_smoke"
 rm -rf "${planner_dir}" && mkdir -p "${planner_dir}"
 campaign_bin="${build_root}/tier1/tools/encore_campaign"
@@ -65,10 +63,6 @@ grep -q 'executed 0$' "${planner_dir}/warm_full.txt" || {
     echo "planner-smoke: warm sidecar run re-executed trials" >&2
     exit 1
 }
-"${campaign_bin}" run --workload rawcaudio --trials 4000 --adaptive \
-    --target-ci 0.02 --seed 7 > "${planner_dir}/adaptive.txt"
-grep -E 'coverage|executed' "${planner_dir}/adaptive.txt" \
-    | sed 's/^/planner-smoke: adaptive /'
 echo "planner-smoke: tally identity held (brute == cold == warm)"
 
 echo "==> [scenario] fault-model x detector matrix smoke (--jobs identity)"
@@ -120,46 +114,35 @@ done
 echo "==> [perf] interpreter-throughput smoke (warn-only)"
 # The fused superinstruction tier is the engine under every campaign
 # above; a silent regression there shows up everywhere. bench_passes
-# measures reference/decoded/fused throughput per workload; the means
-# are compared against the committed BENCH_interp.json. Warn-only:
-# CI machines differ too much for a hard throughput gate, so the 10%
-# threshold is on the *ratio* fused/reference — the ratio divides out
-# most of the machine difference that makes raw Mi/s incomparable.
+# measures reference/decoded/fused throughput per workload in one
+# run, and the smoke compares the three suite means from that run.
+# Warn-only: throughput on a shared machine is too noisy for a hard
+# gate, and the ratios between engines of one run divide out most of
+# the machine difference.
 interp_json="${build_root}/interp_smoke.json"
+rm -f "${interp_json}"
 "${build_root}/tier1/bench/bench_passes" \
-    --interp-json="${interp_json}" --analysis-json= \
+    --interp-json="${interp_json}" \
     --benchmark_filter=NONE > /dev/null 2>&1 || true
-python3 - "${repo_root}/BENCH_interp.json" "${interp_json}" <<'EOF'
+python3 - "${interp_json}" <<'EOF'
 import json, sys
-base_path, cur_path = sys.argv[1], sys.argv[2]
 try:
-    with open(base_path) as f:
-        base = json.load(f)
-except (OSError, ValueError) as e:
-    print(f"interp-smoke: cannot read baseline {base_path}: {e} "
-          "(skipping comparison)")
-    sys.exit(0)
-try:
-    with open(cur_path) as f:
+    with open(sys.argv[1]) as f:
         cur = json.load(f)
 except (OSError, ValueError) as e:
-    print(f"interp-smoke: no current report ({e}); bench_passes "
-          "failed above (skipping comparison)")
+    print(f"interp-smoke: no report ({e}); bench_passes failed above "
+          "(skipping comparison)")
     sys.exit(0)
-for key in ("mean_reference_mips", "mean_decoded_mips",
-            "mean_fused_mips"):
-    print(f"interp-smoke: {key}: {cur[key]:.1f} "
-          f"(baseline {base[key]:.1f})")
-ratio = cur["mean_fused_mips"] / max(cur["mean_reference_mips"], 1e-9)
-ref_ratio = (base["mean_fused_mips"] /
-             max(base["mean_reference_mips"], 1e-9))
-delta = (ratio - ref_ratio) / ref_ratio * 100
-flag = "  <-- WARNING: fused/reference ratio >10% below baseline" \
-    if delta < -10 else ""
-print(f"interp-smoke: fused/reference ratio {ratio:.2f}x "
-      f"(baseline {ref_ratio:.2f}x, {delta:+.1f}%){flag}")
-print("interp-smoke: warn-only; see BENCH_interp.json provenance for "
-      "the baseline build")
+means = {engine: cur[f"mean_{engine}_mips"]
+         for engine in ("reference", "decoded", "fused")}
+for engine, mips in means.items():
+    print(f"interp-smoke: mean_{engine}_mips: {mips:.1f}")
+for other in ("reference", "decoded"):
+    ratio = means["fused"] / max(means[other], 1e-9)
+    print(f"interp-smoke: fused/{other} ratio {ratio:.2f}x")
+if max(means, key=means.get) != "fused":
+    print("interp-smoke: WARNING: fused is not the fastest engine")
+print("interp-smoke: warn-only")
 EOF
 
 echo "==> ci passed (tier1 + tsan campaign lane + planner smoke + scenario matrix + perfbench digests + interp smoke)"

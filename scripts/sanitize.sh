@@ -12,9 +12,10 @@
 #               + test_campaign (resume/shard/merge with a durable
 #               store under worker-thread parallelism, including the
 #               fault-model x detector scenario matrix)
-#               + test_planner (planner runs and adaptive rounds at
-#               --jobs 4) + test_fault_models (registry singletons read
-#               from every worker) + test_snapshot_differential
+#               + test_planner (Planner.RunIsByteIdenticalAcrossJobs:
+#               a planned campaign at --jobs 4) + test_fault_models
+#               (registry singletons read from every worker)
+#               + test_snapshot_differential
 #               (parallel campaigns through the unfused branch/memory
 #               hook dispatch path) + test_injector (the pooled trial
 #               loop, fault::runTrials, at 4 threads)

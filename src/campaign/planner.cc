@@ -1,9 +1,7 @@
 #include "campaign/planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <filesystem>
-#include <map>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -242,7 +240,7 @@ struct CampaignPlanner::Impl
                   "(no golden run)");
 
         // 1. Draw every trial up front — no execution needed. These are
-        //    the draws run() and runAdaptive() execute.
+        //    the draws run() executes.
         draws.reserve(config.trials);
         for (std::uint64_t t = 0; t < config.trials; ++t) {
             draws.push_back(
@@ -624,218 +622,27 @@ CampaignPlanner::run()
                      "just re-executes these groups)");
     }
 
-    const double z = confidenceZ(impl_->options.confidence);
     std::uint64_t covered = 0;
     for (std::size_t i = 0; i < kNumOutcomes; ++i)
         if (isCoveredOutcome(static_cast<fault::FaultOutcome>(i)))
             covered += summary.result.counts[i];
-    const Proportion ci =
-        wilsonInterval(covered, summary.result.trials, z);
+    const Proportion ci = wilsonInterval(covered, summary.result.trials,
+                                         confidenceZ(0.95));
     summary.coverage = ci.estimate;
     summary.low = ci.low;
     summary.high = ci.high;
     summary.ci_half = (ci.high - ci.low) / 2.0;
-    summary.ci_met = summary.ci_half <= impl_->options.target_ci;
 
     for (int s = 0; s < kNumStrata; ++s) {
         StratumSummary stratum;
         stratum.name = kStratumNames[s];
         stratum.universe = stratum_universe[s];
-        stratum.sampled = s == kStratumMasked
-                              ? 0
-                              : stratum_sampled[s];
+        stratum.sampled = stratum_sampled[s];
         stratum.covered = stratum_covered[s];
-        if (stratum.universe > 0) {
+        if (stratum.universe > 0)
             stratum.estimate =
                 static_cast<double>(stratum.covered) /
                 static_cast<double>(stratum.universe);
-            stratum.low = stratum.estimate;
-            stratum.high = stratum.estimate;
-        }
-        stratum.exhausted = true; // every trial is accounted for
-        summary.strata.push_back(std::move(stratum));
-    }
-    return summary;
-}
-
-PlanSummary
-CampaignPlanner::runAdaptive()
-{
-    impl_->prepare();
-
-    // Per-stratum sorted trial lists (masked trials never execute:
-    // their outcome is decided by the coin, an exact zero-variance
-    // stratum).
-    std::vector<std::uint64_t> members[kNumStrata];
-    for (const Impl::Group &group : impl_->groups)
-        members[group.stratum].insert(members[group.stratum].end(),
-                                      group.trials.begin(),
-                                      group.trials.end());
-    for (auto &list : members)
-        std::sort(list.begin(), list.end());
-
-    const std::uint64_t universe = impl_->config.trials;
-    const double z = confidenceZ(impl_->options.confidence);
-
-    std::uint64_t sampled[kNumStrata] = {};
-    std::uint64_t covered[kNumStrata] = {};
-    fault::CampaignResult executed;
-
-    auto execute_round = [&](const std::uint64_t (&add)[kNumStrata]) {
-        std::vector<std::uint64_t> trials;
-        std::vector<int> stratum_of;
-        for (int s = kStratumIdempotent; s < kNumStrata; ++s)
-            for (std::uint64_t i = 0; i < add[s]; ++i) {
-                trials.push_back(members[s][sampled[s] + i]);
-                stratum_of.push_back(s);
-            }
-        std::vector<std::uint8_t> outcomes;
-        executed.merge(impl_->execute(trials, outcomes));
-        for (std::size_t i = 0; i < trials.size(); ++i)
-            if (isCoveredOutcome(
-                    static_cast<fault::FaultOutcome>(outcomes[i])))
-                ++covered[stratum_of[i]];
-        for (int s = kStratumIdempotent; s < kNumStrata; ++s)
-            sampled[s] += add[s];
-    };
-
-    // Pilot round: seed every non-empty stratum's variance estimate.
-    {
-        std::uint64_t add[kNumStrata] = {};
-        for (int s = kStratumIdempotent; s < kNumStrata; ++s)
-            add[s] = std::min<std::uint64_t>(impl_->options.pilot,
-                                             members[s].size());
-        execute_round(add);
-    }
-
-    double coverage = 0.0;
-    double half = 1.0;
-    bool ci_met = false;
-    for (;;) {
-        // Stratified estimate and combined interval. The masked
-        // stratum contributes weight * 1.0 with zero standard error
-        // (its outcome is exact by construction); a fully sampled
-        // stratum likewise has no sampling error left.
-        coverage = 0.0;
-        double var = 0.0;
-        bool all_exhausted = true;
-        for (int s = 0; s < kNumStrata; ++s) {
-            const std::uint64_t size = s == kStratumMasked
-                                           ? impl_->masked_count
-                                           : members[s].size();
-            if (size == 0)
-                continue;
-            const double weight =
-                static_cast<double>(size) /
-                static_cast<double>(universe);
-            double estimate;
-            double se;
-            if (s == kStratumMasked) {
-                estimate = 1.0;
-                se = 0.0;
-            } else if (sampled[s] == size) {
-                estimate = static_cast<double>(covered[s]) /
-                           static_cast<double>(size);
-                se = 0.0;
-            } else if (sampled[s] == 0) {
-                estimate = 0.5;
-                se = 0.5;
-                all_exhausted = false;
-            } else {
-                const Proportion p =
-                    wilsonInterval(covered[s], sampled[s], z);
-                estimate = static_cast<double>(covered[s]) /
-                           static_cast<double>(sampled[s]);
-                se = (p.high - p.low) / (2.0 * z);
-                all_exhausted = false;
-            }
-            coverage += weight * estimate;
-            var += weight * weight * se * se;
-        }
-        half = z * std::sqrt(var);
-        ci_met = half <= impl_->options.target_ci;
-        if (ci_met || all_exhausted)
-            break;
-
-        // Neyman allocation of the next round where the variance is.
-        std::vector<NeymanStratum> strata(kNumStrata);
-        for (int s = 0; s < kNumStrata; ++s) {
-            if (s == kStratumMasked) {
-                strata[s].size = impl_->masked_count;
-                strata[s].sampled = impl_->masked_count;
-                continue;
-            }
-            strata[s].size = members[s].size();
-            strata[s].sampled = sampled[s];
-            // Wilson-centred proportion: never exactly 0 or 1 for a
-            // partially sampled stratum, so no stratum starves on an
-            // all-one-outcome pilot.
-            const double n = static_cast<double>(sampled[s]);
-            const double centre =
-                (static_cast<double>(covered[s]) + z * z / 2.0) /
-                (n + z * z);
-            strata[s].stddev = std::sqrt(centre * (1.0 - centre));
-        }
-        const std::vector<std::uint64_t> alloc =
-            neymanAllocation(strata, impl_->options.round);
-        std::uint64_t add[kNumStrata] = {};
-        std::uint64_t total = 0;
-        for (int s = kStratumIdempotent; s < kNumStrata; ++s) {
-            add[s] = alloc[s];
-            total += alloc[s];
-        }
-        if (total == 0)
-            break;
-        execute_round(add);
-    }
-
-    PlanSummary summary;
-    impl_->fillPlanShape(summary);
-    summary.groups_reused = 0;
-    summary.reused_trials = 0;
-    summary.adaptive = true;
-    summary.coverage = coverage;
-    summary.ci_half = half;
-    summary.low = std::max(0.0, coverage - half);
-    summary.high = std::min(1.0, coverage + half);
-    summary.ci_met = ci_met;
-
-    summary.result = executed;
-    summary.result
-        .counts[static_cast<int>(fault::FaultOutcome::Masked)] +=
-        impl_->masked_count;
-    summary.result.trials += impl_->masked_count;
-    summary.executed = executed.trials;
-
-    for (int s = 0; s < kNumStrata; ++s) {
-        StratumSummary stratum;
-        stratum.name = kStratumNames[s];
-        stratum.universe = s == kStratumMasked ? impl_->masked_count
-                                               : members[s].size();
-        stratum.sampled = s == kStratumMasked ? 0 : sampled[s];
-        stratum.covered =
-            s == kStratumMasked ? impl_->masked_count : covered[s];
-        if (s == kStratumMasked) {
-            stratum.estimate = stratum.universe > 0 ? 1.0 : 0.0;
-            stratum.low = stratum.estimate;
-            stratum.high = stratum.estimate;
-            stratum.exhausted = true;
-        } else if (stratum.universe == 0) {
-            stratum.exhausted = true;
-        } else if (stratum.sampled == stratum.universe) {
-            stratum.estimate =
-                static_cast<double>(stratum.covered) /
-                static_cast<double>(stratum.universe);
-            stratum.low = stratum.estimate;
-            stratum.high = stratum.estimate;
-            stratum.exhausted = true;
-        } else if (stratum.sampled > 0) {
-            const Proportion p =
-                wilsonInterval(stratum.covered, stratum.sampled, z);
-            stratum.estimate = p.estimate;
-            stratum.low = p.low;
-            stratum.high = p.high;
-        }
         summary.strata.push_back(std::move(stratum));
     }
     return summary;
@@ -845,8 +652,7 @@ std::string
 formatPlanSummary(const PlanSummary &summary)
 {
     std::ostringstream os;
-    os << (summary.adaptive ? "adaptive" : "planned")
-       << " campaign: universe " << summary.universe
+    os << "planned campaign: universe " << summary.universe
        << " trials (masked " << summary.masked_trials
        << ", injectable "
        << summary.universe - summary.masked_trials << ")\n";
@@ -856,19 +662,20 @@ formatPlanSummary(const PlanSummary &summary)
     os << "coverage " << formatPercent(summary.coverage, 2) << " +- "
        << formatPercent(summary.ci_half, 2) << " ["
        << formatPercent(summary.low, 2) << ", "
-       << formatPercent(summary.high, 2) << "]";
-    if (summary.adaptive)
-        os << (summary.ci_met ? " (target met)"
-                              : " (target not met)");
-    os << "\n";
+       << formatPercent(summary.high, 2) << "]\n";
+    // run() tallies every trial of a (never empty) campaign, so its
+    // stratum estimates are exact; plan() executes none, and an
+    // unexecuted or empty stratum is bounded only by [0, 1].
+    const bool exact = summary.result.trials > 0;
     for (const StratumSummary &stratum : summary.strata) {
+        const bool known = exact && stratum.universe > 0;
         os << "stratum " << stratum.name << ": universe "
            << stratum.universe << " sampled " << stratum.sampled
            << " covered " << stratum.covered << " estimate "
            << formatPercent(stratum.estimate, 2) << " ["
-           << formatPercent(stratum.low, 2) << ", "
-           << formatPercent(stratum.high, 2) << "]"
-           << (stratum.exhausted ? " exact" : "") << "\n";
+           << formatPercent(known ? stratum.estimate : 0.0, 2) << ", "
+           << formatPercent(known ? stratum.estimate : 1.0, 2) << "]"
+           << (exact ? " exact" : "") << "\n";
     }
     return os.str();
 }

@@ -1,7 +1,7 @@
 /**
  * @file
- * Campaign planner: compositional reuse and adaptive stratified
- * sampling on top of the fault-injection campaign machinery.
+ * Campaign planner: compositional reuse on top of the fault-injection
+ * campaign machinery.
  *
  * The planner sits between the benches / CLI and the raw campaign
  * execution path. It draws every trial up front with fault::drawTrial
@@ -21,16 +21,9 @@
  * its aggregate: bit-identical outcomes for re-injected trials, and a
  * tally-identical aggregate overall, at a fraction of the wall-clock.
  *
- * Independently, runAdaptive() replaces the fixed trial count with
- * stratified sampling: modelled-masked trials form an exact analytic
- * stratum (they need no execution at all), the rest stratify by the
- * class of the struck code (idempotent / checkpointed / unprotected).
- * Rounds of Neyman allocation (support/stats.h) draw where the
- * variance is, per-stratum Wilson intervals combine into a stratified
- * confidence interval, and the campaign stops as soon as the
- * half-width reaches the target. Every allocation decision depends
- * only on completed-round tallies and strata are sampled in sorted
- * trial order, so results are bit-identical at any --jobs.
+ * Every trial is also counted in one stratum: modelled-masked draws,
+ * or the class of the struck code (idempotent / checkpointed /
+ * unprotected). run() reports the coverage of each.
  */
 #ifndef ENCORE_CAMPAIGN_PLANNER_H
 #define ENCORE_CAMPAIGN_PLANNER_H
@@ -56,15 +49,6 @@ struct PlannerOptions
     /// group fingerprint; sweep points over the same workload share
     /// it, different workloads must not.
     std::uint64_t program_key = 0;
-    /// Adaptive stopping rule: stop once the stratified CI half-width
-    /// is <= target_ci at the given two-sided confidence.
-    double target_ci = 0.005;
-    double confidence = 0.95;
-    /// Adaptive round sizes: every non-empty stratum first receives
-    /// min(pilot, stratum size) trials to seed the variance estimates,
-    /// then Neyman rounds of `round` trials until the CI target.
-    std::uint64_t pilot = 64;
-    std::uint64_t round = 512;
 };
 
 /// One reuse group: all trials striking the same function/region
@@ -82,37 +66,29 @@ struct GroupSummary
     bool reused = false;
 };
 
-/// Per-stratum slice of an adaptive (or exhaustive) campaign.
+/// Per-stratum slice of a planned campaign. plan() fills only the
+/// universe; run() accounts for every trial, so its estimate is exact.
 struct StratumSummary
 {
     std::string name;
     std::uint64_t universe = 0;  ///< Trials belonging to the stratum.
     std::uint64_t sampled = 0;   ///< Trials actually executed.
-    std::uint64_t covered = 0;   ///< Covered outcomes among sampled.
-    double estimate = 0.0;       ///< Within-stratum coverage estimate.
-    double low = 0.0;            ///< Wilson bounds at the campaign z.
-    double high = 1.0;
-    bool exhausted = false;      ///< sampled == universe (se is 0).
+    std::uint64_t covered = 0;   ///< Covered outcomes in the stratum.
+    double estimate = 0.0;       ///< covered / universe.
 };
 
 struct PlanSummary
 {
-    /// Sampled outcome tallies. For run() this is tally-identical to
-    /// the brute-force campaign over all trials; for runAdaptive() it
-    /// covers the masked universe plus the executed sample only.
+    /// Outcome tallies, tally-identical to the brute-force campaign
+    /// over all trials.
     fault::CampaignResult result;
-    bool adaptive = false;
 
-    /// Headline coverage estimate with its confidence interval. For
-    /// run() the estimate is exact (every trial accounted for) and the
-    /// interval is the plain Wilson interval over the universe; for
-    /// runAdaptive() it is the stratified estimator with the combined
-    /// interval of the stopping rule.
+    /// Exact coverage (every trial accounted for) with the 95% Wilson
+    /// interval over the universe.
     double coverage = 0.0;
     double ci_half = 0.0;
     double low = 0.0;
     double high = 1.0;
-    bool ci_met = false;
 
     std::uint64_t universe = 0;       ///< config.trials.
     std::uint64_t masked_trials = 0;  ///< Modelled-masked draws.
@@ -140,18 +116,14 @@ std::string formatPlanSummary(const PlanSummary &summary);
  * supplies region-id → class/structure attribution); both referents
  * must outlive the planner. The injector must be prepare()d.
  *
- * plan()        — attribution + grouping + sidecar probe, no trial
- *                 executes; fills the universe/group/strata counts and
- *                 what reuse would save.
- * run()         — the full campaign: reused groups fold their stored
- *                 tallies, the rest execute the draws plan() grouped
- *                 (the trials attributed are the trials run); the
- *                 aggregate is tally-identical to
- *                 FaultInjector::runCampaign and re-executed trials are
- *                 bit-identical to it.
- * runAdaptive() — stratified sampling with early stopping; no sidecar
- *                 interaction (an early-stopped sample must never be
- *                 folded into exhaustive tallies).
+ * plan() — attribution + grouping + sidecar probe, no trial executes;
+ *          fills the universe/group/strata counts and what reuse would
+ *          save.
+ * run()  — the full campaign: reused groups fold their stored tallies,
+ *          the rest execute the draws plan() grouped (the trials
+ *          attributed are the trials run); the aggregate is
+ *          tally-identical to FaultInjector::runCampaign and
+ *          re-executed trials are bit-identical to it.
  */
 class CampaignPlanner
 {
@@ -164,7 +136,6 @@ class CampaignPlanner
 
     PlanSummary plan();
     PlanSummary run();
-    PlanSummary runAdaptive();
 
   private:
     struct Impl;

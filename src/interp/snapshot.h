@@ -120,8 +120,8 @@ struct Snapshot
     MemSnapshot mem;
 };
 
-/// Aggregate counters reported per workload (BENCH_injection.json,
-/// fig8 --json, and the campaign tools).
+/// Aggregate counters reported per workload (fig8 --json and the
+/// campaign tools).
 struct SnapshotStats
 {
     std::uint64_t count = 0;  ///< Snapshots kept.

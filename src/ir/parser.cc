@@ -1,5 +1,6 @@
 #include "ir/parser.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <vector>
@@ -90,11 +91,10 @@ class ParserImpl
         const auto tokens = splitWhitespace(line);
         if (tokens.size() != 3 || tokens[1][0] != '@')
             errorHere("expected: global @name <words>");
-        const auto size = parseInt(tokens[2]);
-        if (!size || *size <= 0)
-            errorHere("global size must be a positive integer");
-        module_->addGlobal(tokens[1].substr(1),
-                           static_cast<std::uint32_t>(*size));
+        const std::string name = tokens[1].substr(1);
+        if (module_->objectByName(name) != kInvalidObject)
+            errorHere("duplicate object name '" + name + "'");
+        module_->addGlobal(name, parseObjectSize(tokens[2], "global"));
     }
 
     void
@@ -112,6 +112,8 @@ class ParserImpl
             errorHere("expected: func @name(<nparams>) {");
         }
         const std::string name = header.substr(at + 1, open - at - 1);
+        if (module_->functionByName(name) != nullptr)
+            errorHere("duplicate function name '" + name + "'");
         const auto nparams =
             parseInt(header.substr(open + 1, close - open - 1));
         if (!nparams || *nparams < 0)
@@ -149,7 +151,11 @@ class ParserImpl
                 if (label.empty() || label.back() != ':')
                     error(lines_[i].number, "expected: bb label:");
                 label.pop_back();
-                func_->createBlock(std::string{trim(label)});
+                const std::string block{trim(label)};
+                if (func_->blockByName(block) != nullptr)
+                    error(lines_[i].number,
+                          "duplicate block label '" + block + "'");
+                func_->createBlock(block);
             }
         }
         if (func_->numBlocks() == 0)
@@ -187,11 +193,25 @@ class ParserImpl
         const auto tokens = splitWhitespace(line);
         if (tokens.size() != 3 || tokens[1][0] != '%')
             errorHere("expected: local %name <words>");
-        const auto size = parseInt(tokens[2]);
-        if (!size || *size <= 0)
-            errorHere("local size must be a positive integer");
-        module_->addLocal(func_, tokens[1].substr(1),
-                          static_cast<std::uint32_t>(*size));
+        const std::string name = tokens[1].substr(1);
+        // Locals share the module's object namespace under their
+        // qualified name, so a global spelled "f.x" clashes too.
+        const std::string qualified = func_->name() + "." + name;
+        if (module_->objectByName(qualified) != kInvalidObject)
+            errorHere("duplicate object name '" + qualified + "'");
+        module_->addLocal(func_, name, parseObjectSize(tokens[2], "local"));
+    }
+
+    /// An object size in words: a positive integer that fits the
+    /// builder's 32-bit size field.
+    std::uint32_t
+    parseObjectSize(const std::string &token, const char *kind) const
+    {
+        const auto size = parseInt(token);
+        if (!size || *size <= 0 || *size > UINT32_MAX)
+            errorHere(std::string(kind) +
+                      " size must be a positive integer below 2^32");
+        return static_cast<std::uint32_t>(*size);
     }
 
     void

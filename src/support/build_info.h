@@ -2,14 +2,15 @@
  * @file
  * Build provenance baked into the binary at configure/compile time.
  *
- * Committed benchmark artifacts (BENCH_*.json) are only comparable
- * across revisions when each one records which build produced it:
- * the git revision, the compiler, the build type, and performance-
- * relevant build options (the computed-goto dispatcher). The values
- * come from CMake compile definitions (see src/support/CMakeLists.txt),
- * except the git hash, which is captured at *build* time: the
- * generated build_info_git.cc depends on .git/HEAD, so incremental
- * builds after new commits report the new revision.
+ * Benchmark reports (perfbench results and the --json reports of the
+ * bench binaries) are only comparable across revisions when each one
+ * records which build produced it: the git revision, the compiler,
+ * the build type, and performance-relevant build options (the
+ * computed-goto dispatcher). The values come from CMake compile
+ * definitions (see src/support/CMakeLists.txt), except the git hash,
+ * which is captured at *build* time: the generated build_info_git.cc
+ * depends on .git/HEAD, so incremental builds after new commits report
+ * the new revision.
  */
 #ifndef ENCORE_SUPPORT_BUILD_INFO_H
 #define ENCORE_SUPPORT_BUILD_INFO_H

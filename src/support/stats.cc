@@ -134,108 +134,6 @@ confidenceZ(double confidence)
     return normalQuantile(0.5 + confidence / 2.0);
 }
 
-std::vector<std::uint64_t>
-neymanAllocation(const std::vector<NeymanStratum> &strata,
-                 std::uint64_t budget)
-{
-    const std::size_t n = strata.size();
-    std::vector<std::uint64_t> alloc(n, 0);
-    std::vector<std::uint64_t> capacity(n, 0);
-    std::uint64_t total_capacity = 0;
-    for (std::size_t h = 0; h < n; ++h) {
-        capacity[h] = strata[h].size > strata[h].sampled
-                          ? strata[h].size - strata[h].sampled
-                          : 0;
-        total_capacity += capacity[h];
-    }
-    std::uint64_t remaining = std::min(budget, total_capacity);
-
-    // Iterate because a stratum capped by its capacity hands its share
-    // back to the pool: re-split the remainder over the uncapped
-    // strata until either the budget or the weights are exhausted.
-    // Each pass saturates at least one stratum, so this terminates in
-    // at most n passes.
-    std::vector<bool> open(n, true);
-    while (remaining > 0) {
-        double total_weight = 0.0;
-        for (std::size_t h = 0; h < n; ++h)
-            if (open[h] && capacity[h] > alloc[h])
-                total_weight += static_cast<double>(strata[h].size) *
-                                strata[h].stddev;
-        const bool by_size = total_weight <= 0.0;
-        if (by_size) {
-            // All remaining weights are zero (pilot phase, or every
-            // informative stratum is saturated): fall back to
-            // remaining-size-proportional so the budget is still spent
-            // deterministically.
-            for (std::size_t h = 0; h < n; ++h)
-                if (open[h] && capacity[h] > alloc[h])
-                    total_weight +=
-                        static_cast<double>(capacity[h] - alloc[h]);
-        }
-        if (total_weight <= 0.0)
-            break;
-
-        // Largest-remainder apportionment of `remaining` seats.
-        std::vector<double> share(n, 0.0);
-        std::uint64_t given = 0;
-        for (std::size_t h = 0; h < n; ++h) {
-            if (!open[h] || capacity[h] <= alloc[h])
-                continue;
-            const double weight =
-                by_size ? static_cast<double>(capacity[h] - alloc[h])
-                        : static_cast<double>(strata[h].size) *
-                              strata[h].stddev;
-            share[h] = static_cast<double>(remaining) * weight /
-                       total_weight;
-        }
-        std::vector<std::uint64_t> grant(n, 0);
-        for (std::size_t h = 0; h < n; ++h)
-            grant[h] = static_cast<std::uint64_t>(share[h]);
-        for (std::size_t h = 0; h < n; ++h)
-            given += grant[h];
-        // Hand out the leftover seats by largest fractional part,
-        // ties to the lowest index.
-        while (given < remaining) {
-            std::size_t best = n;
-            double best_frac = -1.0;
-            for (std::size_t h = 0; h < n; ++h) {
-                if (!open[h] || capacity[h] <= alloc[h] ||
-                    share[h] <= 0.0)
-                    continue;
-                const double frac =
-                    share[h] - static_cast<double>(grant[h]);
-                if (frac > best_frac) {
-                    best_frac = frac;
-                    best = h;
-                }
-            }
-            if (best == n)
-                break;
-            ++grant[best];
-            share[best] = static_cast<double>(grant[best]);
-            ++given;
-        }
-
-        bool progressed = false;
-        for (std::size_t h = 0; h < n; ++h) {
-            if (grant[h] == 0)
-                continue;
-            const std::uint64_t room = capacity[h] - alloc[h];
-            const std::uint64_t take = std::min(grant[h], room);
-            alloc[h] += take;
-            remaining -= take;
-            if (take > 0)
-                progressed = true;
-            if (alloc[h] == capacity[h])
-                open[h] = false;
-        }
-        if (!progressed)
-            break;
-    }
-    return alloc;
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), counts_(bins, 0)
 {

@@ -67,32 +67,6 @@ double normalQuantile(double p);
 double confidenceZ(double confidence);
 
 /**
- * One stratum's state for Neyman allocation: `size` is the number of
- * population members in the stratum, `sampled` how many have already
- * been drawn, `stddev` the (estimated) outcome standard deviation.
- */
-struct NeymanStratum
-{
-    std::uint64_t size = 0;
-    std::uint64_t sampled = 0;
-    double stddev = 0.0;
-};
-
-/**
- * Neyman allocation of `budget` additional draws across strata:
- * stratum h receives a share proportional to size_h × stddev_h,
- * capped at its remaining unsampled members (the overflow cascades to
- * the other strata). Zero-variance or exhausted strata receive
- * nothing; when every weight is zero the budget is spread
- * proportionally to remaining size instead. Deterministic: ties and
- * fractional seats resolve by largest remainder, then lowest index.
- * The returned vector sums to min(budget, total remaining capacity).
- */
-std::vector<std::uint64_t>
-neymanAllocation(const std::vector<NeymanStratum> &strata,
-                 std::uint64_t budget);
-
-/**
  * Fixed-bin histogram over [lo, hi); samples outside the range clamp to
  * the first/last bin.
  */

@@ -10,6 +10,10 @@
  *
  * Only the timing lines ("Perf: ...") may differ between runs; the
  * tables, the shape check, and every coverage number must not.
+ *
+ * The same harness checks that the bench binaries (fig8, and table1
+ * via ENCORE_TABLE1_TOOL) reject malformed flags with exit status 1
+ * and a message naming the flag, instead of crashing or guessing.
  */
 #include <gtest/gtest.h>
 
@@ -37,15 +41,16 @@ tempDir()
     return dir;
 }
 
-/// Runs fig8 with `args`; returns stdout+stderr with the
+/// Runs `tool` with `args`; returns stdout+stderr with the
 /// machine-dependent lines (timings, json-write notice) stripped so
 /// the rest can be compared byte for byte.
 std::string
-runFig8Stripped(const std::string &args, int *exit_code)
+runStripped(const std::string &tool, const std::string &args,
+            int *exit_code)
 {
     const std::string capture = (tempDir() / "capture.txt").string();
-    const std::string command = std::string(ENCORE_FIG8_TOOL) + " " +
-                                args + " > " + capture + " 2>&1";
+    const std::string command =
+        tool + " " + args + " > " + capture + " 2>&1";
     const int status = std::system(command.c_str());
     *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
     std::ifstream in(capture);
@@ -60,6 +65,12 @@ runFig8Stripped(const std::string &args, int *exit_code)
     return out.str();
 }
 
+std::string
+runFig8Stripped(const std::string &args, int *exit_code)
+{
+    return runStripped(ENCORE_FIG8_TOOL, args, exit_code);
+}
+
 // Two medium workloads keep the runtime in smoke-test territory while
 // still crossing snapshot barriers and exercising rollbacks; the
 // filtered-run seeds differ from the full suite's but are identical
@@ -69,7 +80,7 @@ const std::string kCommon =
 
 TEST(EngineIdentity, Fig8ReportByteIdenticalAcrossEngines)
 {
-    for (const std::string extra :
+    for (const std::string &extra :
          {std::string(" --jobs 1"), std::string(" --jobs 4"),
           std::string(" --jobs 1 --snapshot-stride 0")}) {
         SCOPED_TRACE(extra);
@@ -88,13 +99,49 @@ TEST(EngineIdentity, Fig8ReportByteIdenticalAcrossEngines)
     }
 }
 
-TEST(EngineIdentity, Fig8RejectsUnknownEngine)
+TEST(BenchFlags, Fig8RejectsBadFlags)
+{
+    const struct
+    {
+        const char *args;
+        const char *message;
+    } cases[] = {
+        {" --engine turbo", "unknown --engine"},
+        {" --dmax abc,100,10", "--dmax expects comma-separated positive "
+                               "integers, got 'abc'"},
+        {" --dmax -5", "--dmax expects comma-separated positive "
+                       "integers, got '-5'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.args);
+        int exit_code = -1;
+        const std::string out =
+            runFig8Stripped(kCommon + c.args, &exit_code);
+        EXPECT_EQ(exit_code, 1) << out;
+        EXPECT_NE(out.find(c.message), std::string::npos) << out;
+    }
+}
+
+TEST(BenchFlags, Fig8AcceptsASingleDmax)
+{
+    // The idem/ckpt column then describes the only latency.
+    int exit_code = -1;
+    const std::string out =
+        runFig8Stripped(kCommon + " --dmax 100", &exit_code);
+    EXPECT_EQ(exit_code, 0) << out;
+    EXPECT_NE(out.find("Dmax=100  idem/ckpt @100"), std::string::npos)
+        << out;
+}
+
+TEST(BenchFlags, Table1RejectsNegativeTrials)
 {
     int exit_code = -1;
     const std::string out =
-        runFig8Stripped(kCommon + " --engine turbo", &exit_code);
-    EXPECT_NE(exit_code, 0);
-    EXPECT_NE(out.find("unknown --engine"), std::string::npos) << out;
+        runStripped(ENCORE_TABLE1_TOOL, "--trials -1", &exit_code);
+    EXPECT_EQ(exit_code, 1) << out;
+    EXPECT_NE(out.find("'--trials' expects a non-negative integer"),
+              std::string::npos)
+        << out;
 }
 
 } // namespace

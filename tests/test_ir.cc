@@ -293,6 +293,85 @@ func @f(0) {
     EXPECT_THROW(parseModule(text), ParseError);
 }
 
+TEST(Parser, ErrorsOnDuplicateNamesAndOversizedObjects)
+{
+    // Each text reaches a builder precondition (unique names, a size
+    // that fits 32 bits); the parser must reject it with a ParseError
+    // instead of letting the builder abort the process.
+    const struct
+    {
+        const char *message;
+        const char *text;
+    } cases[] = {
+        {"line 6: duplicate block label 'entry'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    jmp entry
+  bb entry:
+    ret
+}
+)"},
+        {"line 4: duplicate object name 'g'", R"(
+module "m"
+global @g 4
+global @g 8
+)"},
+        {"line 7: duplicate function name 'f'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    ret
+}
+func @f(0) {
+  bb entry:
+    ret
+}
+)"},
+        {"line 5: duplicate object name 'f.x'", R"(
+module "m"
+func @f(0) {
+  local %x 1
+  local %x 2
+  bb entry:
+    ret
+}
+)"},
+        {"line 5: duplicate object name 'main.x'", R"(
+module "m"
+global @main.x 1
+func @main(0) {
+  local %x 1
+  bb entry:
+    ret
+}
+)"},
+        {"line 3: global size must be a positive integer below 2^32",
+         R"(
+module "m"
+global @g 4294967296
+)"},
+        {"line 4: local size must be a positive integer below 2^32",
+         R"(
+module "m"
+func @f(0) {
+  local %x 4294967296
+  bb entry:
+    ret
+}
+)"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.message);
+        try {
+            parseModule(c.text);
+            ADD_FAILURE() << "no ParseError";
+        } catch (const ParseError &e) {
+            EXPECT_EQ(std::string(e.what()), c.message);
+        }
+    }
+}
+
 TEST(Verifier, CatchesMissingTerminator)
 {
     Module module;

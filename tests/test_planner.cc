@@ -8,9 +8,8 @@
  *    function's region) re-injects exactly the groups of the changed
  *    function and its callers; untouched functions fold from the
  *    sidecar.
- *  - Adaptive sampling is byte-identical at --jobs 1 and --jobs 4,
- *    matches brute force exactly when it exhausts the universe, and
- *    stops early when the CI target allows.
+ *  - A planned campaign's summary is byte-identical at --jobs 1 and
+ *    --jobs 4, and its per-stratum tallies add up to the aggregate.
  *  - The sidecar survives torn tails and CRC corruption the same way
  *    the trial store does: drop the bad tail, re-execute the affected
  *    groups, never produce a wrong tally.
@@ -177,10 +176,48 @@ TEST(Planner, RunMatchesBruteForceWithoutSidecar)
     EXPECT_EQ(summary.reused_trials, 0u);
     EXPECT_EQ(summary.groups_reused, 0u);
     EXPECT_GT(summary.groups, 1u);
-    EXPECT_FALSE(summary.adaptive);
     // Exhaustive run: the coverage figure is exact and matches the
     // aggregate's fraction.
     EXPECT_DOUBLE_EQ(summary.coverage, brute.coveredFraction());
+
+    // The strata partition the universe, and their covered counts
+    // partition the aggregate's covered count.
+    ASSERT_EQ(summary.strata.size(), 4u);
+    EXPECT_EQ(summary.strata[0].name, "masked");
+    EXPECT_EQ(summary.strata[0].universe, summary.masked_trials);
+    EXPECT_EQ(summary.strata[0].sampled, 0u);
+    std::uint64_t universe = 0, covered = 0, sampled = 0;
+    for (const StratumSummary &stratum : summary.strata) {
+        EXPECT_LE(stratum.covered, stratum.universe) << stratum.name;
+        universe += stratum.universe;
+        covered += stratum.covered;
+        sampled += stratum.sampled;
+    }
+    EXPECT_EQ(universe, summary.universe);
+    EXPECT_EQ(sampled, summary.executed);
+    const auto covered_count = [](const fault::CampaignResult &r) {
+        return r.count(fault::FaultOutcome::Masked) +
+               r.count(fault::FaultOutcome::RecoveredIdempotent) +
+               r.count(fault::FaultOutcome::RecoveredCheckpoint) +
+               r.count(fault::FaultOutcome::Benign);
+    };
+    EXPECT_EQ(covered, covered_count(summary.result));
+    EXPECT_EQ(covered, covered_count(brute));
+}
+
+TEST(Planner, RunIsByteIdenticalAcrossJobs)
+{
+    // The only planner test that runs the pooled trial loop at more
+    // than one thread (scripts/sanitize.sh's thread lane runs it).
+    Harness setup = prepare();
+    CampaignPlanner one(*setup.injector, setup.report,
+                        campaignConfig(1, 2000));
+    CampaignPlanner four(*setup.injector, setup.report,
+                         campaignConfig(4, 2000));
+    const PlanSummary s1 = one.run();
+    const PlanSummary s4 = four.run();
+    EXPECT_GT(s1.executed, 0u);
+    EXPECT_EQ(formatPlanSummary(s1), formatPlanSummary(s4));
 }
 
 TEST(Planner, SameConfigSecondRunReusesEverything)
@@ -298,82 +335,6 @@ TEST(Planner, GammaFlipReinjectsExactlyTheChangedFunctions)
     // brute force over the new instrumentation.
     const fault::CampaignResult brute = b.injector->runCampaign(config);
     EXPECT_EQ(formatAggregate(summary.result), formatAggregate(brute));
-}
-
-// --- Adaptive sampling ----------------------------------------------
-
-TEST(PlannerAdaptive, ByteIdenticalAcrossJobs)
-{
-    PlannerOptions options;
-    options.target_ci = 0.02;
-    options.pilot = 32;
-    options.round = 64;
-
-    Harness setup = prepare();
-    CampaignPlanner one(*setup.injector, setup.report,
-                        campaignConfig(1, 2000), options);
-    CampaignPlanner four(*setup.injector, setup.report,
-                         campaignConfig(4, 2000), options);
-    const std::string s1 = formatPlanSummary(one.runAdaptive());
-    const std::string s4 = formatPlanSummary(four.runAdaptive());
-    EXPECT_EQ(s1, s4);
-}
-
-TEST(PlannerAdaptive, ExhaustionMatchesBruteForceExactly)
-{
-    // A CI target no sample of 120 trials can meet: the planner must
-    // exhaust every stratum, at which point the estimate is exact and
-    // the aggregate is tally-identical to brute force.
-    PlannerOptions options;
-    options.target_ci = 1e-4;
-    options.pilot = 16;
-    options.round = 32;
-
-    Harness setup = prepare();
-    const fault::CampaignConfig config = campaignConfig(1, 120);
-    const fault::CampaignResult brute =
-        setup.injector->runCampaign(config);
-
-    CampaignPlanner planner(*setup.injector, setup.report, config,
-                            options);
-    const PlanSummary summary = planner.runAdaptive();
-    EXPECT_TRUE(summary.adaptive);
-    EXPECT_EQ(formatAggregate(summary.result), formatAggregate(brute));
-    EXPECT_DOUBLE_EQ(summary.coverage, brute.coveredFraction());
-    EXPECT_DOUBLE_EQ(summary.ci_half, 0.0);
-    EXPECT_TRUE(summary.ci_met);
-    for (const StratumSummary &stratum : summary.strata) {
-        if (stratum.universe > 0 && stratum.name != "masked") {
-            EXPECT_TRUE(stratum.exhausted) << stratum.name;
-        }
-    }
-}
-
-TEST(PlannerAdaptive, StopsEarlyWhenTargetAllows)
-{
-    PlannerOptions options;
-    options.target_ci = 0.05;
-    options.pilot = 32;
-    options.round = 64;
-
-    Harness setup = prepare();
-    const fault::CampaignConfig config = campaignConfig(1, 4000);
-    CampaignPlanner planner(*setup.injector, setup.report, config,
-                            options);
-    const PlanSummary summary = planner.runAdaptive();
-    EXPECT_TRUE(summary.ci_met);
-    EXPECT_LE(summary.ci_half, 0.05);
-    EXPECT_LT(summary.executed,
-              summary.universe - summary.masked_trials)
-        << "a ±5% target must not require the full universe";
-    // The masked stratum is analytic: sampled 0, exact weight.
-    ASSERT_FALSE(summary.strata.empty());
-    EXPECT_EQ(summary.strata[0].name, "masked");
-    EXPECT_EQ(summary.strata[0].sampled, 0u);
-    EXPECT_TRUE(summary.strata[0].exhausted);
-    // The stratified estimate must sit inside its own interval.
-    EXPECT_LE(summary.low, summary.coverage);
-    EXPECT_GE(summary.high, summary.coverage);
 }
 
 // --- Sidecar durability ---------------------------------------------

@@ -1,11 +1,9 @@
 /**
  * @file
- * Confidence-interval and allocation math behind the campaign
- * planner, checked against slow oracles: the Wilson interval against
- * the direct closed-form formula and an exact-binomial coverage
- * sweep, the normal quantile against tabulated values, and Neyman
- * allocation against the direct proportional formula — including the
- * degenerate strata (no trials, all-one-outcome, single element).
+ * Confidence-interval math behind the campaign planner, checked
+ * against slow oracles: the Wilson interval against the direct
+ * closed-form formula and an exact-binomial coverage sweep, and the
+ * normal quantile against tabulated values.
  */
 #include <gtest/gtest.h>
 
@@ -141,118 +139,6 @@ TEST(WilsonInterval, ExactBinomialCoverage)
             EXPECT_LE(coverage, 1.0 + 1e-9);
         }
     }
-}
-
-// --- Neyman allocation ----------------------------------------------
-
-std::uint64_t
-sum(const std::vector<std::uint64_t> &v)
-{
-    std::uint64_t total = 0;
-    for (const std::uint64_t x : v)
-        total += x;
-    return total;
-}
-
-TEST(NeymanAllocation, ProportionalToSizeTimesStddev)
-{
-    // Unconstrained case against the direct formula: weights 1:2:3
-    // over a budget of 600 → 100/200/300.
-    const std::vector<NeymanStratum> strata = {
-        {10000, 0, 0.1}, {10000, 0, 0.2}, {10000, 0, 0.3}};
-    const auto alloc = neymanAllocation(strata, 600);
-    ASSERT_EQ(alloc.size(), 3u);
-    EXPECT_EQ(alloc[0], 100u);
-    EXPECT_EQ(alloc[1], 200u);
-    EXPECT_EQ(alloc[2], 300u);
-}
-
-TEST(NeymanAllocation, LargestRemainderRounding)
-{
-    // Equal weights, budget 10 over 3 strata: 4/3/3 (remainder seat
-    // to the lowest index on the tie).
-    const std::vector<NeymanStratum> strata = {
-        {100, 0, 0.5}, {100, 0, 0.5}, {100, 0, 0.5}};
-    const auto alloc = neymanAllocation(strata, 10);
-    EXPECT_EQ(sum(alloc), 10u);
-    EXPECT_EQ(alloc[0], 4u);
-    EXPECT_EQ(alloc[1], 3u);
-    EXPECT_EQ(alloc[2], 3u);
-}
-
-TEST(NeymanAllocation, CapacityCapsCascade)
-{
-    // The heaviest stratum has only 5 left; its overflow goes to the
-    // others by weight.
-    const std::vector<NeymanStratum> strata = {
-        {1000, 995, 10.0}, {1000, 0, 1.0}, {1000, 0, 1.0}};
-    const auto alloc = neymanAllocation(strata, 105);
-    EXPECT_EQ(alloc[0], 5u);
-    EXPECT_EQ(alloc[1], 50u);
-    EXPECT_EQ(alloc[2], 50u);
-    EXPECT_EQ(sum(alloc), 105u);
-}
-
-TEST(NeymanAllocation, DegenerateStrata)
-{
-    // Zero-size stratum, fully sampled stratum, single-element
-    // stratum, and an all-one-outcome (stddev 0) stratum alongside an
-    // informative one: only the informative and the single-element
-    // strata can receive anything, and stddev-0 gets nothing while
-    // any weight is positive.
-    const std::vector<NeymanStratum> strata = {
-        {0, 0, 0.5},    // empty
-        {50, 50, 0.5},  // exhausted
-        {1, 0, 0.4},    // single element
-        {1000, 10, 0.0}, // all-one-outcome so far
-        {1000, 10, 0.3}, // informative
-    };
-    const auto alloc = neymanAllocation(strata, 100);
-    EXPECT_EQ(alloc[0], 0u);
-    EXPECT_EQ(alloc[1], 0u);
-    EXPECT_LE(alloc[2], 1u);
-    EXPECT_EQ(alloc[3], 0u);
-    EXPECT_GE(alloc[4], 99u);
-    EXPECT_EQ(sum(alloc), 100u);
-}
-
-TEST(NeymanAllocation, AllZeroWeightsFallBackToSize)
-{
-    // Pilot phase: no variance estimates yet. The budget still gets
-    // spent, proportionally to remaining size.
-    const std::vector<NeymanStratum> strata = {
-        {300, 0, 0.0}, {100, 0, 0.0}};
-    const auto alloc = neymanAllocation(strata, 40);
-    EXPECT_EQ(alloc[0], 30u);
-    EXPECT_EQ(alloc[1], 10u);
-}
-
-TEST(NeymanAllocation, BudgetBeyondCapacity)
-{
-    const std::vector<NeymanStratum> strata = {
-        {10, 4, 0.5}, {7, 0, 0.1}};
-    const auto alloc = neymanAllocation(strata, 1000);
-    EXPECT_EQ(alloc[0], 6u);
-    EXPECT_EQ(alloc[1], 7u);
-}
-
-TEST(NeymanAllocation, EmptyAndZeroBudget)
-{
-    EXPECT_TRUE(neymanAllocation({}, 100).empty());
-    const std::vector<NeymanStratum> strata = {{10, 0, 0.5}};
-    const auto alloc = neymanAllocation(strata, 0);
-    EXPECT_EQ(alloc[0], 0u);
-}
-
-TEST(NeymanAllocation, Deterministic)
-{
-    const std::vector<NeymanStratum> strata = {
-        {977, 13, 0.21}, {431, 7, 0.37}, {89, 89, 0.5},
-        {1543, 0, 0.02}};
-    const auto a = neymanAllocation(strata, 333);
-    const auto b = neymanAllocation(strata, 333);
-    EXPECT_EQ(a, b);
-    EXPECT_EQ(sum(a), 333u);
 }
 
 } // namespace

@@ -47,8 +47,7 @@ usage(std::ostream &os)
           "[--json <path>]\n"
           "          [--engine fused|decoded] [--fault-model M] "
           "[--detector D]\n"
-          "          planner paths: [--sidecar <path>] [--adaptive]\n"
-          "          [--target-ci E] [--confidence C] [--no-planner]\n"
+          "          planner path: [--sidecar <path>]\n"
           "  resume  same flags; --store must name an existing store\n"
           "  plan    planner dry run: attribution + grouping + sidecar "
           "probe,\n"
@@ -151,29 +150,14 @@ prepareInjector(const workloads::Workload &workload,
     return out;
 }
 
-/// Planner flags shared by `run`, `resume` (where they must stay
+/// The planner flag shared by `run`, `resume` (where it must stay
 /// unset) and `plan`.
 void
-addPlannerFlags(CommandLine &cli)
+addSidecarFlag(CommandLine &cli)
 {
     cli.addFlag("sidecar", "",
                 "planner tally sidecar for compositional sweep reuse; "
                 "\"\" disables reuse");
-    cli.addFlag("adaptive", "false",
-                "stratified adaptive sampling with early stopping "
-                "instead of the fixed trial count");
-    cli.addFlag("no-planner", "false",
-                "force the brute-force path even when --sidecar is "
-                "given (the planner differential's control arm)");
-    cli.addFlag("target-ci", "0.005",
-                "adaptive stopping rule: stop once the coverage CI "
-                "half-width is at most this");
-    cli.addFlag("confidence", "0.95",
-                "two-sided confidence level of the adaptive CI");
-    cli.addFlag("pilot", "64",
-                "adaptive pilot trials per non-empty stratum");
-    cli.addFlag("round", "512",
-                "adaptive trials per Neyman allocation round");
 }
 
 campaign::PlannerOptions
@@ -186,10 +170,6 @@ plannerFromFlags(const CommandLine &cli,
     // sweep points over one workload share sidecar entries, different
     // workloads never collide.
     options.program_key = fnv1a64(workload_name);
-    options.target_ci = cli.getDouble("target-ci");
-    options.confidence = cli.getDouble("confidence");
-    options.pilot = cli.getUint("pilot");
-    options.round = cli.getUint("round");
     return options;
 }
 
@@ -232,8 +212,8 @@ writeCampaignJson(std::ostream &out, const std::string &mode,
         << "}\n";
 }
 
-/// JSON for the planner paths: the campaign fields plus the CI and
-/// reuse accounting the fixed-count paths do not have.
+/// JSON for the planner path: the campaign fields plus the CI and
+/// reuse accounting the brute-force path does not have.
 void
 writePlannerJson(std::ostream &out, const std::string &mode,
                  const std::string &workload,
@@ -252,8 +232,6 @@ writePlannerJson(std::ostream &out, const std::string &mode,
         << "\",\n"
         << "  \"replay_cost\": " << summary.result.replay_cost
         << ",\n"
-        << "  \"adaptive\": "
-        << (summary.adaptive ? "true" : "false") << ",\n"
         << "  \"executed\": " << summary.executed << ",\n"
         << "  \"masked_trials\": " << summary.masked_trials << ",\n"
         << "  \"reused_trials\": " << summary.reused_trials << ",\n"
@@ -274,8 +252,7 @@ writePlannerJson(std::ostream &out, const std::string &mode,
         << "  \"ci_half\": " << formatFixed(summary.ci_half, 6)
         << ",\n"
         << "  \"ci_low\": " << formatFixed(summary.low, 6) << ",\n"
-        << "  \"ci_high\": " << formatFixed(summary.high, 6) << ",\n"
-        << "  \"ci_met\": " << (summary.ci_met ? "true" : "false")
+        << "  \"ci_high\": " << formatFixed(summary.high, 6)
         << "\n}\n";
 }
 
@@ -321,7 +298,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
-    addPlannerFlags(cli);
+    addSidecarFlag(cli);
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
 
@@ -334,30 +311,23 @@ cmdRunOrResume(int argc, char **argv, bool resume)
         campaignFromFlags(cli, /*has_jobs=*/true);
     fault::validateCampaignConfig(config);
 
-    // Planner paths: compositional sidecar reuse (--sidecar) and/or
-    // adaptive stratified sampling (--adaptive). Store-less by design:
-    // the sidecar is the planner's durability, and an early-stopped
-    // adaptive sample must never masquerade as an exhaustive store.
-    const bool adaptive = cli.getBool("adaptive");
-    const bool planner_path =
-        !cli.getBool("no-planner") &&
-        (adaptive || !cli.getString("sidecar").empty());
+    // Planner path: compositional sidecar reuse (--sidecar).
+    // Store-less by design: the sidecar is the planner's durability.
+    const bool planner_path = !cli.getString("sidecar").empty();
     if (planner_path) {
         if (resume)
             fatal("resume: drives the durable brute-force store; the "
-                  "planner paths are store-less (re-run with `run`)");
+                  "planner path is store-less (re-run with `run`)");
         if (!cli.getString("store").empty())
-            fatal("--store and the planner paths are mutually "
+            fatal("--store and the planner path are mutually "
                   "exclusive: the trial store records exhaustive "
                   "campaigns, the planner's durability is --sidecar");
         if (cli.getString("shard") != "0/1")
-            fatal("--shard and the planner paths are mutually "
+            fatal("--shard and the planner path are mutually "
                   "exclusive: the planner owns the whole campaign");
         if (cli.getUint("stop-after") != 0)
             fatal("--stop-after only applies to the durable "
                   "brute-force path");
-    } else if (adaptive) {
-        fatal("--no-planner and --adaptive are contradictory");
     }
 
     campaign::RunnerOptions options;
@@ -396,20 +366,17 @@ cmdRunOrResume(int argc, char **argv, bool resume)
         campaign::CampaignPlanner planner(
             *pi.injector, pi.prepared.report, config,
             plannerFromFlags(cli, workload->name));
-        const campaign::PlanSummary summary =
-            adaptive ? planner.runAdaptive() : planner.run();
+        const campaign::PlanSummary summary = planner.run();
         std::cout << "campaign " << workload->name << " seed "
                   << config.seed << " dmax " << config.trial.dmax
-                  << (adaptive ? " (planner, adaptive)\n"
-                               : " (planner, sweep reuse)\n")
+                  << " (planner, sweep reuse)\n"
                   << scenarioLine(config)
                   << campaign::formatPlanSummary(summary) << "\n"
                   << campaign::formatAggregate(summary.result);
         const bool json_ok = bench::writeJsonReport(
             cli.getString("json"), [&](std::ostream &out) {
-                writePlannerJson(out,
-                                 adaptive ? "adaptive" : "planner",
-                                 workload->name, config, summary);
+                writePlannerJson(out, "planner", workload->name,
+                                 config, summary);
             });
         return json_ok ? 0 : 1;
     }
@@ -460,7 +427,7 @@ cmdPlan(int argc, char **argv)
                 "execution budget multiplier over the golden run");
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
-    addPlannerFlags(cli);
+    addSidecarFlag(cli);
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
 
