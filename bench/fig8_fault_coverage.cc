@@ -318,7 +318,11 @@ main(int argc, char **argv)
                      << ", \"snapshot_hit_rate\": "
                      << formatFixed(wp.snapshots.hitRate(), 4)
                      << ", \"snapshot_resyncs\": "
-                     << wp.snapshots.resyncs << "}"
+                     << wp.snapshots.resyncs
+                     << ", \"snapshot_anchors\": "
+                     << wp.snapshots.anchors
+                     << ", \"snapshot_entry_resyncs\": "
+                     << wp.snapshots.entry_resyncs << "}"
                      << (i + 1 < perf.size() ? "," : "") << "\n";
             }
             json << "  ]\n}\n";

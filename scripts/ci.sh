@@ -8,10 +8,10 @@
 # same test set as scripts/sanitize.sh's thread lane), then a
 # campaign-planner smoke (sweep-reuse tally identity against brute
 # force), a scenario-matrix smoke (every fault-model x detector pair
-# byte-identical across --jobs), the repo benchmark's seed-1 output
-# digests (perfbench/), and a warn-only interpreter-throughput smoke
-# (the fused superinstruction tier against the decoded and reference
-# engines, measured in one run).
+# byte-identical across --jobs and with the snapshot tier off), the
+# repo benchmark's seed-1 output digests (perfbench/), and a warn-only
+# interpreter-throughput smoke (the fused superinstruction tier
+# against the decoded and reference engines, measured in one run).
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
@@ -65,24 +65,34 @@ grep -q 'executed 0$' "${planner_dir}/warm_full.txt" || {
 }
 echo "planner-smoke: tally identity held (brute == cold == warm)"
 
-echo "==> [scenario] fault-model x detector matrix smoke (--jobs identity)"
-# Every registered fault-model/detector pair gets a tiny fig8 run at
-# --jobs 1 and --jobs 4; the two reports must be byte-identical (the
-# per-trial counter seeding contract, per scenario). The Perf line
-# (wall-clock) and the "N jobs" half of the header are the only
-# legitimate differences, so they are filtered before the diff.
+echo "==> [scenario] fault-model x detector matrix smoke (--jobs and snapshot identity)"
+# Every registered fault-model/detector pair gets a small fig8 run at
+# --jobs 1 and --jobs 4 with the default snapshot tier, and at --jobs 1
+# with the tier off (--snapshot-stride 0: no prefix seek, no
+# region-entry anchors, no resync); all three reports must be
+# byte-identical (the per-trial counter seeding contract, and the
+# tier's never-changes-an-outcome contract, per scenario). mpeg2dec
+# is in the set because its one long region instance is where most
+# trials converge at a region entry. The Perf line (wall-clock) and
+# the "N jobs" half of the header are the only legitimate differences,
+# so they are filtered before the diff.
 scenario_dir="${build_root}/scenario_smoke"
 rm -rf "${scenario_dir}" && mkdir -p "${scenario_dir}"
 fig8_bin="${build_root}/tier1/bench/fig8_fault_coverage"
 for model in reg-bit multi-bit cf-branch mem-bus; do
     for detector in analytic replay; do
         tag="${model}_${detector}"
-        for jobs in 1 4; do
-            "${fig8_bin}" --workloads rawcaudio,pegwitdec --trials 60 \
-                --fault-model "${model}" --detector "${detector}" \
-                --jobs "${jobs}" --json "" \
+        for variant in j1 j4 nosnap; do
+            jobs=1
+            stride=()
+            [ "${variant}" = j4 ] && jobs=4
+            [ "${variant}" = nosnap ] && stride=(--snapshot-stride 0)
+            "${fig8_bin}" --workloads rawcaudio,pegwitdec,mpeg2dec \
+                --trials 200 --fault-model "${model}" \
+                --detector "${detector}" --jobs "${jobs}" --json "" \
+                "${stride[@]}" \
                 | grep -v -e '^Perf:' -e ' jobs)\.' \
-                > "${scenario_dir}/${tag}_j${jobs}.txt"
+                > "${scenario_dir}/${tag}_${variant}.txt"
         done
         diff -u "${scenario_dir}/${tag}_j1.txt" \
             "${scenario_dir}/${tag}_j4.txt" || {
@@ -90,7 +100,13 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
                 "between --jobs 1 and --jobs 4" >&2
             exit 1
         }
-        echo "scenario-smoke: ${model} + ${detector}: jobs identity held"
+        diff -u "${scenario_dir}/${tag}_j1.txt" \
+            "${scenario_dir}/${tag}_nosnap.txt" || {
+            echo "scenario-smoke: ${model} + ${detector} diverges" \
+                "between the snapshot tier on and off" >&2
+            exit 1
+        }
+        echo "scenario-smoke: ${model} + ${detector}: jobs and snapshot identity held"
     done
 done
 

@@ -602,8 +602,13 @@ FaultInjector::prepare(const std::string &entry,
         golden_ = interp.run(entry, args);
         interp.setSnapshotRecorder(nullptr);
         interp.memoryRef().disableDirtyTracking();
-        if (store->size() > 0)
+        if (golden_.ok() && store->size() > 0) {
+            // The golden run stays fused and hook-free; the entry
+            // anchors come from short recording replays of the long
+            // region instances it crossed.
+            store->recordEntryAnchors(interp, entry, args);
             snapshots_ = std::move(store);
+        }
     } else {
         golden_ = interp.run(entry, args);
     }
@@ -665,10 +670,12 @@ FaultInjector::runTrial(const TrialDraw &draw, const TrialConfig &config,
         static_cast<double>(golden_.dyn_instrs) *
             config.run_budget_factor +
         10'000.0));
-    // The same snapshots double as resync anchors on the way *out*:
-    // after a successful rollback the hooks arm a watch, and the trial
-    // fast-forwards the moment its state equals a golden snapshot past
-    // the injection point (see TrialHooks::onDetectionHandled).
+    // The same store supplies resync anchors on the way *out*: after a
+    // successful rollback the hooks arm a watch, and the trial
+    // fast-forwards the moment its live state equals the golden state
+    // at the rolled-back region's entry or, failing that, a golden
+    // snapshot past the injection point (see
+    // TrialHooks::onDetectionHandled).
     interp.setResyncSource(snapshots_.get(), golden_.dyn_instrs);
 
     const interp::RunResult result =
@@ -687,11 +694,12 @@ FaultInjector::runTrial(const TrialDraw &draw, const TrialConfig &config,
     // classify by output pay for it.
     if (result.golden_resync) {
         // The run was cut short because the live state matched a
-        // golden snapshot exactly: the remainder is the golden suffix
-        // by determinism, so the final state — return value and global
-        // memory — is the golden one. Adopt it without executing.
+        // golden state on everything the rest of the run reads: the
+        // remainder is the golden suffix by determinism, so the final
+        // state — return value and global memory — is the golden one.
+        // Adopt it without executing.
         obs.same_output = true;
-        snapshots_->noteResync();
+        snapshots_->noteResync(result.entry_resync);
     } else if (obs.status == interp::RunResult::Status::Ok &&
                (!obs.injected || !obs.detected || obs.same_instance)) {
         obs.same_output =

@@ -460,6 +460,7 @@ Interpreter::execLoop()
         if (value_count_ >= resync_barrier_ &&
             frame.ip == resync_top_ip_ && tryGoldenResync()) {
             result.golden_resync = true;
+            result.entry_resync = resync_entry_ != nullptr;
             return finish(RunResult::Status::Ok, {});
         }
 
@@ -1171,6 +1172,24 @@ Interpreter::armGoldenResync()
     disarmGoldenResync();
     if (!resync_store_)
         return;
+    if (const EntryAnchor *entry =
+            resync_store_->findAnchor(currentRegionToken())) {
+        // The rollback lands on the anchor's instruction two dispatches
+        // from now (restore, then the jump back through the
+        // preheader), and no earlier loop top sits there: barrier 0
+        // lets the watch fire at the landing.
+        resync_entry_ = entry;
+        resync_barrier_ = 0;
+        resync_top_ip_ = entry->state.exec.frames.back().ip;
+        return;
+    }
+    armSnapshotResync();
+}
+
+void
+Interpreter::armSnapshotResync()
+{
+    disarmGoldenResync();
     // Anchor strictly after the *current* value count. Although the
     // imminent rollback rewinds control to the region entry, the
     // memory image does not follow it there: the undo log only covers
@@ -1253,9 +1272,78 @@ Interpreter::resyncCouldFireInHead()
 }
 
 bool
+Interpreter::cursorMatches(const Frame &frame, const SnapFrame &saved)
+{
+    return frame.func->index == saved.func_index &&
+           frame.block == saved.block && frame.ip == saved.ip &&
+           frame.caller_dest == saved.caller_dest;
+}
+
+bool
+Interpreter::frameStateMatches(const Frame &frame, const SnapFrame &saved)
+{
+    if (!std::equal(saved.regs.begin(), saved.regs.end(), frame.regs,
+                    frame.regs + frame.func->num_regs))
+        return false;
+    const RecoveryState &rec = frame.recovery;
+    // rec.token (and next_token_) are deliberately excluded: tokens are
+    // a session counter — a rolled-back trial's run ahead of the golden
+    // run's — and nothing reads them once detection is past.
+    // Everything else, including the undo log contents, is state a
+    // future `restore` could observe.
+    if (rec.active != saved.rec_active || rec.region != saved.rec_region ||
+        rec.recovery_block != saved.rec_recovery_block)
+        return false;
+    if (rec.log.size() != saved.rec_log.size())
+        return false;
+    for (std::size_t u = 0; u < rec.log.size(); ++u) {
+        const Undo &a = rec.log[u];
+        const SnapUndo &b = saved.rec_log[u];
+        if ((a.kind == Undo::Kind::Mem) != b.is_mem ||
+            a.object != b.object || a.offset != b.offset ||
+            a.reg != b.reg || a.value != b.value)
+            return false;
+    }
+    return true;
+}
+
+bool
+Interpreter::entryMatches(const EntryAnchor &entry) const
+{
+    const ExecSnapshot &exec = entry.state.exec;
+    if (depth_ != exec.frames.size())
+        return false;
+    const Frame &top = frames_[depth_ - 1];
+    const SnapFrame &saved_top = exec.frames.back();
+    if (!cursorMatches(top, saved_top))
+        return false;
+    for (std::uint32_t r = 0; r < top.func->num_regs; ++r) {
+        if (top.regs[r] != saved_top.regs[r] && !entry.dead_regs.test(r))
+            return false;
+    }
+    // The budget projection of tryGoldenResync, from the entry.
+    if (dyn_count_ + (resync_golden_dyn_ - exec.dyn_count) >= max_instrs_)
+        return false;
+    for (std::size_t f = 0; f + 1 < depth_; ++f) {
+        if (!cursorMatches(frames_[f], exec.frames[f]) ||
+            !frameStateMatches(frames_[f], exec.frames[f]))
+            return false;
+    }
+    return memory_.matches(entry.state.mem, resync_store_->pool(),
+                           &entry.dead_words);
+}
+
+bool
 Interpreter::tryGoldenResync()
 {
     constexpr std::uint32_t kMaxResyncFullCompares = 8;
+
+    if (resync_entry_) {
+        if (entryMatches(*resync_entry_))
+            return true;
+        armSnapshotResync();
+        return false;
+    }
 
     const ExecSnapshot &exec = resync_target_->exec;
 
@@ -1295,34 +1383,9 @@ Interpreter::tryGoldenResync()
     }
 
     for (std::size_t f = 0; f < depth_; ++f) {
-        const Frame &frame = frames_[f];
-        const SnapFrame &saved = exec.frames[f];
-        if (frame.func->index != saved.func_index ||
-            frame.block != saved.block || frame.ip != saved.ip ||
-            frame.caller_dest != saved.caller_dest ||
-            !std::equal(saved.regs.begin(), saved.regs.end(), frame.regs,
-                        frame.regs + frame.func->num_regs))
+        if (!cursorMatches(frames_[f], exec.frames[f]) ||
+            !frameStateMatches(frames_[f], exec.frames[f]))
             return false;
-        const RecoveryState &rec = frame.recovery;
-        // rec.token (and next_token_) are deliberately excluded: tokens
-        // are a session counter — a rolled-back trial's run ahead of
-        // the golden run's — and nothing reads them once detection is
-        // past. Everything else, including the undo log contents, is
-        // state a future `restore` could observe.
-        if (rec.active != saved.rec_active ||
-            rec.region != saved.rec_region ||
-            rec.recovery_block != saved.rec_recovery_block)
-            return false;
-        if (rec.log.size() != saved.rec_log.size())
-            return false;
-        for (std::size_t u = 0; u < rec.log.size(); ++u) {
-            const Undo &a = rec.log[u];
-            const SnapUndo &b = saved.rec_log[u];
-            if ((a.kind == Undo::Kind::Mem) != b.is_mem ||
-                a.object != b.object || a.offset != b.offset ||
-                a.reg != b.reg || a.value != b.value)
-                return false;
-        }
     }
 
     return memory_.matches(resync_target_->mem, resync_store_->pool());

@@ -73,6 +73,10 @@ struct RunResult
     /// caller owns adopting the golden outcome (return value, output
     /// equality); the counters here cover only the executed portion.
     bool golden_resync = false;
+    /// With golden_resync: the match was against a region-entry anchor
+    /// (SnapshotStore::findAnchor) as the rollback landed, so the trial
+    /// skipped its whole region replay.
+    bool entry_resync = false;
     std::string error;
     /// Final contents of every global object, for output comparison.
     /// Left empty when the interpreter runs with setCaptureGlobals(false)
@@ -139,6 +143,8 @@ class Interpreter
     void quiesceHooks();
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
+    /// Every loop top re-reads it, so a hook that lowers it mid-run
+    /// ends the run at the next loop top.
     void setMaxInstructions(std::uint64_t limit) { max_instrs_ = limit; }
 
     /// When disabled, run() skips the RunResult::globals snapshot (an
@@ -194,19 +200,33 @@ class Interpreter
     /// Arms the golden-resync watch. The caller (the injection hooks)
     /// must guarantee that from this point on it is a pure
     /// pass-through — fault injected, detection handled by a
-    /// successful rollback — so that the moment the live state exactly
-    /// equals a golden snapshot, the remainder of the run is the
-    /// golden suffix by determinism. The anchor is the earliest
-    /// snapshot past the current value count — the rollback replays
-    /// the region from its entry, and the live memory image (which
-    /// keeps uncheckpointed later-than-entry values) can only
-    /// reconverge with the golden run at-or-after the current
-    /// position. When the live state matches the anchor, the dispatch
-    /// loop finishes immediately with RunResult::golden_resync set.
-    /// The anchor's top-frame instruction must stay a dispatch
-    /// boundary wherever the watch could fire there, so the one fused
-    /// head whose span covers it (if any) de-fuses on those passes;
-    /// every other head stays fused.
+    /// successful rollback — so that the moment the live state equals
+    /// a golden state on everything the rest of the run can read, the
+    /// remainder of the run is the golden suffix by determinism. Called
+    /// as the rollback starts, while the current frame still holds the
+    /// rolled-back instance.
+    ///
+    /// When that instance has an entry anchor, the watch compares once,
+    /// where the recovery jump lands on the preheader's `region.enter`
+    /// (never fused, so always a dispatch boundary), masked to the
+    /// anchor's live locations: lower frames, cursors, caller wiring,
+    /// allocation flags and the shadow stack exactly; the top frame's
+    /// live registers and the live memory words; not its recovery
+    /// state, which `region.enter` overwrites. A miss falls back to
+    /// the snapshot watch below.
+    ///
+    /// The snapshot watch anchors at the earliest snapshot past the
+    /// current value count — the replay re-executes the region from its
+    /// entry, and the live memory image (which keeps uncheckpointed
+    /// later-than-entry values) can only reconverge exactly with the
+    /// golden run at-or-after the current position. The anchor's
+    /// top-frame instruction must stay a dispatch boundary wherever the
+    /// watch could fire there, so the one fused head whose span covers
+    /// it (if any) de-fuses on those passes; every other head stays
+    /// fused.
+    ///
+    /// On a match the dispatch loop finishes immediately with
+    /// RunResult::golden_resync set.
     void armGoldenResync();
 
     /// Asks the dispatch loop to finish (status Ok) as soon as the
@@ -356,8 +376,24 @@ class Interpreter
     /// trial's tokens run ahead of the golden run's. Returns true when
     /// the run may finish as a golden resync; disarms itself when the
     /// projected full run would have hit the instruction budget or the
-    /// full-compare cap is exhausted.
+    /// full-compare cap is exhausted. With an entry anchor armed it
+    /// runs the one masked compare instead (entryMatches) and, on a
+    /// miss, arms the snapshot watch.
     bool tryGoldenResync();
+
+    /// The snapshot half of armGoldenResync.
+    void armSnapshotResync();
+
+    /// The masked compare against an entry anchor (armGoldenResync).
+    bool entryMatches(const EntryAnchor &entry) const;
+
+    /// Cursor and caller wiring of `frame` equal `saved`'s.
+    static bool cursorMatches(const Frame &frame, const SnapFrame &saved);
+
+    /// The rest of a frame a resync compares exactly: registers and
+    /// recovery state, token excluded.
+    static bool frameStateMatches(const Frame &frame,
+                                  const SnapFrame &saved);
 
     /// De-fuse test for resync_head_: false when the current frame's
     /// depth or a pinned register already rules out a match at the
@@ -368,6 +404,7 @@ class Interpreter
     disarmGoldenResync()
     {
         resync_target_ = nullptr;
+        resync_entry_ = nullptr;
         resync_barrier_ = kNoSnapshotBarrier;
         resync_head_ = nullptr;
     }
@@ -422,6 +459,9 @@ class Interpreter
     const SnapshotStore *resync_store_ = nullptr;
     std::uint64_t resync_golden_dyn_ = 0;
     const Snapshot *resync_target_ = nullptr;
+    /// The armed entry anchor until its one compare has run; then null
+    /// and resync_target_ is a snapshot.
+    const EntryAnchor *resync_entry_ = nullptr;
     std::uint64_t resync_barrier_ = kNoSnapshotBarrier;
     /// Anchor's top-frame instruction index, hoisted so the armed
     /// watch can reject every other code position with one compare

@@ -16,9 +16,12 @@ nextPagePoolUid()
 
 Memory::Memory(const ir::Module &module)
     : module_(module),
+      word_base_(1, 0),
       storage_(module.objects().size()),
       allocated_(module.objects().size(), 0)
 {
+    for (const ir::MemObject &obj : module_.objects())
+        word_base_.push_back(word_base_.back() + obj.size);
     reset();
 }
 
@@ -336,7 +339,8 @@ Memory::restore(const MemSnapshot &snap, const PagePool &pool)
 }
 
 bool
-Memory::matches(const MemSnapshot &snap, const PagePool &pool) const
+Memory::matches(const MemSnapshot &snap, const PagePool &pool,
+                const BitMask *dead) const
 {
     if (snap.objects.size() != storage_.size())
         return false;
@@ -370,7 +374,8 @@ Memory::matches(const MemSnapshot &snap, const PagePool &pool) const
             const std::uint32_t base = p * pw;
             const std::uint32_t count = std::min(pw, img.size - base);
             for (std::uint32_t i = 0; i < count; ++i)
-                if (words[base + i] != src[i])
+                if (words[base + i] != src[i] &&
+                    !(dead && dead->test(wordIndex(id, base + i))))
                     return false;
         }
     }

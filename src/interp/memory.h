@@ -82,6 +82,31 @@ struct MemFrameImage
     std::vector<SavedLocalImage> saved;
 };
 
+/// A set of small indices (memory words, registers) as a flat bit
+/// vector; the golden-resync compares use it to skip dead locations.
+struct BitMask
+{
+    std::vector<std::uint64_t> bits;
+
+    void
+    resize(std::size_t n)
+    {
+        bits.assign((n + 63) / 64, 0);
+    }
+
+    bool
+    test(std::size_t i) const
+    {
+        return (bits[i >> 6] >> (i & 63)) & 1;
+    }
+
+    void
+    set(std::size_t i)
+    {
+        bits[i >> 6] |= 1ULL << (i & 63);
+    }
+};
+
 /// One snapshot of the full memory image: per-object page tables over
 /// a shared PagePool, plus the local-object shadow stack.
 struct MemSnapshot
@@ -138,6 +163,18 @@ class Memory
         return object < allocated_.size() && allocated_[object] != 0;
     }
 
+    /// Position of (object, offset) in a flat numbering of every word
+    /// of every module object (objects in id order); indexes the
+    /// dead-word BitMask that matches() takes.
+    std::size_t
+    wordIndex(ir::ObjectId object, std::uint32_t offset) const
+    {
+        return word_base_[object] + offset;
+    }
+
+    /// Size of that numbering: the module's total object words.
+    std::size_t totalWords() const { return word_base_.back(); }
+
     /// Snapshot of all global objects' contents, for golden-output
     /// comparison in the fault-injection campaigns.
     std::vector<std::vector<std::uint64_t>> snapshotGlobals() const;
@@ -184,7 +221,11 @@ class Memory
     /// capacity on both sides). Uses the same mirror shortcut as
     /// restore(): a page clean since the last restore whose pool ref
     /// matches the candidate's is equal without touching its words.
-    bool matches(const MemSnapshot &snap, const PagePool &pool) const;
+    /// With `dead`, a word whose wordIndex() bit is set is skipped (a
+    /// region-entry anchor's dead words); allocation flags and the
+    /// shadow stack still compare exactly.
+    bool matches(const MemSnapshot &snap, const PagePool &pool,
+                 const BitMask *dead = nullptr) const;
 
   private:
     struct SavedLocal
@@ -207,6 +248,9 @@ class Memory
     void markAllDirty(ir::ObjectId object);
 
     const ir::Module &module_;
+    /// wordIndex() bases: prefix sums of the module's object sizes,
+    /// one entry per object plus the total.
+    std::vector<std::size_t> word_base_;
     std::vector<std::vector<std::uint64_t>> storage_; // indexed by id
     /// Byte flags (not vector<bool>): isAllocated is hot.
     std::vector<std::uint8_t> allocated_;

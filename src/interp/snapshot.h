@@ -31,6 +31,16 @@
  * stops there and adopts the golden outcome (bit-identical again —
  * see Interpreter::tryGoldenResync and findFirstAfter()).
  *
+ * Region-entry anchors shorten the way out further. A rollback
+ * re-enters its region through the preheader's `region.enter`, so a
+ * recovered trial that lands there in a state the golden run had at
+ * that instance's entry can adopt the golden suffix at once instead
+ * of replaying the region. After the golden run, recordEntryAnchors()
+ * captures the golden state at the entry of every long instance,
+ * together with the locations that state need not match: anchor-frame
+ * registers and memory words whose first access after the entry is a
+ * write (see EntryAnchor and Interpreter::armGoldenResync).
+ *
  * Budget policy: when a capture would push the store past
  * `byte_budget`, the capture is discarded (the pool is truncated
  * back), the stride doubles, and the accumulated dirty pages roll into
@@ -48,6 +58,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "interp/memory.h"
@@ -120,6 +131,28 @@ struct Snapshot
     MemSnapshot mem;
 };
 
+/// The golden state at the entry of one long region instance: the loop
+/// top before its preheader `region.enter` runs, keyed by the token
+/// that `region.enter` mints. Its memory is a dirty-page delta over the
+/// snapshot the recording replay started from.
+///
+/// "Dead" is read off the golden run: a location is dead when its first
+/// access after the entry is a write, so its value at the entry cannot
+/// reach anything the rest of the run computes. Locations the recording
+/// pass saw no access to count as live (the output compare reads every
+/// global). The pass observes only a stretch after the entry (see
+/// recordEntryAnchors), which under-approximates the dead set and so
+/// stays sound.
+struct EntryAnchor
+{
+    std::uint64_t token = 0;
+    Snapshot state;
+    /// Registers of the anchor (top) frame, by register id.
+    BitMask dead_regs;
+    /// Memory words, by Memory::wordIndex.
+    BitMask dead_words;
+};
+
 /// Aggregate counters reported per workload (fig8 --json and the
 /// campaign tools).
 struct SnapshotStats
@@ -136,6 +169,10 @@ struct SnapshotStats
     /// the run is the golden suffix by determinism and the trial
     /// adopted the golden outcome immediately.
     std::uint64_t resyncs = 0;
+    std::uint64_t anchors = 0; ///< Region-entry anchors recorded.
+    /// The resyncs that matched a region-entry anchor (a subset of
+    /// `resyncs`): the trial skipped the replay of its region.
+    std::uint64_t entry_resyncs = 0;
 
     double
     hitRate() const
@@ -173,11 +210,33 @@ class SnapshotStore
     /// snapshot. Thread-safe after recording; does not touch counters.
     const Snapshot *findFirstAfter(std::uint64_t target) const;
 
-    /// Records one golden-resync fast-forward (stats only).
+    /// Records the entry anchors after the golden run (prepare() calls
+    /// it once, before any trial). The instances anchored are those
+    /// live at two or more kept snapshots, i.e. running across at least
+    /// one whole stride. Each is replayed, fused, from the latest
+    /// snapshot before its entry (from program entry when there is
+    /// none) under recording hooks: the state is captured at the loop
+    /// top before the instance's `region.enter`, and first accesses are
+    /// classified from there until the anchor frame returns, a quiet
+    /// stretch finds no new dead location, or the replay reaches the
+    /// first snapshot past the instance. `interp` must run the decoded
+    /// module the store was recorded from; the pass changes its hooks,
+    /// instruction limit and globals capture.
+    void recordEntryAnchors(Interpreter &interp, const std::string &entry,
+                            const std::vector<std::uint64_t> &args);
+
+    /// The entry anchor of region instance `token`, or nullptr.
+    /// Thread-safe after recording.
+    const EntryAnchor *findAnchor(std::uint64_t token) const;
+
+    /// Records one golden-resync fast-forward (stats only); `at_entry`
+    /// when it matched an entry anchor.
     void
-    noteResync() const
+    noteResync(bool at_entry) const
     {
         resyncs_.fetch_add(1, std::memory_order_relaxed);
+        if (at_entry)
+            entry_resyncs_.fetch_add(1, std::memory_order_relaxed);
     }
 
     const PagePool &pool() const { return pool_; }
@@ -190,6 +249,7 @@ class SnapshotStore
     SnapshotConfig config_;
     PagePool pool_;
     std::vector<Snapshot> snapshots_;
+    std::vector<EntryAnchor> anchors_; ///< Ascending token order.
     std::uint64_t stride_;
     std::uint64_t stride_doublings_ = 0;
     std::uint64_t bytes_ = 0;
@@ -197,6 +257,7 @@ class SnapshotStore
     mutable std::atomic<std::uint64_t> hits_{0};
     mutable std::atomic<std::uint64_t> misses_{0};
     mutable std::atomic<std::uint64_t> resyncs_{0};
+    mutable std::atomic<std::uint64_t> entry_resyncs_{0};
 };
 
 } // namespace encore::interp

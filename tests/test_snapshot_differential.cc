@@ -20,6 +20,7 @@
 #include "fault/injector.h"
 #include "fault/models/fault_model.h"
 #include "interp/interpreter.h"
+#include "ir/parser.h"
 #include "workloads/workload.h"
 
 namespace encore {
@@ -57,15 +58,15 @@ runTrial(const fault::FaultInjector &injector,
 
 TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
 {
-    // A stride small enough that even the shortest workloads cross
-    // several barriers — the point is to take the restore path, not
-    // to be fast.
+    // The default stride, so the tier — prefix seek, region-entry
+    // anchors and snapshot resync — runs as every campaign runs it,
+    // under every registered fault model and detector.
     interp::SnapshotConfig snap_on;
-    snap_on.stride = 2048;
     interp::SnapshotConfig snap_off;
     snap_off.enabled = false;
 
     std::size_t with_snapshots = 0;
+    std::uint64_t entry_resyncs = 0;
     for (const workloads::Workload &w : workloads::allWorkloads()) {
         SCOPED_TRACE(w.name);
         const Prepared p = runPipeline(w);
@@ -81,39 +82,58 @@ TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
         if (on.snapshotsActive())
             ++with_snapshots;
 
-        // Recording snapshots must not perturb the golden run itself.
+        // Recording snapshots and anchors must not perturb the golden
+        // run itself.
         EXPECT_EQ(on.golden().return_value, off.golden().return_value);
         EXPECT_EQ(on.golden().dyn_instrs, off.golden().dyn_instrs);
         EXPECT_EQ(on.golden().value_instrs, off.golden().value_instrs);
 
-        fault::CampaignConfig cc;
-        cc.trials = 30;
-        cc.seed = 20240817;
-        cc.trial.dmax = 100;
-        cc.model_masking = false; // every trial takes the restore path
-
-        // Per-trial: same seed stream, same result, trial by trial.
         interp::Interpreter interp_on(on.decodedModule());
         interp::Interpreter interp_off(off.decodedModule());
-        for (std::uint64_t t = 0; t < cc.trials; ++t)
-            EXPECT_EQ(runTrial(on, cc, t, interp_on),
-                      runTrial(off, cc, t, interp_off))
-                << "trial " << t;
+        for (const std::string_view model :
+             fault::models::faultModelNames()) {
+            for (const std::string_view detector :
+                 fault::models::detectorNames()) {
+                SCOPED_TRACE(std::string(model) + " + " +
+                             std::string(detector));
+                fault::CampaignConfig cc;
+                cc.trials = 12;
+                cc.seed = 20240817;
+                cc.trial.dmax = 100;
+                cc.trial.model = fault::models::findFaultModel(model);
+                cc.trial.detector = fault::models::findDetector(detector);
+                cc.model_masking = false; // every trial takes the tier
 
-        // Aggregate: identical outcome tables sequentially and across
-        // a thread pool (workers share the store read-only).
-        for (const std::size_t jobs : {1u, 4u}) {
-            cc.jobs = jobs;
-            const fault::CampaignResult a = on.runCampaign(cc);
-            const fault::CampaignResult b = off.runCampaign(cc);
-            ASSERT_EQ(a.trials, b.trials);
-            for (int i = 0;
-                 i < static_cast<int>(fault::FaultOutcome::NumOutcomes);
-                 ++i)
-                EXPECT_EQ(a.counts[i], b.counts[i])
-                    << "jobs " << jobs << ", outcome "
-                    << outcomeName(
-                           static_cast<fault::FaultOutcome>(i));
+                // Per-trial: same seed stream, same result (replay
+                // cost included), trial by trial.
+                fault::CampaignResult b;
+                for (std::uint64_t t = 0; t < cc.trials; ++t) {
+                    const fault::TrialResult off_result =
+                        runTrial(off, cc, t, interp_off);
+                    EXPECT_EQ(runTrial(on, cc, t, interp_on), off_result)
+                        << "trial " << t;
+                    b.add(off_result);
+                }
+
+                // Aggregate: the tier's campaign, sequentially and
+                // across a thread pool (workers share the store
+                // read-only), tallies exactly the tier-off trials.
+                for (const std::size_t jobs : {1u, 4u}) {
+                    cc.jobs = jobs;
+                    const fault::CampaignResult a = on.runCampaign(cc);
+                    ASSERT_EQ(a.trials, b.trials);
+                    EXPECT_EQ(a.replay_cost, b.replay_cost)
+                        << "jobs " << jobs;
+                    for (int i = 0;
+                         i <
+                         static_cast<int>(fault::FaultOutcome::NumOutcomes);
+                         ++i)
+                        EXPECT_EQ(a.counts[i], b.counts[i])
+                            << "jobs " << jobs << ", outcome "
+                            << outcomeName(
+                                   static_cast<fault::FaultOutcome>(i));
+                }
+            }
         }
 
         if (on.snapshotsActive()) {
@@ -122,13 +142,17 @@ TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
             EXPECT_GT(stats.count, 0u);
             EXPECT_GT(stats.hits + stats.misses, 0u);
             EXPECT_LE(stats.bytes, snap_on.byte_budget);
+            EXPECT_LE(stats.entry_resyncs, stats.resyncs);
+            entry_resyncs += stats.entry_resyncs;
         }
     }
 
-    // The differential only bites if the snapshot path actually ran:
-    // most of the suite must have crossed at least one barrier.
+    // The differential only bites if the tier actually ran: most of
+    // the suite must have crossed at least one barrier, and some
+    // trials must have converged at a region entry.
     EXPECT_GT(with_snapshots,
               workloads::allWorkloads().size() / 2);
+    EXPECT_GT(entry_resyncs, 0u);
 }
 
 TEST(SnapshotDifferential, CfBranchModelBitIdenticalOnAndOff)
@@ -259,11 +283,216 @@ TEST(SnapshotDifferential, ResyncIsEngineIdentical)
             // Cumulative over this workload's scenarios so far.
             EXPECT_EQ(fused.snapshotStats().resyncs,
                       decoded.snapshotStats().resyncs);
+            EXPECT_EQ(fused.snapshotStats().entry_resyncs,
+                      decoded.snapshotStats().entry_resyncs);
         }
+        EXPECT_EQ(fused.snapshotStats().anchors,
+                  decoded.snapshotStats().anchors);
         total_resyncs += decoded.snapshotStats().resyncs;
+        // The programs whose long region instances the entry anchors
+        // exist for must actually converge at a region entry.
+        for (const char *name : {"mpeg2dec", "rawcaudio", "rawdaudio",
+                                 "g721encode", "g721decode"}) {
+            if (w.name == name) {
+                EXPECT_GT(decoded.snapshotStats().entry_resyncs, 0u);
+            }
+        }
     }
     // The comparison only bites if trials actually resynced.
     EXPECT_GT(total_resyncs, 0u);
+}
+
+/// One loop region (`loop`) that reads @src[4..7] and writes @dst[0..3]
+/// each pass; `done` then reads @dst[4..7], which the loop never
+/// touches.
+const char *kSurvivorProgram = R"(
+module "survivor"
+global @src 8
+global @dst 8
+func @main(1) {
+  bb entry:
+    r1 = mov 0
+    jmp init
+  bb init:
+    r2 = add r1, 5
+    store [@src + r1], r2
+    r1 = add r1, 1
+    r3 = cmplt r1, 8
+    br r3, init, start
+  bb start:
+    r1 = mov 0
+    jmp loop
+  bb loop:
+    r4 = and r1, 3
+    r5 = add r4, 4
+    r6 = load [@src + r5]
+    r7 = add r6, r1
+    store [@dst + r4], r7
+    r1 = add r1, 1
+    r8 = cmplt r1, r0
+    br r8, loop, done
+  bb done:
+    r9 = load [@dst + 4]
+    r10 = load [@dst + 5]
+    r11 = load [@dst + 6]
+    r12 = load [@dst + 7]
+    r13 = add r9, r10
+    r14 = add r11, r12
+    r15 = add r13, r14
+    ret r15
+}
+)";
+
+TEST(SnapshotDifferential, EntryCompareRejectsCorruptionThatSurvivesRollback)
+{
+    // A memory-bus address fault on the loop's store writes @dst[4]
+    // instead of @dst[0]. The loop never writes @dst[4], so the
+    // rollback leaves the corruption in place, and `done` reads it:
+    // the word is live at the loop's entry, the entry compare must
+    // refuse to adopt the golden suffix, and the trial must end
+    // exactly as it does with the tier off (Recovery Failed).
+    auto module = ir::parseModule(kSurvivorProgram);
+    EncoreConfig config;
+    config.gamma = 1.0;
+    EncorePipeline pipeline(*module, config);
+    const EncoreReport report = pipeline.run({RunSpec{"main", {200}}});
+
+    interp::SnapshotConfig snap_on;
+    snap_on.stride = 64; // the 200-pass loop spans many snapshots
+    fault::FaultInjector on(*module, report);
+    on.configureSnapshots(snap_on);
+    ASSERT_TRUE(on.prepare("main", {200}));
+    ASSERT_GT(on.snapshotStats().anchors, 0u);
+
+    interp::SnapshotConfig snap_off;
+    snap_off.enabled = false;
+    fault::FaultInjector off(*module, report);
+    off.configureSnapshots(snap_off);
+    ASSERT_TRUE(off.prepare("main", {200}));
+
+    // Value instructions: 1 in `entry`, 3 per `init` pass (8 passes), 1
+    // in `start`, then 6 per `loop` pass: `r7 = add` of pass k is value
+    // 29 + 6k, and the first memory access after it is that pass's
+    // store.
+    const std::uint64_t pass = 100;
+    fault::TrialDraw survivor;
+    survivor.plan.kind = fault::models::InjectionPlan::Kind::MemBus;
+    survivor.plan.target_value_index = 29 + 6 * pass;
+    survivor.plan.selector = (2u << 1) | 1u; // address bit 2: 0 -> 4
+    survivor.detection.latency = 20;
+
+    interp::Interpreter interp_on(on.decodedModule());
+    interp::Interpreter interp_off(off.decodedModule());
+    const fault::TrialResult with_tier =
+        on.runTrial(survivor, fault::TrialConfig{}, interp_on);
+    EXPECT_EQ(with_tier,
+              off.runTrial(survivor, fault::TrialConfig{}, interp_off));
+    EXPECT_EQ(with_tier.outcome, fault::FaultOutcome::RecoveryFailed);
+    EXPECT_EQ(on.snapshotStats().entry_resyncs, 0u);
+    EXPECT_EQ(on.snapshotStats().resyncs, 0u);
+
+    // Control: a flipped store value in the same pass only dirties
+    // @dst[0], which the loop rewrites before reading, so the same
+    // anchor accepts and the trial converges at the loop's entry.
+    fault::TrialDraw benign;
+    benign.plan.target_value_index = 29 + 6 * pass;
+    benign.plan.xor_mask = 1u << 3;
+    benign.detection.latency = 20;
+    const fault::TrialResult recovered =
+        on.runTrial(benign, fault::TrialConfig{}, interp_on);
+    EXPECT_EQ(recovered,
+              off.runTrial(benign, fault::TrialConfig{}, interp_off));
+    EXPECT_NE(recovered.outcome, fault::FaultOutcome::RecoveryFailed);
+    EXPECT_EQ(on.snapshotStats().entry_resyncs, 1u);
+}
+
+/// An already instrumented module: the loop of `work` is region 0 and
+/// calls `work` itself, whose inner activation writes its own fresh
+/// %acc[0] before the outer activation reads its own. Selection never
+/// puts a recursive call in a region, so no workload reaches this.
+const char *kShadowProgram = R"(
+module "shadow"
+global @out 1
+func @main(1) {
+  bb entry:
+    r1 = call @work(r0, 1)
+    store [@out], r1
+    ret r1
+}
+func @work(2) {
+  local %acc 2
+  bb entry:
+    r2 = cmpeq r1, 0
+    br r2, inner, outer
+  bb inner:
+    store [%acc], 7
+    r3 = load [%acc]
+    ret r3
+  bb outer:
+    store [%acc], 5
+    r4 = mov 0
+    r9 = mov 0
+    jmp enter
+  bb enter:
+    region.enter 0
+    jmp loop
+  bb loop:
+    r5 = call @work(r0, 0)
+    r6 = load [%acc]
+    r7 = add r5, r6
+    store [%acc + 1], r7
+    r9 = add r9, r7
+    r4 = add r4, 1
+    r8 = cmplt r4, r0
+    br r8, loop, done
+  bb done:
+    r10 = load [%acc]
+    r11 = add r9, r10
+    ret r11
+  bb recover:
+    restore 0
+    jmp enter
+}
+)";
+
+TEST(SnapshotDifferential, AnchorPassIgnoresShadowedLocals)
+{
+    // The anchor's dead words describe the incarnations the entry state
+    // holds: an access to a local of an activation pushed after the
+    // entry is to a fresh incarnation and must not classify the word.
+    auto module = ir::parseModule(kShadowProgram);
+    ir::Function *work = module->functionByName("work");
+    // The text form has no syntax for a region's recovery block.
+    for (ir::Instruction &inst : work->blockByName("enter")->instructions())
+        if (inst.opcode() == ir::Opcode::RegionEnter)
+            inst.setSucc0(work->blockByName("recover"));
+
+    interp::Interpreter interp(std::make_shared<const interp::DecodedModule>(
+        *module, interp::EngineKind::Fused));
+    interp::SnapshotConfig config;
+    config.stride = 64; // the 100-pass loop spans many snapshots
+    interp::SnapshotStore store(config);
+    interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+    interp.setSnapshotRecorder(&store);
+    ASSERT_TRUE(interp.run("main", {100}).ok());
+    interp.setSnapshotRecorder(nullptr);
+    store.recordEntryAnchors(interp, "main", {100});
+
+    // Token 1: only the outer activation enters region 0.
+    const interp::EntryAnchor *anchor = store.findAnchor(1);
+    ASSERT_NE(anchor, nullptr);
+    EXPECT_EQ(store.stats().anchors, 1u);
+    const ir::ObjectId acc = module->objectByName("work.acc");
+    const interp::Memory &memory = interp.memoryRef();
+    // Each pass's inner activation writes its own %acc[0] first; the
+    // outer activation, whose incarnation the entry state holds, reads
+    // it, so it is live.
+    EXPECT_FALSE(anchor->dead_words.test(memory.wordIndex(acc, 0)));
+    // The outer activation writes %acc[1] before anything reads it.
+    EXPECT_TRUE(anchor->dead_words.test(memory.wordIndex(acc, 1)));
+    // r5 (the call's result) is written first, r4 (the counter) read.
+    EXPECT_TRUE(anchor->dead_regs.test(5));
+    EXPECT_FALSE(anchor->dead_regs.test(4));
 }
 
 TEST(SnapshotDifferential, AdaptiveStrideStaysWithinBudget)

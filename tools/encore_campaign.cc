@@ -140,14 +140,22 @@ prepareInjector(const workloads::Workload &workload,
     out.injector->configureSnapshots(snap_config);
     if (!out.injector->prepare(workload.entry, workload.train_args))
         fatalf("golden run failed for ", workload.name);
-    if (out.injector->snapshotsActive()) {
-        const interp::SnapshotStats stats =
-            out.injector->snapshotStats();
-        std::cerr << "snapshot tier: " << stats.count
-                  << " snapshots, stride " << stats.stride << ", "
-                  << stats.bytes / 1024 << " KiB resident\n";
-    }
     return out;
+}
+
+/// The snapshot tier's store and what the trials made of it; printed
+/// once the trials have run.
+void
+printSnapshotTier(const fault::FaultInjector &injector)
+{
+    if (!injector.snapshotsActive())
+        return;
+    const interp::SnapshotStats stats = injector.snapshotStats();
+    std::cerr << "snapshot tier: " << stats.count << " snapshots, "
+              << stats.anchors << " entry anchors, stride "
+              << stats.stride << ", " << stats.bytes / 1024
+              << " KiB resident; " << stats.resyncs << " resyncs, "
+              << stats.entry_resyncs << " at a region entry\n";
 }
 
 /// The planner flag shared by `run`, `resume` (where it must stay
@@ -367,6 +375,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
             *pi.injector, pi.prepared.report, config,
             plannerFromFlags(cli, workload->name));
         const campaign::PlanSummary summary = planner.run();
+        printSnapshotTier(*pi.injector);
         std::cout << "campaign " << workload->name << " seed "
                   << config.seed << " dmax " << config.trial.dmax
                   << " (planner, sweep reuse)\n"
@@ -383,6 +392,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
 
     campaign::CampaignRunner runner(*pi.injector, config, options);
     const campaign::RunSummary summary = runner.run();
+    printSnapshotTier(*pi.injector);
 
     std::cout << "campaign " << workload->name << " seed "
               << config.seed << " dmax " << config.trial.dmax
