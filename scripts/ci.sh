@@ -8,7 +8,8 @@
 # same test set as scripts/sanitize.sh's thread lane), then a
 # campaign-planner smoke (sweep-reuse tally identity against brute
 # force), a scenario-matrix smoke (every fault-model x detector pair
-# byte-identical across --jobs and with the snapshot tier off), the
+# byte-identical across --jobs, with the snapshot tier off, and at
+# the former default stride 1024), the
 # repo benchmark's seed-1 output digests (perfbench/), and a warn-only
 # interpreter-throughput smoke (the fused superinstruction tier
 # against the decoded and reference engines, measured in one run).
@@ -67,11 +68,13 @@ echo "planner-smoke: tally identity held (brute == cold == warm)"
 
 echo "==> [scenario] fault-model x detector matrix smoke (--jobs and snapshot identity)"
 # Every registered fault-model/detector pair gets a small fig8 run at
-# --jobs 1 and --jobs 4 with the default snapshot tier, and at --jobs 1
+# --jobs 1 and --jobs 4 with the default snapshot tier, at --jobs 1
 # with the tier off (--snapshot-stride 0: no prefix seek, no
-# region-entry anchors, no resync); all three reports must be
-# byte-identical (the per-trial counter seeding contract, and the
-# tier's never-changes-an-outcome contract, per scenario). mpeg2dec
+# region-entry anchors, no resync), and at --jobs 1 with the former
+# default stride 1024 (its snapshots and anchors differ from the
+# default's); all four reports must be byte-identical (the per-trial
+# counter seeding contract, and the tier's never-changes-an-outcome
+# contract at either stride, per scenario). mpeg2dec
 # is in the set because its one long region instance is where most
 # trials converge at a region entry. The Perf line (wall-clock) and
 # the "N jobs" half of the header are the only legitimate differences,
@@ -82,11 +85,12 @@ fig8_bin="${build_root}/tier1/bench/fig8_fault_coverage"
 for model in reg-bit multi-bit cf-branch mem-bus; do
     for detector in analytic replay; do
         tag="${model}_${detector}"
-        for variant in j1 j4 nosnap; do
+        for variant in j1 j4 nosnap stride1024; do
             jobs=1
             stride=()
             [ "${variant}" = j4 ] && jobs=4
             [ "${variant}" = nosnap ] && stride=(--snapshot-stride 0)
+            [ "${variant}" = stride1024 ] && stride=(--snapshot-stride 1024)
             "${fig8_bin}" --workloads rawcaudio,pegwitdec,mpeg2dec \
                 --trials 200 --fault-model "${model}" \
                 --detector "${detector}" --jobs "${jobs}" --json "" \
@@ -106,7 +110,13 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
                 "between the snapshot tier on and off" >&2
             exit 1
         }
-        echo "scenario-smoke: ${model} + ${detector}: jobs and snapshot identity held"
+        diff -u "${scenario_dir}/${tag}_j1.txt" \
+            "${scenario_dir}/${tag}_stride1024.txt" || {
+            echo "scenario-smoke: ${model} + ${detector} diverges" \
+                "between the default stride and stride 1024" >&2
+            exit 1
+        }
+        echo "scenario-smoke: ${model} + ${detector}: jobs, snapshot and stride identity held"
     done
 done
 

@@ -45,11 +45,11 @@ AnalysisBase::AnalysisBase(ir::Module &module,
     // Profiling runs (Stage 1 of the pipeline).
     double t0 = nowSeconds();
     {
-        interp::Interpreter interp(module_);
-        interp::Profiler profiler(profile_);
-        interp::AddressProfiler addr_profiler(addr_profile_);
-        interp.addObserver(&profiler);
-        interp.addObserver(&addr_profiler);
+        // Observers pin superinstruction fusion off, so the run decodes
+        // without fusing.
+        interp::Interpreter interp(module_, interp::EngineKind::Decoded);
+        interp::ProfileCollector collector(module_);
+        interp.addObserver(&collector);
         interp.setMaxInstructions(profile_max_instrs);
         for (const RunSpec &spec : profile_runs) {
             const interp::RunResult result = interp.run(spec.entry,
@@ -59,6 +59,7 @@ AnalysisBase::AnalysisBase(ir::Module &module,
                        " failed: ", result.error);
             }
         }
+        collector.exportTo(profile_, addr_profile_);
     }
     timings_.profile += nowSeconds() - t0;
 

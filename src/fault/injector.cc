@@ -545,7 +545,6 @@ FaultInjector::FaultInjector(const ir::Module &module,
                              const EncoreReport &report,
                              interp::EngineKind engine)
     : module_(module),
-      module_hash_(fnv1a64(ir::moduleToString(module))),
       decoded_(
           std::make_shared<const interp::DecodedModule>(module, engine))
 {
@@ -557,6 +556,15 @@ FaultInjector::FaultInjector(const ir::Module &module,
                                  RegionClass::NonIdempotent);
         region_class_[region.id] = region.cls;
     }
+}
+
+std::uint64_t
+FaultInjector::moduleHash() const
+{
+    std::call_once(module_hash_once_, [this] {
+        module_hash_ = fnv1a64(ir::moduleToString(module_));
+    });
+    return module_hash_;
 }
 
 RegionClass

@@ -42,6 +42,7 @@
 
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "encore/pipeline.h"
@@ -297,8 +298,10 @@ class FaultInjector
     /// Identity of the prepared campaign target, used by the durable
     /// trial store to fingerprint which (module, entry, args) a store
     /// belongs to. moduleHash() is a stable hash of the instrumented
-    /// module's printed form, computed once in the constructor.
-    std::uint64_t moduleHash() const { return module_hash_; }
+    /// module's printed form, computed on the first call (printing the
+    /// module costs more than decoding it, and most injectors never
+    /// ask); thread-safe.
+    std::uint64_t moduleHash() const;
     const std::string &entry() const { return entry_; }
     const std::vector<std::uint64_t> &args() const { return args_; }
 
@@ -318,7 +321,8 @@ class FaultInjector
     RegionClass regionClassOf(ir::RegionId id) const;
 
     const ir::Module &module_;
-    std::uint64_t module_hash_ = 0;
+    mutable std::once_flag module_hash_once_;
+    mutable std::uint64_t module_hash_ = 0;
     /// Built once in the constructor (the module is already in its
     /// final instrumented form there) and never mutated afterwards.
     std::shared_ptr<const interp::DecodedModule> decoded_;

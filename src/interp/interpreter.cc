@@ -255,6 +255,8 @@ void
 Interpreter::addObserver(Observer *observer)
 {
     observers_.push_back(observer);
+    if (observer->observesInstructions())
+        instr_observers_.push_back(observer);
 }
 
 void
@@ -792,7 +794,7 @@ Interpreter::execLoop()
                 memory_.popFrame();
                 --depth_;
                 if (depth_ == 0) {
-                    for (Observer *obs : observers_)
+                    for (Observer *obs : instr_observers_)
                         obs->onInstruction(*exec_func->src, *inst.src,
                                            my_index);
                     result.return_value = value;
@@ -1017,7 +1019,7 @@ Interpreter::execLoop()
         }
 
         if (depth_ != 0) {
-            for (Observer *obs : observers_)
+            for (Observer *obs : instr_observers_)
                 obs->onInstruction(*exec_func->src, *inst.src, my_index);
         }
     }

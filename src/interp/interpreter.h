@@ -106,7 +106,12 @@ class Interpreter
 
     /// Removes all observers (reused per-worker interpreters install
     /// fresh per-trial observers each run).
-    void clearObservers() { observers_.clear(); }
+    void
+    clearObservers()
+    {
+        observers_.clear();
+        instr_observers_.clear();
+    }
 
     /// Installs active hooks (not owned); pass nullptr to remove. The
     /// rare call sites (onRuntimeError, onDetectionHandled) are live
@@ -413,6 +418,9 @@ class Interpreter
     const ir::Module &module_;
     Memory memory_;
     std::vector<Observer *> observers_;
+    /// The observers whose observesInstructions() is true: only they
+    /// get the per-instruction onInstruction call.
+    std::vector<Observer *> instr_observers_;
     ExecHooks *hooks_ = nullptr;
     /// Value index at which each run arms hooks_ (setHooks).
     std::uint64_t hooks_arm_at_ = 0;

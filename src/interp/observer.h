@@ -22,6 +22,15 @@ class Observer
   public:
     virtual ~Observer() = default;
 
+    /// Capability query, sampled once by Interpreter::addObserver: an
+    /// observer that does not override onInstruction returns false,
+    /// and the interpreter then skips the per-instruction call for it.
+    virtual bool
+    observesInstructions() const
+    {
+        return true;
+    }
+
     /// Control entered `block`. `from` is the predecessor block when
     /// the transfer was an intra-function branch, and nullptr for
     /// external entries (function entry on call, rollback redirects).

@@ -1,7 +1,10 @@
 #include "interp/profile.h"
 
+#include <algorithm>
 #include <set>
 #include <unordered_map>
+
+#include "support/diagnostics.h"
 
 namespace encore::interp {
 
@@ -79,6 +82,182 @@ ProfileData::functionDynInstrs(const ir::Function &func) const
             total += it->second[bb->id()] * real_instrs;
     }
     return total;
+}
+
+namespace {
+
+/// Fibonacci hashing: the top 64 - `shift` bits of `key` times 2^64/φ.
+std::size_t
+spread(std::uint64_t key, unsigned shift)
+{
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+} // namespace
+
+std::size_t
+ProfileCollector::PointerIndex::home(const void *key) const
+{
+    return spread(reinterpret_cast<std::uintptr_t>(key), shift_);
+}
+
+void
+ProfileCollector::PointerIndex::build(const std::vector<const void *> &keys)
+{
+    // At least two slots, so the shift in home() stays below 64.
+    shift_ = 63;
+    std::size_t size = 2;
+    while (size < 2 * keys.size()) {
+        size <<= 1;
+        --shift_;
+    }
+    keys_.assign(size, nullptr);
+    values_.assign(size, 0);
+    const std::size_t mask = size - 1;
+    for (std::uint32_t value = 0; value < keys.size(); ++value) {
+        std::size_t slot = home(keys[value]) & mask;
+        while (keys_[slot])
+            slot = (slot + 1) & mask;
+        keys_[slot] = keys[value];
+        values_[slot] = value;
+    }
+}
+
+std::uint32_t
+ProfileCollector::PointerIndex::find(const void *key) const
+{
+    const std::size_t mask = keys_.size() - 1;
+    std::size_t slot = home(key) & mask;
+    while (keys_[slot] != key) {
+        ENCORE_ASSERT(keys_[slot],
+                      "profile event from outside the collector's module");
+        slot = (slot + 1) & mask;
+    }
+    return values_[slot];
+}
+
+ProfileCollector::ProfileCollector(const ir::Module &module)
+{
+    std::vector<const void *> funcs;
+    std::vector<const void *> insts;
+    funcs_.reserve(module.functions().size());
+    for (const auto &func : module.functions()) {
+        funcs.push_back(func.get());
+        FunctionCounts &counts = funcs_.emplace_back();
+        counts.func = func.get();
+        const std::size_t blocks = func->numBlocks();
+        counts.succ.assign(2 * blocks, kNoBlock);
+        counts.taken.assign(2 * blocks, 0);
+        counts.external.assign(blocks, 0);
+        for (const auto &bb : func->blocks()) {
+            const ir::Instruction *term = bb->terminator();
+            if (term && term->opcode() == ir::Opcode::Br) {
+                counts.succ[2 * bb->id()] = term->succ0()->id();
+                counts.succ[2 * bb->id() + 1] = term->succ1()->id();
+            } else if (term && term->opcode() == ir::Opcode::Jmp) {
+                counts.succ[2 * bb->id()] = term->succ0()->id();
+            }
+            for (const auto &inst : bb->instructions()) {
+                if (inst.opcode() == ir::Opcode::Load ||
+                    inst.opcode() == ir::Opcode::Store) {
+                    insts.push_back(&inst);
+                    slots_.emplace_back().inst = &inst;
+                }
+            }
+        }
+    }
+    func_index_.build(funcs);
+    inst_index_.build(insts);
+}
+
+void
+ProfileCollector::onBlockEnter(const ir::Function &func,
+                               const ir::BasicBlock &block,
+                               const ir::BasicBlock *from)
+{
+    if (!current_ || current_->func != &func)
+        current_ = &funcs_[func_index_.find(&func)];
+    FunctionCounts &counts = *current_;
+    const ir::BlockId to = block.id();
+    if (!from) {
+        ++counts.external[to];
+        return;
+    }
+    const std::size_t edge = 2 * static_cast<std::size_t>(from->id());
+    if (counts.succ[edge] == to) {
+        ++counts.taken[edge];
+        return;
+    }
+    ENCORE_ASSERT(counts.succ[edge + 1] == to,
+                  "branch to a block that is not a successor");
+    ++counts.taken[edge + 1];
+}
+
+void
+ProfileCollector::onMemoryAccess(const ir::Function &func,
+                                 const ir::Instruction &inst,
+                                 ir::ObjectId object, std::uint32_t offset,
+                                 bool is_store, std::uint64_t dyn_index)
+{
+    (void)func;
+    (void)is_store;
+    (void)dyn_index;
+    AddrSlot &slot = slots_[inst_index_.find(&inst)];
+    const std::uint64_t addr = (std::uint64_t{object} << 32) | offset;
+    if (addr == slot.last)
+        return;
+    slot.last = addr;
+    if (std::find(slot.objects.begin(), slot.objects.end(), object) ==
+        slot.objects.end())
+        slot.objects.push_back(object);
+    if (slot.overflow)
+        return;
+    constexpr std::size_t kMask = (std::size_t{1} << AddrSlot::kTableBits) - 1;
+    if (slot.table.empty())
+        slot.table.assign(kMask + 1, kNoAddr);
+    std::size_t probe = spread(addr, 64 - AddrSlot::kTableBits);
+    while (slot.table[probe] != kNoAddr) {
+        if (slot.table[probe] == addr)
+            return;
+        probe = (probe + 1) & kMask;
+    }
+    slot.table[probe] = addr;
+    if (++slot.addr_count > analysis::AddrObservation::kMaxAddrs) {
+        slot.overflow = true;
+        slot.table = {};
+    }
+}
+
+void
+ProfileCollector::exportTo(ProfileData &data,
+                           analysis::DynamicAddressProfile &profile) const
+{
+    for (const FunctionCounts &counts : funcs_) {
+        const ir::Function &func = *counts.func;
+        for (const auto &bb : func.blocks()) {
+            const ir::BlockId id = bb->id();
+            if (counts.external[id])
+                data.countBlock(func, *bb, nullptr, counts.external[id]);
+            for (const std::size_t edge : {2 * std::size_t{id},
+                                           2 * std::size_t{id} + 1}) {
+                if (counts.taken[edge])
+                    data.countBlock(func, *func.blockById(counts.succ[edge]),
+                                    bb.get(), counts.taken[edge]);
+            }
+        }
+    }
+    for (const AddrSlot &slot : slots_) {
+        if (slot.objects.empty())
+            continue;
+        analysis::AddrObservation &obs = profile.observations[slot.inst];
+        obs.overflow = slot.overflow;
+        obs.objects.insert(slot.objects.begin(), slot.objects.end());
+        for (const std::uint64_t addr : slot.table) {
+            if (addr != kNoAddr)
+                obs.addrs.insert({static_cast<ir::ObjectId>(addr >> 32),
+                                  static_cast<std::uint32_t>(addr)});
+        }
+    }
 }
 
 WindowIdempotence

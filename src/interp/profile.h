@@ -9,6 +9,9 @@
  *    and 7a.
  *  - AddressProfiler: per-static-instruction concrete address sets for
  *    the optimistic alias analysis (Figure 7a's lower bound).
+ *  - ProfileCollector: both of the above from one observer over flat
+ *    storage — the profiling run of the analysis pipeline. Profiler
+ *    and AddressProfiler stay as its reference.
  *  - TraceCollector: the dynamic memory-access trace used to measure
  *    the inherent idempotence of execution windows (Figure 1).
  */
@@ -28,18 +31,20 @@ namespace encore::interp {
 class ProfileData
 {
   public:
+    /// Counts `times` entries into `block`, over the edge from `from`
+    /// or, when it is nullptr, from outside the function.
     void
     countBlock(const ir::Function &func, const ir::BasicBlock &block,
-               const ir::BasicBlock *from)
+               const ir::BasicBlock *from, std::uint64_t times = 1)
     {
         auto &counts = block_counts_[&func];
         if (counts.size() < func.numBlocks())
             counts.resize(func.numBlocks(), 0);
-        ++counts[block.id()];
+        counts[block.id()] += times;
         if (from)
-            ++edge_counts_[&func][{from->id(), block.id()}];
+            edge_counts_[&func][{from->id(), block.id()}] += times;
         else
-            ++external_entries_[&func][block.id()];
+            external_entries_[&func][block.id()] += times;
     }
 
     /// Taken count of the CFG edge from -> to.
@@ -92,6 +97,12 @@ class Profiler : public Observer
   public:
     explicit Profiler(ProfileData &data) : data_(data) {}
 
+    bool
+    observesInstructions() const override
+    {
+        return false;
+    }
+
     void
     onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
                  const ir::BasicBlock *from) override
@@ -113,6 +124,12 @@ class AddressProfiler : public Observer
     {
     }
 
+    bool
+    observesInstructions() const override
+    {
+        return false;
+    }
+
     void
     onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
                    ir::ObjectId object, std::uint32_t offset, bool is_store,
@@ -126,6 +143,106 @@ class AddressProfiler : public Observer
 
   private:
     analysis::DynamicAddressProfile &profile_;
+};
+
+/**
+ * Fills a ProfileData and a DynamicAddressProfile from one observer,
+ * with exactly the contents Profiler + AddressProfiler would give, over
+ * flat storage built up front from the module:
+ *
+ *  - per function, the taken count of each block's (at most two)
+ *    terminator successors and the external-entry count of each block;
+ *    block counts are their sums, so they are not stored;
+ *  - per load/store instruction, a slot holding its distinct objects
+ *    and a fixed-size open-addressing table of its distinct addresses,
+ *    until AddrObservation::kMaxAddrs overflows it.
+ *
+ * Functions and instructions find their storage through a flat
+ * pointer index; the collector takes no per-instruction callback.
+ * exportTo() writes the counts out once the runs are done. The module
+ * must not change while the collector observes it, and the runs must
+ * be unhooked: a hook that redirects a branch off its terminator's
+ * successors is a panic here.
+ */
+class ProfileCollector : public Observer
+{
+  public:
+    explicit ProfileCollector(const ir::Module &module);
+
+    bool
+    observesInstructions() const override
+    {
+        return false;
+    }
+
+    void onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
+                      const ir::BasicBlock *from) override;
+
+    void onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
+                        ir::ObjectId object, std::uint32_t offset,
+                        bool is_store, std::uint64_t dyn_index) override;
+
+    /// Adds everything observed so far to `data` and `profile`.
+    void exportTo(ProfileData &data,
+                  analysis::DynamicAddressProfile &profile) const;
+
+  private:
+    /// Immutable open-addressing map from a pointer to a dense index.
+    class PointerIndex
+    {
+      public:
+        void build(const std::vector<const void *> &keys);
+        /// The index of `key`; panics when it was not built in.
+        std::uint32_t find(const void *key) const;
+
+      private:
+        std::size_t home(const void *key) const;
+
+        /// 64 minus log2 of the table size.
+        unsigned shift_ = 63;
+        std::vector<const void *> keys_;
+        std::vector<std::uint32_t> values_;
+    };
+
+    struct FunctionCounts
+    {
+        const ir::Function *func = nullptr;
+        /// Successor block ids of block b at 2b and 2b + 1
+        /// (kNoBlock when the terminator has fewer).
+        std::vector<ir::BlockId> succ;
+        /// Taken counts of those successor edges.
+        std::vector<std::uint64_t> taken;
+        std::vector<std::uint64_t> external;
+    };
+
+    struct AddrSlot
+    {
+        /// A power of two; it holds at most kMaxAddrs + 1 addresses, so
+        /// it stays about half empty.
+        static constexpr unsigned kTableBits = 7;
+        static_assert((std::size_t{1} << kTableBits) >=
+                      2 * analysis::AddrObservation::kMaxAddrs);
+
+        const ir::Instruction *inst = nullptr;
+        /// The last address recorded: a repeat changes nothing.
+        std::uint64_t last = kNoAddr;
+        bool overflow = false;
+        std::vector<ir::ObjectId> objects;
+        /// Distinct addresses (kNoAddr marks a free entry), empty
+        /// until the first access and again after overflow.
+        std::vector<std::uint64_t> table;
+        std::size_t addr_count = 0;
+    };
+
+    static constexpr ir::BlockId kNoBlock = ~ir::BlockId{0};
+    static constexpr std::uint64_t kNoAddr = ~std::uint64_t{0};
+
+    std::vector<FunctionCounts> funcs_;
+    /// The function of the last block entry (a loop stays in one).
+    FunctionCounts *current_ = nullptr;
+    std::vector<AddrSlot> slots_;
+    PointerIndex func_index_;
+    PointerIndex inst_index_;
 };
 
 /// One dynamic memory access.

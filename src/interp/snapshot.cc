@@ -290,7 +290,11 @@ SnapshotStore::recordEntryAnchors(Interpreter &interp,
                                   const std::vector<std::uint64_t> &args)
 {
     // The snapshots an instance is live at (it owns an active frame
-    // there); instances live at two or more span a whole stride.
+    // there). An instance is live at a contiguous run of them, since
+    // its token is minted once and never reused; one live at three or
+    // more spans two whole strides. Anchoring instances live at only
+    // two as well quadruples the anchors at stride 256 (each one more
+    // hooked replay here) for about 6% more campaign throughput.
     struct Span
     {
         std::size_t first = 0;
@@ -310,7 +314,7 @@ SnapshotStore::recordEntryAnchors(Interpreter &interp,
     interp.memoryRef().enableDirtyTracking(pool_.page_words);
     interp.setCaptureGlobals(false);
     for (const auto &[token, span] : spans) {
-        if (span.last == span.first)
+        if (span.last - span.first < 2)
             continue;
         // Tokens are minted in order, so the instance entered after the
         // last snapshot that had not minted it yet.

@@ -36,10 +36,11 @@
  * recovered trial that lands there in a state the golden run had at
  * that instance's entry can adopt the golden suffix at once instead
  * of replaying the region. After the golden run, recordEntryAnchors()
- * captures the golden state at the entry of every long instance,
- * together with the locations that state need not match: anchor-frame
- * registers and memory words whose first access after the entry is a
- * write (see EntryAnchor and Interpreter::armGoldenResync).
+ * captures the golden state at the entry of every instance live at
+ * three or more snapshots, together with the locations that state need
+ * not match: anchor-frame registers and memory words whose first
+ * access after the entry is a write (see EntryAnchor and
+ * Interpreter::armGoldenResync).
  *
  * Budget policy: when a capture would push the store past
  * `byte_budget`, the capture is discarded (the pool is truncated
@@ -73,14 +74,15 @@ constexpr std::uint64_t kNoSnapshotBarrier = ~0ULL;
 struct SnapshotConfig
 {
     bool enabled = true;
-    /// Barrier stride in value-producing dynamic instructions. The
-    /// expected re-executed prefix per snapshot-hit trial is stride/2
-    /// value instructions. 1024 is the measured sweet spot across the
-    /// MediaBench suite: small enough that prefix re-execution and the
-    /// resync wait are both negligible, large enough that the store
-    /// stays far under its byte budget (the budget/stride-doubling
-    /// policy still protects outsized workloads).
-    std::uint64_t stride = 1024;
+    /// Barrier stride in value-producing dynamic instructions. An
+    /// executed trial re-runs about stride/2 value instructions from
+    /// its seek snapshot to the fault, and a recovered one that misses
+    /// its entry anchor waits up to a stride for the next resync point,
+    /// so trial cost scales with it; recording cost scales with the
+    /// snapshot count, and the entry-anchor pass with the instances it
+    /// anchors (EXPERIMENTS.md "Snapshot stride" has the measurements).
+    /// The budget/stride-doubling policy protects outsized workloads.
+    std::uint64_t stride = 256;
     /// Delta page size in 64-bit words (rounded up to a power of two).
     std::uint32_t page_words = 64;
     /// Resident byte budget for the whole store (pool + snapshots).
@@ -212,16 +214,18 @@ class SnapshotStore
 
     /// Records the entry anchors after the golden run (prepare() calls
     /// it once, before any trial). The instances anchored are those
-    /// live at two or more kept snapshots, i.e. running across at least
-    /// one whole stride. Each is replayed, fused, from the latest
-    /// snapshot before its entry (from program entry when there is
-    /// none) under recording hooks: the state is captured at the loop
-    /// top before the instance's `region.enter`, and first accesses are
-    /// classified from there until the anchor frame returns, a quiet
-    /// stretch finds no new dead location, or the replay reaches the
-    /// first snapshot past the instance. `interp` must run the decoded
-    /// module the store was recorded from; the pass changes its hooks,
-    /// instruction limit and globals capture.
+    /// live at three or more kept snapshots, i.e. running across at
+    /// least two whole strides: a shorter instance saves too little
+    /// replay per recovered trial to pay for its recording replay.
+    /// Each is replayed, fused, from the latest snapshot before its
+    /// entry (from program entry when there is none) under recording
+    /// hooks: the state is captured at the loop top before the
+    /// instance's `region.enter`, and first accesses are classified
+    /// from there until the anchor frame returns, a quiet stretch finds
+    /// no new dead location, or the replay reaches the first snapshot
+    /// past the instance. `interp` must run the decoded module the
+    /// store was recorded from; the pass changes its hooks, instruction
+    /// limit and globals capture.
     void recordEntryAnchors(Interpreter &interp, const std::string &entry,
                             const std::vector<std::uint64_t> &args);
 

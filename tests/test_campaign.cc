@@ -56,6 +56,9 @@ struct Harness
     std::unique_ptr<fault::FaultInjector> injector;
 };
 
+/// The full re-execution side of the cross-tier tests: the snapshot
+/// tier is off explicitly, not by the program being shorter than the
+/// default stride.
 Harness
 prepare(std::uint64_t arg = 50)
 {
@@ -67,6 +70,9 @@ prepare(std::uint64_t arg = 50)
     setup.report = pipeline.run({RunSpec{"main", {arg}}});
     setup.injector = std::make_unique<fault::FaultInjector>(
         *setup.module, setup.report);
+    interp::SnapshotConfig off;
+    off.enabled = false;
+    setup.injector->configureSnapshots(off);
     EXPECT_TRUE(setup.injector->prepare("main", {arg}));
     return setup;
 }

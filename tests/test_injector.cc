@@ -5,11 +5,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <thread>
+
 #include "encore/pipeline.h"
 #include "fault/injector.h"
 #include "fault/models/fault_model.h"
 #include "interp/interpreter.h"
 #include "ir/parser.h"
+#include "ir/printer.h"
+#include "support/checksum.h"
 
 namespace encore::fault {
 namespace {
@@ -240,6 +244,25 @@ func @main(1) {
     // Running with a divisor of zero fails the golden run.
     EXPECT_FALSE(injector.prepare("main", {0}));
     EXPECT_TRUE(injector.prepare("main", {2}));
+}
+
+TEST(Injector, ModuleHashIsThePrintedModuleHashFromAnyThread)
+{
+    // moduleHash() is computed on its first call, which two threads may
+    // make at once; both, and every later caller, see the hash of the
+    // printed instrumented module, the value durable stores and tally
+    // sidecars are keyed by.
+    Harness setup = prepare();
+    const std::uint64_t expected =
+        fnv1a64(ir::moduleToString(*setup.module));
+    std::uint64_t seen[2] = {};
+    std::thread first([&] { seen[0] = setup.injector->moduleHash(); });
+    std::thread second([&] { seen[1] = setup.injector->moduleHash(); });
+    first.join();
+    second.join();
+    EXPECT_EQ(seen[0], expected);
+    EXPECT_EQ(seen[1], expected);
+    EXPECT_EQ(setup.injector->moduleHash(), expected);
 }
 
 TEST(Injector, CoverageArithmetic)

@@ -495,6 +495,89 @@ TEST(SnapshotDifferential, AnchorPassIgnoresShadowedLocals)
     EXPECT_FALSE(anchor->dead_regs.test(4));
 }
 
+/// An already instrumented module: `main` calls `work` twice, and each
+/// call's loop is one instance of region 0 (tokens 1 and 2), running r0
+/// passes then r1 passes.
+const char *kSpanProgram = R"(
+module "spans"
+global @out 1
+func @main(2) {
+  bb entry:
+    r2 = call @work(r0)
+    r3 = call @work(r1)
+    r4 = add r2, r3
+    store [@out], r4
+    ret r4
+}
+func @work(1) {
+  bb entry:
+    r1 = mov 0
+    r2 = mov 0
+    jmp enter
+  bb enter:
+    region.enter 0
+    jmp loop
+  bb loop:
+    r2 = add r2, r1
+    r1 = add r1, 1
+    r3 = cmplt r1, r0
+    br r3, loop, done
+  bb done:
+    ret r2
+  bb recover:
+    restore 0
+    jmp enter
+}
+)";
+
+/// The kept snapshots of `store` at which region instance `token` owns
+/// an active frame.
+std::size_t
+snapshotsLiveAt(const interp::SnapshotStore &store, std::uint64_t token)
+{
+    std::size_t live = 0;
+    for (const interp::Snapshot *snap = store.findFirstAfter(0); snap;
+         snap = store.findFirstAfter(snap->exec.value_count)) {
+        live += std::any_of(snap->exec.frames.begin(),
+                            snap->exec.frames.end(),
+                            [&](const interp::SnapFrame &frame) {
+                                return frame.rec_active &&
+                                       frame.rec_token == token;
+                            });
+    }
+    return live;
+}
+
+TEST(SnapshotDifferential, AnchorsOnlyInstancesLiveAtThreeSnapshots)
+{
+    // An instance live at two kept snapshots spans one whole stride; it
+    // gets no entry anchor. One live at three spans two and gets one.
+    auto module = ir::parseModule(kSpanProgram);
+    ir::Function *work = module->functionByName("work");
+    for (ir::Instruction &inst : work->blockByName("enter")->instructions())
+        if (inst.opcode() == ir::Opcode::RegionEnter)
+            inst.setSucc0(work->blockByName("recover"));
+
+    interp::Interpreter interp(std::make_shared<const interp::DecodedModule>(
+        *module, interp::EngineKind::Fused));
+    interp::SnapshotConfig config;
+    config.stride = 64;
+    interp::SnapshotStore store(config);
+    interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+    interp.setSnapshotRecorder(&store);
+    // 3 value instructions a pass: the 45 passes of token 1 are live
+    // at two snapshots, the 70 of token 2 at three.
+    ASSERT_TRUE(interp.run("main", {45, 70}).ok());
+    interp.setSnapshotRecorder(nullptr);
+    store.recordEntryAnchors(interp, "main", {45, 70});
+
+    ASSERT_EQ(snapshotsLiveAt(store, 1), 2u);
+    ASSERT_EQ(snapshotsLiveAt(store, 2), 3u);
+    EXPECT_EQ(store.findAnchor(1), nullptr);
+    EXPECT_NE(store.findAnchor(2), nullptr);
+    EXPECT_EQ(store.stats().anchors, 1u);
+}
+
 TEST(SnapshotDifferential, AdaptiveStrideStaysWithinBudget)
 {
     // Squeeze the byte budget until the store must either double its

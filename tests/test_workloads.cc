@@ -10,6 +10,7 @@
 #include "encore/pipeline.h"
 #include "fault/injector.h"
 #include "interp/interpreter.h"
+#include "interp/profile.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
 #include "ir/verifier.h"
@@ -98,6 +99,64 @@ TEST_P(WorkloadTest, PipelinePreservesSemantics)
     ASSERT_TRUE(result.ok()) << result.error;
     EXPECT_EQ(result.return_value, golden.return_value);
     EXPECT_EQ(result.globals, golden.globals);
+}
+
+TEST_P(WorkloadTest, ProfileCollectorMatchesReferenceProfilers)
+{
+    // The analysis pipeline profiles with ProfileCollector; Profiler +
+    // AddressProfiler are its reference. One train run feeds all three.
+    const Workload &w = workload();
+    auto module = w.build();
+    module->resolveCalls();
+    interp::ProfileData reference;
+    analysis::DynamicAddressProfile reference_addrs;
+    interp::Profiler profiler(reference);
+    interp::AddressProfiler addr_profiler(reference_addrs);
+    interp::ProfileCollector collector(*module);
+    interp::Interpreter interp(*module);
+    interp.addObserver(&profiler);
+    interp.addObserver(&addr_profiler);
+    interp.addObserver(&collector);
+    ASSERT_TRUE(interp.run(w.entry, w.train_args).ok());
+    interp::ProfileData collected;
+    analysis::DynamicAddressProfile collected_addrs;
+    collector.exportTo(collected, collected_addrs);
+
+    EXPECT_EQ(collected.totalDynInstrs(), reference.totalDynInstrs());
+    std::size_t memory_insts = 0;
+    for (const auto &func : module->functions()) {
+        for (const auto &from : func->blocks()) {
+            const ir::BlockId id = from->id();
+            EXPECT_EQ(collected.blockCount(*func, id),
+                      reference.blockCount(*func, id))
+                << func->name() << " block " << id;
+            EXPECT_EQ(collected.externalEntries(*func, id),
+                      reference.externalEntries(*func, id))
+                << func->name() << " block " << id;
+            for (const auto &to : func->blocks()) {
+                EXPECT_EQ(collected.edgeCount(*func, id, to->id()),
+                          reference.edgeCount(*func, id, to->id()))
+                    << func->name() << " edge " << id << "->" << to->id();
+            }
+            for (const ir::Instruction &inst : from->instructions()) {
+                const analysis::AddrObservation *want =
+                    reference_addrs.find(&inst);
+                const analysis::AddrObservation *got =
+                    collected_addrs.find(&inst);
+                ASSERT_EQ(got == nullptr, want == nullptr)
+                    << func->name() << " block " << id;
+                if (!want)
+                    continue;
+                ++memory_insts;
+                EXPECT_EQ(got->overflow, want->overflow);
+                EXPECT_EQ(got->addrs, want->addrs);
+                EXPECT_EQ(got->objects, want->objects);
+            }
+        }
+    }
+    EXPECT_EQ(collected_addrs.observations.size(),
+              reference_addrs.observations.size());
+    EXPECT_GT(memory_insts, 0u);
 }
 
 TEST_P(WorkloadTest, InjectionSmokeTest)
