@@ -53,44 +53,25 @@ rowFromReport(const EncoreReport &report)
     return one;
 }
 
-/// Means over the whole suite for one config point. With sessions the
-/// grid shares one analysis base (and memoized region dataflow) per
-/// workload; without, every point reruns the full pipeline.
+/// Means over the whole suite for one config point. The grid shares
+/// one analysis base (and memoized region dataflow) per workload.
 AblationRow
-evaluate(const EncoreConfig &config, std::size_t jobs,
-         std::vector<std::unique_ptr<bench::WorkloadSession>> *sessions)
+evaluate(const EncoreConfig &config, const ThreadPool &pool,
+         const std::vector<std::unique_ptr<bench::WorkloadSession>>
+             &sessions)
 {
+    std::vector<AblationRow> ones(sessions.size());
+    pool.parallelFor(sessions.size(), [&](std::uint64_t i, std::size_t) {
+        ones[i] = rowFromReport(sessions[i]->analyze(config));
+    });
     AblationRow row;
-    if (sessions) {
-        std::vector<AblationRow> ones(sessions->size());
-        ThreadPool pool(jobs);
-        pool.parallelFor(sessions->size(),
-                         [&](std::uint64_t i, std::size_t) {
-                             ones[i] = rowFromReport(
-                                 (*sessions)[i]->analyze(config));
-                         });
-        for (const AblationRow &one : ones) {
-            row.overhead += one.overhead;
-            row.protected_dyn += one.protected_dyn;
-            row.regions += one.regions;
-            row.selected += one.selected;
-            ++row.count;
-        }
-        return row;
+    for (const AblationRow &one : ones) {
+        row.overhead += one.overhead;
+        row.protected_dyn += one.protected_dyn;
+        row.regions += one.regions;
+        row.selected += one.selected;
+        ++row.count;
     }
-    bench::mapWorkloads(
-        jobs,
-        [&config](const workloads::Workload &w) {
-            return rowFromReport(
-                bench::prepareWorkload(w, config).report);
-        },
-        [&row](const workloads::Workload &, const AblationRow &one) {
-            row.overhead += one.overhead;
-            row.protected_dyn += one.protected_dyn;
-            row.regions += one.regions;
-            row.selected += one.selected;
-            ++row.count;
-        });
     return row;
 }
 
@@ -319,25 +300,16 @@ main(int argc, char **argv)
     cli.parse(argc, argv);
     if (cli.getBool("planner-bench"))
         return runPlannerBench(cli);
-    const std::size_t jobs = bench::jobsFlag(cli);
-    const bool use_cache = bench::analysisCacheFlag(cli);
+    const ThreadPool pool(bench::jobsFlag(cli));
 
     // One session per workload, shared by every grid point below.
-    std::vector<std::unique_ptr<bench::WorkloadSession>> sessions;
-    if (use_cache) {
-        const std::vector<workloads::Workload> &suite =
-            workloads::allWorkloads();
-        sessions.resize(suite.size());
-        ThreadPool pool(jobs);
-        pool.parallelFor(
-            suite.size(), [&](std::uint64_t i, std::size_t) {
-                sessions[i] =
-                    std::make_unique<bench::WorkloadSession>(suite[i]);
-            });
-    }
-    const auto eval = [&](const EncoreConfig &config) {
-        return evaluate(config, jobs, use_cache ? &sessions : nullptr);
-    };
+    const std::vector<workloads::Workload> &suite =
+        workloads::allWorkloads();
+    std::vector<std::unique_ptr<bench::WorkloadSession>> sessions(
+        suite.size());
+    pool.parallelFor(suite.size(), [&](std::uint64_t i, std::size_t) {
+        sessions[i] = std::make_unique<bench::WorkloadSession>(suite[i]);
+    });
 
     bench::printHeader(
         "Ablations",
@@ -349,7 +321,7 @@ main(int argc, char **argv)
                  "selected"});
 
     for (const GridPoint &point : ablationGrid()) {
-        addRow(table, point.label, eval(point.config));
+        addRow(table, point.label, evaluate(point.config, pool, sessions));
         if (point.separator_after)
             table.addSeparator();
     }

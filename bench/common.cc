@@ -9,17 +9,15 @@
 
 namespace encore::bench {
 
-WorkloadSession::WorkloadSession(const workloads::Workload &workload,
-                                 bool cache, std::size_t jobs)
+WorkloadSession::WorkloadSession(const workloads::Workload &workload)
     : workload_(&workload), module_(workload.build())
 {
     EncoreConfig defaults;
     base_ = std::make_unique<AnalysisBase>(
         *module_, std::vector<RunSpec>{RunSpec{workload.entry,
                                                workload.train_args}},
-        defaults.profile_max_instrs, jobs);
-    if (cache)
-        cache_ = std::make_unique<AnalysisCache>(*base_);
+        defaults.profile_max_instrs);
+    cache_ = std::make_unique<AnalysisCache>(*base_);
 }
 
 WorkloadSession::~WorkloadSession() = default;
@@ -54,11 +52,11 @@ prepareSuite(const EncoreConfig &config, std::size_t jobs)
     const std::vector<workloads::Workload> &suite =
         workloads::allWorkloads();
     std::vector<PreparedWorkload> prepared(suite.size());
-    ThreadPool pool(jobs);
-    pool.parallelFor(suite.size(),
-                     [&](std::uint64_t i, std::size_t) {
-                         prepared[i] = prepareWorkload(suite[i], config);
-                     });
+    ThreadPool(jobs).parallelFor(suite.size(),
+                                 [&](std::uint64_t i, std::size_t) {
+                                     prepared[i] =
+                                         prepareWorkload(suite[i], config);
+                                 });
     return prepared;
 }
 
@@ -80,23 +78,13 @@ standardFlags(const std::string &trials_default)
     cli.addFlag("jobs", "0",
                 "worker threads for workload prep and campaigns "
                 "(0 = all hardware threads)");
-    cli.addFlag("no-analysis-cache", "false",
-                "disable sharing of analysis state across sweep "
-                "config points (slower; results are identical)");
     return cli;
 }
 
 std::size_t
 jobsFlag(const CommandLine &cli)
 {
-    const std::int64_t raw = cli.getInt("jobs");
-    return resolveJobs(raw <= 0 ? 0 : static_cast<std::size_t>(raw));
-}
-
-bool
-analysisCacheFlag(const CommandLine &cli)
-{
-    return !cli.getBool("no-analysis-cache");
+    return resolveJobs(cli.getUint("jobs"));
 }
 
 void

@@ -55,15 +55,12 @@ std::vector<PreparedWorkload> prepareSuite(const EncoreConfig &config,
  * are memoized across config points (see encore/analysis_base.h).
  * analyze() never instruments the module, so any number of configs
  * can be evaluated against one session; reports are bit-identical to
- * prepareWorkload's at the same config. With `cache == false` the
- * memo is disabled and every analyze() recomputes from the shared
- * base (the --no-analysis-cache path).
+ * prepareWorkload's at the same config.
  */
 class WorkloadSession
 {
   public:
-    explicit WorkloadSession(const workloads::Workload &workload,
-                             bool cache = true, std::size_t jobs = 1);
+    explicit WorkloadSession(const workloads::Workload &workload);
     ~WorkloadSession();
 
     /// Report for one config point (the workload's opaque-function
@@ -72,9 +69,6 @@ class WorkloadSession
                          AnalysisPhaseTimings *timings = nullptr);
 
     const workloads::Workload &workload() const { return *workload_; }
-    AnalysisBase &base() { return *base_; }
-    /// Null when caching is disabled.
-    AnalysisCache *cache() { return cache_.get(); }
 
   private:
     const workloads::Workload *workload_;
@@ -100,26 +94,22 @@ mapWorkloads(std::size_t jobs, Produce produce, Consume consume)
     const std::vector<workloads::Workload> &suite =
         workloads::allWorkloads();
     std::vector<std::optional<T>> results(suite.size());
-    ThreadPool pool(jobs);
-    pool.parallelFor(suite.size(),
-                     [&](std::uint64_t i, std::size_t) {
-                         results[i].emplace(produce(suite[i]));
-                     });
+    ThreadPool(jobs).parallelFor(suite.size(),
+                                 [&](std::uint64_t i, std::size_t) {
+                                     results[i].emplace(produce(suite[i]));
+                                 });
     for (std::size_t i = 0; i < suite.size(); ++i)
         consume(suite[i], *results[i]);
 }
 
 /// Standard flags most benches share. Returns a CommandLine with
-/// --seed, --trials, --jobs and --no-analysis-cache registered
-/// (callers may add more before parse).
+/// --seed, --trials and --jobs registered (callers may add more before
+/// parse).
 CommandLine standardFlags(const std::string &trials_default);
 
-/// Resolved --jobs value: 0 (the default) means hardware concurrency.
+/// Resolved --jobs value: 0 (the default) means hardware concurrency;
+/// a negative value is fatal.
 std::size_t jobsFlag(const CommandLine &cli);
-
-/// True unless --no-analysis-cache was passed: whether sweeps may
-/// share analysis state across config points.
-bool analysisCacheFlag(const CommandLine &cli);
 
 /// Registers the standard --json flag with the given default path
 /// ("" disables the report).

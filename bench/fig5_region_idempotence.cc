@@ -48,7 +48,6 @@ main(int argc, char **argv)
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
     const std::size_t jobs = bench::jobsFlag(cli);
-    const bool use_cache = bench::analysisCacheFlag(cli);
     const std::string json_path = cli.getString("json");
 
     bench::printHeader(
@@ -93,23 +92,15 @@ main(int argc, char **argv)
         jobs,
         // Parallel: all four pipeline configurations per workload.
         // One session per workload builds + profiles once and shares
-        // the analysis base across the four Pmin points; the uncached
-        // path reruns the whole pipeline per point.
+        // the analysis base across the four Pmin points.
         [&](const workloads::Workload &w) {
             std::array<Breakdown, 4> breakdowns;
-            std::unique_ptr<bench::WorkloadSession> session;
-            if (use_cache)
-                session = std::make_unique<bench::WorkloadSession>(w);
+            bench::WorkloadSession session(w);
             for (std::size_t s = 0; s < settings.size(); ++s) {
                 EncoreConfig config;
                 config.prune = settings[s].prune;
                 config.pmin = settings[s].pmin;
-                if (session) {
-                    breakdowns[s] = classify(session->analyze(config));
-                } else {
-                    auto prepared = bench::prepareWorkload(w, config);
-                    breakdowns[s] = classify(prepared.report);
-                }
+                breakdowns[s] = classify(session.analyze(config));
             }
             return breakdowns;
         },

@@ -16,11 +16,9 @@
  */
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
+#include <thread>
 
-#include "campaign/runner.h"
 #include "common.h"
 #include "fault/injector.h"
 #include "support/strings.h"
@@ -55,10 +53,6 @@ main(int argc, char **argv)
                 "comma-separated detection latencies to evaluate");
     cli.addFlag("mask", "0.91", "hardware masking rate");
     bench::addJsonFlag(cli, "");
-    cli.addFlag("store", "",
-                "directory for durable per-campaign trial stores; a "
-                "rerun resumes interrupted campaigns instead of "
-                "restarting them (empty = in-memory campaigns)");
     bench::addSnapshotFlags(cli);
     cli.addFlag("workloads", "",
                 "comma-separated workload names to run (empty = the "
@@ -78,9 +72,6 @@ main(int argc, char **argv)
     const fault::models::FaultModel &model = bench::faultModelFlag(cli);
     const fault::models::Detector &detector = bench::detectorFlag(cli);
     const std::string json_path = cli.getString("json");
-    const std::string store_dir = cli.getString("store");
-    if (!store_dir.empty())
-        std::filesystem::create_directories(store_dir);
 
     std::vector<std::uint64_t> dmaxes;
     for (const std::string &field : split(cli.getString("dmax"), ',')) {
@@ -195,22 +186,8 @@ main(int argc, char **argv)
             campaign.trial.dmax = dmaxes[d];
             campaign.trial.model = &model;
             campaign.trial.detector = &detector;
-            fault::CampaignResult result;
-            if (store_dir.empty()) {
-                result = injector.runCampaign(campaign);
-            } else {
-                // Durable path: identical numbers (same per-trial
-                // seeding), but interrupted campaigns resume from the
-                // store instead of restarting.
-                campaign::RunnerOptions opts;
-                opts.store_path = store_dir + "/" + w.name + "_d" +
-                                  std::to_string(dmaxes[d]) + ".trials";
-                opts.label = w.name + " Dmax=" +
-                             std::to_string(dmaxes[d]);
-                campaign::CampaignRunner runner(injector, campaign,
-                                                opts);
-                result = runner.run().result;
-            }
+            const fault::CampaignResult result =
+                injector.runCampaign(campaign);
             total_replay_cost += result.replay_cost;
             const double covered = result.coveredFraction();
             row.push_back(formatPercent(covered));

@@ -8,13 +8,9 @@
  * storage, and mean checkpoint work per region instance across all
  * workloads.
  */
-#include <filesystem>
 #include <iostream>
-
-#include <optional>
 #include <vector>
 
-#include "campaign/runner.h"
 #include "common.h"
 #include "fault/injector.h"
 #include "support/stats.h"
@@ -31,9 +27,6 @@ main(int argc, char **argv)
                 "detection latency for the measured-coverage column "
                 "(used when --trials > 0)");
     cli.addFlag("mask", "0.91", "hardware masking rate");
-    cli.addFlag("store", "",
-                "directory for durable trial stores when --trials > 0 "
-                "(campaigns resume across reruns; empty = in-memory)");
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
     cli.parse(argc, argv);
@@ -45,7 +38,6 @@ main(int argc, char **argv)
     const std::uint64_t seed = cli.getUint("seed");
     const std::uint64_t dmax = cli.getUint("dmax");
     const double mask_rate = cli.getDouble("mask");
-    const std::string store_dir = cli.getString("store");
     // The scenario axis: --fault-model / --detector accept comma-
     // separated lists (empty = all registered), and the measured
     // column runs one campaign per pair. The first pair backs the
@@ -66,8 +58,6 @@ main(int argc, char **argv)
         scenarios.size() == 1 &&
         scenarios[0].model == fault::models::defaultFaultModel() &&
         scenarios[0].detector == fault::models::defaultDetector();
-    if (!store_dir.empty())
-        std::filesystem::create_directories(store_dir);
 
     bench::printHeader(
         "Table 1",
@@ -117,8 +107,7 @@ main(int argc, char **argv)
             }
             // Opt-in measured coverage: back the "Guaranteed Recovery"
             // row with an actual campaign. Workloads already run on
-            // `jobs` threads, so each campaign stays single-threaded;
-            // with --store the campaigns are durable and resumable.
+            // `jobs` threads, so each campaign stays single-threaded.
             if (trials > 0) {
                 fault::FaultInjector injector(*prepared.module,
                                               prepared.report);
@@ -132,30 +121,8 @@ main(int argc, char **argv)
                         campaign.trial.dmax = dmax;
                         campaign.trial.model = sc.model;
                         campaign.trial.detector = sc.detector;
-                        campaign::RunnerOptions opts;
-                        if (!store_dir.empty()) {
-                            // The default pair keeps the historic
-                            // store name so existing campaigns resume;
-                            // other scenarios get their own stores
-                            // (the header would refuse the mismatch
-                            // anyway).
-                            std::string store_name =
-                                w.name + "_d" + std::to_string(dmax);
-                            if (sc.model !=
-                                    fault::models::defaultFaultModel() ||
-                                sc.detector !=
-                                    fault::models::defaultDetector())
-                                store_name +=
-                                    "_" + std::string(sc.model->name()) +
-                                    "_" +
-                                    std::string(sc.detector->name());
-                            opts.store_path =
-                                store_dir + "/" + store_name + ".trials";
-                        }
-                        campaign::CampaignRunner runner(injector,
-                                                        campaign, opts);
                         const fault::CampaignResult result =
-                            runner.run().result;
+                            injector.runCampaign(campaign);
                         row.measured.push_back(
                             {result.coveredFraction(),
                              result.replay_cost});

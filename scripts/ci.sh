@@ -2,10 +2,10 @@
 # One-command CI gate: the tier-1 verify (full build + full ctest
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
-# merged) followed by the ThreadSanitizer campaign lane (the
-# concurrent trial-store writer, the pooled trial loop and the
-# multi-threaded campaign/resume/shard/merge and planner paths; the
-# same test set as scripts/sanitize.sh's thread lane), then a
+# merged) followed by the ThreadSanitizer campaign lane (the parallel
+# loop itself, the concurrent trial-store writer, the pooled trial loop
+# and the multi-threaded campaign/resume/shard/merge and planner paths;
+# the same test set as scripts/sanitize.sh's thread lane), then a
 # campaign-planner smoke (sweep-reuse tally identity against brute
 # force), a scenario-matrix smoke (every fault-model x detector pair
 # byte-identical across --jobs, with the snapshot tier off, and at
@@ -25,18 +25,18 @@ build_root="${1:-${repo_root}/build-ci}"
 
 echo "==> [tier1] configure + build"
 cmake -B "${build_root}/tier1" -S "${repo_root}" > /dev/null
-cmake --build "${build_root}/tier1" -j > /dev/null
+cmake --build "${build_root}/tier1" -j "$(nproc)" > /dev/null
 echo "==> [tier1] full ctest suite"
 (cd "${build_root}/tier1" && ctest --output-on-failure -j)
 
 echo "==> [tsan] configure + build"
 cmake -B "${build_root}/tsan" -S "${repo_root}" \
     -DENCORE_SANITIZE=thread > /dev/null
-cmake --build "${build_root}/tsan" -j > /dev/null
-echo "==> [tsan] campaign smoke: concurrent store writer + runner"
+cmake --build "${build_root}/tsan" -j "$(nproc)" > /dev/null
+echo "==> [tsan] campaign smoke: parallel loop + concurrent store writer + runner"
 (cd "${build_root}/tsan" &&
     ctest --output-on-failure \
-        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector')
+        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector|test_thread_pool')
 
 echo "==> [planner] sweep-reuse tally identity"
 # Hard gate on the planner's central contract: a sidecar-reuse run

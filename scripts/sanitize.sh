@@ -19,6 +19,8 @@
 #               (parallel campaigns through the unfused branch/memory
 #               hook dispatch path) + test_injector (the pooled trial
 #               loop, fault::runTrials, at 4 threads)
+#               + test_thread_pool (ThreadPool::parallelFor itself:
+#               the shared index counter, slots, exceptions)
 #   address   : the full suite (heap/stack/use-after-free gate for the
 #               pooled interpreter state: frames, undo logs, memory;
 #               also the trial-store reader against crafted headers and
@@ -42,12 +44,12 @@ run_lane() {
     echo "==> [${lane}] configure + build"
     cmake -B "${build_dir}" -S "${repo_root}" \
         -DENCORE_SANITIZE="${lane}" > /dev/null
-    cmake --build "${build_dir}" -j > /dev/null
+    cmake --build "${build_dir}" -j "$(nproc)" > /dev/null
     echo "==> [${lane}] ctest $*"
     (cd "${build_dir}" && ctest --output-on-failure "$@")
 }
 
-run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector'
+run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector|test_thread_pool'
 run_lane address
 run_lane undefined
 

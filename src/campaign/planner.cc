@@ -28,6 +28,11 @@ constexpr std::size_t kNumOutcomes = kTallyOutcomeSlots;
 /// configurations. See DESIGN.md §10.
 constexpr std::uint64_t kTailSlack = 2;
 
+/// z of the plan's two-sided 95% Wilson interval. This is the value of
+/// Acklam's normal-quantile approximation at 0.975, not the exact
+/// 1.959963984540054; keeping it keeps plan text and JSON unchanged.
+constexpr double kZ95 = 1.959963986120195;
+
 bool
 isCoveredOutcome(fault::FaultOutcome outcome)
 {
@@ -626,8 +631,8 @@ CampaignPlanner::run()
     for (std::size_t i = 0; i < kNumOutcomes; ++i)
         if (isCoveredOutcome(static_cast<fault::FaultOutcome>(i)))
             covered += summary.result.counts[i];
-    const Proportion ci = wilsonInterval(covered, summary.result.trials,
-                                         confidenceZ(0.95));
+    const Proportion ci =
+        wilsonInterval(covered, summary.result.trials, kZ95);
     summary.coverage = ci.estimate;
     summary.low = ci.low;
     summary.high = ci.high;

@@ -7,7 +7,6 @@
 #include "interp/interpreter.h"
 #include "ir/verifier.h"
 #include "support/diagnostics.h"
-#include "support/thread_pool.h"
 
 namespace encore {
 
@@ -27,7 +26,7 @@ AnalysisBase::AnalysisBase(ir::Module &module,
                            const std::vector<RunSpec> &profile_runs,
                            std::uint64_t profile_max_instrs,
                            std::size_t jobs)
-    : module_(module), pool_(std::make_unique<ThreadPool>(jobs))
+    : module_(module), pool_(jobs)
 {
     module_.resolveCalls();
     ir::verifyOrDie(module_);
@@ -75,11 +74,11 @@ AnalysisBase::AnalysisBase(ir::Module &module,
 
     const auto &funcs = module_.functions();
     std::vector<std::unique_ptr<FunctionContext>> built(funcs.size());
-    pool_->parallelFor(funcs.size(),
-                       [&](std::uint64_t i, std::size_t) {
-                           built[i] = std::make_unique<FunctionContext>(
-                               *funcs[i]);
-                       });
+    pool_.parallelFor(funcs.size(),
+                      [&](std::uint64_t i, std::size_t) {
+                          built[i] = std::make_unique<FunctionContext>(
+                              *funcs[i]);
+                      });
     for (std::size_t i = 0; i < funcs.size(); ++i)
         contexts_.put(*funcs[i], std::move(built[i]));
     timings_.structures += nowSeconds() - t0;

@@ -52,10 +52,9 @@
 
 #include "encore/pipeline.h"
 #include "encore/region_formation.h"
+#include "support/thread_pool.h"
 
 namespace encore {
-
-class ThreadPool;
 
 /// Wall-clock seconds per pipeline phase, accumulated across calls.
 struct AnalysisPhaseTimings
@@ -117,7 +116,7 @@ class AnalysisBase
 
     FunctionContextCache &contexts() const { return contexts_; }
 
-    ThreadPool &pool() const { return *pool_; }
+    const ThreadPool &pool() const { return pool_; }
 
     /// Seconds spent profiling / building shared structures.
     const AnalysisPhaseTimings &setupTimings() const { return timings_; }
@@ -129,7 +128,7 @@ class AnalysisBase
     std::unique_ptr<analysis::StaticAliasAnalysis> static_aa_;
     std::unique_ptr<analysis::ProfileGuidedAliasAnalysis> optimistic_aa_;
     mutable FunctionContextCache contexts_;
-    mutable std::unique_ptr<ThreadPool> pool_;
+    ThreadPool pool_;
     AnalysisPhaseTimings timings_;
 };
 

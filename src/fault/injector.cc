@@ -1,6 +1,5 @@
 #include "fault/injector.h"
 
-#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -748,8 +747,7 @@ runTrials(
     const std::function<TrialResult(std::uint64_t, interp::Interpreter &)>
         &body)
 {
-    ThreadPool pool(std::min<std::uint64_t>(resolveJobs(jobs),
-                                            std::max<std::uint64_t>(n, 1)));
+    const ThreadPool pool(jobs);
     // One tally and one pooled interpreter per worker slot, merged
     // below: no shared writes on the trial path, and each worker's
     // frames / undo logs / memory image are recycled across its trials

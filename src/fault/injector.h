@@ -23,10 +23,10 @@
  *
  * A trial has one definition in three pieces: drawTrial draws its fault
  * parameters, FaultInjector::runTrial executes the draw, and runTrials
- * is the pooled loop that spreads trials across a work-stealing thread
- * pool (CampaignConfig::jobs). runCampaign, the durable runner and the
- * planner all go through them. Trials are mutually independent — each
- * is a pure function of (module, golden run, trial seed) — so
+ * is the pooled loop that spreads trials across CampaignConfig::jobs
+ * threads (support/thread_pool.h). runCampaign, the durable runner and
+ * the planner all go through them. Trials are mutually independent —
+ * each is a pure function of (module, golden run, trial seed) — so
  * counter-based per-trial seeding keeps campaign results bit-identical
  * at any thread count.
  *

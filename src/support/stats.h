@@ -1,8 +1,8 @@
 /**
  * @file
  * Small statistics helpers used by the benchmark harnesses and the fault
- * injection campaigns: running summaries, percentiles, histograms, and
- * binomial confidence intervals for coverage estimates.
+ * injection campaigns: running summaries, percentiles, and binomial
+ * confidence intervals for coverage estimates.
  */
 #ifndef ENCORE_SUPPORT_STATS_H
 #define ENCORE_SUPPORT_STATS_H
@@ -57,38 +57,6 @@ struct Proportion
 
 Proportion wilsonInterval(std::uint64_t successes, std::uint64_t trials,
                           double z = 1.96);
-
-/// Inverse standard normal CDF (Acklam's rational approximation,
-/// relative error < 1.15e-9 — far below anything a CI with a few
-/// hundred trials can resolve). p must be in (0, 1).
-double normalQuantile(double p);
-
-/// z for a two-sided confidence level, e.g. 0.95 → 1.9600.
-double confidenceZ(double confidence);
-
-/**
- * Fixed-bin histogram over [lo, hi); samples outside the range clamp to
- * the first/last bin.
- */
-class Histogram
-{
-  public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double sample);
-
-    std::size_t bins() const { return counts_.size(); }
-    std::uint64_t binCount(std::size_t i) const { return counts_.at(i); }
-    double binLow(std::size_t i) const;
-    double binHigh(std::size_t i) const;
-    std::uint64_t total() const { return total_; }
-
-  private:
-    double lo_;
-    double hi_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t total_ = 0;
-};
 
 } // namespace encore
 

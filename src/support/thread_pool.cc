@@ -1,7 +1,11 @@
 #include "support/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
+#include <exception>
+#include <system_error>
+#include <thread>
+#include <vector>
 
 namespace encore {
 
@@ -14,169 +18,50 @@ resolveJobs(std::size_t requested)
     return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-ThreadPool::ThreadPool(std::size_t threads)
-{
-    const std::size_t parallelism = resolveJobs(threads);
-    if (parallelism <= 1)
-        return; // caller-only: parallelFor runs inline
-    const std::size_t workers = parallelism - 1;
-    queues_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        queues_.push_back(std::make_unique<Queue>());
-    workers_.reserve(workers);
-    for (std::size_t i = 0; i < workers; ++i)
-        workers_.emplace_back([this, i] { workerLoop(i); });
-}
-
-ThreadPool::~ThreadPool()
-{
-    stopping_.store(true);
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-    }
-    wake_cv_.notify_all();
-    for (std::thread &worker : workers_)
-        worker.join();
-}
-
-void
-ThreadPool::runChunk(Job &job, std::uint64_t begin, std::uint64_t end,
-                     std::size_t slot)
-{
-    if (!job.failed.load(std::memory_order_acquire)) {
-        try {
-            for (std::uint64_t i = begin; i < end; ++i)
-                (*job.body)(i, slot);
-        } catch (...) {
-            std::lock_guard<std::mutex> lock(job.mutex);
-            if (!job.error)
-                job.error = std::current_exception();
-            job.failed.store(true, std::memory_order_release);
-        }
-    }
-    // Notify while holding the mutex: once the caller observes
-    // remaining == 0 (which requires this lock) the job may be
-    // destroyed, so nothing may touch it after the unlock.
-    std::lock_guard<std::mutex> lock(job.mutex);
-    if (--job.remaining == 0)
-        job.done_cv.notify_all();
-}
-
-bool
-ThreadPool::tryRunOne(std::size_t self)
-{
-    std::function<void(std::size_t)> task;
-    const std::size_t queues = queues_.size();
-    if (self < queues) { // own queue: newest first
-        Queue &own = *queues_[self];
-        std::lock_guard<std::mutex> lock(own.mutex);
-        if (!own.tasks.empty()) {
-            task = std::move(own.tasks.back());
-            own.tasks.pop_back();
-            pending_.fetch_sub(1);
-        }
-    }
-    for (std::size_t i = 0; i < queues && !task; ++i) {
-        Queue &victim = *queues_[(self + 1 + i) % queues];
-        std::lock_guard<std::mutex> lock(victim.mutex);
-        if (!victim.tasks.empty()) { // steal oldest
-            task = std::move(victim.tasks.front());
-            victim.tasks.pop_front();
-            pending_.fetch_sub(1);
-        }
-    }
-    if (!task)
-        return false;
-    task(self);
-    return true;
-}
-
-void
-ThreadPool::workerLoop(std::size_t index)
-{
-    int idle_rounds = 0;
-    while (!stopping_.load(std::memory_order_acquire)) {
-        if (pending_.load(std::memory_order_acquire) > 0 &&
-            tryRunOne(index)) {
-            idle_rounds = 0;
-            continue;
-        }
-        if (++idle_rounds < 64) {
-            std::this_thread::yield();
-            continue;
-        }
-        std::unique_lock<std::mutex> lock(sleep_mutex_);
-        // Timed wait: a missed notify costs at most one period.
-        wake_cv_.wait_for(lock, std::chrono::milliseconds(2), [this] {
-            return stopping_.load(std::memory_order_relaxed) ||
-                   pending_.load(std::memory_order_relaxed) > 0;
-        });
-        idle_rounds = 0;
-    }
-}
-
 void
 ThreadPool::parallelFor(
     std::uint64_t n,
-    const std::function<void(std::uint64_t, std::size_t)> &body,
-    std::uint64_t grain)
+    const std::function<void(std::uint64_t, std::size_t)> &body) const
 {
-    if (n == 0)
-        return;
-    if (grain == 0)
-        grain = 1;
-    if (workers_.empty() || n <= grain) {
+    const std::size_t threads =
+        static_cast<std::size_t>(std::min<std::uint64_t>(threads_, n));
+    if (threads <= 1) {
         for (std::uint64_t i = 0; i < n; ++i)
             body(i, 0);
         return;
     }
 
-    Job job;
-    job.body = &body;
-    const std::uint64_t chunks = (n + grain - 1) / grain;
-    job.remaining = chunks;
-    for (std::uint64_t c = 0; c < chunks; ++c) {
-        const std::uint64_t begin = c * grain;
-        const std::uint64_t end = std::min(n, begin + grain);
-        Queue &queue = *queues_[static_cast<std::size_t>(c) %
-                                queues_.size()];
-        std::lock_guard<std::mutex> lock(queue.mutex);
-        queue.tasks.emplace_back([&job, begin, end](std::size_t slot) {
-            runChunk(job, begin, end, slot);
-        });
-        pending_.fetch_add(1);
-    }
-    {
-        std::lock_guard<std::mutex> lock(sleep_mutex_);
-    }
-    wake_cv_.notify_all();
-
-    const std::size_t caller_slot = workers_.size();
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(job.mutex);
-            if (job.remaining == 0)
-                break;
+    std::atomic<std::uint64_t> next{0};
+    std::atomic<bool> failed{false};
+    // Written only by the first body to throw; read after the joins.
+    std::exception_ptr error;
+    const auto claim = [&](std::size_t slot) {
+        try {
+            while (!failed) {
+                const std::uint64_t i = next++;
+                if (i >= n)
+                    return;
+                body(i, slot);
+            }
+        } catch (...) {
+            if (!failed.exchange(true))
+                error = std::current_exception();
         }
-        if (tryRunOne(caller_slot))
-            continue;
-        // Everything is dequeued but still running on workers.
-        std::unique_lock<std::mutex> lock(job.mutex);
-        if (job.done_cv.wait_for(lock, std::chrono::milliseconds(1),
-                                 [&job] { return job.remaining == 0; }))
-            break;
-    }
-    if (job.error)
-        std::rethrow_exception(job.error);
-}
+    };
 
-void
-parallelFor(std::size_t jobs, std::uint64_t n,
-            const std::function<void(std::uint64_t, std::size_t)> &body,
-            std::uint64_t grain)
-{
-    ThreadPool pool(jobs);
-    pool.parallelFor(n, body, grain);
+    std::vector<std::thread> helpers;
+    helpers.reserve(threads - 1);
+    try {
+        for (std::size_t slot = 1; slot < threads; ++slot)
+            helpers.emplace_back(claim, slot);
+    } catch (const std::system_error &) {
+        // Out of threads: the ones already running finish the range.
+    }
+    claim(0);
+    for (std::thread &helper : helpers)
+        helper.join();
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace encore

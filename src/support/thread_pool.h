@@ -1,39 +1,35 @@
 /**
  * @file
- * Work-stealing thread pool and a blocking parallel-for helper.
+ * A blocking parallel-for over a flat index range.
  *
  * Built for the statistical fault-injection campaigns (thousands of
  * independent trials per workload) and for preparing the workload
- * suite: both are embarrassingly parallel once per-task state is
- * thread-local. The pool keeps one deque per worker; a worker pops
- * from the back of its own deque (LIFO, cache-friendly) and steals
- * from the front of a victim's deque when starved. The thread that
- * calls parallelFor participates in the work, so a pool constructed
- * with `threads == n` applies exactly n-way parallelism.
+ * suite: both are embarrassingly parallel once per-index state is
+ * per-thread. A ThreadPool is only a resolved thread count. Each
+ * parallelFor call starts at most min(slotCount(), n) - 1 threads; they
+ * and the calling thread claim indices from one shared atomic counter
+ * until the range is exhausted, and the call joins them before it
+ * returns. A pool constructed with `threads == n` thus applies at most
+ * n-way parallelism, and `threads == 1` runs every index inline, in
+ * index order.
  *
- * parallelFor hands every body invocation a *slot* index that is
- * unique to the executing thread for the duration of the call, so
- * callers can shard accumulators per slot and merge at the end —
- * no atomics or locks on the hot path.
+ * parallelFor hands every body invocation a *slot* index that belongs
+ * to one executing thread for the whole call (the calling thread is
+ * slot 0), so callers can shard accumulators per slot and merge at the
+ * end — no atomics or locks on the hot path.
  *
- * Determinism contract: the pool schedules work in an arbitrary
- * order, so bodies must not depend on execution order. Campaign code
- * achieves bit-identical results at any thread count by deriving all
- * per-trial randomness from the trial index (see Rng::forStream), not
- * from shared sequential state.
+ * Determinism contract: which thread runs which index is arbitrary, so
+ * bodies must not depend on execution order. Campaign code achieves
+ * bit-identical results at any thread count by deriving all per-trial
+ * randomness from the trial index (see Rng::forStream), not from
+ * shared sequential state.
  */
 #ifndef ENCORE_SUPPORT_THREAD_POOL_H
 #define ENCORE_SUPPORT_THREAD_POOL_H
 
-#include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace encore {
 
@@ -44,71 +40,29 @@ std::size_t resolveJobs(std::size_t requested);
 class ThreadPool
 {
   public:
-    /// Total parallelism, including the calling thread: `threads == 1`
-    /// (or 0 resolved to 1) runs everything inline; `threads == n`
-    /// spawns n-1 workers. `threads == 0` resolves to the hardware
-    /// concurrency.
-    explicit ThreadPool(std::size_t threads = 0);
-    ~ThreadPool();
+    /// Total parallelism, including the calling thread; 0 resolves to
+    /// the hardware concurrency (see resolveJobs).
+    explicit ThreadPool(std::size_t threads = 0)
+        : threads_(resolveJobs(threads))
+    {
+    }
 
-    ThreadPool(const ThreadPool &) = delete;
-    ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /// Number of spawned worker threads (parallelism - 1).
-    std::size_t workerCount() const { return workers_.size(); }
-
-    /// Number of distinct slot indices parallelFor hands out
-    /// (workerCount() + 1: the calling thread participates).
-    std::size_t slotCount() const { return workers_.size() + 1; }
+    /// Upper bound on the slot indices parallelFor hands out. One call
+    /// over n indices uses slots below min(slotCount(), n).
+    std::size_t slotCount() const { return threads_; }
 
     /// Runs body(i, slot) for every i in [0, n), blocking until all
-    /// invocations finish. Indices are dispatched in chunks of `grain`;
-    /// `slot` < slotCount() identifies the executing thread. The first
-    /// exception thrown by any body is rethrown here (remaining chunks
-    /// are skipped, in-flight ones finish).
-    void parallelFor(std::uint64_t n,
-                     const std::function<void(std::uint64_t, std::size_t)>
-                         &body,
-                     std::uint64_t grain = 1);
+    /// invocations finish. `slot` identifies the executing thread. The
+    /// first exception thrown by any body is rethrown here (unclaimed
+    /// indices are skipped, in-flight ones finish). If a thread cannot
+    /// be started, the threads already running cover the whole range.
+    void parallelFor(
+        std::uint64_t n,
+        const std::function<void(std::uint64_t, std::size_t)> &body) const;
 
   private:
-    struct Queue
-    {
-        std::mutex mutex;
-        std::deque<std::function<void(std::size_t)>> tasks;
-    };
-
-    struct Job
-    {
-        const std::function<void(std::uint64_t, std::size_t)> *body;
-        std::mutex mutex;
-        std::condition_variable done_cv;
-        std::uint64_t remaining = 0; // guarded by mutex
-        std::exception_ptr error;    // guarded by mutex
-        std::atomic<bool> failed{false};
-    };
-
-    static void runChunk(Job &job, std::uint64_t begin, std::uint64_t end,
-                         std::size_t slot);
-    /// Executes one queued task (own queue back, then steal a victim's
-    /// front). `self` doubles as the slot index. Returns false when
-    /// every queue is empty.
-    bool tryRunOne(std::size_t self);
-    void workerLoop(std::size_t index);
-
-    std::vector<std::unique_ptr<Queue>> queues_; // one per worker
-    std::vector<std::thread> workers_;
-    std::mutex sleep_mutex_;
-    std::condition_variable wake_cv_;
-    std::atomic<std::int64_t> pending_{0}; // queued, not yet dequeued
-    std::atomic<bool> stopping_{false};
+    std::size_t threads_;
 };
-
-/// One-shot helper: runs body(i, slot) for i in [0, n) with `jobs`-way
-/// parallelism (0 = hardware concurrency) on an ephemeral pool.
-void parallelFor(std::size_t jobs, std::uint64_t n,
-                 const std::function<void(std::uint64_t, std::size_t)> &body,
-                 std::uint64_t grain = 1);
 
 } // namespace encore
 

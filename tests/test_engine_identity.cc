@@ -111,6 +111,8 @@ TEST(BenchFlags, Fig8RejectsBadFlags)
                                "integers, got 'abc'"},
         {" --dmax -5", "--dmax expects comma-separated positive "
                        "integers, got '-5'"},
+        {" --jobs -2", "flag '--jobs' expects a non-negative integer, "
+                       "got '-2'"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.args);

@@ -2,8 +2,7 @@
  * @file
  * Confidence-interval math behind the campaign planner, checked
  * against slow oracles: the Wilson interval against the direct
- * closed-form formula and an exact-binomial coverage sweep, and the
- * normal quantile against tabulated values.
+ * closed-form formula and an exact-binomial coverage sweep.
  */
 #include <gtest/gtest.h>
 
@@ -13,37 +12,6 @@
 
 namespace encore {
 namespace {
-
-// --- normalQuantile / confidenceZ ----------------------------------
-
-TEST(NormalQuantile, MatchesTabulatedValues)
-{
-    // Standard two-sided z values to ~1e-6 (the approximation is good
-    // to ~1e-9 relative).
-    EXPECT_NEAR(normalQuantile(0.975), 1.959964, 1e-5);
-    EXPECT_NEAR(normalQuantile(0.995), 2.575829, 1e-5);
-    EXPECT_NEAR(normalQuantile(0.95), 1.644854, 1e-5);
-    EXPECT_NEAR(normalQuantile(0.5), 0.0, 1e-12);
-    EXPECT_NEAR(normalQuantile(0.9995), 3.290527, 1e-4);
-}
-
-TEST(NormalQuantile, IsAntisymmetric)
-{
-    for (const double p : {0.001, 0.023, 0.2, 0.4, 0.49}) {
-        EXPECT_NEAR(normalQuantile(p), -normalQuantile(1.0 - p),
-                    1e-9)
-            << "p=" << p;
-    }
-}
-
-TEST(NormalQuantile, ConfidenceZ)
-{
-    EXPECT_NEAR(confidenceZ(0.95), 1.959964, 1e-5);
-    EXPECT_NEAR(confidenceZ(0.99), 2.575829, 1e-5);
-    EXPECT_NEAR(confidenceZ(0.90), 1.644854, 1e-5);
-}
-
-// --- Wilson interval ------------------------------------------------
 
 /// The direct closed-form Wilson bounds, written out independently of
 /// the implementation.

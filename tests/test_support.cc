@@ -159,20 +159,6 @@ TEST(WilsonInterval, ZeroTrials)
     EXPECT_EQ(p.high, 1.0);
 }
 
-TEST(HistogramTest, BinningAndClamping)
-{
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0); // clamps to first
-    h.add(0.5);
-    h.add(9.9);
-    h.add(42.0); // clamps to last
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.binCount(0), 2u);
-    EXPECT_EQ(h.binCount(4), 2u);
-    EXPECT_DOUBLE_EQ(h.binLow(1), 2.0);
-    EXPECT_DOUBLE_EQ(h.binHigh(1), 4.0);
-}
-
 TEST(Strings, Trim)
 {
     EXPECT_EQ(trim("  hello  "), "hello");

@@ -1,14 +1,23 @@
 /**
  * @file
- * Thread-pool and parallel-for tests: empty ranges, ranges smaller
- * than the worker count, slot-sharded accumulation, chunked grains,
- * exception propagation, and pool reuse after a failed loop.
+ * Thread-pool parallel-for tests: empty ranges, ranges smaller than
+ * the thread count, slot-sharded accumulation, the slot contract (one
+ * thread per slot, the caller among them, no more threads than
+ * indices), exception propagation, and pool reuse after a failed loop.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <filesystem>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <system_error>
+#include <thread>
 #include <vector>
 
 #include "support/thread_pool.h"
@@ -57,23 +66,100 @@ TEST(ThreadPool, SlotShardedAccumulationNeedsNoAtomics)
     EXPECT_EQ(total, n * (n - 1) / 2);
 }
 
-TEST(ThreadPool, CoarseGrainStillCoversTheWholeRange)
+/// Threads in this process right now; 0 where /proc/self/task is
+/// absent (not Linux).
+std::size_t
+processThreads()
 {
-    ThreadPool pool(3);
-    const std::uint64_t n = 1000;
-    std::vector<std::uint64_t> partial(pool.slotCount(), 0);
-    pool.parallelFor(
-        n,
-        [&](std::uint64_t i, std::size_t slot) { partial[slot] += i; },
-        /*grain=*/64);
-    EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), 0ULL),
-              n * (n - 1) / 2);
+    std::error_code error;
+    std::filesystem::directory_iterator it("/proc/self/task", error);
+    std::size_t count = 0;
+    for (; !error && it != std::filesystem::directory_iterator();
+         it.increment(error))
+        ++count;
+    return error ? 0 : count;
+}
+
+struct SlotProbe
+{
+    /// Per slot, the threads that ran a body under it.
+    std::map<std::size_t, std::set<std::thread::id>> threads_by_slot;
+    /// Most threads the process had while a body ran, less those it
+    /// had before the call (0 without /proc).
+    std::size_t started = 0;
+};
+
+/// Runs `n` indices on `pool`, recording which thread ran each slot
+/// and how many threads the call started. Threads other than the
+/// caller wait in their body until the caller has run an index, so the
+/// caller must take part whenever n is at least the number of threads
+/// the call uses.
+SlotProbe
+probeSlots(const ThreadPool &pool, std::uint64_t n)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    // Bounded, so a caller that never takes part fails the test
+    // instead of hanging it.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    const std::size_t before = processThreads();
+    std::atomic<bool> caller_ran{false};
+    std::mutex mutex;
+    SlotProbe probe;
+    std::size_t peak = before;
+    pool.parallelFor(n, [&](std::uint64_t, std::size_t slot) {
+        const std::thread::id self = std::this_thread::get_id();
+        const std::size_t now = processThreads();
+        if (self == caller) {
+            caller_ran = true;
+        } else {
+            while (!caller_ran &&
+                   std::chrono::steady_clock::now() < deadline)
+                std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
+        std::lock_guard<std::mutex> lock(mutex);
+        probe.threads_by_slot[slot].insert(self);
+        peak = std::max(peak, now);
+    });
+    probe.started = peak - before;
+    return probe;
+}
+
+TEST(ThreadPool, OneThreadPerSlotCallerIncludedNoMoreThanIndices)
+{
+    // ThreadSanitizer starts a thread of its own on the first thread
+    // creation; do that here so the counts below do not see it.
+    std::thread([] {}).join();
+    const std::thread::id caller = std::this_thread::get_id();
+    const struct
+    {
+        std::size_t threads;
+        std::uint64_t n;
+    } cases[] = {{4, 2000}, {8, 3}};
+    for (const auto &c : cases) {
+        SCOPED_TRACE(testing::Message()
+                     << "ThreadPool(" << c.threads << ") over " << c.n);
+        const std::uint64_t used = std::min<std::uint64_t>(c.threads, c.n);
+        const SlotProbe probe = probeSlots(ThreadPool(c.threads), c.n);
+        std::set<std::thread::id> threads;
+        for (const auto &[slot, ids] : probe.threads_by_slot) {
+            EXPECT_LT(slot, used);
+            EXPECT_EQ(ids.size(), 1u) << "slot " << slot;
+            threads.insert(ids.begin(), ids.end());
+        }
+        // One slot per thread, too: no thread ran under two slots.
+        EXPECT_EQ(threads.size(), probe.threads_by_slot.size());
+        EXPECT_EQ(threads.count(caller), 1u);
+        EXPECT_LE(threads.size(), used);
+        // The caller is one of the `used` threads, so the call starts
+        // at most used - 1 more.
+        EXPECT_LE(probe.started, used - 1);
+    }
 }
 
 TEST(ThreadPool, SingleThreadRunsInlineInOrder)
 {
     ThreadPool pool(1);
-    EXPECT_EQ(pool.workerCount(), 0u);
     std::vector<std::uint64_t> order;
     pool.parallelFor(5, [&](std::uint64_t i, std::size_t slot) {
         EXPECT_EQ(slot, 0u);
@@ -97,14 +183,6 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolStaysUsable)
     std::atomic<int> calls{0};
     pool.parallelFor(50, [&](std::uint64_t, std::size_t) { ++calls; });
     EXPECT_EQ(calls.load(), 50);
-}
-
-TEST(ParallelForHelper, RunsOnEphemeralPool)
-{
-    std::atomic<std::uint64_t> sum{0};
-    parallelFor(3, 100,
-                [&](std::uint64_t i, std::size_t) { sum += i; });
-    EXPECT_EQ(sum.load(), 100ULL * 99 / 2);
 }
 
 } // namespace
