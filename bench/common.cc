@@ -105,17 +105,13 @@ addEngineFlag(CommandLine &cli)
 }
 
 void
-addSnapshotFlags(CommandLine &cli)
+addSnapshotStrideFlag(CommandLine &cli)
 {
-    const interp::SnapshotConfig defaults;
-    cli.addFlag("snapshot-stride", std::to_string(defaults.stride),
+    cli.addFlag("snapshot-stride",
+                std::to_string(interp::SnapshotConfig{}.stride),
                 "golden-run snapshot stride in value instructions "
                 "(0 disables the snapshot tier; never affects "
                 "outcomes)");
-    cli.addFlag("snapshot-budget-mb",
-                std::to_string(defaults.byte_budget >> 20),
-                "resident byte budget per workload for the snapshot "
-                "store, MiB");
 }
 
 interp::EngineKind

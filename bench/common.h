@@ -123,9 +123,9 @@ void addEngineFlag(CommandLine &cli);
 /// anything parseEngineKind rejects.
 interp::EngineKind engineFlag(const CommandLine &cli);
 
-/// Registers --snapshot-stride and --snapshot-budget-mb, with the
-/// library's interp::SnapshotConfig defaults as theirs.
-void addSnapshotFlags(CommandLine &cli);
+/// Registers --snapshot-stride, with the library's
+/// interp::SnapshotConfig default as its own.
+void addSnapshotStrideFlag(CommandLine &cli);
 
 /// Registers --fault-model (default reg-bit) / --detector (default
 /// analytic), the injection-scenario axis shared by every binary that

@@ -53,7 +53,7 @@ main(int argc, char **argv)
                 "comma-separated detection latencies to evaluate");
     cli.addFlag("mask", "0.91", "hardware masking rate");
     bench::addJsonFlag(cli, "");
-    bench::addSnapshotFlags(cli);
+    bench::addSnapshotStrideFlag(cli);
     cli.addFlag("workloads", "",
                 "comma-separated workload names to run (empty = the "
                 "whole suite); note the per-campaign seeds depend on "
@@ -120,7 +120,6 @@ main(int argc, char **argv)
     const std::uint64_t snap_stride = cli.getUint("snapshot-stride");
     snap_config.enabled = snap_stride > 0;
     snap_config.stride = snap_stride;
-    snap_config.byte_budget = cli.getUint("snapshot-budget-mb") << 20;
 
     std::vector<std::string> only;
     for (const std::string &field :

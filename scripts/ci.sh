@@ -2,22 +2,24 @@
 # One-command CI gate: the tier-1 verify (full build + full ctest
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
-# merged) followed by the ThreadSanitizer campaign lane (the parallel
-# loop itself, the concurrent trial-store writer, the pooled trial loop
-# and the multi-threaded campaign/resume/shard/merge and planner paths;
-# the same test set as scripts/sanitize.sh's thread lane), then a
-# campaign-planner smoke (sweep-reuse tally identity against brute
-# force), a scenario-matrix smoke (every fault-model x detector pair
-# byte-identical across --jobs, with the snapshot tier off, and at
-# the former default stride 1024), the
-# repo benchmark's seed-1 output digests (perfbench/), and a warn-only
+# merged), the engine tests on the portable switch dispatcher
+# (-DENCORE_COMPUTED_GOTO=OFF), the ThreadSanitizer campaign lane (the
+# parallel loop itself, the concurrent trial-store writer, the pooled
+# trial loop and the multi-threaded campaign/resume/shard/merge and
+# planner paths; the same test set as scripts/sanitize.sh's thread
+# lane), then a campaign-planner smoke (sweep-reuse tally identity
+# against brute force), a scenario-matrix smoke (every fault-model x
+# detector pair byte-identical across --jobs, with the snapshot tier
+# off, and at the former default stride 1024), the repo benchmark's
+# seed-1 output digests (perfbench/), and a warn-only
 # interpreter-throughput smoke (the fused superinstruction tier
 # against the decoded and reference engines, measured in one run).
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
-#   tier-1 lane builds into <build-root>/tier1, the TSan lane into
-#   <build-root>/tsan, so neither touches a developer's build/.
+#   tier-1 lane builds into <build-root>/tier1, the switch lane into
+#   <build-root>/switch, the TSan lane into <build-root>/tsan, so none
+#   touches a developer's build/.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -28,6 +30,18 @@ cmake -B "${build_root}/tier1" -S "${repo_root}" > /dev/null
 cmake --build "${build_root}/tier1" -j "$(nproc)" > /dev/null
 echo "==> [tier1] full ctest suite"
 (cd "${build_root}/tier1" && ctest --output-on-failure -j)
+
+echo "==> [switch] portable dispatcher: engine tests without computed goto"
+# GCC and Clang default to the computed-goto dispatcher; the dense
+# switch is the fallback for other compilers, so build it here and run
+# the tests that pin the engines against each other and the reference.
+engine_tests='test_interp_ops|test_decoded|test_random_programs|test_engine_identity|test_snapshot_differential'
+cmake -B "${build_root}/switch" -S "${repo_root}" \
+    -DENCORE_COMPUTED_GOTO=OFF > /dev/null
+cmake --build "${build_root}/switch" -j "$(nproc)" \
+    --target ${engine_tests//|/ } > /dev/null
+(cd "${build_root}/switch" &&
+    ctest --output-on-failure -R "${engine_tests}")
 
 echo "==> [tsan] configure + build"
 cmake -B "${build_root}/tsan" -S "${repo_root}" \
@@ -139,24 +153,24 @@ done
 
 echo "==> [perf] interpreter-throughput smoke (warn-only)"
 # The fused superinstruction tier is the engine under every campaign
-# above; a silent regression there shows up everywhere. bench_passes
-# measures reference/decoded/fused throughput per workload in one
-# run, and the smoke compares the three suite means from that run.
+# above; a silent regression there shows up everywhere.
+# interp_throughput measures reference/decoded/fused throughput per
+# workload in one run, and the smoke compares the three suite means
+# from that run.
 # Warn-only: throughput on a shared machine is too noisy for a hard
 # gate, and the ratios between engines of one run divide out most of
 # the machine difference.
 interp_json="${build_root}/interp_smoke.json"
 rm -f "${interp_json}"
-"${build_root}/tier1/bench/bench_passes" \
-    --interp-json="${interp_json}" \
-    --benchmark_filter=NONE > /dev/null 2>&1 || true
+"${build_root}/tier1/bench/interp_throughput" \
+    --json "${interp_json}" > /dev/null 2>&1 || true
 python3 - "${interp_json}" <<'EOF'
 import json, sys
 try:
     with open(sys.argv[1]) as f:
         cur = json.load(f)
 except (OSError, ValueError) as e:
-    print(f"interp-smoke: no report ({e}); bench_passes failed above "
+    print(f"interp-smoke: no report ({e}); interp_throughput failed above "
           "(skipping comparison)")
     sys.exit(0)
 means = {engine: cur[f"mean_{engine}_mips"]
@@ -171,4 +185,4 @@ if max(means, key=means.get) != "fused":
 print("interp-smoke: warn-only")
 EOF
 
-echo "==> ci passed (tier1 + tsan campaign lane + planner smoke + scenario matrix + perfbench digests + interp smoke)"
+echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + planner smoke + scenario matrix + perfbench digests + interp smoke)"

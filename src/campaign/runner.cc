@@ -17,68 +17,27 @@ namespace {
 constexpr int kNumOutcomes =
     static_cast<int>(fault::FaultOutcome::NumOutcomes);
 
-/// Fatal with a diagnostic naming every differing identity field —
-/// "fingerprint mismatch" alone would leave the user guessing which
-/// knob they changed. The snapshot_* provenance fields are
-/// deliberately NOT compared: the snapshot tier cannot change trial
-/// outcomes (bit-identity is enforced by the differential suite), so
-/// resuming a full-rerun store with snapshots enabled — or vice
-/// versa — is safe and must not be refused.
-void
-requireHeaderMatches(const StoreHeader &want, const StoreHeader &found,
-                     const std::string &path)
+/// "<model> (model id N) + <detector> (detector id M)".
+std::string
+scenarioName(const StoreHeader &header)
 {
-    std::ostringstream os;
-    auto mismatch = [&](const char *field, std::uint64_t expected,
-                        std::uint64_t got) {
-        os << "\n  " << field << ": store has " << got << ", campaign has "
-           << expected;
-    };
-    if (want.config_fingerprint != found.config_fingerprint)
-        mismatch("config fingerprint", want.config_fingerprint,
-                 found.config_fingerprint);
-    if (want.module_hash != found.module_hash)
-        mismatch("module hash", want.module_hash, found.module_hash);
-    if (want.seed != found.seed)
-        mismatch("seed", want.seed, found.seed);
-    if (want.total_trials != found.total_trials)
-        mismatch("total trials", want.total_trials, found.total_trials);
-    if (want.shard_index != found.shard_index)
-        mismatch("shard index", want.shard_index, found.shard_index);
-    if (want.shard_count != found.shard_count)
-        mismatch("shard count", want.shard_count, found.shard_count);
-    auto scenario_name = [](const char *kind, std::uint32_t id,
-                            std::string_view name) {
-        return std::string(name.empty() ? "?" : name) + " (" + kind +
-               " id " + std::to_string(id) + ")";
-    };
-    if (want.fault_model_id != found.fault_model_id) {
-        auto name_of = [&](std::uint32_t id) {
-            const fault::models::FaultModel *m =
-                fault::models::faultModelById(id);
-            return scenario_name("model", id, m ? m->name() : "");
-        };
-        os << "\n  fault model: store has "
-           << name_of(found.fault_model_id) << ", campaign has "
-           << name_of(want.fault_model_id);
-    }
-    if (want.detector_id != found.detector_id) {
-        auto name_of = [&](std::uint32_t id) {
-            const fault::models::Detector *d =
-                fault::models::detectorById(id);
-            return scenario_name("detector", id, d ? d->name() : "");
-        };
-        os << "\n  detector: store has " << name_of(found.detector_id)
-           << ", campaign has " << name_of(want.detector_id);
-    }
-    if (os.str().empty())
-        return;
-    fatalf("trial store '", path,
-           "' belongs to a different campaign; refusing to resume "
-           "into it (results would not be comparable). Mismatches:",
-           os.str(),
-           "\nEither rerun with the original configuration, or point "
-           "--store at a fresh path.");
+    const fault::models::FaultModel *model =
+        fault::models::faultModelById(header.fault_model_id);
+    const fault::models::Detector *detector =
+        fault::models::detectorById(header.detector_id);
+    return std::string(model ? model->name() : "?") + " (model id " +
+           std::to_string(header.fault_model_id) + ") + " +
+           std::string(detector ? detector->name() : "?") +
+           " (detector id " + std::to_string(header.detector_id) + ")";
+}
+
+/// Names the foreign records (see StoreTally) of the store at `path`.
+std::string
+foreignRecords(const std::string &path, std::uint64_t foreign)
+{
+    return "trial store '" + path + "' holds " + std::to_string(foreign) +
+           " record(s) with an out-of-range outcome or a trial its shard "
+           "does not own — written by an incompatible build?";
 }
 
 } // namespace
@@ -107,6 +66,55 @@ campaignFingerprint(const fault::FaultInjector &injector,
     std::uint64_t hash = fnv1a64("encore-campaign-v1");
     hash = fnv1a64Mix(injector.moduleHash(), hash);
     return fault::mixCampaignIdentity(hash, injector, config);
+}
+
+StoreTally
+tallyStore(const StoreContents &contents)
+{
+    const ShardSpec shard{contents.header.shard_index,
+                          contents.header.shard_count};
+    StoreTally tally;
+    for (const TrialRecord &record : contents.records)
+        if (record.outcome < static_cast<std::uint32_t>(kNumOutcomes) &&
+            shard.owns(record.trial))
+            tally.records.push_back(record);
+    tally.foreign = contents.records.size() - tally.records.size();
+    keepFirstRecordPerTrial(tally.records);
+    tally.duplicates =
+        contents.records.size() - tally.foreign - tally.records.size();
+    for (const TrialRecord &record : tally.records) {
+        ++tally.result.counts[record.outcome];
+        ++tally.result.trials;
+        tally.result.replay_cost += record.aux;
+    }
+    return tally;
+}
+
+std::string
+identityMismatches(const StoreHeader &want, const StoreHeader &found)
+{
+    std::string lines;
+    auto compare = [&](const char *field, std::uint64_t expected,
+                       std::uint64_t got) {
+        if (got != expected)
+            lines += std::string("\n  ") + field + " mismatch: store has " +
+                     std::to_string(got) + ", expected " +
+                     std::to_string(expected);
+    };
+    compare("config fingerprint", want.config_fingerprint,
+            found.config_fingerprint);
+    compare("module hash", want.module_hash, found.module_hash);
+    compare("seed", want.seed, found.seed);
+    compare("total trials", want.total_trials, found.total_trials);
+    compare("shard index", want.shard_index, found.shard_index);
+    compare("shard count", want.shard_count, found.shard_count);
+    // The same trial index is a different experiment under another
+    // fault model or detector.
+    if (want.fault_model_id != found.fault_model_id ||
+        want.detector_id != found.detector_id)
+        lines += "\n  different fault model/detector: store has " +
+                 scenarioName(found) + ", expected " + scenarioName(want);
+    return lines;
 }
 
 CampaignRunner::CampaignRunner(const fault::FaultInjector &injector,
@@ -161,8 +169,8 @@ CampaignRunner::run()
     RunSummary summary;
     summary.shard_trials = options_.shard.ownedTrials(trials);
 
-    // 1 = this trial index is already recorded in the store.
-    std::vector<std::uint8_t> done(trials, 0);
+    // The owned trials the store already records, in trial order.
+    std::vector<TrialRecord> recorded;
     std::unique_ptr<TrialStoreWriter> writer;
     if (!path.empty()) {
         const bool exists = std::filesystem::exists(path);
@@ -176,56 +184,53 @@ CampaignRunner::run()
             StoreContents contents;
             if (const auto err = readTrialStore(path, contents))
                 fatal(*err);
-            requireHeaderMatches(header(), contents.header, path);
+            const std::string mismatches =
+                identityMismatches(header(), contents.header);
+            if (!mismatches.empty())
+                fatalf("trial store '", path,
+                       "' belongs to a different campaign; refusing to "
+                       "resume into it (results would not be "
+                       "comparable):",
+                       mismatches,
+                       "\nEither rerun with the original configuration, "
+                       "or point --store at a fresh path.");
             if (contents.dropped_bytes > 0)
                 warn("trial store '" + path + "': dropped " +
                      std::to_string(contents.dropped_bytes) +
                      " torn/corrupt tail bytes from an interrupted "
                      "run; the missing trials will be re-executed");
             summary.recovered_dropped_bytes = contents.dropped_bytes;
-            for (const TrialRecord &record : contents.records) {
-                if (record.outcome >=
-                    static_cast<std::uint32_t>(kNumOutcomes))
-                    fatalf("trial store '", path,
-                           "': record for trial ", record.trial,
-                           " has outcome ", record.outcome,
-                           " out of range — store was written by an "
-                           "incompatible build");
-                if (!options_.shard.owns(record.trial))
-                    fatalf("trial store '", path,
-                           "': record for trial ", record.trial,
-                           " is not owned by shard ",
-                           options_.shard.index, "/",
-                           options_.shard.count);
-                if (done[record.trial])
-                    continue;
-                done[record.trial] = 1;
-                ++summary.result.counts[record.outcome];
-                ++summary.result.trials;
-                summary.result.replay_cost += record.aux;
-            }
-            summary.resumed = summary.result.trials;
-            writer = TrialStoreWriter::append(path, contents,
-                                              options_.store, &error);
+            StoreTally tally = tallyStore(contents);
+            if (tally.foreign > 0)
+                fatal(foreignRecords(path, tally.foreign));
+            summary.result = tally.result;
+            summary.resumed = tally.result.trials;
+            recorded = std::move(tally.records);
+            writer = TrialStoreWriter::append(path, contents, {}, &error);
         } else {
-            writer = TrialStoreWriter::create(path, header(),
-                                              options_.store, &error);
+            writer = TrialStoreWriter::create(path, header(), {}, &error);
         }
         if (!writer)
             fatal(error);
     }
 
-    // The refill set: every owned index the store does not cover, in
-    // increasing order.
+    // The refill set: the owned indices the store does not record, in
+    // increasing order, at most --stop-after of them. The walk stops
+    // once it has them all, so its memory follows the records and the
+    // refill, never the campaign's claimed trial count.
+    std::uint64_t refill = summary.shard_trials - summary.resumed;
+    if (options_.stop_after > 0)
+        refill = std::min(refill, options_.stop_after);
     std::vector<std::uint64_t> missing;
-    missing.reserve(summary.shard_trials - summary.resumed);
-    for (std::uint64_t t = options_.shard.index; t < trials;
-         t += options_.shard.count)
-        if (!done[t])
+    missing.reserve(refill);
+    auto next = recorded.begin();
+    for (std::uint64_t t = options_.shard.index;
+         t < trials && missing.size() < refill; t += options_.shard.count) {
+        if (next != recorded.end() && next->trial == t)
+            ++next;
+        else
             missing.push_back(t);
-    if (options_.stop_after > 0 &&
-        missing.size() > options_.stop_after)
-        missing.resize(options_.stop_after);
+    }
 
     ProgressMeter::Options meter_options;
     meter_options.line = options_.progress;
@@ -287,36 +292,16 @@ mergeTrialStores(const std::vector<std::string> &paths,
         if (out.stores_merged == 0) {
             out.header = h;
             out.header.shard_index = 0;
-        } else {
-            const StoreHeader &c = out.header;
-            if (h.config_fingerprint != c.config_fingerprint)
-                return "merge: config fingerprint mismatch — '" + path +
-                       "' was produced by a different campaign "
-                       "configuration (module, entry/args, seed, "
-                       "trials, Dmax, budget or masking differ); "
-                       "refusing to combine incomparable stores";
-            if (h.module_hash != c.module_hash)
-                return "merge: module hash mismatch — '" + path +
-                       "' was produced from a different instrumented "
-                       "module";
-            if (h.total_trials != c.total_trials ||
-                h.seed != c.seed)
-                return "merge: '" + path +
-                       "' disagrees on seed/total trials with the "
-                       "first store";
-            if (h.shard_count != c.shard_count)
-                return "merge: '" + path + "' declares " +
-                       std::to_string(h.shard_count) +
-                       " shards, the first store declares " +
-                       std::to_string(c.shard_count);
-            if (h.fault_model_id != c.fault_model_id ||
-                h.detector_id != c.detector_id)
-                return "merge: '" + path +
-                       "' ran under a different fault model/detector "
-                       "than the first store; the same trial index "
-                       "means a different experiment there — refusing "
-                       "to combine";
         }
+        // Shards of one campaign differ in their index alone.
+        StoreHeader want = out.header;
+        want.shard_index = h.shard_index;
+        const std::string mismatches = identityMismatches(want, h);
+        if (!mismatches.empty())
+            return "merge: '" + path +
+                   "' belongs to a different campaign than the first "
+                   "store; refusing to combine incomparable stores:" +
+                   mismatches;
         if (std::find(shards.begin(), shards.end(), h.shard_index) !=
             shards.end())
             return "merge: shard " + std::to_string(h.shard_index) +
@@ -325,28 +310,10 @@ mergeTrialStores(const std::vector<std::string> &paths,
                    "earlier store)";
         shards.push_back(h.shard_index);
 
-        const ShardSpec spec{h.shard_index, h.shard_count};
-        for (const TrialRecord &record : contents.records) {
-            if (record.outcome >=
-                static_cast<std::uint32_t>(kNumOutcomes))
-                return "merge: '" + path + "' has an out-of-range "
-                       "outcome for trial " +
-                       std::to_string(record.trial) +
-                       " — written by an incompatible build?";
-            if (!spec.owns(record.trial))
-                return "merge: '" + path + "' records trial " +
-                       std::to_string(record.trial) +
-                       ", which shard " +
-                       std::to_string(h.shard_index) + "/" +
-                       std::to_string(h.shard_count) +
-                       " does not own";
-        }
-        keepFirstRecordPerTrial(contents.records);
-        for (const TrialRecord &record : contents.records) {
-            ++out.result.counts[record.outcome];
-            ++out.result.trials;
-            out.result.replay_cost += record.aux;
-        }
+        const StoreTally tally = tallyStore(contents);
+        if (tally.foreign > 0)
+            return "merge: " + foreignRecords(path, tally.foreign);
+        out.result.merge(tally.result);
         ++out.stores_merged;
     }
 

@@ -25,9 +25,9 @@
  *  - **Identity checking.** The store header carries a fingerprint of
  *    everything that determines trial outcomes (module hash, entry,
  *    args, seed, trials, Dmax, run budget, masking, fault model and
- *    detector). Resume and merge refuse a store whose fingerprint does
- *    not match instead of silently mixing trials from different
- *    experiments.
+ *    detector). Resume and merge refuse a store whose identity does
+ *    not match (identityMismatches) instead of silently mixing trials
+ *    from different experiments.
  *
  * The runner validates its CampaignConfig on entry
  * (fault::validateCampaignConfig) and exits through
@@ -37,6 +37,7 @@
 #ifndef ENCORE_CAMPAIGN_RUNNER_H
 #define ENCORE_CAMPAIGN_RUNNER_H
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -81,7 +82,6 @@ struct RunnerOptions
     /// stop (summary.complete == false), simulating an interrupted
     /// campaign deterministically. 0 = run to completion.
     std::uint64_t stop_after = 0;
-    TrialStoreWriter::Options store;
     /// Progress/telemetry (see campaign/progress.h).
     bool progress = false;
     std::string heartbeat_path;
@@ -107,6 +107,28 @@ struct RunSummary
     /// Torn/corrupt bytes the store reader dropped (0 normally).
     std::uint64_t recovered_dropped_bytes = 0;
 };
+
+/// A read store's outcome tally: the first record of each trial its
+/// shard owns, in trial order. Foreign records (an out-of-range
+/// outcome, or a trial the shard does not own) are dropped before
+/// duplicates, so a valid record behind a foreign one still counts.
+/// Memory follows the records, never the header's total_trials.
+struct StoreTally
+{
+    fault::CampaignResult result;
+    std::vector<TrialRecord> records;
+    std::uint64_t foreign = 0;
+    std::uint64_t duplicates = 0;
+};
+
+StoreTally tallyStore(const StoreContents &contents);
+
+/// One "\n  <field> mismatch: store has X, expected Y" line per
+/// campaign-identity field on which `found` differs from `want`, ""
+/// for the same campaign and shard. Snapshot provenance is never
+/// compared: the snapshot tier cannot change an outcome.
+std::string identityMismatches(const StoreHeader &want,
+                               const StoreHeader &found);
 
 /// Fingerprint of everything that determines trial outcomes: the
 /// module hash, then fault::mixCampaignIdentity's config fields.

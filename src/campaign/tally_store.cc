@@ -1,54 +1,23 @@
 #include "campaign/tally_store.h"
 
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-
-#include "support/checksum.h"
-
 namespace encore::campaign {
 
 namespace {
 
-constexpr char kMagic[8] = {'E', 'N', 'C', 'T', 'A', 'L', 'L', 'Y'};
+constexpr RecordFormat kFormat{"ENCTALLY", kTallyStoreVersion,
+                               kTallyStoreHeaderSize, kTallyRecordSize,
+                               "tally table"};
 
-template <typename T>
+/// A record's field layout (see the table in tally_store.h).
+template <typename Record, typename Field>
 void
-put(char *bytes, std::size_t offset, T value)
+recordFields(Record &record, Field field)
 {
-    std::memcpy(bytes + offset, &value, sizeof value);
-}
-
-template <typename T>
-T
-get(const char *bytes, std::size_t offset)
-{
-    T value;
-    std::memcpy(&value, bytes + offset, sizeof value);
-    return value;
-}
-
-void
-encodeHeader(char (&bytes)[kTallyStoreHeaderSize])
-{
-    std::memset(bytes, 0, sizeof bytes);
-    std::memcpy(bytes, kMagic, sizeof kMagic);
-    put<std::uint32_t>(bytes, 8, kTallyStoreVersion);
-    put<std::uint32_t>(bytes, 12,
-                       static_cast<std::uint32_t>(kTallyRecordSize));
-    put<std::uint32_t>(bytes, 16, crc32(bytes, 16));
-}
-
-void
-encodeRecord(char (&bytes)[kTallyRecordSize], const TallyRecord &record)
-{
-    put<std::uint64_t>(bytes, 0, record.key);
-    put<std::uint64_t>(bytes, 8, record.subset_hash);
-    put<std::uint64_t>(bytes, 16, record.subset_count);
+    field(0, record.key);
+    field(8, record.subset_hash);
+    field(16, record.subset_count);
     for (std::size_t i = 0; i < kTallyOutcomeSlots; ++i)
-        put<std::uint64_t>(bytes, 24 + i * 8, record.counts[i]);
-    put<std::uint32_t>(bytes, kTallyRecordSize - 4,
-                       crc32(bytes, kTallyRecordSize - 4));
+        field(24 + i * 8, record.counts[i]);
 }
 
 } // namespace
@@ -57,74 +26,20 @@ std::optional<std::string>
 readTallyStore(const std::string &path, TallyContents &out)
 {
     out = TallyContents{};
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return "cannot open tally table '" + path + "' for reading";
-
-    char header_bytes[kTallyStoreHeaderSize];
-    in.read(header_bytes, sizeof header_bytes);
-    if (in.gcount() != static_cast<std::streamsize>(sizeof header_bytes))
-        return "tally table '" + path +
-               "' is shorter than its header — not a tally table (or "
-               "the very first write was torn)";
-    if (std::memcmp(header_bytes, kMagic, sizeof kMagic) != 0)
-        return "'" + path + "' is not a tally table (bad magic)";
-    const auto version = get<std::uint32_t>(header_bytes, 8);
-    if (version != kTallyStoreVersion)
-        return "tally table '" + path + "' has format version " +
-               std::to_string(version) + "; this build reads version " +
-               std::to_string(kTallyStoreVersion);
-    const auto record_size = get<std::uint32_t>(header_bytes, 12);
-    if (record_size != kTallyRecordSize)
-        return "tally table '" + path + "' declares " +
-               std::to_string(record_size) + "-byte records, expected " +
-               std::to_string(kTallyRecordSize);
-    if (get<std::uint32_t>(header_bytes, 16) != crc32(header_bytes, 16))
-        return "tally table '" + path + "' has a corrupt header (CRC "
-               "mismatch)";
-    out.valid_bytes = kTallyStoreHeaderSize;
-
-    // Accept the longest prefix of whole, CRC-clean records whose
-    // subset is internally consistent; everything after the first bad
-    // record is a torn tail (the affected groups just re-execute).
-    char record_bytes[kTallyRecordSize];
-    for (;;) {
-        in.read(record_bytes, sizeof record_bytes);
-        const std::streamsize got = in.gcount();
-        if (got == 0)
-            break;
-        if (got != static_cast<std::streamsize>(sizeof record_bytes)) {
-            out.dropped_bytes += static_cast<std::uint64_t>(got);
-            break;
-        }
-        const auto stored_crc =
-            get<std::uint32_t>(record_bytes, kTallyRecordSize - 4);
-        TallyRecord record;
-        record.key = get<std::uint64_t>(record_bytes, 0);
-        record.subset_hash = get<std::uint64_t>(record_bytes, 8);
-        record.subset_count = get<std::uint64_t>(record_bytes, 16);
+    // A record whose outcome counts do not add up to its subset is
+    // inconsistent: it ends the trusted prefix.
+    const auto record = [&](const char *bytes) {
+        TallyRecord decoded;
+        recordFields(decoded, FieldReader{bytes});
         std::uint64_t total = 0;
-        for (std::size_t i = 0; i < kTallyOutcomeSlots; ++i) {
-            record.counts[i] =
-                get<std::uint64_t>(record_bytes, 24 + i * 8);
-            total += record.counts[i];
-        }
-        if (stored_crc != crc32(record_bytes, kTallyRecordSize - 4) ||
-            total != record.subset_count) {
-            out.dropped_bytes += sizeof record_bytes;
-            break;
-        }
-        out.records.push_back(record);
-        out.valid_bytes += sizeof record_bytes;
-    }
-    if (out.dropped_bytes > 0) {
-        in.clear();
-        in.seekg(0, std::ios::end);
-        const auto end = static_cast<std::uint64_t>(in.tellg());
-        if (end > out.valid_bytes)
-            out.dropped_bytes = end - out.valid_bytes;
-    }
-    return std::nullopt;
+        for (const std::uint64_t count : decoded.counts)
+            total += count;
+        if (total != decoded.subset_count)
+            return false;
+        out.records.push_back(decoded);
+        return true;
+    };
+    return readRecordFile(path, kFormat, nullptr, record, out);
 }
 
 std::unordered_map<std::uint64_t, TallyRecord>
@@ -139,38 +54,27 @@ latestTallies(const TallyContents &contents)
 std::optional<std::string>
 createTallyStore(const std::string &path)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    char bytes[kTallyStoreHeaderSize];
-    encodeHeader(bytes);
-    out.write(bytes, sizeof bytes);
-    out.flush();
-    if (!out)
-        return "cannot create tally table '" + path +
-               "': check that the directory exists and is writable";
-    return std::nullopt;
+    const char header[kTallyStoreHeaderSize] = {};
+    return createRecordFile(path, kFormat, header);
 }
 
 std::optional<std::string>
 appendTallyRecords(const std::string &path, const TallyContents &contents,
                    const std::vector<TallyRecord> &records)
 {
-    // Cut off any torn tail first so the file never holds a corrupt
-    // record in the middle of otherwise valid data.
-    std::error_code ec;
-    std::filesystem::resize_file(path, contents.valid_bytes, ec);
-    if (ec)
-        return "cannot truncate tally table '" + path +
-               "' to its valid prefix: " + ec.message();
-    std::ofstream out(path, std::ios::binary | std::ios::app);
-    if (!out)
-        return "cannot open tally table '" + path + "' for append";
-    char bytes[kTallyRecordSize];
+    // One append per sweep point: no flusher thread.
+    std::string error;
+    const auto writer = RecordWriter::append(
+        path, kFormat, contents,
+        {.flush_interval = std::chrono::milliseconds(0)}, &error);
+    if (!writer)
+        return error;
+    char bytes[kTallyRecordSize] = {};
     for (const TallyRecord &record : records) {
-        encodeRecord(bytes, record);
-        out.write(bytes, sizeof bytes);
+        recordFields(record, FieldWriter{bytes});
+        writer->add(bytes);
     }
-    out.flush();
-    if (!out)
+    if (!writer->finish())
         return "write to tally table '" + path + "' failed";
     return std::nullopt;
 }

@@ -10,15 +10,13 @@
  * later sweep point whose fingerprint matches folds the stored tally
  * into its aggregate instead of re-executing the group's trials.
  *
- * The format deliberately mirrors the trial store (trial_store.h):
- * fixed-size CRC'd header, fixed-size records each carrying its own
- * CRC32, appended in any order. A kill mid-write leaves at worst one
- * torn record at the tail; the reader recovers the valid prefix and
- * reports the dropped bytes, and the writer truncates the tail before
- * appending. Duplicate keys are legal — the *last* record for a key
- * wins (an updated tally is appended, never rewritten in place).
+ * The table is a sealed-record file like the trial store
+ * (record_file.h): a kill mid-write leaves at worst a torn tail, which
+ * the reader drops, and the affected groups just re-execute.
+ * Duplicate keys are legal — the *last* record for a key wins (an
+ * updated tally is appended, never rewritten in place).
  *
- * On-disk layout (host-endian, like the trial store):
+ * On-disk layout (the framing of record_file.h):
  *
  *   offset  size  field
  *   0       8     magic "ENCTALLY"
@@ -44,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "campaign/record_file.h"
 #include "fault/injector.h"
 
 namespace encore::campaign {
@@ -63,21 +62,17 @@ struct TallyRecord
     std::uint64_t counts[kTallyOutcomeSlots] = {};
 };
 
-struct TallyContents
+struct TallyContents : RecordFileExtent
 {
     /// The valid record prefix, in file order (duplicates preserved).
     std::vector<TallyRecord> records;
-    /// Bytes that parsed cleanly (header + records).
-    std::uint64_t valid_bytes = 0;
-    /// Torn/corrupt tail bytes the reader dropped.
-    std::uint64_t dropped_bytes = 0;
 };
 
-/// Reads a sidecar table. Returns nullopt on success, an error when
-/// the file is unusable (missing, bad magic/version/record size,
-/// corrupt header). A torn or CRC-corrupt record is NOT an error:
-/// reading stops there and the rest is counted in dropped_bytes —
-/// the planner then simply re-executes the affected groups.
+/// Reads a sidecar table (readRecordFile). Nullopt on success; an
+/// error when the file is unusable. A torn or corrupt tail is NOT an
+/// error (a record whose counts do not sum to its subset_count is
+/// corrupt): `dropped_bytes` reports it, and the planner re-executes
+/// the affected groups.
 std::optional<std::string> readTallyStore(const std::string &path,
                                           TallyContents &out);
 

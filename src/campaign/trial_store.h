@@ -5,22 +5,18 @@
  *
  * A campaign's trials are mutually independent and each one is a pure
  * function of (module, golden run, seed, trial index), so durability
- * needs nothing transactional: the store is a fixed-size header
- * followed by fixed-size records, each record carrying its own CRC32.
- * A process killed mid-write leaves at worst one torn record at the
- * tail; the reader recovers the valid prefix and reports the dropped
- * bytes instead of failing, and the writer physically truncates the
- * tail before appending again. Records may land in any order (worker
- * threads finish out of order) — the trial index inside each record,
- * not its file position, says which trial it is.
+ * needs nothing transactional: the store is a sealed-record file
+ * (record_file.h), which recovers its valid prefix after a kill.
+ * Records may land in any order (worker threads finish out of order)
+ * — the trial index inside each record, not its file position, says
+ * which trial it is.
  *
  * The header carries a campaign-config fingerprint, the instrumented
  * module's hash, and shard coordinates, so `resume` and `merge` can
  * refuse a store that was produced under a different campaign
  * identity instead of silently mixing incompatible trials.
  *
- * On-disk layout (host-endian; stores are consumed on the machine
- * family that wrote them):
+ * On-disk layout (the framing of record_file.h):
  *
  *   offset  size  field
  *   0       8     magic "ENCTRIAL"
@@ -65,16 +61,13 @@
 #ifndef ENCORE_CAMPAIGN_TRIAL_STORE_H
 #define ENCORE_CAMPAIGN_TRIAL_STORE_H
 
-#include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "support/ticker.h"
+#include "campaign/record_file.h"
 
 namespace encore::campaign {
 
@@ -113,99 +106,53 @@ struct TrialRecord
     std::uint32_t aux = 0;
 };
 
-struct StoreContents
+struct StoreContents : RecordFileExtent
 {
     StoreHeader header;
     /// The valid record prefix, in file order (NOT trial order).
     std::vector<TrialRecord> records;
-    /// Bytes of the file that parsed cleanly (header + records).
-    std::uint64_t valid_bytes = 0;
-    /// Torn/corrupt tail bytes dropped by the reader (0 for a store
-    /// that was closed cleanly).
-    std::uint64_t dropped_bytes = 0;
 };
 
-/// Reads a store. Returns nullopt on success, an error message when
-/// the store is unusable (missing file, bad magic/version/record
-/// size, corrupt header, shard index not below a non-zero shard
-/// count). A torn or CRC-corrupt record is NOT an error: reading stops
-/// at the first bad record and the remainder is reported via
-/// `dropped_bytes` — that is the crash-recovery path.
+/// Reads a store (readRecordFile). Nullopt on success; an error when
+/// the store is unusable, which includes a header whose shard index is
+/// not below a non-zero shard count. A torn or corrupt tail is NOT an
+/// error (a record whose trial index is not below the total trials is
+/// corrupt): `dropped_bytes` reports it — the crash-recovery path.
 std::optional<std::string> readTrialStore(const std::string &path,
                                           StoreContents &out);
 
 /// Drops every record whose trial index already appeared earlier in
-/// `records` and sorts the rest by trial index. Its memory is
-/// proportional to the records, never to the header's total_trials,
-/// which a crafted store can set to anything.
+/// `records` and sorts the rest by trial index, in memory proportional
+/// to the records (never to the untrusted header's total_trials).
 void keepFirstRecordPerTrial(std::vector<TrialRecord> &records);
 
-/**
- * Concurrent batched appender. Worker threads call add(); records
- * accumulate in a buffer that is written out either when it reaches
- * `flush_batch` records or when the background flusher thread fires
- * (every `flush_interval`, on the monotonic clock), bounding both
- * syscall traffic at 30k trials/s and the number of trials lost to a
- * kill to roughly one flush interval.
- */
+/// Concurrent batched appender of trial records: RecordWriter over the
+/// trial store's format. append() reopens a store the caller has read
+/// and validated.
 class TrialStoreWriter
 {
   public:
-    struct Options
-    {
-        /// Records buffered before an inline flush.
-        std::size_t flush_batch = 256;
-        /// Background flush period; 0 disables the flusher thread
-        /// (records then only hit disk on batch boundaries/finish).
-        std::chrono::milliseconds flush_interval{200};
-    };
+    using Options = RecordWriter::Options;
 
-    /// Creates `path` fresh (truncating any existing file) and writes
-    /// the header. Null + `*error` on I/O failure.
     static std::unique_ptr<TrialStoreWriter>
     create(const std::string &path, const StoreHeader &header,
            const Options &options, std::string *error);
-
-    /// Reopens an existing store for append after the caller has read
-    /// and validated it: physically truncates the file to
-    /// `contents.valid_bytes` (discarding any torn tail) and appends
-    /// from there. Null + `*error` on I/O failure.
     static std::unique_ptr<TrialStoreWriter>
     append(const std::string &path, const StoreContents &contents,
            const Options &options, std::string *error);
 
-    ~TrialStoreWriter();
-
-    TrialStoreWriter(const TrialStoreWriter &) = delete;
-    TrialStoreWriter &operator=(const TrialStoreWriter &) = delete;
-
-    /// Queues one record. Thread-safe; may flush inline when the
-    /// batch fills.
     void add(std::uint64_t trial, std::uint32_t outcome,
              std::uint32_t aux = 0);
-
-    /// Stops the flusher thread, writes out everything pending and
-    /// closes the file. Idempotent; called by the destructor. Returns
-    /// false when a write failed at any point (the store is then at
-    /// worst truncated — the reader recovers the valid prefix).
-    bool finish();
-
-    /// True when every write so far succeeded.
-    bool ok();
+    bool finish() { return writer_->finish(); }
+    bool ok() { return writer_->ok(); }
 
   private:
-    TrialStoreWriter(std::ofstream out, const Options &options);
+    explicit TrialStoreWriter(std::unique_ptr<RecordWriter> writer)
+        : writer_(std::move(writer))
+    {
+    }
 
-    void flushLocked();
-
-    std::ofstream out_;          // guarded by mutex_
-    std::vector<char> pending_;  // guarded by mutex_
-    std::size_t batch_bytes_;
-    bool failed_ = false;        // guarded by mutex_
-    bool finished_ = false;      // guarded by mutex_
-    std::mutex mutex_;
-    /// Declared last: the flusher must die before the members it pokes.
-    std::unique_ptr<Ticker> flusher_;
+    std::unique_ptr<RecordWriter> writer_;
 };
 
 } // namespace encore::campaign

@@ -1,5 +1,6 @@
 #include "fault/injector.h"
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -748,13 +749,16 @@ runTrials(
         &body)
 {
     const ThreadPool pool(jobs);
-    // One tally and one pooled interpreter per worker slot, merged
-    // below: no shared writes on the trial path, and each worker's
-    // frames / undo logs / memory image are recycled across its trials
-    // (constructed lazily so idle slots cost nothing).
-    std::vector<CampaignResult> tallies(pool.slotCount());
-    std::vector<std::unique_ptr<interp::Interpreter>> interps(
-        pool.slotCount());
+    // One tally and one pooled interpreter per slot parallelFor can
+    // use, merged below: no shared writes on the trial path, and each
+    // worker's frames / undo logs / memory image are recycled across
+    // its trials (constructed lazily so idle slots cost nothing). No
+    // slot at or above min(slotCount(), n) is ever used, so an absurd
+    // --jobs costs nothing either.
+    const std::size_t slots = static_cast<std::size_t>(
+        std::min<std::uint64_t>(pool.slotCount(), n));
+    std::vector<CampaignResult> tallies(slots);
+    std::vector<std::unique_ptr<interp::Interpreter>> interps(slots);
     pool.parallelFor(n, [&](std::uint64_t i, std::size_t slot) {
         if (!interps[slot])
             interps[slot] = std::make_unique<interp::Interpreter>(

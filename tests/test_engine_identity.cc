@@ -113,6 +113,9 @@ TEST(BenchFlags, Fig8RejectsBadFlags)
                        "integers, got '-5'"},
         {" --jobs -2", "flag '--jobs' expects a non-negative integer, "
                        "got '-2'"},
+        // Removed: the snapshot budget is SnapshotConfig's fixed 64 MiB.
+        {" --snapshot" "-budget-mb 64", "unknown flag '--snapshot"
+                                        "-budget-mb'"},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.args);

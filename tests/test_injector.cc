@@ -317,6 +317,31 @@ TEST(Injector, ParallelCampaignBitIdenticalToSequential)
     }
 }
 
+TEST(Injector, AbsurdJobsRunsLikeOneJob)
+{
+    // runTrials keeps per-slot state only for the slots parallelFor
+    // uses over n trials, so 10^12 requested threads over three trials
+    // start two threads and allocate three slots, not 10^12.
+    Harness setup = prepare();
+    CampaignConfig config;
+    config.trials = 3;
+    config.seed = 7;
+    config.model_masking = false;
+    const auto body = [&](std::uint64_t t, interp::Interpreter &interp) {
+        return setup.injector->runTrial(
+            drawTrial(config, t, setup.injector->golden().value_instrs),
+            config.trial, interp);
+    };
+    const CampaignResult one = runTrials(*setup.injector, 1, 3, body);
+    const CampaignResult absurd =
+        runTrials(*setup.injector, 1'000'000'000'000, 3, body);
+    EXPECT_EQ(absurd.trials, 3u);
+    EXPECT_EQ(absurd.replay_cost, one.replay_cost);
+    for (int i = 0; i < static_cast<int>(FaultOutcome::NumOutcomes); ++i)
+        EXPECT_EQ(absurd.counts[i], one.counts[i])
+            << outcomeName(static_cast<FaultOutcome>(i));
+}
+
 TEST(Injector, MaskingEdgeRatesHoldForEveryFaultModel)
 {
     // The masking coin short-circuits before the model draws its plan,

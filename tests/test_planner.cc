@@ -25,6 +25,7 @@
 #include "campaign/tally_store.h"
 #include "encore/pipeline.h"
 #include "ir/parser.h"
+#include "support/checksum.h"
 
 namespace encore::campaign {
 namespace {
@@ -431,6 +432,58 @@ TEST(TallyStore, RoundTripAndLastWins)
     ASSERT_EQ(latest.size(), 2u);
     EXPECT_EQ(latest.at(1).subset_count, 30u);
     EXPECT_EQ(latest.at(2).subset_count, 20u);
+}
+
+/// Appends `value`'s host-endian bytes to `bytes`.
+template <typename T>
+void
+appendField(std::string &bytes, T value)
+{
+    bytes.append(reinterpret_cast<const char *>(&value), sizeof value);
+}
+
+/// Appends the CRC32 of everything from `from` on.
+void
+appendCrc(std::string &bytes, std::size_t from)
+{
+    appendField<std::uint32_t>(
+        bytes, crc32(bytes.data() + from, bytes.size() - from));
+}
+
+TEST(TallyStore, OnDiskBytesFollowTheLayoutTable)
+{
+    // Bytes assembled by hand from the layout table in tally_store.h,
+    // so a framing change that reader and writer share still shows.
+    const std::string path = tempPath("tally_layout.tally");
+    ASSERT_FALSE(createTallyStore(path).has_value());
+    TallyContents empty;
+    ASSERT_FALSE(readTallyStore(path, empty).has_value());
+    TallyRecord spread = sampleRecord(9, 12);
+    spread.counts[0] = 5;
+    spread.counts[kTallyOutcomeSlots - 1] = 7;
+    const std::vector<TallyRecord> records = {sampleRecord(1, 10), spread};
+    ASSERT_FALSE(appendTallyRecords(path, empty, records).has_value());
+
+    std::string want = "ENCTALLY";
+    appendField<std::uint32_t>(want, kTallyStoreVersion);
+    appendField<std::uint32_t>(want, kTallyRecordSize);
+    appendCrc(want, 0);
+    ASSERT_EQ(want.size(), kTallyStoreHeaderSize);
+    for (const TallyRecord &record : records) {
+        const std::size_t start = want.size();
+        appendField<std::uint64_t>(want, record.key);
+        appendField<std::uint64_t>(want, record.subset_hash);
+        appendField<std::uint64_t>(want, record.subset_count);
+        for (const std::uint64_t count : record.counts)
+            appendField<std::uint64_t>(want, count);
+        appendCrc(want, start);
+    }
+    ASSERT_EQ(want.size(), kTallyStoreHeaderSize + 2 * kTallyRecordSize);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want);
 }
 
 TEST(TallyStore, TornTailRecoversValidPrefix)

@@ -133,6 +133,62 @@ TEST(TrialStore, RoundTripPreservesHeaderAndRecords)
     EXPECT_EQ(contents.dropped_bytes, 0u);
 }
 
+/// Appends `value`'s host-endian bytes to `bytes`.
+template <typename T>
+void
+appendField(std::string &bytes, T value)
+{
+    bytes.append(reinterpret_cast<const char *>(&value), sizeof value);
+}
+
+/// Appends the CRC32 of everything from `from` on.
+void
+appendCrc(std::string &bytes, std::size_t from)
+{
+    appendField<std::uint32_t>(
+        bytes, crc32(bytes.data() + from, bytes.size() - from));
+}
+
+TEST(TrialStore, OnDiskBytesFollowTheLayoutTable)
+{
+    // Bytes assembled by hand from the layout table in trial_store.h,
+    // so a framing change that reader and writer share still shows.
+    const std::string path = tempStorePath("layout.trials");
+    const StoreHeader header = sampleHeader(10);
+    writeRecords(path, header, {{3, 1, 0}, {7, 2, 512}});
+
+    std::string want = "ENCTRIAL";
+    appendField<std::uint32_t>(want, kTrialStoreVersion);
+    appendField<std::uint32_t>(want, kTrialRecordSize);
+    appendField<std::uint64_t>(want, header.config_fingerprint);
+    appendField<std::uint64_t>(want, header.module_hash);
+    appendField<std::uint64_t>(want, header.seed);
+    appendField<std::uint64_t>(want, header.total_trials);
+    appendField<std::uint32_t>(want, header.shard_index);
+    appendField<std::uint32_t>(want, header.shard_count);
+    appendField<std::uint64_t>(want, header.snapshot_stride);
+    appendField<std::uint64_t>(want, header.snapshot_byte_budget);
+    appendField<std::uint32_t>(want, header.snapshot_page_bytes);
+    appendField<std::uint32_t>(want, header.fault_model_id);
+    appendField<std::uint32_t>(want, header.detector_id);
+    appendCrc(want, 0);
+    ASSERT_EQ(want.size(), kTrialStoreHeaderSize);
+    for (const TrialRecord &record :
+         std::vector<TrialRecord>{{3, 1, 0}, {7, 2, 512}}) {
+        const std::size_t start = want.size();
+        appendField<std::uint64_t>(want, record.trial);
+        appendField<std::uint32_t>(want, record.outcome);
+        appendField<std::uint32_t>(want, record.aux);
+        appendCrc(want, start);
+    }
+    ASSERT_EQ(want.size(), kTrialStoreHeaderSize + 2 * kTrialRecordSize);
+
+    std::ifstream in(path, std::ios::binary);
+    const std::string got((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+    EXPECT_EQ(got, want);
+}
+
 TEST(TrialStore, TornTailIsDroppedNotFatal)
 {
     const std::string path = tempStorePath("torn_tail.trials");

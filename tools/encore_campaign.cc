@@ -123,7 +123,6 @@ struct PreparedInjector
 PreparedInjector
 prepareInjector(const workloads::Workload &workload,
                 std::uint64_t snapshot_stride,
-                std::uint64_t snapshot_budget_mb,
                 interp::EngineKind engine = interp::EngineKind::Fused)
 {
     std::cerr << "preparing " << workload.name
@@ -136,7 +135,6 @@ prepareInjector(const workloads::Workload &workload,
     interp::SnapshotConfig snap_config;
     snap_config.enabled = snapshot_stride > 0;
     snap_config.stride = snapshot_stride;
-    snap_config.byte_budget = snapshot_budget_mb << 20;
     out.injector->configureSnapshots(snap_config);
     if (!out.injector->prepare(workload.entry, workload.train_args))
         fatalf("golden run failed for ", workload.name);
@@ -181,6 +179,23 @@ plannerFromFlags(const CommandLine &cli,
     return options;
 }
 
+constexpr int kNumOutcomes =
+    static_cast<int>(fault::FaultOutcome::NumOutcomes);
+
+/// The "counts" field every JSON report carries: outcome name → count.
+void
+writeCountsJson(std::ostream &out, const fault::CampaignResult &result)
+{
+    out << "  \"counts\": {";
+    for (int i = 0; i < kNumOutcomes; ++i) {
+        const auto outcome = static_cast<fault::FaultOutcome>(i);
+        out << "\"" << fault::outcomeName(outcome)
+            << "\": " << result.count(outcome)
+            << (i + 1 < kNumOutcomes ? ", " : "");
+    }
+    out << "},\n";
+}
+
 /// Counts + fractions as JSON fields under the writeJsonReport
 /// contract (provenance + opening brace come from the harness).
 void
@@ -204,18 +219,9 @@ writeCampaignJson(std::ostream &out, const std::string &mode,
         << "\",\n"
         << "  \"detector\": \"" << config.trial.detector->name()
         << "\",\n"
-        << "  \"replay_cost\": " << result.replay_cost << ",\n"
-        << "  \"counts\": {";
-    constexpr int kNumOutcomes =
-        static_cast<int>(fault::FaultOutcome::NumOutcomes);
-    for (int i = 0; i < kNumOutcomes; ++i) {
-        const auto outcome = static_cast<fault::FaultOutcome>(i);
-        out << "\"" << fault::outcomeName(outcome)
-            << "\": " << result.count(outcome)
-            << (i + 1 < kNumOutcomes ? ", " : "");
-    }
-    out << "},\n"
-        << "  \"covered\": "
+        << "  \"replay_cost\": " << result.replay_cost << ",\n";
+    writeCountsJson(out, result);
+    out << "  \"covered\": "
         << formatFixed(result.coveredFraction(), 6) << "\n"
         << "}\n";
 }
@@ -244,18 +250,9 @@ writePlannerJson(std::ostream &out, const std::string &mode,
         << "  \"masked_trials\": " << summary.masked_trials << ",\n"
         << "  \"reused_trials\": " << summary.reused_trials << ",\n"
         << "  \"groups\": " << summary.groups << ",\n"
-        << "  \"groups_reused\": " << summary.groups_reused << ",\n"
-        << "  \"counts\": {";
-    constexpr int kNumOutcomes =
-        static_cast<int>(fault::FaultOutcome::NumOutcomes);
-    for (int i = 0; i < kNumOutcomes; ++i) {
-        const auto outcome = static_cast<fault::FaultOutcome>(i);
-        out << "\"" << fault::outcomeName(outcome)
-            << "\": " << summary.result.count(outcome)
-            << (i + 1 < kNumOutcomes ? ", " : "");
-    }
-    out << "},\n"
-        << "  \"coverage\": " << formatFixed(summary.coverage, 6)
+        << "  \"groups_reused\": " << summary.groups_reused << ",\n";
+    writeCountsJson(out, summary.result);
+    out << "  \"coverage\": " << formatFixed(summary.coverage, 6)
         << ",\n"
         << "  \"ci_half\": " << formatFixed(summary.ci_half, 6)
         << ",\n"
@@ -298,11 +295,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     cli.addFlag("heartbeat", "",
                 "append a JSONL heartbeat to this path for external "
                 "monitors");
-    cli.addFlag("flush-interval-ms", "200",
-                "trial-store background flush period");
-    cli.addFlag("flush-batch", "256",
-                "trial-store records per batched write");
-    bench::addSnapshotFlags(cli);
+    bench::addSnapshotStrideFlag(cli);
     bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
@@ -357,17 +350,12 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     options.progress_interval =
         std::chrono::milliseconds(cli.getUint("progress-interval-ms"));
     options.heartbeat_path = cli.getString("heartbeat");
-    options.store.flush_interval =
-        std::chrono::milliseconds(cli.getUint("flush-interval-ms"));
-    options.store.flush_batch =
-        static_cast<std::size_t>(cli.getUint("flush-batch"));
     options.label = workload->name + " shard " +
                     std::to_string(options.shard.index) + "/" +
                     std::to_string(options.shard.count);
 
     PreparedInjector pi =
         prepareInjector(*workload, cli.getUint("snapshot-stride"),
-                        cli.getUint("snapshot-budget-mb"),
                         bench::engineFlag(cli));
 
     if (planner_path) {
@@ -449,7 +437,7 @@ cmdPlan(int argc, char **argv)
         campaignFromFlags(cli, /*has_jobs=*/false);
     fault::validateCampaignConfig(config);
 
-    PreparedInjector pi = prepareInjector(*workload, 0, 0);
+    PreparedInjector pi = prepareInjector(*workload, 0);
     campaign::CampaignPlanner planner(
         *pi.injector, pi.prepared.report, config,
         plannerFromFlags(cli, workload->name));
@@ -495,9 +483,6 @@ cmdMerge(int argc, char **argv)
 
     const bool json_ok = bench::writeJsonReport(
         cli.getString("json"), [&](std::ostream &out) {
-            fault::CampaignConfig config;
-            config.seed = merged.header.seed;
-            config.trials = merged.header.total_trials;
             out << "  \"tool\": \"encore_campaign\",\n"
                 << "  \"mode\": \"merge\",\n"
                 << "  \"stores\": " << merged.stores_merged << ",\n"
@@ -505,18 +490,9 @@ cmdMerge(int argc, char **argv)
                 << ",\n"
                 << "  \"seed\": " << merged.header.seed << ",\n"
                 << "  \"trials\": " << merged.header.total_trials
-                << ",\n"
-                << "  \"counts\": {";
-            constexpr int kNumOutcomes =
-                static_cast<int>(fault::FaultOutcome::NumOutcomes);
-            for (int i = 0; i < kNumOutcomes; ++i) {
-                const auto outcome = static_cast<fault::FaultOutcome>(i);
-                out << "\"" << fault::outcomeName(outcome)
-                    << "\": " << merged.result.count(outcome)
-                    << (i + 1 < kNumOutcomes ? ", " : "");
-            }
-            out << "},\n"
-                << "  \"covered\": "
+                << ",\n";
+            writeCountsJson(out, merged.result);
+            out << "  \"covered\": "
                 << formatFixed(merged.result.coveredFraction(), 6)
                 << "\n}\n";
         });
@@ -539,52 +515,33 @@ cmdInspect(int argc, char **argv)
 
     const campaign::StoreHeader &h = contents.header;
     const campaign::ShardSpec spec{h.shard_index, h.shard_count};
-    // Scenario identity: a store written under a fault model this
-    // build does not know cannot be interpreted (the outcome of every
-    // trial depends on it) — refuse with the registered list, the way
-    // unknown workloads are reported.
+    // Scenario identity: a store written under a fault model or
+    // detector this build does not know cannot be interpreted (the
+    // outcome of every trial depends on it) — refuse with the
+    // registered list, the way unknown workloads are reported.
+    const auto unknown = [&](const char *kind, std::uint32_t id,
+                             const char *known,
+                             const std::vector<std::string_view> &names) {
+        std::cerr << "error: store '" << path << "' was written under "
+                  << "unknown " << kind << " id " << id
+                  << " (a newer build?); " << known
+                  << " this build knows:\n";
+        for (const std::string_view name : names)
+            std::cerr << "  " << name << "\n";
+        return 1;
+    };
     const fault::models::FaultModel *model =
         fault::models::faultModelById(h.fault_model_id);
-    if (model == nullptr) {
-        std::cerr << "error: store '" << path
-                  << "' was written under unknown fault-model id "
-                  << h.fault_model_id
-                  << " (a newer build?); models this build knows:\n";
-        for (const std::string_view name :
-             fault::models::faultModelNames())
-            std::cerr << "  " << name << "\n";
-        return 1;
-    }
+    if (model == nullptr)
+        return unknown("fault-model", h.fault_model_id, "models",
+                       fault::models::faultModelNames());
     const fault::models::Detector *detector =
         fault::models::detectorById(h.detector_id);
-    if (detector == nullptr) {
-        std::cerr << "error: store '" << path
-                  << "' was written under unknown detector id "
-                  << h.detector_id
-                  << " (a newer build?); detectors this build "
-                     "knows:\n";
-        for (const std::string_view name :
-             fault::models::detectorNames())
-            std::cerr << "  " << name << "\n";
-        return 1;
-    }
-    // Foreign records are dropped before duplicates, so a valid record
-    // behind a foreign one for the same trial still counts.
-    std::vector<campaign::TrialRecord> records;
-    for (const campaign::TrialRecord &record : contents.records)
-        if (record.outcome < static_cast<std::uint32_t>(
-                                 fault::FaultOutcome::NumOutcomes) &&
-            spec.owns(record.trial))
-            records.push_back(record);
-    campaign::keepFirstRecordPerTrial(records);
-    const std::uint64_t bad_records =
-        contents.records.size() - records.size();
-    fault::CampaignResult tally;
-    for (const campaign::TrialRecord &record : records) {
-        ++tally.counts[record.outcome];
-        ++tally.trials;
-        tally.replay_cost += record.aux;
-    }
+    if (detector == nullptr)
+        return unknown("detector", h.detector_id, "detectors",
+                       fault::models::detectorNames());
+    const campaign::StoreTally tally = campaign::tallyStore(contents);
+    const std::uint64_t bad_records = tally.foreign + tally.duplicates;
 
     std::cout << "store " << path << "\n"
               << std::hex << "  config fingerprint 0x"
@@ -617,10 +574,10 @@ cmdInspect(int argc, char **argv)
                   << " torn tail bytes (interrupted run; `resume` "
                      "will repair)";
     std::cout << "\n  missing "
-              << spec.ownedTrials(h.total_trials) - tally.trials
+              << spec.ownedTrials(h.total_trials) - tally.result.trials
               << " of " << spec.ownedTrials(h.total_trials)
               << " owned trials\n\n"
-              << campaign::formatAggregate(tally);
+              << campaign::formatAggregate(tally.result);
     return 0;
 }
 

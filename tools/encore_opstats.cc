@@ -11,7 +11,7 @@
  * see every source instruction), so the numbers stay valid whichever
  * engine is the default: they always describe the unfused instruction
  * stream. By default the uninstrumented module runs (matching
- * bench_passes' interpreter measurement); --instrumented runs the
+ * interp_throughput's measurement); --instrumented runs the
  * pipeline-instrumented module instead, which is what fault-injection
  * campaigns execute.
  */
