@@ -69,15 +69,22 @@ forEachWorkload(
 }
 
 CommandLine
-standardFlags(const std::string &trials_default)
+jobsFlags()
 {
     CommandLine cli;
-    cli.addFlag("seed", "12345", "base RNG seed for the experiment");
-    cli.addFlag("trials", trials_default,
-                "fault-injection trials per configuration");
     cli.addFlag("jobs", "0",
                 "worker threads for workload prep and campaigns "
                 "(0 = all hardware threads)");
+    return cli;
+}
+
+CommandLine
+campaignFlags(const std::string &trials_default)
+{
+    CommandLine cli = jobsFlags();
+    cli.addFlag("seed", "12345", "base RNG seed for the experiment");
+    cli.addFlag("trials", trials_default,
+                "fault-injection trials per configuration");
     return cli;
 }
 
@@ -96,15 +103,6 @@ addJsonFlag(CommandLine &cli, const std::string &default_path)
 }
 
 void
-addEngineFlag(CommandLine &cli)
-{
-    cli.addFlag("engine", "fused",
-                "interpreter tier: 'fused' (superinstruction dispatch, "
-                "the default) or 'decoded' (one dispatch per source "
-                "instruction; same outcomes, slower)");
-}
-
-void
 addSnapshotStrideFlag(CommandLine &cli)
 {
     cli.addFlag("snapshot-stride",
@@ -112,19 +110,6 @@ addSnapshotStrideFlag(CommandLine &cli)
                 "golden-run snapshot stride in value instructions "
                 "(0 disables the snapshot tier; never affects "
                 "outcomes)");
-}
-
-interp::EngineKind
-engineFlag(const CommandLine &cli)
-{
-    const std::string name = cli.getString("engine");
-    const auto kind = interp::parseEngineKind(name);
-    if (!kind) {
-        std::cerr << "error: unknown --engine '" << name
-                  << "': expected 'fused' or 'decoded'.\n";
-        std::exit(1);
-    }
-    return *kind;
 }
 
 namespace {

@@ -18,7 +18,6 @@
 #include "encore/analysis_base.h"
 #include "encore/pipeline.h"
 #include "fault/models/fault_model.h"
-#include "interp/decoded.h"
 #include "interp/snapshot.h"
 #include "support/cli.h"
 #include "support/table.h"
@@ -102,10 +101,14 @@ mapWorkloads(std::size_t jobs, Produce produce, Consume consume)
         consume(suite[i], *results[i]);
 }
 
-/// Standard flags most benches share. Returns a CommandLine with
-/// --seed, --trials and --jobs registered (callers may add more before
+/// A CommandLine with --jobs registered, the flag every bench that
+/// prepares workloads in parallel shares (callers may add more before
 /// parse).
-CommandLine standardFlags(const std::string &trials_default);
+CommandLine jobsFlags();
+
+/// jobsFlags() plus --seed and --trials, for the benches that run
+/// fault-injection campaigns.
+CommandLine campaignFlags(const std::string &trials_default);
 
 /// Resolved --jobs value: 0 (the default) means hardware concurrency;
 /// a negative value is fatal.
@@ -114,14 +117,6 @@ std::size_t jobsFlag(const CommandLine &cli);
 /// Registers the standard --json flag with the given default path
 /// ("" disables the report).
 void addJsonFlag(CommandLine &cli, const std::string &default_path);
-
-/// Registers --engine=decoded|fused (default fused), the interpreter
-/// tier selector shared by every binary that executes workloads.
-void addEngineFlag(CommandLine &cli);
-
-/// Resolved --engine value; exits with an actionable message on
-/// anything parseEngineKind rejects.
-interp::EngineKind engineFlag(const CommandLine &cli);
 
 /// Registers --snapshot-stride, with the library's
 /// interp::SnapshotConfig default as its own.

@@ -18,7 +18,7 @@ using namespace encore;
 int
 main(int argc, char **argv)
 {
-    CommandLine cli = bench::standardFlags("0");
+    CommandLine cli;
     cli.addFlag("sizes", "5,10,25,50,100,250,500,1000",
                 "comma-separated window sizes (dynamic instructions)");
     cli.parse(argc, argv);

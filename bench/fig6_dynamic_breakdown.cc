@@ -17,7 +17,7 @@ using namespace encore;
 int
 main(int argc, char **argv)
 {
-    CommandLine cli = bench::standardFlags("0");
+    CommandLine cli = bench::jobsFlags();
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
     const std::size_t jobs = bench::jobsFlag(cli);

@@ -48,7 +48,7 @@ secondsSince(std::chrono::steady_clock::time_point start)
 int
 main(int argc, char **argv)
 {
-    CommandLine cli = bench::standardFlags("600");
+    CommandLine cli = bench::campaignFlags("600");
     cli.addFlag("dmax", "1000,100,10",
                 "comma-separated detection latencies to evaluate");
     cli.addFlag("mask", "0.91", "hardware masking rate");
@@ -59,7 +59,6 @@ main(int argc, char **argv)
                 "whole suite); note the per-campaign seeds depend on "
                 "suite position, so a filtered run's coverage numbers "
                 "are not comparable to a full run's");
-    bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
     cli.parse(argc, argv);
@@ -68,7 +67,6 @@ main(int argc, char **argv)
     const std::uint64_t seed = cli.getUint("seed");
     const double mask_rate = cli.getDouble("mask");
     const std::size_t jobs = bench::jobsFlag(cli);
-    const interp::EngineKind engine = bench::engineFlag(cli);
     const fault::models::FaultModel &model = bench::faultModelFlag(cli);
     const fault::models::Detector &detector = bench::detectorFlag(cli);
     const std::string json_path = cli.getString("json");
@@ -161,8 +159,7 @@ main(int argc, char **argv)
                 table.addSeparator();
             current_suite = w.suite;
         }
-        fault::FaultInjector injector(*prepared.module, prepared.report,
-                                      engine);
+        fault::FaultInjector injector(*prepared.module, prepared.report);
         injector.configureSnapshots(snap_config);
         if (!injector.prepare(w.entry, w.train_args)) {
             std::cerr << "golden run failed for " << w.name << "\n";
@@ -254,8 +251,7 @@ main(int argc, char **argv)
     const bool json_ok = bench::writeJsonReport(
         json_path, [&](std::ostream &json) {
             json << "  \"bench\": \"fig8_fault_coverage\",\n"
-                 << "  \"engine\": \""
-                 << interp::engineKindName(engine) << "\",\n"
+                 << "  \"engine\": \"fused\",\n"
                  << "  \"fault_model\": \"" << model.name()
                  << "\",\n"
                  << "  \"detector\": \"" << detector.name()

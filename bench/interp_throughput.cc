@@ -111,7 +111,7 @@ writeInterpJson(const std::vector<InterpStats> &stats,
     // Provenance: the default engine these numbers describe, plus the
     // fusion flag explicitly so trajectories stay comparable across
     // PRs even if the default ever changes. decoded_mips rows measure
-    // --engine=decoded (fusion off) on the same build.
+    // EngineKind::Decoded (fusion off) on the same build.
     json << "  \"bench\": \"interp_throughput\",\n"
          << "  \"engine\": \"fused\",\n"
          << "  \"fusion\": true,\n"

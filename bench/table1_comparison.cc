@@ -21,7 +21,7 @@ using namespace encore;
 int
 main(int argc, char **argv)
 {
-    CommandLine cli = bench::standardFlags("0");
+    CommandLine cli = bench::campaignFlags("0");
     bench::addJsonFlag(cli, "");
     cli.addFlag("dmax", "100",
                 "detection latency for the measured-coverage column "

@@ -245,8 +245,16 @@ struct CampaignPlanner::Impl
                   "(no golden run)");
 
         // 1. Draw every trial up front — no execution needed. These are
-        //    the draws run() executes.
-        draws.reserve(config.trials);
+        //    the draws run() executes, so all of them must fit in memory.
+        try {
+            draws.reserve(config.trials);
+        } catch (const std::exception &) { // length_error or bad_alloc
+            fatalf("campaign planner: cannot hold the draws of --trials ",
+                   config.trials, " in memory (", sizeof(fault::TrialDraw),
+                   " bytes each, all drawn up front); pass a smaller "
+                   "--trials, or run the campaign without --sidecar, "
+                   "which draws one trial at a time");
+        }
         for (std::uint64_t t = 0; t < config.trials; ++t) {
             draws.push_back(
                 fault::drawTrial(config, t, golden.value_instrs));

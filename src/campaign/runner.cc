@@ -215,27 +215,28 @@ CampaignRunner::run()
     }
 
     // The refill set: the owned indices the store does not record, in
-    // increasing order, at most --stop-after of them. The walk stops
-    // once it has them all, so its memory follows the records and the
-    // refill, never the campaign's claimed trial count.
+    // increasing order, at most --stop-after of them. Run index i maps
+    // to the i-th of them on demand, so memory follows the records,
+    // never the campaign's claimed trial count. The j-th record sits at
+    // owned position k_j (trial = shard.index + k_j * shard.count) with
+    // gaps[j] = k_j - j unrecorded owned positions before it, so the
+    // i-th unrecorded position is i plus the number of records whose
+    // gap is at most i.
     std::uint64_t refill = summary.shard_trials - summary.resumed;
     if (options_.stop_after > 0)
         refill = std::min(refill, options_.stop_after);
-    std::vector<std::uint64_t> missing;
-    missing.reserve(refill);
-    auto next = recorded.begin();
-    for (std::uint64_t t = options_.shard.index;
-         t < trials && missing.size() < refill; t += options_.shard.count) {
-        if (next != recorded.end() && next->trial == t)
-            ++next;
-        else
-            missing.push_back(t);
-    }
+    std::vector<std::uint64_t> gaps(recorded.size());
+    for (std::size_t j = 0; j < recorded.size(); ++j)
+        gaps[j] = recorded[j].trial / options_.shard.count - j;
+    const auto missingTrial = [&](std::uint64_t i) {
+        const std::uint64_t before = static_cast<std::uint64_t>(
+            std::upper_bound(gaps.begin(), gaps.end(), i) - gaps.begin());
+        return options_.shard.index + (i + before) * options_.shard.count;
+    };
 
     ProgressMeter::Options meter_options;
     meter_options.line = options_.progress;
     meter_options.heartbeat_path = options_.heartbeat_path;
-    meter_options.interval = options_.progress_interval;
     meter_options.label =
         !options_.label.empty() ? options_.label
         : !path.empty()         ? path
@@ -246,9 +247,9 @@ CampaignRunner::run()
 
     const std::uint64_t value_instrs = injector_.golden().value_instrs;
     const fault::CampaignResult executed = fault::runTrials(
-        injector_, config_.jobs, missing.size(),
+        injector_, config_.jobs, refill,
         [&](std::uint64_t i, interp::Interpreter &interp) {
-            const std::uint64_t trial = missing[i];
+            const std::uint64_t trial = missingTrial(i);
             const fault::TrialResult result = injector_.runTrial(
                 fault::drawTrial(config_, trial, value_instrs),
                 config_.trial, interp);

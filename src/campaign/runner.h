@@ -37,7 +37,6 @@
 #ifndef ENCORE_CAMPAIGN_RUNNER_H
 #define ENCORE_CAMPAIGN_RUNNER_H
 
-#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -85,7 +84,6 @@ struct RunnerOptions
     /// Progress/telemetry (see campaign/progress.h).
     bool progress = false;
     std::string heartbeat_path;
-    std::chrono::milliseconds progress_interval{500};
     /// Label shown in the progress line; defaults to the store path.
     std::string label;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <set>
 
 #include "interp/interpreter.h"
@@ -155,149 +156,46 @@ AnalysisCache::variant(const EncoreConfig &config)
     return *variant;
 }
 
-namespace {
-
-/// Direct evaluation serialized by a private mutex (the analysis
-/// instance is not internally synchronized; formation may run
-/// per-function in parallel).
-class LockedDirectEvaluator : public RegionEvaluator
+void
+AnalysisCache::evaluate(Variant &variant, const CostModel &cost_model,
+                        CandidateRegion &candidate, double &seconds)
 {
-  public:
-    LockedDirectEvaluator(IdempotenceAnalysis &idem,
-                          const CostModel &cost_model,
-                          FunctionContextCache &contexts)
-        : idem_(idem), cost_model_(cost_model), contexts_(contexts)
-    {
+    const double t0 = nowSeconds();
+    RegionKey key;
+    key.func = candidate.region.func;
+    key.header = candidate.region.header;
+    key.blocks = candidate.region.blocks;
+
+    const analysis::Liveness &liveness =
+        base_.contexts().get(*candidate.region.func).liveness;
+
+    std::lock_guard<std::mutex> lock(variant.mutex);
+    auto it = variant.regions.find(key);
+    if (it != variant.regions.end()) {
+        candidate.analysis = it->second.analysis;
+        candidate.cost = it->second.cost;
+        region_hits_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        candidate.analysis = variant.idem->analyzeRegion(candidate.region);
+        candidate.cost = cost_model.evaluate(candidate.region,
+                                             candidate.analysis, liveness);
+        variant.regions.emplace(
+            std::move(key), CachedRegion{candidate.analysis, candidate.cost});
+        region_evals_.fetch_add(1, std::memory_order_relaxed);
     }
-
-    void
-    evaluate(CandidateRegion &candidate) override
-    {
-        const analysis::Liveness &liveness =
-            contexts_.get(*candidate.region.func).liveness;
-        std::lock_guard<std::mutex> lock(mutex_);
-        candidate.analysis = idem_.analyzeRegion(candidate.region);
-        candidate.cost = cost_model_.evaluate(candidate.region,
-                                              candidate.analysis,
-                                              liveness);
-    }
-
-  private:
-    IdempotenceAnalysis &idem_;
-    const CostModel &cost_model_;
-    FunctionContextCache &contexts_;
-    std::mutex mutex_;
-};
-
-/// Memoizing evaluator over a cache variant. Hit or miss, the values
-/// are pure functions of the key, so results are order- and
-/// thread-count-independent.
-class CachedRegionEvaluator : public RegionEvaluator
-{
-  public:
-    CachedRegionEvaluator(AnalysisCache &cache,
-                          AnalysisCache::Variant &variant,
-                          const CostModel &cost_model,
-                          FunctionContextCache &contexts)
-        : cache_(cache), variant_(variant), cost_model_(cost_model),
-          contexts_(contexts)
-    {
-    }
-
-    void
-    evaluate(CandidateRegion &candidate) override
-    {
-        AnalysisCache::RegionKey key;
-        key.func = candidate.region.func;
-        key.header = candidate.region.header;
-        key.blocks = candidate.region.blocks;
-
-        const analysis::Liveness &liveness =
-            contexts_.get(*candidate.region.func).liveness;
-
-        std::lock_guard<std::mutex> lock(variant_.mutex);
-        auto it = variant_.regions.find(key);
-        if (it != variant_.regions.end()) {
-            candidate.analysis = it->second.analysis;
-            candidate.cost = it->second.cost;
-            cache_.region_hits_.fetch_add(1,
-                                          std::memory_order_relaxed);
-            return;
-        }
-        candidate.analysis =
-            variant_.idem->analyzeRegion(candidate.region);
-        candidate.cost = cost_model_.evaluate(candidate.region,
-                                              candidate.analysis,
-                                              liveness);
-        variant_.regions.emplace(
-            std::move(key),
-            AnalysisCache::CachedRegion{candidate.analysis,
-                                        candidate.cost});
-        cache_.region_evals_.fetch_add(1, std::memory_order_relaxed);
-    }
-
-  private:
-    AnalysisCache &cache_;
-    AnalysisCache::Variant &variant_;
-    const CostModel &cost_model_;
-    FunctionContextCache &contexts_;
-};
-
-/// Accumulates the seconds spent inside the wrapped evaluator
-/// (thread-safe), so formation and dataflow can be timed separately.
-class TimedEvaluator : public RegionEvaluator
-{
-  public:
-    TimedEvaluator(RegionEvaluator &inner, double &seconds)
-        : inner_(inner), seconds_(seconds)
-    {
-    }
-
-    void
-    evaluate(CandidateRegion &candidate) override
-    {
-        const double t0 = nowSeconds();
-        inner_.evaluate(candidate);
-        const double elapsed = nowSeconds() - t0;
-        std::lock_guard<std::mutex> lock(mutex_);
-        seconds_ += elapsed;
-    }
-
-  private:
-    RegionEvaluator &inner_;
-    double &seconds_;
-    std::mutex mutex_;
-};
-
-} // namespace
+    seconds += nowSeconds() - t0;
+}
 
 ConfigAnalysis
 analyzeConfig(const AnalysisBase &base, const EncoreConfig &config,
               AnalysisCache *cache, AnalysisPhaseTimings *timings)
 {
-    // Config-dependent analyses: from the cache when available,
-    // otherwise built locally for this call.
-    std::unique_ptr<CallSummaries> local_summaries;
-    std::unique_ptr<IdempotenceAnalysis> local_idem;
-    IdempotenceAnalysis *idem = nullptr;
-    AnalysisCache::Variant *variant = nullptr;
-    if (cache) {
-        variant = &cache->variant(config);
-        idem = variant->idem.get();
-    } else {
-        const analysis::AliasAnalysis &aa = base.alias(config.alias_mode);
-        local_summaries = std::make_unique<CallSummaries>(
-            base.module(), aa, config.opaque_functions);
-        IdempotenceAnalysis::Options options;
-        options.pmin = config.prune ? config.pmin : -1.0;
-        options.use_call_summaries = config.use_call_summaries;
-        local_idem = std::make_unique<IdempotenceAnalysis>(
-            base.module(), aa, *local_summaries, &base.profile(),
-            options, &base.contexts());
-        idem = local_idem.get();
-    }
-
-    CostModel cost_model(base.profile());
+    // One evaluation path: a null cache gets a memo local to this call.
+    std::optional<AnalysisCache> local_cache;
+    if (!cache)
+        cache = &local_cache.emplace(base);
+    AnalysisCache::Variant &variant = cache->variant(config);
+    const CostModel cost_model(base.profile());
 
     FormationOptions formation;
     formation.eta = config.eta;
@@ -305,16 +203,12 @@ analyzeConfig(const AnalysisBase &base, const EncoreConfig &config,
     formation.max_storage_bytes = config.max_storage_bytes;
     formation.max_hot_path = config.max_region_length;
 
-    std::unique_ptr<RegionEvaluator> evaluator;
-    if (variant) {
-        evaluator = std::make_unique<CachedRegionEvaluator>(
-            *cache, *variant, cost_model, base.contexts());
-    } else {
-        evaluator = std::make_unique<LockedDirectEvaluator>(
-            *idem, cost_model, base.contexts());
-    }
+    // Seconds spent evaluating regions, so formation and dataflow can
+    // be timed separately.
     double dataflow_seconds = 0.0;
-    TimedEvaluator timed(*evaluator, dataflow_seconds);
+    const RegionEvaluation evaluate = [&](CandidateRegion &candidate) {
+        cache->evaluate(variant, cost_model, candidate, dataflow_seconds);
+    };
 
     // Region formation, one function at a time in parallel. Results
     // land in module function order regardless of completion order.
@@ -325,7 +219,7 @@ analyzeConfig(const AnalysisBase &base, const EncoreConfig &config,
         funcs.size(), [&](std::uint64_t i, std::size_t) {
             const ir::Function &func = *funcs[i];
             formed[i] = formRegions(func, base.contexts().get(func),
-                                    base.profile(), timed, formation);
+                                    base.profile(), evaluate, formation);
         });
 
     ConfigAnalysis out;

@@ -12,8 +12,9 @@
  *                    per workload and shared read-only across every
  *                    config point and every thread.
  *
- *   AnalysisCache  — memoized config-dependent artifacts, layered by
- *                    what invalidates them:
+ *   AnalysisCache  — memoized config-dependent artifacts, and the one
+ *                    region-evaluation path; layered by what
+ *                    invalidates them:
  *                      * call summaries, keyed (alias_mode,
  *                        opaque_functions);
  *                      * an idempotence-analysis variant, keyed
@@ -26,17 +27,18 @@
  *   analyzeConfig  — region formation, γ selection, budget auto-tune
  *                    and report building for one EncoreConfig. Always
  *                    recomputed (γ/η/budget sweeps are pure selection
- *                    changes); does not mutate the module, so a sweep
- *                    can evaluate any number of configs against one
- *                    AnalysisBase.
+ *                    changes); evaluates regions through a cache (a
+ *                    memo local to the call when none is given); does
+ *                    not mutate the module, so a sweep can evaluate
+ *                    any number of configs against one AnalysisBase.
  *
  *   runConfig      — analyzeConfig plus instrumentation. Mutates the
  *                    module (once per module, like EncorePipeline).
  *
  * Determinism: every cached value is a pure function of its key, and
  * region analysis itself is lookup-only over state interned before any
- * parallelism starts, so reports are bit-identical with or without the
- * cache and at any thread count.
+ * parallelism starts, so reports are bit-identical whether the cache is
+ * shared or local to one call, and at any thread count.
  */
 #ifndef ENCORE_ENCORE_ANALYSIS_BASE_H
 #define ENCORE_ENCORE_ANALYSIS_BASE_H
@@ -132,9 +134,13 @@ class AnalysisBase
     AnalysisPhaseTimings timings_;
 };
 
+struct ConfigAnalysis;
+
 /**
  * Thread-safe memo of config-dependent analysis artifacts over one
- * AnalysisBase. Sharing a cache across sweep points makes repeated
+ * AnalysisBase, and the one way a candidate region is evaluated: every
+ * analyzeConfig call goes through a memo (its caller's, or one local
+ * to the call). Sharing a cache across sweep points makes repeated
  * configs (γ/η/budget changes, or re-evaluating a config) reuse the
  * per-region dataflow results; distinct (alias_mode, opaque,
  * use_call_summaries, pmin) tuples get distinct variants and never
@@ -153,7 +159,12 @@ class AnalysisCache
     };
     Stats stats() const;
 
-    // --- implementation detail (used by analyzeConfig) -----------------
+  private:
+    friend ConfigAnalysis analyzeConfig(const AnalysisBase &,
+                                        const EncoreConfig &,
+                                        AnalysisCache *,
+                                        AnalysisPhaseTimings *);
+
     struct RegionKey
     {
         const ir::Function *func = nullptr;
@@ -189,20 +200,26 @@ class AnalysisCache
         std::mutex mutex;
     };
 
+    using SummariesKey = std::pair<int, std::string>;
+    using VariantKey = std::tuple<int, std::string, bool, double>;
+
     /// Finds or builds the variant for a config (thread-safe).
     Variant &variant(const EncoreConfig &config);
 
-    std::atomic<std::size_t> region_evals_{0};
-    std::atomic<std::size_t> region_hits_{0};
-
-  private:
-    using SummariesKey = std::pair<int, std::string>;
-    using VariantKey = std::tuple<int, std::string, bool, double>;
+    /// Fills candidate.analysis and candidate.cost from the variant's
+    /// memo, running the dataflow and cost model on a miss. Hit or
+    /// miss, the values are pure functions of the key, so results are
+    /// order- and thread-count-independent. Adds the seconds spent here
+    /// to `seconds` (under the variant's lock).
+    void evaluate(Variant &variant, const CostModel &cost_model,
+                  CandidateRegion &candidate, double &seconds);
 
     const AnalysisBase &base_;
     mutable std::mutex mutex_;
     std::map<SummariesKey, std::unique_ptr<CallSummaries>> summaries_;
     std::map<VariantKey, std::unique_ptr<Variant>> variants_;
+    std::atomic<std::size_t> region_evals_{0};
+    std::atomic<std::size_t> region_hits_{0};
 };
 
 /// The analysis-side outcome of one config point: the figure-ready
@@ -217,9 +234,9 @@ struct ConfigAnalysis
 /**
  * Evaluates one config point against a shared base: region formation,
  * γ selection, budget auto-tune and the report. Never mutates the
- * module. With `cache` null every region is analyzed directly
- * (equivalent to --no-analysis-cache); timings, when non-null,
- * accumulate the phase costs of this call.
+ * module. Regions are evaluated through `cache`, or, when it is null,
+ * through a memo local to this call (identical reports either way);
+ * timings, when non-null, accumulate the phase costs of this call.
  */
 ConfigAnalysis analyzeConfig(const AnalysisBase &base,
                              const EncoreConfig &config,

@@ -91,8 +91,6 @@ class CostModel
                         const IdempotenceResult &analysis,
                         const analysis::Liveness &liveness) const;
 
-    const interp::ProfileData &profile() const { return profile_; }
-
   private:
     const interp::ProfileData &profile_;
 };

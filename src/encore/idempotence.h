@@ -101,10 +101,6 @@ class FunctionContextCache
 class IdempotenceAnalysis
 {
   public:
-    /// Backwards-compatible alias — the context type used to be nested
-    /// here before it was shared across analysis variants.
-    using FunctionContext = encore::FunctionContext;
-
     struct Options
     {
         /// Execution-probability threshold for pruning; negative means
@@ -135,8 +131,6 @@ class IdempotenceAnalysis
 
     IdempotenceResult analyzeRegion(const Region &region);
 
-    const FunctionContext &context(const ir::Function &func);
-
     const Options &options() const { return options_; }
 
     const analysis::LocationInterner &interner() const { return interner_; }
@@ -147,6 +141,8 @@ class IdempotenceAnalysis
   private:
     struct LoopSummaryData;
     struct Subgraph;
+
+    const FunctionContext &context(const ir::Function &func);
 
     /// Per-block access events, precomputed by the interning pre-pass.
     struct Event

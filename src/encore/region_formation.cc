@@ -12,7 +12,7 @@ namespace {
 CandidateRegion
 makeCandidate(const ir::Function &func, ir::BlockId header,
               std::vector<ir::BlockId> blocks, unsigned level,
-              RegionEvaluator &evaluator)
+              const RegionEvaluation &evaluate)
 {
     CandidateRegion candidate;
     candidate.region.func = &func;
@@ -20,7 +20,7 @@ makeCandidate(const ir::Function &func, ir::BlockId header,
     std::sort(blocks.begin(), blocks.end());
     candidate.region.blocks = std::move(blocks);
     candidate.level = level;
-    evaluator.evaluate(candidate);
+    evaluate(candidate);
     return candidate;
 }
 
@@ -28,8 +28,8 @@ makeCandidate(const ir::Function &func, ir::BlockId header,
 
 std::vector<CandidateRegion>
 formRegions(const ir::Function &func, const FunctionContext &ctx,
-            const interp::ProfileData &profile, RegionEvaluator &evaluator,
-            const FormationOptions &options)
+            const interp::ProfileData &profile,
+            const RegionEvaluation &evaluate, const FormationOptions &options)
 {
     const analysis::IntervalHierarchy &hierarchy = ctx.intervals;
 
@@ -46,7 +46,7 @@ formRegions(const ir::Function &func, const FunctionContext &ctx,
         std::vector<CandidateRegion> single;
         single.push_back(makeCandidate(
             func, static_cast<ir::BlockId>(interval.header),
-            std::move(blocks), 0, evaluator));
+            std::move(blocks), 0, evaluate));
         decisions.push_back(std::move(single));
     }
 
@@ -73,7 +73,7 @@ formRegions(const ir::Function &func, const FunctionContext &ctx,
             CandidateRegion merged = makeCandidate(
                 func, static_cast<ir::BlockId>(interval.header),
                 std::move(blocks), static_cast<unsigned>(level),
-                evaluator);
+                evaluate);
 
             bool accept = merged.analysis.cls != RegionClass::Unknown &&
                           merged.analysis.checkpointable &&
@@ -121,17 +121,6 @@ formRegions(const ir::Function &func, const FunctionContext &ctx,
             result.push_back(std::move(region));
     }
     return result;
-}
-
-std::vector<CandidateRegion>
-formRegions(const ir::Function &func, IdempotenceAnalysis &idem,
-            const CostModel &cost_model,
-            const analysis::Liveness &liveness,
-            const FormationOptions &options)
-{
-    DirectRegionEvaluator evaluator(idem, cost_model, liveness);
-    return formRegions(func, idem.context(func), cost_model.profile(),
-                       evaluator, options);
 }
 
 } // namespace encore

@@ -20,7 +20,8 @@
 #ifndef ENCORE_ENCORE_REGION_FORMATION_H
 #define ENCORE_ENCORE_REGION_FORMATION_H
 
-#include "analysis/liveness.h"
+#include <functional>
+
 #include "encore/cost_model.h"
 #include "encore/idempotence.h"
 
@@ -36,48 +37,11 @@ struct CandidateRegion
     unsigned level = 0;
 };
 
-/**
- * Pluggable (region → analysis + cost) evaluation, the unit of work the
- * sweep cache memoizes: the dataflow result of a region depends only on
- * the module, the alias/summary variant and pmin — not on γ/η or the
- * budget — so config sweeps can reuse it (see encore/analysis_base.h).
- */
-class RegionEvaluator
-{
-  public:
-    virtual ~RegionEvaluator() = default;
-
-    /// Fills candidate.analysis and candidate.cost for
-    /// candidate.region (header/blocks/func already set, blocks
-    /// sorted).
-    virtual void evaluate(CandidateRegion &candidate) = 0;
-};
-
-/// The direct, uncached evaluator: idempotence dataflow + cost model.
-class DirectRegionEvaluator : public RegionEvaluator
-{
-  public:
-    DirectRegionEvaluator(IdempotenceAnalysis &idem,
-                          const CostModel &cost_model,
-                          const analysis::Liveness &liveness)
-        : idem_(idem), cost_model_(cost_model), liveness_(liveness)
-    {
-    }
-
-    void
-    evaluate(CandidateRegion &candidate) override
-    {
-        candidate.analysis = idem_.analyzeRegion(candidate.region);
-        candidate.cost = cost_model_.evaluate(candidate.region,
-                                              candidate.analysis,
-                                              liveness_);
-    }
-
-  private:
-    IdempotenceAnalysis &idem_;
-    const CostModel &cost_model_;
-    const analysis::Liveness &liveness_;
-};
+/// Fills candidate.analysis and candidate.cost for candidate.region
+/// (header, blocks and func already set, blocks sorted). analyzeConfig
+/// passes its AnalysisCache's memoized evaluation (see
+/// encore/analysis_base.h).
+using RegionEvaluation = std::function<void(CandidateRegion &)>;
 
 struct FormationOptions
 {
@@ -95,24 +59,13 @@ struct FormationOptions
 
 /**
  * Forms the final disjoint region set for one function, evaluating
- * candidates through `evaluator` (cached or direct). The interval
- * hierarchy comes from the function's shared context.
+ * every candidate through `evaluate`. The interval hierarchy comes
+ * from the function's shared context.
  */
 std::vector<CandidateRegion> formRegions(const ir::Function &func,
                                          const FunctionContext &ctx,
                                          const interp::ProfileData &profile,
-                                         RegionEvaluator &evaluator,
-                                         const FormationOptions &options);
-
-/**
- * Convenience overload: forms regions with the direct (uncached)
- * evaluator. `idem` is shared across calls so loop summaries and
- * function contexts are computed once per module configuration.
- */
-std::vector<CandidateRegion> formRegions(const ir::Function &func,
-                                         IdempotenceAnalysis &idem,
-                                         const CostModel &cost_model,
-                                         const analysis::Liveness &liveness,
+                                         const RegionEvaluation &evaluate,
                                          const FormationOptions &options);
 
 } // namespace encore

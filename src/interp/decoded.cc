@@ -294,16 +294,6 @@ engineKindName(EngineKind kind)
     return kind == EngineKind::Fused ? "fused" : "decoded";
 }
 
-std::optional<EngineKind>
-parseEngineKind(std::string_view name)
-{
-    if (name == "decoded")
-        return EngineKind::Decoded;
-    if (name == "fused")
-        return EngineKind::Fused;
-    return std::nullopt;
-}
-
 DecodedModule::DecodedModule(const ir::Module &module, EngineKind engine)
     : module_(&module), engine_(engine)
 {

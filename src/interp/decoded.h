@@ -40,7 +40,6 @@
 #define ENCORE_INTERP_DECODED_H
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,9 +49,10 @@
 namespace encore::interp {
 
 /// Which execution tier a DecodedModule is prepared for. Fused is the
-/// default everywhere; Decoded is the opt-out (`--engine=decoded`)
-/// that reproduces the pre-fusion engine byte for byte. Outcomes are
-/// engine-independent by construction — the flag trades speed only.
+/// default everywhere; Decoded reproduces the pre-fusion engine byte
+/// for byte (the tests and perfbench's reference mode use it).
+/// Outcomes are engine-independent by construction — the choice
+/// trades speed only.
 enum class EngineKind : std::uint8_t
 {
     Decoded, ///< Flat bytecode, one dispatch per source instruction.
@@ -60,8 +60,6 @@ enum class EngineKind : std::uint8_t
 };
 
 std::string_view engineKindName(EngineKind kind);
-/// Parses "decoded" / "fused"; nullopt on anything else.
-std::optional<EngineKind> parseEngineKind(std::string_view name);
 
 /// A pre-resolved operand: an index into the frame's value window.
 /// Slots below DecodedFunction::num_regs are the function's registers

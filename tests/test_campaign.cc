@@ -301,6 +301,73 @@ TEST(CampaignRunner, ResumeRefillsExactlyTheMissingIndices)
     }
 }
 
+TEST(CampaignRunner, ResumeRefillsScatteredGapsLowestFirst)
+{
+    // A shard store whose records leave gaps of every width between
+    // them, written in reverse trial order: the resume must run exactly
+    // the unrecorded owned trials, lowest first, and end with the
+    // uninterrupted shard's tally.
+    Harness setup = prepare();
+    const fault::CampaignConfig config = campaignConfig(/*jobs=*/2);
+    const ShardSpec shard{1, 3};
+    RunnerOptions full;
+    full.store_path = tempStorePath("scattered_full.trials");
+    full.shard = shard;
+    const RunSummary want =
+        CampaignRunner(*setup.injector, config, full).run();
+    StoreContents all;
+    ASSERT_FALSE(readTrialStore(full.store_path, all).has_value());
+    keepFirstRecordPerTrial(all.records);
+    ASSERT_EQ(all.records.size(), shard.ownedTrials(config.trials));
+
+    RunnerOptions options;
+    options.store_path = tempStorePath("scattered.trials");
+    options.shard = shard;
+    std::string error;
+    auto writer = TrialStoreWriter::create(
+        options.store_path,
+        CampaignRunner(*setup.injector, config, options).header(), {},
+        &error);
+    ASSERT_NE(writer, nullptr) << error;
+    const auto kept = [](std::size_t k) {
+        return k % 3 == 0 || k % 4 == 0 || k % 7 == 1;
+    };
+    for (std::size_t k = all.records.size(); k-- > 0;)
+        if (kept(k))
+            writer->add(all.records[k].trial, all.records[k].outcome,
+                        all.records[k].aux);
+    ASSERT_TRUE(writer->finish());
+    std::vector<std::uint64_t> missing;
+    for (std::size_t k = 0; k < all.records.size(); ++k)
+        if (!kept(k))
+            missing.push_back(all.records[k].trial);
+    writer.reset();
+    const std::size_t recorded = all.records.size() - missing.size();
+
+    options.stop_after = 7;
+    CampaignRunner(*setup.injector, config, options).run();
+    StoreContents partial;
+    ASSERT_FALSE(readTrialStore(options.store_path, partial).has_value());
+    ASSERT_EQ(partial.records.size(), recorded + 7);
+    std::set<std::uint64_t> refilled;
+    for (std::size_t i = recorded; i < partial.records.size(); ++i)
+        refilled.insert(partial.records[i].trial);
+    EXPECT_EQ(refilled, std::set<std::uint64_t>(missing.begin(),
+                                                missing.begin() + 7));
+
+    options.stop_after = 0;
+    const RunSummary resumed =
+        CampaignRunner(*setup.injector, config, options).run();
+    EXPECT_TRUE(resumed.complete);
+    EXPECT_EQ(resumed.executed, missing.size() - 7);
+    EXPECT_EQ(formatAggregate(resumed.result), formatAggregate(want.result));
+    StoreContents after;
+    ASSERT_FALSE(readTrialStore(options.store_path, after).has_value());
+    EXPECT_EQ(after.records.size(), all.records.size());
+    keepFirstRecordPerTrial(after.records);
+    EXPECT_EQ(after.records.size(), all.records.size());
+}
+
 TEST(CampaignRunner, ShardedRunPlusMergeMatchesUnsharded)
 {
     Harness setup = prepare();

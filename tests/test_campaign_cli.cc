@@ -138,13 +138,15 @@ TEST(CampaignCli, HelpAndUnknownSubcommand)
 TEST(CampaignCli, AdaptiveSamplingFlagsAreUnknown)
 {
     // Every campaign runs its fixed trial count; --sidecar alone
-    // selects the planner. The snapshot budget and the trial store's
-    // flush policy are fixed too. The removed flags are spelled in
-    // pieces so that a search for their names finds no live use.
+    // selects the planner. The snapshot budget, the trial store's
+    // flush policy, the engine (fused) and the progress period
+    // (500 ms) are fixed too. The removed flags are spelled in pieces
+    // so that a search for their names finds no live use.
     for (const char *flag :
          {"--" "adaptive", "--target" "-ci 0.01", "--no" "-planner",
           "--snapshot" "-budget-mb 64", "--flush" "-interval-ms 200",
-          "--flush" "-batch 256"}) {
+          "--flush" "-batch 256", "--eng" "ine decoded",
+          "--progress" "-interval-ms 500"}) {
         const CommandResult result =
             runTool(std::string("run --workload cjpeg --trials 10 ") +
                     flag);
@@ -228,6 +230,66 @@ TEST(CampaignCli, ResumeMemoryFollowsTheRecordsNotTheClaimedTrials)
     EXPECT_NE(resumed.output.find("resumed 5, executed 5"),
               std::string::npos)
         << resumed.output;
+}
+
+TEST(CampaignCli, ResumeOfAnUnboundedRunRefillsLazily)
+{
+    // Without --stop-after a 2^60-trial run would have to list every
+    // trial it owns before executing one. It is killed once its store
+    // holds a record; the resume then executes five more trials.
+    const std::string store = storePath("huge_unbounded.trials");
+    const std::string flags =
+        " --workload rawcaudio --trials 1152921504606846976 --jobs 1 "
+        "--store " + store;
+    const std::string log = storePath("huge_unbounded.log");
+    const pid_t victim = spawnTool("run" + flags, log);
+    ASSERT_GT(victim, 0);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(120);
+    bool saw_records = false;
+    int status = 0;
+    while (!saw_records && std::chrono::steady_clock::now() < deadline) {
+        std::error_code ec;
+        const auto size = std::filesystem::file_size(store, ec);
+        saw_records = !ec && size >= campaign::kTrialStoreHeaderSize +
+                                         campaign::kTrialRecordSize;
+        // A run that dies early (the parent's abort) never writes one.
+        if (!saw_records && ::waitpid(victim, &status, WNOHANG) == victim)
+            FAIL() << "run exited before recording a trial: "
+                   << slurp(log);
+        if (!saw_records)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ::kill(victim, SIGKILL);
+    ::waitpid(victim, nullptr, 0);
+    ASSERT_TRUE(saw_records) << slurp(log);
+
+    const CommandResult resumed =
+        runTool("resume" + flags + " --stop-after 5");
+    ASSERT_EQ(resumed.exit_code, 0) << resumed.output;
+    EXPECT_NE(resumed.output.find(", executed 5 of 1152921504606846976"),
+              std::string::npos)
+        << resumed.output;
+}
+
+TEST(CampaignCli, PlannerRefusesMoreDrawsThanFitInMemory)
+{
+    // The planner holds every draw, so 2^60 trials must fail by name
+    // with exit status 1 instead of aborting; `run --sidecar` takes the
+    // same path as `plan`.
+    const std::string flags =
+        " --workload rawcaudio --trials 1152921504606846976";
+    for (const std::string &command :
+         {"plan" + flags,
+          "run" + flags + " --jobs 1 --sidecar " +
+              storePath("huge_plan.tally")}) {
+        SCOPED_TRACE(command);
+        const CommandResult result = runTool(command);
+        EXPECT_EQ(result.exit_code, 1) << result.output;
+        EXPECT_NE(result.output.find("--trials 1152921504606846976"),
+                  std::string::npos)
+            << result.output;
+    }
 }
 
 TEST(CampaignCli, ShardedRunsMergeToUnshardedAggregate)

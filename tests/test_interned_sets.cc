@@ -379,12 +379,12 @@ TEST(PipelineDeterminismTest, CachedUncachedAndParallelAgree)
         auto module = w.build();
         AnalysisBase base(*module, runs, config.profile_max_instrs);
 
-        // Uncached analysis over a shared base.
+        // A null cache: a memo local to the call, over a shared base.
         EXPECT_EQ(analyzeConfig(base, config).report.serialized(),
                   reference)
             << w.name;
 
-        // Cached: cold fill, then an all-hits rerun.
+        // A shared cache: cold fill, then an all-hits rerun.
         AnalysisCache cache(base);
         EXPECT_EQ(
             analyzeConfig(base, config, &cache).report.serialized(),
@@ -410,7 +410,7 @@ TEST(PipelineDeterminismTest, CachedUncachedAndParallelAgree)
             pruned_pipeline.run(runs).serialized())
             << w.name;
 
-        // Multi-threaded base, cached and uncached.
+        // Multi-threaded base, with a null and a shared cache.
         auto parallel_module = w.build();
         AnalysisBase parallel_base(*parallel_module, runs,
                                    config.profile_max_instrs,

@@ -7,8 +7,7 @@
  */
 #include <gtest/gtest.h>
 
-#include "encore/pipeline.h"
-#include "encore/region_formation.h"
+#include "encore/analysis_base.h"
 #include "fault/injector.h"
 #include "interp/interpreter.h"
 #include "ir/parser.h"
@@ -64,33 +63,34 @@ func @main(1) {
 }
 )";
 
+/// Every region analyzeConfig forms for @main of kProgram (profiled
+/// on input 64, pruning never-executed blocks).
+std::vector<CandidateRegion>
+formedRegions(ir::Module &module, bool merge)
+{
+    EncoreConfig config;
+    config.prune = true;
+    config.pmin = 0.0;
+    config.merge_regions = merge;
+    AnalysisBase base(module, {RunSpec{"main", {64}}},
+                      config.profile_max_instrs);
+    std::vector<CandidateRegion> regions;
+    for (InstrumentedRegion &region : analyzeConfig(base, config).regions)
+        regions.push_back(std::move(region.candidate));
+    return regions;
+}
+
 TEST(RegionFormationTest, PartitionsFunction)
 {
     auto module = ir::parseModule(kProgram);
-    interp::ProfileData profile;
-    {
-        interp::Interpreter interp(*module);
-        interp::Profiler profiler(profile);
-        interp.addObserver(&profiler);
-        ASSERT_TRUE(interp.run("main", {64}).ok());
-    }
-    analysis::StaticAliasAnalysis aa(*module);
-    CallSummaries summaries(*module, aa);
-    IdempotenceAnalysis::Options options;
-    options.pmin = 0.0;
-    IdempotenceAnalysis idem(*module, aa, summaries, &profile, options);
-    CostModel cost_model(profile);
-    const ir::Function &f = *module->functionByName("main");
-    analysis::Liveness liveness(f);
-
-    FormationOptions formation;
-    const auto regions =
-        formRegions(f, idem, cost_model, liveness, formation);
+    const auto regions = formedRegions(*module, /*merge=*/true);
     ASSERT_FALSE(regions.empty());
+    const ir::Function &f = *module->functionByName("main");
 
     // Regions partition the function's blocks.
     std::vector<int> covered(f.numBlocks(), 0);
     for (const CandidateRegion &candidate : regions) {
+        ASSERT_EQ(candidate.region.func, &f);
         for (const ir::BlockId block : candidate.region.blocks)
             ++covered[block];
     }
@@ -98,7 +98,7 @@ TEST(RegionFormationTest, PartitionsFunction)
         EXPECT_EQ(covered[b], 1) << "block " << b;
 
     // Every region header dominates its blocks (SEME property).
-    const auto &ctx = idem.context(f);
+    const FunctionContext ctx(f);
     for (const CandidateRegion &candidate : regions) {
         for (const ir::BlockId block : candidate.region.blocks) {
             EXPECT_TRUE(ctx.dom.dominates(candidate.region.header, block));
@@ -111,31 +111,10 @@ TEST(RegionFormationTest, MergingCoarsensRegions)
     auto module_merge = ir::parseModule(kProgram);
     auto module_flat = ir::parseModule(kProgram);
 
-    auto count_regions = [](ir::Module &module, bool merge) {
-        interp::ProfileData profile;
-        {
-            interp::Interpreter interp(module);
-            interp::Profiler profiler(profile);
-            interp.addObserver(&profiler);
-            EXPECT_TRUE(interp.run("main", {64}).ok());
-        }
-        analysis::StaticAliasAnalysis aa(module);
-        CallSummaries summaries(module, aa);
-        IdempotenceAnalysis::Options options;
-        options.pmin = 0.0;
-        IdempotenceAnalysis idem(module, aa, summaries, &profile,
-                                 options);
-        CostModel cost_model(profile);
-        const ir::Function &f = *module.functionByName("main");
-        analysis::Liveness liveness(f);
-        FormationOptions formation;
-        formation.merge = merge;
-        return formRegions(f, idem, cost_model, liveness, formation)
-            .size();
-    };
-
-    const std::size_t merged = count_regions(*module_merge, true);
-    const std::size_t flat = count_regions(*module_flat, false);
+    const std::size_t merged =
+        formedRegions(*module_merge, /*merge=*/true).size();
+    const std::size_t flat =
+        formedRegions(*module_flat, /*merge=*/false).size();
     EXPECT_LE(merged, flat);
     EXPECT_GT(flat, 1u);
 }

@@ -329,7 +329,7 @@ TEST_P(RandomProgram, FlatEnginesMatchReferenceEngine)
 TEST_P(RandomProgram, CampaignBitIdenticalAcrossEngines)
 {
     // Whole fault-injection campaigns must be engine-independent:
-    // identical outcome tables for --engine=fused and --engine=decoded,
+    // identical outcome tables on the fused and the decoded engine,
     // sequentially and across a thread pool.
     Generator gen(GetParam());
     auto module = gen.generate();

@@ -45,8 +45,7 @@ usage(std::ostream &os)
           "          [--budget-factor F] [--shard i/N] [--progress]\n"
           "          [--heartbeat <path.jsonl>] [--stop-after K] "
           "[--json <path>]\n"
-          "          [--engine fused|decoded] [--fault-model M] "
-          "[--detector D]\n"
+          "          [--fault-model M] [--detector D]\n"
           "          planner path: [--sidecar <path>]\n"
           "  resume  same flags; --store must name an existing store\n"
           "  plan    planner dry run: attribution + grouping + sidecar "
@@ -122,8 +121,7 @@ struct PreparedInjector
 /// run itself fails. Shared by run/resume and plan.
 PreparedInjector
 prepareInjector(const workloads::Workload &workload,
-                std::uint64_t snapshot_stride,
-                interp::EngineKind engine = interp::EngineKind::Fused)
+                std::uint64_t snapshot_stride)
 {
     std::cerr << "preparing " << workload.name
               << " (build + profile + analyze + instrument)...\n";
@@ -131,7 +129,7 @@ prepareInjector(const workloads::Workload &workload,
     EncoreConfig encore_config;
     out.prepared = bench::prepareWorkload(workload, encore_config);
     out.injector = std::make_unique<fault::FaultInjector>(
-        *out.prepared.module, out.prepared.report, engine);
+        *out.prepared.module, out.prepared.report);
     interp::SnapshotConfig snap_config;
     snap_config.enabled = snapshot_stride > 0;
     snap_config.stride = snapshot_stride;
@@ -290,13 +288,10 @@ cmdRunOrResume(int argc, char **argv, bool resume)
                 "completion); simulates an interrupted campaign");
     cli.addFlag("progress", "false",
                 "print an in-place progress line to stderr");
-    cli.addFlag("progress-interval-ms", "500",
-                "progress/heartbeat period, monotonic clock");
     cli.addFlag("heartbeat", "",
                 "append a JSONL heartbeat to this path for external "
                 "monitors");
     bench::addSnapshotStrideFlag(cli);
-    bench::addEngineFlag(cli);
     bench::addFaultModelFlag(cli);
     bench::addDetectorFlag(cli);
     addSidecarFlag(cli);
@@ -347,16 +342,13 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     options.shard = *shard;
     options.stop_after = cli.getUint("stop-after");
     options.progress = cli.getBool("progress");
-    options.progress_interval =
-        std::chrono::milliseconds(cli.getUint("progress-interval-ms"));
     options.heartbeat_path = cli.getString("heartbeat");
     options.label = workload->name + " shard " +
                     std::to_string(options.shard.index) + "/" +
                     std::to_string(options.shard.count);
 
     PreparedInjector pi =
-        prepareInjector(*workload, cli.getUint("snapshot-stride"),
-                        bench::engineFlag(cli));
+        prepareInjector(*workload, cli.getUint("snapshot-stride"));
 
     if (planner_path) {
         campaign::CampaignPlanner planner(
