@@ -39,10 +39,8 @@ prepareWorkload(const workloads::Workload &workload, EncoreConfig config)
     prepared.module = workload.build();
     for (const std::string &name : workload.opaque)
         config.opaque_functions.insert(name);
-    prepared.pipeline =
-        std::make_unique<EncorePipeline>(*prepared.module, config);
-    prepared.report = prepared.pipeline->run(
-        {RunSpec{workload.entry, workload.train_args}});
+    prepared.report = EncorePipeline(*prepared.module, config)
+                          .run({RunSpec{workload.entry, workload.train_args}});
     return prepared;
 }
 
@@ -128,102 +126,83 @@ joinNames(const std::vector<std::string_view> &names)
     return out;
 }
 
-[[noreturn]] void
-unknownScenarioName(const char *flag, const std::string &name,
-                    const std::vector<std::string_view> &valid)
+/// The rows `flag` names in one table, looked up with `find`: its
+/// whole value as one name or, for a `list`, each comma-separated
+/// entry, where "" is the whole table. Exits with the table's `names`
+/// on an unknown one.
+template <typename Row>
+std::vector<const Row *>
+tableRows(const CommandLine &cli, const char *flag, bool list,
+          const Row *(*find)(std::string_view),
+          const std::vector<std::string_view> &names)
 {
-    std::cerr << "error: unknown --" << flag << " '" << name
-              << "': expected one of " << joinNames(valid) << ".\n";
-    std::exit(1);
+    const std::string value = cli.getString(flag);
+    std::vector<std::string> wanted{value};
+    if (list)
+        wanted = value.empty() ? std::vector<std::string>(names.begin(),
+                                                          names.end())
+                               : split(value, ',');
+    std::vector<const Row *> rows;
+    for (const std::string &name : wanted) {
+        const Row *row = find(name);
+        if (!row) {
+            std::cerr << "error: unknown --" << flag << " '" << name
+                      << "': expected one of " << joinNames(names)
+                      << ".\n";
+            std::exit(1);
+        }
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+std::vector<const fault::models::FaultModel *>
+faultModelRows(const CommandLine &cli, bool list)
+{
+    return tableRows(cli, "fault-model", list,
+                     fault::models::findFaultModel,
+                     fault::models::faultModelNames());
+}
+
+std::vector<const fault::models::Detector *>
+detectorRows(const CommandLine &cli, bool list)
+{
+    return tableRows(cli, "detector", list, fault::models::findDetector,
+                     fault::models::detectorNames());
 }
 
 } // namespace
 
 void
-addFaultModelFlag(CommandLine &cli)
+addScenarioFlags(CommandLine &cli)
 {
     cli.addFlag("fault-model", "reg-bit",
                 "fault model: " +
                     joinNames(fault::models::faultModelNames()) +
                     " (default reg-bit, the classic single-bit "
                     "register flip)");
-}
-
-void
-addDetectorFlag(CommandLine &cli)
-{
     cli.addFlag("detector", "analytic",
                 "detector: " +
                     joinNames(fault::models::detectorNames()) +
                     " (default analytic, the Dmax latency model)");
 }
 
-const fault::models::FaultModel &
-faultModelFlag(const CommandLine &cli)
+Scenario
+scenarioFlags(const CommandLine &cli)
 {
-    const std::string name = cli.getString("fault-model");
-    const fault::models::FaultModel *model =
-        fault::models::findFaultModel(name);
-    if (!model)
-        unknownScenarioName("fault-model", name,
-                            fault::models::faultModelNames());
-    return *model;
+    return {faultModelRows(cli, false)[0], detectorRows(cli, false)[0]};
 }
 
-const fault::models::Detector &
-detectorFlag(const CommandLine &cli)
+std::vector<Scenario>
+scenarioListFlags(const CommandLine &cli)
 {
-    const std::string name = cli.getString("detector");
-    const fault::models::Detector *detector =
-        fault::models::findDetector(name);
-    if (!detector)
-        unknownScenarioName("detector", name,
-                            fault::models::detectorNames());
-    return *detector;
-}
-
-std::vector<const fault::models::FaultModel *>
-faultModelListFlag(const CommandLine &cli)
-{
-    std::vector<const fault::models::FaultModel *> models;
-    const std::string list = cli.getString("fault-model");
-    if (list.empty()) {
-        for (const std::string_view name :
-             fault::models::faultModelNames())
-            models.push_back(fault::models::findFaultModel(name));
-        return models;
-    }
-    for (const std::string &name : split(list, ',')) {
-        const fault::models::FaultModel *model =
-            fault::models::findFaultModel(name);
-        if (!model)
-            unknownScenarioName("fault-model", name,
-                                fault::models::faultModelNames());
-        models.push_back(model);
-    }
-    return models;
-}
-
-std::vector<const fault::models::Detector *>
-detectorListFlag(const CommandLine &cli)
-{
-    std::vector<const fault::models::Detector *> detectors;
-    const std::string list = cli.getString("detector");
-    if (list.empty()) {
-        for (const std::string_view name :
-             fault::models::detectorNames())
-            detectors.push_back(fault::models::findDetector(name));
-        return detectors;
-    }
-    for (const std::string &name : split(list, ',')) {
-        const fault::models::Detector *detector =
-            fault::models::findDetector(name);
-        if (!detector)
-            unknownScenarioName("detector", name,
-                                fault::models::detectorNames());
-        detectors.push_back(detector);
-    }
-    return detectors;
+    const auto models = faultModelRows(cli, true);
+    const auto detectors = detectorRows(cli, true);
+    std::vector<Scenario> scenarios;
+    for (const fault::models::FaultModel *model : models)
+        for (const fault::models::Detector *detector : detectors)
+            scenarios.push_back({model, detector});
+    return scenarios;
 }
 
 bool

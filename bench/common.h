@@ -32,9 +32,6 @@ struct PreparedWorkload
     const workloads::Workload *workload = nullptr;
     std::unique_ptr<ir::Module> module; ///< Instrumented in place.
     EncoreReport report;
-    /// Regions as finalized by the pipeline (valid while pipeline
-    /// lives).
-    std::unique_ptr<EncorePipeline> pipeline;
 };
 
 /// Builds + profiles + analyzes + instruments one workload under the
@@ -122,24 +119,28 @@ void addJsonFlag(CommandLine &cli, const std::string &default_path);
 /// interp::SnapshotConfig default as its own.
 void addSnapshotStrideFlag(CommandLine &cli);
 
-/// Registers --fault-model (default reg-bit) / --detector (default
+/// Registers --fault-model (default reg-bit) and --detector (default
 /// analytic), the injection-scenario axis shared by every binary that
 /// runs fault-injection campaigns.
-void addFaultModelFlag(CommandLine &cli);
-void addDetectorFlag(CommandLine &cli);
+void addScenarioFlags(CommandLine &cli);
 
-/// Resolved --fault-model / --detector values; exit with the list of
-/// registered names on an unknown one.
-const fault::models::FaultModel &faultModelFlag(const CommandLine &cli);
-const fault::models::Detector &detectorFlag(const CommandLine &cli);
+/// One fault-model x detector pair: two rows of the fault/models
+/// tables.
+struct Scenario
+{
+    const fault::models::FaultModel *model;
+    const fault::models::Detector *detector;
+};
 
-/// Parses a comma-separated scenario list ("reg-bit,cf-branch"); an
-/// empty string means every registered name. Exits with the registered
-/// list on an unknown entry. Used by the sweep benches (table1).
-std::vector<const fault::models::FaultModel *>
-faultModelListFlag(const CommandLine &cli);
-std::vector<const fault::models::Detector *>
-detectorListFlag(const CommandLine &cli);
+/// The --fault-model and --detector values, each looked up by name in
+/// its table; exits with the table's names on an unknown one.
+Scenario scenarioFlags(const CommandLine &cli);
+
+/// The sweep form (table1): each flag is a comma-separated list
+/// ("reg-bit,cf-branch"; "" is the whole table), and the result is
+/// every model x detector pair, model-major. Exits with the table's
+/// names on an unknown entry.
+std::vector<Scenario> scenarioListFlags(const CommandLine &cli);
 
 /**
  * Writes the machine-readable report to `path`: an opening brace and

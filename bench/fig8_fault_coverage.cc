@@ -59,16 +59,14 @@ main(int argc, char **argv)
                 "whole suite); note the per-campaign seeds depend on "
                 "suite position, so a filtered run's coverage numbers "
                 "are not comparable to a full run's");
-    bench::addFaultModelFlag(cli);
-    bench::addDetectorFlag(cli);
+    bench::addScenarioFlags(cli);
     cli.parse(argc, argv);
 
     const std::uint64_t trials = cli.getUint("trials");
     const std::uint64_t seed = cli.getUint("seed");
     const double mask_rate = cli.getDouble("mask");
     const std::size_t jobs = bench::jobsFlag(cli);
-    const fault::models::FaultModel &model = bench::faultModelFlag(cli);
-    const fault::models::Detector &detector = bench::detectorFlag(cli);
+    const bench::Scenario scenario = bench::scenarioFlags(cli);
     const std::string json_path = cli.getString("json");
 
     std::vector<std::uint64_t> dmaxes;
@@ -92,10 +90,10 @@ main(int argc, char **argv)
             " jobs). Cells: covered% (masked + recovered + benign).");
     // Default scenario prints nothing extra, keeping the classic
     // output byte-identical across builds.
-    if (&model != fault::models::defaultFaultModel() ||
-        &detector != fault::models::defaultDetector())
-        std::cout << "Scenario: " << model.name() << " + "
-                  << detector.name() << ".\n";
+    if (scenario.model != fault::models::defaultFaultModel() ||
+        scenario.detector != fault::models::defaultDetector())
+        std::cout << "Scenario: " << scenario.model->name() << " + "
+                  << scenario.detector->name() << ".\n";
 
     std::vector<std::string> headers{"benchmark"};
     for (const std::uint64_t dmax : dmaxes)
@@ -180,8 +178,8 @@ main(int argc, char **argv)
             campaign.jobs = jobs;
             campaign.masking_rate = mask_rate;
             campaign.trial.dmax = dmaxes[d];
-            campaign.trial.model = &model;
-            campaign.trial.detector = &detector;
+            campaign.trial.model = scenario.model;
+            campaign.trial.detector = scenario.detector;
             const fault::CampaignResult result =
                 injector.runCampaign(campaign);
             total_replay_cost += result.replay_cost;
@@ -252,9 +250,9 @@ main(int argc, char **argv)
         json_path, [&](std::ostream &json) {
             json << "  \"bench\": \"fig8_fault_coverage\",\n"
                  << "  \"engine\": \"fused\",\n"
-                 << "  \"fault_model\": \"" << model.name()
+                 << "  \"fault_model\": \"" << scenario.model->name()
                  << "\",\n"
-                 << "  \"detector\": \"" << detector.name()
+                 << "  \"detector\": \"" << scenario.detector->name()
                  << "\",\n"
                  << "  \"replay_cost\": " << total_replay_cost
                  << ",\n"

@@ -27,8 +27,7 @@ main(int argc, char **argv)
                 "detection latency for the measured-coverage column "
                 "(used when --trials > 0)");
     cli.addFlag("mask", "0.91", "hardware masking rate");
-    bench::addFaultModelFlag(cli);
-    bench::addDetectorFlag(cli);
+    bench::addScenarioFlags(cli);
     cli.parse(argc, argv);
     const std::size_t jobs = bench::jobsFlag(cli);
     const std::string json_path = cli.getString("json");
@@ -39,21 +38,12 @@ main(int argc, char **argv)
     const std::uint64_t dmax = cli.getUint("dmax");
     const double mask_rate = cli.getDouble("mask");
     // The scenario axis: --fault-model / --detector accept comma-
-    // separated lists (empty = all registered), and the measured
+    // separated lists (empty = the whole table), and the measured
     // column runs one campaign per pair. The first pair backs the
     // "Guaranteed Recovery" row, so the default single-pair run is
     // byte-identical to the pre-registry output.
-    struct Scenario
-    {
-        const fault::models::FaultModel *model;
-        const fault::models::Detector *detector;
-    };
-    std::vector<Scenario> scenarios;
-    for (const fault::models::FaultModel *model :
-         bench::faultModelListFlag(cli))
-        for (const fault::models::Detector *detector :
-             bench::detectorListFlag(cli))
-            scenarios.push_back({model, detector});
+    const std::vector<bench::Scenario> scenarios =
+        bench::scenarioListFlags(cli);
     const bool default_only =
         scenarios.size() == 1 &&
         scenarios[0].model == fault::models::defaultFaultModel() &&
@@ -112,7 +102,7 @@ main(int argc, char **argv)
                 fault::FaultInjector injector(*prepared.module,
                                               prepared.report);
                 if (injector.prepare(w.entry, w.train_args)) {
-                    for (const Scenario &sc : scenarios) {
+                    for (const bench::Scenario &sc : scenarios) {
                         fault::CampaignConfig campaign;
                         campaign.trials = trials;
                         campaign.seed = seed;

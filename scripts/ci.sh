@@ -3,11 +3,11 @@
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
 # merged), the engine tests on the portable switch dispatcher
-# (-DENCORE_COMPUTED_GOTO=OFF), the ThreadSanitizer campaign lane (the
-# parallel loop itself, the concurrent trial-store writer, the pooled
-# trial loop and the multi-threaded campaign/resume/shard/merge and
-# planner paths; the same test set as scripts/sanitize.sh's thread
-# lane), then a campaign-planner smoke (sweep-reuse tally identity
+# (-DENCORE_COMPUTED_GOTO=OFF), the ThreadSanitizer campaign lane
+# (scripts/sanitize.sh's thread lane: the parallel loop itself, the
+# concurrent trial-store writer, the pooled trial loop and the
+# multi-threaded campaign/resume/shard/merge and planner paths), then a
+# campaign-planner smoke (sweep-reuse tally identity
 # against brute force), a scenario-matrix smoke (every fault-model x
 # detector pair byte-identical across --jobs, with the snapshot tier
 # off, and at the former default stride 1024), the repo benchmark's
@@ -18,7 +18,7 @@
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
 #   tier-1 lane builds into <build-root>/tier1, the switch lane into
-#   <build-root>/switch, the TSan lane into <build-root>/tsan, so none
+#   <build-root>/switch, the TSan lane into <build-root>/thread, so none
 #   touches a developer's build/.
 set -euo pipefail
 
@@ -43,14 +43,8 @@ cmake --build "${build_root}/switch" -j "$(nproc)" \
 (cd "${build_root}/switch" &&
     ctest --output-on-failure -R "${engine_tests}")
 
-echo "==> [tsan] configure + build"
-cmake -B "${build_root}/tsan" -S "${repo_root}" \
-    -DENCORE_SANITIZE=thread > /dev/null
-cmake --build "${build_root}/tsan" -j "$(nproc)" > /dev/null
 echo "==> [tsan] campaign smoke: parallel loop + concurrent store writer + runner"
-(cd "${build_root}/tsan" &&
-    ctest --output-on-failure \
-        -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector|test_thread_pool')
+"${repo_root}/scripts/sanitize.sh" "${build_root}" thread
 
 echo "==> [planner] sweep-reuse tally identity"
 # Hard gate on the planner's central contract: a sidecar-reuse run

@@ -14,7 +14,8 @@
 #               fault-model x detector scenario matrix)
 #               + test_planner (Planner.RunIsByteIdenticalAcrossJobs:
 #               a planned campaign at --jobs 4) + test_fault_models
-#               (registry singletons read from every worker)
+#               (the fault-model and detector tables read from every
+#               worker)
 #               + test_snapshot_differential
 #               (parallel campaigns through the unfused branch/memory
 #               hook dispatch path) + test_injector (the pooled trial
@@ -30,12 +31,16 @@
 #               in the decoded engine; recovery is disabled so any
 #               report fails the test)
 #
-# Usage: scripts/sanitize.sh [build-root]
-#   build-root defaults to build-sanitize/ next to the source tree.
+# Usage: scripts/sanitize.sh [build-root [lane...]]
+#   build-root defaults to build-sanitize/ next to the source tree;
+#   each lane builds into <build-root>/<lane>. The lanes default to all
+#   three; scripts/ci.sh runs the thread lane.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_root="${1:-${repo_root}/build-sanitize}"
+lanes=("${@:2}")
+[ "${#lanes[@]}" -gt 0 ] || lanes=(thread address undefined)
 
 run_lane() {
     local lane="$1"
@@ -49,8 +54,19 @@ run_lane() {
     (cd "${build_dir}" && ctest --output-on-failure "$@")
 }
 
-run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector|test_thread_pool'
-run_lane address
-run_lane undefined
+for lane in "${lanes[@]}"; do
+    case "${lane}" in
+      thread)
+        run_lane thread -R 'test_campaign_smoke|test_store_concurrency|test_campaign$|test_planner|test_fault_models|test_snapshot_differential|test_injector|test_thread_pool'
+        ;;
+      address | undefined)
+        run_lane "${lane}"
+        ;;
+      *)
+        echo "sanitize: unknown lane '${lane}' (thread, address or undefined)" >&2
+        exit 2
+        ;;
+    esac
+done
 
-echo "==> all sanitizer lanes passed"
+echo "==> sanitizer lanes passed: ${lanes[*]}"

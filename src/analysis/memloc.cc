@@ -131,34 +131,4 @@ LocationSet::unionWith(const LocationSet &other)
     return changed;
 }
 
-void
-GuardSet::insert(const MemLoc &loc)
-{
-    if (loc.isExact())
-        pairs_.insert({loc.bases[0], loc.offset});
-}
-
-void
-GuardSet::intersectWith(const GuardSet &other)
-{
-    for (auto it = pairs_.begin(); it != pairs_.end();) {
-        if (other.pairs_.count(*it) == 0)
-            it = pairs_.erase(it);
-        else
-            ++it;
-    }
-}
-
-void
-GuardSet::unionWith(const GuardSet &other)
-{
-    pairs_.insert(other.pairs_.begin(), other.pairs_.end());
-}
-
-bool
-GuardSet::covers(const MemLoc &loc) const
-{
-    return loc.isExact() && pairs_.count({loc.bases[0], loc.offset}) > 0;
-}
-
 } // namespace encore::analysis

@@ -12,16 +12,16 @@
  *   - must-alias: both resolve to the same single object at the same
  *                 known offset.
  *
- * GA membership requires must-level knowledge, so GA is kept as a set of
- * exact (object, offset) pairs (GuardSet); RS and EA are LocationSets
- * whose entries remember the originating instruction — that is how the
- * analysis reports *which* store needs a checkpoint (the CP set).
+ * GA membership requires must-level knowledge, so GA holds only exact
+ * (object, offset) pairs, interned as GuardIds (analysis/interning.h);
+ * RS and EA are LocationSets whose entries remember the originating
+ * instruction — that is how the analysis reports *which* store needs a
+ * checkpoint (the CP set).
  */
 #ifndef ENCORE_ANALYSIS_MEMLOC_H
 #define ENCORE_ANALYSIS_MEMLOC_H
 
 #include <cstdint>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,40 +100,6 @@ class LocationSet
 
   private:
     std::vector<LocEntry> entries_;
-};
-
-/**
- * Set of exact (object, offset) pairs used for the guarded-address sets.
- * Only must-known addresses can guarantee a kill, so nothing else is
- * representable here by design.
- */
-class GuardSet
-{
-  public:
-    /// Inserts the location if it is exact; inexact stores guarantee
-    /// nothing and are ignored.
-    void insert(const MemLoc &loc);
-
-    /// this &= other (set intersection), for Equation 2's meet.
-    void intersectWith(const GuardSet &other);
-
-    /// this |= other.
-    void unionWith(const GuardSet &other);
-
-    /// True if `loc` is exact and covered by this set — i.e., a load
-    /// from `loc` is guarded.
-    bool covers(const MemLoc &loc) const;
-
-    bool empty() const { return pairs_.empty(); }
-    std::size_t size() const { return pairs_.size(); }
-
-    const std::set<std::pair<ir::ObjectId, std::int64_t>> &pairs() const
-    {
-        return pairs_;
-    }
-
-  private:
-    std::set<std::pair<ir::ObjectId, std::int64_t>> pairs_;
 };
 
 } // namespace encore::analysis

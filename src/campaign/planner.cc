@@ -492,8 +492,7 @@ struct CampaignPlanner::Impl
             injector, config.jobs, trials.size(),
             [&](std::uint64_t i, interp::Interpreter &interp) {
                 const fault::TrialResult result =
-                    injector.runTrial(draws[trials[i]], config.trial,
-                                      interp);
+                    injector.runTrial(draws[trials[i]], interp);
                 outcomes[i] = static_cast<std::uint8_t>(result.outcome);
                 return result;
             });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -50,8 +51,10 @@ parseShardSpec(const std::string &text)
         return std::nullopt;
     const auto index = parseInt(parts[0]);
     const auto count = parseInt(parts[1]);
-    if (!index || !count || *count <= 0 || *index < 0 ||
-        *index >= *count)
+    // Both must fit the 32-bit fields: 0/4294967297 must not truncate
+    // to a whole-campaign 0/1.
+    if (!index || !count || *index < 0 || *index >= *count ||
+        *count > std::numeric_limits<std::uint32_t>::max())
         return std::nullopt;
     ShardSpec spec;
     spec.index = static_cast<std::uint32_t>(*index);
@@ -251,8 +254,7 @@ CampaignRunner::run()
         [&](std::uint64_t i, interp::Interpreter &interp) {
             const std::uint64_t trial = missingTrial(i);
             const fault::TrialResult result = injector_.runTrial(
-                fault::drawTrial(config_, trial, value_instrs),
-                config_.trial, interp);
+                fault::drawTrial(config_, trial, value_instrs), interp);
             if (writer)
                 writer->add(trial,
                             static_cast<std::uint32_t>(result.outcome),

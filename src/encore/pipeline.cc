@@ -188,27 +188,15 @@ EncorePipeline::EncorePipeline(ir::Module &module, EncoreConfig config)
 {
 }
 
-EncorePipeline::~EncorePipeline() = default;
-
-const interp::ProfileData &
-EncorePipeline::profileData() const
-{
-    ENCORE_ASSERT(base_ != nullptr,
-                  "profileData is only valid after run()");
-    return base_->profile();
-}
-
 EncoreReport
 EncorePipeline::run(const std::vector<RunSpec> &profile_runs)
 {
     ENCORE_ASSERT(!ran_, "EncorePipeline::run may only be called once");
     ran_ = true;
 
-    base_ = std::make_unique<AnalysisBase>(module_, profile_runs,
-                                           config_.profile_max_instrs);
-    ConfigAnalysis out = runConfig(*base_, config_);
-    regions_ = std::move(out.regions);
-    return out.report;
+    const AnalysisBase base(module_, profile_runs,
+                            config_.profile_max_instrs);
+    return runConfig(base, config_).report;
 }
 
 } // namespace encore

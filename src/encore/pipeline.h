@@ -12,7 +12,6 @@
 #ifndef ENCORE_ENCORE_PIPELINE_H
 #define ENCORE_ENCORE_PIPELINE_H
 
-#include <memory>
 #include <set>
 
 #include "encore/instrumenter.h"
@@ -159,8 +158,6 @@ struct EncoreReport
     std::string serialized() const;
 };
 
-class AnalysisBase;
-
 /**
  * Single-config convenience wrapper over the shared-analysis API: one
  * AnalysisBase, one runConfig (see encore/analysis_base.h). Sweeps
@@ -171,26 +168,14 @@ class EncorePipeline
 {
   public:
     EncorePipeline(ir::Module &module, EncoreConfig config);
-    ~EncorePipeline();
 
     /// Profiles the module on the given runs, then analyzes, selects
     /// and instruments. May be called once per module.
     EncoreReport run(const std::vector<RunSpec> &profile_runs);
 
-    /// Finalized regions (valid after run()).
-    const std::vector<InstrumentedRegion> &instrumentedRegions() const
-    {
-        return regions_;
-    }
-
-    /// Profiling counts (valid after run()).
-    const interp::ProfileData &profileData() const;
-
   private:
     ir::Module &module_;
     EncoreConfig config_;
-    std::unique_ptr<AnalysisBase> base_;
-    std::vector<InstrumentedRegion> regions_;
     bool ran_ = false;
 };
 

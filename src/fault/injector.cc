@@ -42,11 +42,6 @@ validateCampaignConfig(const CampaignConfig &config)
     if (!(config.masking_rate >= 0.0 && config.masking_rate <= 1.0))
         fatalf("campaign config: masking_rate must be in [0, 1], got ",
                config.masking_rate);
-    if (!(config.trial.run_budget_factor >= 1.0))
-        fatalf("campaign config: run_budget_factor must be >= 1 (the "
-               "faulty run needs at least the golden run's budget), "
-               "got ",
-               config.trial.run_budget_factor);
     if (config.trial.dmax == 0)
         fatal("campaign config: dmax must be > 0 dynamic instructions");
 }
@@ -61,8 +56,7 @@ drawTrial(const CampaignConfig &config, std::uint64_t trial,
     // is the historical (target, bit, latency) order.
     TrialDraw draw;
     Rng rng = Rng::forStream(config.seed, trial);
-    if (config.model_masking &&
-        MaskingModel(config.masking_rate).isMasked(rng)) {
+    if (config.model_masking && rng.chance(config.masking_rate)) {
         draw.masked = true;
         return draw;
     }
@@ -627,7 +621,7 @@ FaultInjector::prepare(const std::string &entry,
 }
 
 TrialResult
-FaultInjector::runTrial(const TrialDraw &draw, const TrialConfig &config,
+FaultInjector::runTrial(const TrialDraw &draw,
                         interp::Interpreter &interp) const
 {
     if (draw.masked)
@@ -674,10 +668,8 @@ FaultInjector::runTrial(const TrialDraw &draw, const TrialConfig &config,
     // The budget counts *total* dynamic instructions including the
     // restored prefix (resumeRun restores dyn_count), so the cutoff is
     // the same whether or not the prefix was re-executed.
-    interp.setMaxInstructions(static_cast<std::uint64_t>(
-        static_cast<double>(golden_.dyn_instrs) *
-            config.run_budget_factor +
-        10'000.0));
+    interp.setMaxInstructions(golden_.dyn_instrs * kRunBudgetFactor +
+                              10'000);
     // The same store supplies resync anchors on the way *out*: after a
     // successful rollback the hooks arm a watch, and the trial
     // fast-forwards the moment its live state equals the golden state
@@ -723,9 +715,8 @@ FaultInjector::runCampaignTrial(std::uint64_t trial,
                                 interp::Interpreter &interp,
                                 std::uint32_t &aux) const
 {
-    const TrialResult result = runTrial(
-        drawTrial(config, trial, golden_.value_instrs), config.trial,
-        interp);
+    const TrialResult result =
+        runTrial(drawTrial(config, trial, golden_.value_instrs), interp);
     aux = result.aux;
     return result.outcome;
 }
@@ -738,7 +729,7 @@ FaultInjector::runCampaign(const CampaignConfig &config) const
                      [&](std::uint64_t t, interp::Interpreter &interp) {
                          return runTrial(
                              drawTrial(config, t, golden_.value_instrs),
-                             config.trial, interp);
+                             interp);
                      });
 }
 
@@ -783,8 +774,10 @@ mixCampaignIdentity(std::uint64_t hash, const FaultInjector &injector,
     hash = fnv1a64Mix(config.seed, hash);
     hash = fnv1a64Mix(config.trials, hash);
     hash = fnv1a64Mix(config.trial.dmax, hash);
-    hash = fnv1a64(&config.trial.run_budget_factor,
-                   sizeof config.trial.run_budget_factor, hash);
+    // The budget factor was once a setting hashed as a double; hashing
+    // the same 8 bytes keeps existing fingerprints and sidecar keys.
+    const double budget_factor = kRunBudgetFactor;
+    hash = fnv1a64(&budget_factor, sizeof budget_factor, hash);
     hash = fnv1a64(&config.masking_rate, sizeof config.masking_rate, hash);
     hash = fnv1a64Mix(config.model_masking ? 1 : 0, hash);
     hash = fnv1a64(config.trial.model->name(), hash);

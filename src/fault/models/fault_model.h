@@ -62,42 +62,61 @@ struct DetectionPlan {
   std::uint64_t window = 0;
 };
 
-// A fault model draws an injection plan for one trial. Determinism
-// contract: draw() must consume Rng draws as a pure function of the Rng
+// One row of the fault-model table: durable id, CLI name, description.
+// Everything a model does is a function of its id. Determinism
+// contract: draw() consumes Rng draws as a pure function of the Rng
 // state and `value_instrs` — never of global or per-run state — so that
 // counter-seeded trials (Rng::forStream(seed, trial)) are bit-identical
 // at any --jobs and across kill→resume / shard+merge.
 class FaultModel {
  public:
-  virtual ~FaultModel() = default;
-  virtual std::string_view name() const = 0;
-  virtual FaultModelId id() const = 0;
-  virtual std::string_view description() const = 0;
-  virtual InjectionPlan draw(Rng &rng, std::uint64_t value_instrs) const = 0;
+  constexpr FaultModel(FaultModelId id, std::string_view name,
+                       std::string_view description)
+      : id_(id), name_(name), description_(description) {}
+
+  FaultModelId id() const { return id_; }
+  std::string_view name() const { return name_; }
+  std::string_view description() const { return description_; }
+  InjectionPlan draw(Rng &rng, std::uint64_t value_instrs) const;
   // True when the strike site is exactly the anchored value instruction
   // (reg-bit, multi-bit). False when the strike drifts to the next
   // matching site after the anchor (cf-branch, mem-bus) — such models
   // cannot be attributed to planner groups by anchor, so compositional
   // sidecar reuse is refused for them.
-  virtual bool anchoredStrike() const { return true; }
+  bool anchoredStrike() const {
+    return id_ == FaultModelId::RegBit || id_ == FaultModelId::MultiBit;
+  }
+
+ private:
+  FaultModelId id_;
+  std::string_view name_;
+  std::string_view description_;
 };
 
-// A detector draws a detection plan for one trial. Same determinism
-// contract as FaultModel::draw.
+// One row of the detector table. Same determinism contract as
+// FaultModel::draw.
 class Detector {
  public:
-  virtual ~Detector() = default;
-  virtual std::string_view name() const = 0;
-  virtual DetectorId id() const = 0;
-  virtual std::string_view description() const = 0;
-  virtual DetectionPlan draw(Rng &rng, std::uint64_t dmax) const = 0;
+  constexpr Detector(DetectorId id, std::string_view name,
+                     std::string_view description)
+      : id_(id), name_(name), description_(description) {}
+
+  DetectorId id() const { return id_; }
+  std::string_view name() const { return name_; }
+  std::string_view description() const { return description_; }
+  DetectionPlan draw(Rng &rng, std::uint64_t dmax) const;
   // True when trials under this detector accrue replay cost that should
   // surface in aggregates (the replay detector).
-  virtual bool reportsReplayCost() const { return false; }
+  bool reportsReplayCost() const { return id_ == DetectorId::Replay; }
+
+ private:
+  DetectorId id_;
+  std::string_view name_;
+  std::string_view description_;
 };
 
-// Registry lookups. All return pointers to stateless singletons with
-// static storage duration; nullptr on unknown name/id.
+// Table lookups. All return pointers into the two static tables;
+// nullptr on unknown name/id.
 const FaultModel *findFaultModel(std::string_view name);
 const FaultModel *faultModelById(std::uint32_t id);
 const Detector *findDetector(std::string_view name);
@@ -108,7 +127,7 @@ const Detector *detectorById(std::uint32_t id);
 const FaultModel *defaultFaultModel();
 const Detector *defaultDetector();
 
-// Registered names in registry order, for CLI error messages.
+// Names in table order, for CLI help and error messages.
 std::vector<std::string_view> faultModelNames();
 std::vector<std::string_view> detectorNames();
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for abstract memory locations, guard sets, and the alias
+ * Tests for abstract memory locations, location sets, and the alias
  * analyses (static points-to and profile-guided optimistic).
  */
 #include <gtest/gtest.h>
@@ -61,32 +61,6 @@ TEST(LocationSetTest, DeduplicatesEntries)
     EXPECT_TRUE(set.unionWith(other));
     EXPECT_EQ(set.size(), 3u);
     EXPECT_FALSE(set.unionWith(other)); // already included
-}
-
-TEST(GuardSetTest, OnlyExactLocationsGuard)
-{
-    GuardSet guards;
-    guards.insert(MemLoc::exact(1, 5));
-    guards.insert(MemLoc::object(1)); // ignored: cannot guarantee
-    guards.insert(MemLoc::anywhere());
-    EXPECT_EQ(guards.size(), 1u);
-    EXPECT_TRUE(guards.covers(MemLoc::exact(1, 5)));
-    EXPECT_FALSE(guards.covers(MemLoc::exact(1, 6)));
-    EXPECT_FALSE(guards.covers(MemLoc::object(1)));
-}
-
-TEST(GuardSetTest, IntersectAndUnion)
-{
-    GuardSet a, b;
-    a.insert(MemLoc::exact(1, 0));
-    a.insert(MemLoc::exact(1, 1));
-    b.insert(MemLoc::exact(1, 1));
-    b.insert(MemLoc::exact(1, 2));
-    a.intersectWith(b);
-    EXPECT_EQ(a.size(), 1u);
-    EXPECT_TRUE(a.covers(MemLoc::exact(1, 1)));
-    a.unionWith(b);
-    EXPECT_EQ(a.size(), 2u);
 }
 
 const char *kAliasText = R"(

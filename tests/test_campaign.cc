@@ -139,6 +139,12 @@ TEST(ShardSpecTest, ParseAcceptsAndRejects)
     EXPECT_FALSE(parseShardSpec("a/b").has_value());
     EXPECT_FALSE(parseShardSpec("-1/4").has_value());
     EXPECT_FALSE(parseShardSpec("1/2/3").has_value());
+    // Above the 32-bit store fields: rejected, not truncated.
+    EXPECT_FALSE(parseShardSpec("0/4294967297").has_value());
+    EXPECT_FALSE(parseShardSpec("4294967296/4294967297").has_value());
+    const auto widest = parseShardSpec("4294967294/4294967295");
+    ASSERT_TRUE(widest.has_value());
+    EXPECT_EQ(widest->count, 4294967295u);
 }
 
 TEST(ShardSpecTest, StridePartitionIsExactAndDisjoint)

@@ -139,14 +139,15 @@ TEST(CampaignCli, AdaptiveSamplingFlagsAreUnknown)
 {
     // Every campaign runs its fixed trial count; --sidecar alone
     // selects the planner. The snapshot budget, the trial store's
-    // flush policy, the engine (fused) and the progress period
-    // (500 ms) are fixed too. The removed flags are spelled in pieces
-    // so that a search for their names finds no live use.
+    // flush policy, the engine (fused), the progress period (500 ms)
+    // and the run budget (4x the golden run) are fixed too. The
+    // removed flags are spelled in pieces so that a search for their
+    // names finds no live use.
     for (const char *flag :
          {"--" "adaptive", "--target" "-ci 0.01", "--no" "-planner",
           "--snapshot" "-budget-mb 64", "--flush" "-interval-ms 200",
           "--flush" "-batch 256", "--eng" "ine decoded",
-          "--progress" "-interval-ms 500"}) {
+          "--progress" "-interval-ms 500", "--budget" "-factor 4"}) {
         const CommandResult result =
             runTool(std::string("run --workload cjpeg --trials 10 ") +
                     flag);
@@ -172,6 +173,22 @@ TEST(CampaignCli, InvalidConfigRejectedAtEntry)
         "run --workload cjpeg --trials 10 --mask 1.5");
     EXPECT_NE(result.exit_code, 0);
     EXPECT_NE(result.output.find("masking_rate"), std::string::npos);
+}
+
+TEST(CampaignCli, ShardAbove32BitsIsRejected)
+{
+    // The store keeps the shard in 32-bit fields; a wider index or
+    // count must fail by name instead of wrapping to another shard
+    // (0/4294967297 would wrap to 0/1, the whole campaign).
+    for (const char *spec : {"0/4294967297", "4294967296/4294967297"}) {
+        const CommandResult result = runTool(
+            std::string("run --workload cjpeg --trials 10 --shard ") +
+            spec);
+        EXPECT_EQ(result.exit_code, 1) << spec;
+        EXPECT_NE(result.output.find("--shard expects i/N"),
+                  std::string::npos)
+            << spec << ": " << result.output;
+    }
 }
 
 TEST(CampaignCli, InterruptedRunThenResumeIsByteIdentical)

@@ -1,15 +1,17 @@
 /**
  * @file
- * Unit tests for the fault-model/detector registry: lookup identity,
- * per-model draw disciplines (plan shape, bounds, determinism), and
- * the capability bits the campaign layers key off (anchored strike,
- * unfused dispatch, replay-cost reporting).
+ * Unit tests for the fault-model and detector tables: lookup identity,
+ * per-model draw disciplines (plan shape, bounds, determinism, the
+ * recorded draw streams), and the capability bits the campaign layers
+ * key off (anchored strike, replay-cost reporting).
  */
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "fault/injector.h"
 #include "fault/models/fault_model.h"
+#include "support/checksum.h"
 #include "support/rng.h"
 
 namespace encore::fault::models {
@@ -89,6 +91,88 @@ TEST(FaultModelRegistry, DrawsAreDeterministicPerStream)
             EXPECT_EQ(pa.selector, pb.selector);
         }
     }
+}
+
+std::uint64_t
+mixPlan(const InjectionPlan &plan, std::uint64_t hash)
+{
+    hash = fnv1a64Mix(static_cast<std::uint64_t>(plan.kind), hash);
+    hash = fnv1a64Mix(plan.target_value_index, hash);
+    hash = fnv1a64Mix(plan.xor_mask, hash);
+    return fnv1a64Mix(plan.selector, hash);
+}
+
+std::uint64_t
+mixPlan(const DetectionPlan &plan, std::uint64_t hash)
+{
+    hash = fnv1a64Mix(static_cast<std::uint64_t>(plan.kind), hash);
+    hash = fnv1a64Mix(plan.latency, hash);
+    return fnv1a64Mix(plan.window, hash);
+}
+
+TEST(FaultModelRegistry, DrawsMatchRecordedStreams)
+{
+    // Every draw is part of the durable format: a store or sidecar
+    // written by one build is resumed and folded by another, which
+    // only holds if trial t draws the same plan. Each hash covers the
+    // plans of trials 0..999 and, after each plan, its stream's next
+    // value, which pins how many draws the plan consumed. The values
+    // were recorded from the class-per-model registry.
+    constexpr std::uint64_t kTrials = 1000;
+    const auto streamHash = [](const auto &draw) {
+        std::uint64_t hash = fnv1a64("draws");
+        for (std::uint64_t t = 0; t < kTrials; ++t) {
+            Rng rng = Rng::forStream(2024, t);
+            hash = mixPlan(draw(rng, t), hash);
+            hash = fnv1a64Mix(rng(), hash);
+        }
+        return hash;
+    };
+    const std::pair<const char *, std::uint64_t> models[] = {
+        {"reg-bit", 0x5b38e271bb64b6c6ULL},
+        {"multi-bit", 0xe95a81a983fbe744ULL},
+        {"cf-branch", 0xb8b658deca05696cULL},
+        {"mem-bus", 0xbb354c2eafce5dd4ULL},
+    };
+    for (const auto &[name, recorded] : models) {
+        const FaultModel &model = *findFaultModel(name);
+        EXPECT_EQ(streamHash([&](Rng &rng, std::uint64_t t) {
+                      return model.draw(rng, 1 + t * 7919);
+                  }),
+                  recorded)
+            << name;
+    }
+    const std::pair<const char *, std::uint64_t> detectors[] = {
+        {"analytic", 0xa0e4344d006f1d53ULL},
+        {"replay", 0x4f4ab134d8b83cbbULL},
+    };
+    for (const auto &[name, recorded] : detectors) {
+        const Detector &detector = *findDetector(name);
+        EXPECT_EQ(streamHash([&](Rng &rng, std::uint64_t t) {
+                      return detector.draw(rng, t % 3 == 0 ? 0 : t);
+                  }),
+                  recorded)
+            << name;
+    }
+
+    // drawTrial: the masking coin at the paper's 0.91, then the
+    // model's plan, then the detector's, for every pair.
+    std::uint64_t hash = fnv1a64("drawTrial");
+    for (const std::string_view m : faultModelNames())
+        for (const std::string_view d : detectorNames()) {
+            CampaignConfig config;
+            config.seed = 77;
+            config.masking_rate = 0.91;
+            config.trial.dmax = 100;
+            config.trial.model = findFaultModel(m);
+            config.trial.detector = findDetector(d);
+            for (std::uint64_t t = 0; t < kTrials; ++t) {
+                const TrialDraw draw = drawTrial(config, t, 123457);
+                hash = fnv1a64Mix(draw.masked ? 1 : 0, hash);
+                hash = mixPlan(draw.detection, mixPlan(draw.plan, hash));
+            }
+        }
+    EXPECT_EQ(hash, 0x0e5e4e4cf93428e2ULL);
 }
 
 TEST(FaultModel, RegBitDrawsSingleBitInRange)

@@ -52,8 +52,7 @@ runTrial(const fault::FaultInjector &injector,
          interp::Interpreter &interp)
 {
     return injector.runTrial(
-        fault::drawTrial(cc, t, injector.golden().value_instrs), cc.trial,
-        interp);
+        fault::drawTrial(cc, t, injector.golden().value_instrs), interp);
 }
 
 TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
@@ -384,9 +383,8 @@ TEST(SnapshotDifferential, EntryCompareRejectsCorruptionThatSurvivesRollback)
     interp::Interpreter interp_on(on.decodedModule());
     interp::Interpreter interp_off(off.decodedModule());
     const fault::TrialResult with_tier =
-        on.runTrial(survivor, fault::TrialConfig{}, interp_on);
-    EXPECT_EQ(with_tier,
-              off.runTrial(survivor, fault::TrialConfig{}, interp_off));
+        on.runTrial(survivor, interp_on);
+    EXPECT_EQ(with_tier, off.runTrial(survivor, interp_off));
     EXPECT_EQ(with_tier.outcome, fault::FaultOutcome::RecoveryFailed);
     EXPECT_EQ(on.snapshotStats().entry_resyncs, 0u);
     EXPECT_EQ(on.snapshotStats().resyncs, 0u);
@@ -399,9 +397,8 @@ TEST(SnapshotDifferential, EntryCompareRejectsCorruptionThatSurvivesRollback)
     benign.plan.xor_mask = 1u << 3;
     benign.detection.latency = 20;
     const fault::TrialResult recovered =
-        on.runTrial(benign, fault::TrialConfig{}, interp_on);
-    EXPECT_EQ(recovered,
-              off.runTrial(benign, fault::TrialConfig{}, interp_off));
+        on.runTrial(benign, interp_on);
+    EXPECT_EQ(recovered, off.runTrial(benign, interp_off));
     EXPECT_NE(recovered.outcome, fault::FaultOutcome::RecoveryFailed);
     EXPECT_EQ(on.snapshotStats().entry_resyncs, 1u);
 }

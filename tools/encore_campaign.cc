@@ -42,7 +42,7 @@ usage(std::ostream &os)
           "  run     --workload <name> [--store <path>] [--trials N] "
           "[--seed S]\n"
           "          [--jobs J] [--dmax D] [--mask R] [--no-masking]\n"
-          "          [--budget-factor F] [--shard i/N] [--progress]\n"
+          "          [--shard i/N] [--progress]\n"
           "          [--heartbeat <path.jsonl>] [--stop-after K] "
           "[--json <path>]\n"
           "          [--fault-model M] [--detector D]\n"
@@ -66,11 +66,11 @@ campaignFromFlags(const CommandLine &cli, bool has_jobs)
     config.seed = cli.getUint("seed");
     config.jobs = has_jobs ? bench::jobsFlag(cli) : 1;
     config.trial.dmax = cli.getUint("dmax");
-    config.trial.run_budget_factor = cli.getDouble("budget-factor");
     config.masking_rate = cli.getDouble("mask");
     config.model_masking = !cli.getBool("no-masking");
-    config.trial.model = &bench::faultModelFlag(cli);
-    config.trial.detector = &bench::detectorFlag(cli);
+    const bench::Scenario scenario = bench::scenarioFlags(cli);
+    config.trial.model = scenario.model;
+    config.trial.detector = scenario.detector;
     return config;
 }
 
@@ -208,8 +208,7 @@ writeCampaignJson(std::ostream &out, const std::string &mode,
         << "  \"seed\": " << config.seed << ",\n"
         << "  \"trials\": " << config.trials << ",\n"
         << "  \"dmax\": " << config.trial.dmax << ",\n"
-        << "  \"run_budget_factor\": " << config.trial.run_budget_factor
-        << ",\n"
+        << "  \"run_budget_factor\": " << fault::kRunBudgetFactor << ",\n"
         << "  \"masking_rate\": " << config.masking_rate << ",\n"
         << "  \"model_masking\": "
         << (config.model_masking ? "true" : "false") << ",\n"
@@ -278,8 +277,6 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     cli.addFlag("mask", "0.91", "hardware masking rate in [0, 1]");
     cli.addFlag("no-masking", "false",
                 "inject every trial (skip the modelled masking coin)");
-    cli.addFlag("budget-factor", "4.0",
-                "execution budget multiplier over the golden run");
     cli.addFlag("shard", "0/1",
                 "this process's shard, as i/N: it owns trial indices "
                 "with t %% N == i");
@@ -292,8 +289,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
                 "append a JSONL heartbeat to this path for external "
                 "monitors");
     bench::addSnapshotStrideFlag(cli);
-    bench::addFaultModelFlag(cli);
-    bench::addDetectorFlag(cli);
+    bench::addScenarioFlags(cli);
     addSidecarFlag(cli);
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
@@ -413,10 +409,7 @@ cmdPlan(int argc, char **argv)
     cli.addFlag("mask", "0.91", "hardware masking rate in [0, 1]");
     cli.addFlag("no-masking", "false",
                 "inject every trial (skip the modelled masking coin)");
-    cli.addFlag("budget-factor", "4.0",
-                "execution budget multiplier over the golden run");
-    bench::addFaultModelFlag(cli);
-    bench::addDetectorFlag(cli);
+    bench::addScenarioFlags(cli);
     addSidecarFlag(cli);
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
