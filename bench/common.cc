@@ -44,28 +44,6 @@ prepareWorkload(const workloads::Workload &workload, EncoreConfig config)
     return prepared;
 }
 
-std::vector<PreparedWorkload>
-prepareSuite(const EncoreConfig &config, std::size_t jobs)
-{
-    const std::vector<workloads::Workload> &suite =
-        workloads::allWorkloads();
-    std::vector<PreparedWorkload> prepared(suite.size());
-    ThreadPool(jobs).parallelFor(suite.size(),
-                                 [&](std::uint64_t i, std::size_t) {
-                                     prepared[i] =
-                                         prepareWorkload(suite[i], config);
-                                 });
-    return prepared;
-}
-
-void
-forEachWorkload(
-    const std::function<void(const workloads::Workload &)> &fn)
-{
-    for (const workloads::Workload &w : workloads::allWorkloads())
-        fn(w);
-}
-
 CommandLine
 jobsFlags()
 {
@@ -108,6 +86,58 @@ addSnapshotStrideFlag(CommandLine &cli)
                 "golden-run snapshot stride in value instructions "
                 "(0 disables the snapshot tier; never affects "
                 "outcomes)");
+}
+
+interp::SnapshotConfig
+snapshotStrideFlag(const CommandLine &cli)
+{
+    interp::SnapshotConfig config;
+    config.stride = cli.getUint("snapshot-stride");
+    config.enabled = config.stride > 0;
+    return config;
+}
+
+std::vector<std::uint64_t>
+positiveIntsFlag(const CommandLine &cli, const std::string &name)
+{
+    std::vector<std::uint64_t> values;
+    for (const std::string &entry : split(cli.getString(name), ',')) {
+        const auto value = parseInt(entry, 10);
+        if (!value || *value <= 0) {
+            std::cerr << "error: --" << name
+                      << " expects comma-separated positive integers, "
+                         "got '"
+                      << entry << "'\n";
+            std::exit(1);
+        }
+        values.push_back(static_cast<std::uint64_t>(*value));
+    }
+    return values;
+}
+
+const workloads::Workload &
+workloadNamed(const std::string &name)
+{
+    if (const workloads::Workload *w = workloads::findWorkload(name))
+        return *w;
+    std::cerr << "error: unknown workload '" << name
+              << "'; available workloads:\n";
+    for (const workloads::Workload &w : workloads::allWorkloads())
+        std::cerr << "  " << w.name << " (" << w.suite << ")\n";
+    std::exit(1);
+}
+
+std::vector<const workloads::Workload *>
+workloadsFlag(const CommandLine &cli)
+{
+    std::vector<const workloads::Workload *> selected;
+    for (const std::string &name : split(cli.getString("workloads"), ','))
+        if (!name.empty())
+            selected.push_back(&workloadNamed(name));
+    if (selected.empty())
+        for (const workloads::Workload &w : workloads::allWorkloads())
+            selected.push_back(&w);
+    return selected;
 }
 
 namespace {
@@ -244,6 +274,101 @@ printHeader(const std::string &figure, const std::string &summary)
     std::cout << summary << "\n";
     std::cout << "==================================================="
                  "=========================\n\n";
+}
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+SuiteTable::SuiteTable(std::vector<std::string> headers, Renderer render)
+    : headers_(std::move(headers)), render_(std::move(render))
+{
+}
+
+void
+SuiteTable::add(const workloads::Workload &workload,
+                std::vector<double> values,
+                std::vector<std::string> trailing)
+{
+    rows_.push_back({&workload, std::move(values), std::move(trailing)});
+}
+
+SuiteTable::Sums
+SuiteTable::sums(const std::string &suite) const
+{
+    Sums sums;
+    for (const Row &row : rows_) {
+        if (!suite.empty() && row.workload->suite != suite)
+            continue;
+        // Start from +0.0 and add in row order, so every mean is the
+        // one a running per-suite accumulator would give.
+        sums.values.resize(row.values.size(), 0.0);
+        for (std::size_t i = 0; i < row.values.size(); ++i)
+            sums.values[i] += row.values[i];
+        ++sums.count;
+    }
+    return sums;
+}
+
+Table
+SuiteTable::table() const
+{
+    Table table(headers_);
+    // Label, rendered cells, then `trailing` (blank to the table's
+    // width when empty).
+    const auto addRow = [&](const std::string &label,
+                            const std::vector<double> &sums,
+                            std::size_t count,
+                            const std::vector<std::string> &trailing) {
+        std::vector<std::string> cells{label};
+        for (std::string &cell : render_(sums, count))
+            cells.push_back(std::move(cell));
+        cells.insert(cells.end(), trailing.begin(), trailing.end());
+        cells.resize(headers_.size());
+        table.addRow(std::move(cells));
+    };
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        const Row &row = rows_[i];
+        if (i > 0 && row.workload->suite != rows_[i - 1].workload->suite)
+            table.addSeparator();
+        addRow(row.workload->name, row.values, 1, row.trailing);
+    }
+    table.addSeparator();
+    for (const std::string &suite : workloads::suiteNames())
+        if (const Sums suite_sums = sums(suite); suite_sums.count > 0)
+            addRow("Mean " + suite, suite_sums.values, suite_sums.count, {});
+    const Sums all = sums();
+    addRow("Mean ALL", all.values, all.count, {});
+    return table;
+}
+
+void
+SuiteTable::writeJson(
+    std::ostream &out,
+    const std::function<void(std::ostream &, const std::vector<double> &)>
+        &fields) const
+{
+    out << "  \"workloads\": [\n";
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+        out << "    {\"name\": \"" << rows_[i].workload->name
+            << "\", \"suite\": \"" << rows_[i].workload->suite << "\", ";
+        fields(out, rows_[i].values);
+        out << "}" << (i + 1 < rows_.size() ? "," : "") << "\n";
+    }
+    out << "  ]\n}\n";
+}
+
+std::vector<std::string>
+percentMeans(const std::vector<double> &sums, std::size_t count)
+{
+    std::vector<std::string> cells;
+    for (const double sum : sums)
+        cells.push_back(formatPercent(sum / count));
+    return cells;
 }
 
 } // namespace encore::bench

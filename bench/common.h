@@ -2,11 +2,13 @@
  * @file
  * Shared scaffolding for the per-figure benchmark binaries: standard
  * command-line flags, a helper that runs the full Encore pipeline on a
- * workload, and suite-aggregation utilities.
+ * workload, and the per-suite figure table.
  */
 #ifndef ENCORE_BENCH_COMMON_H
 #define ENCORE_BENCH_COMMON_H
 
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
@@ -40,11 +42,6 @@ struct PreparedWorkload
 PreparedWorkload prepareWorkload(const workloads::Workload &workload,
                                  EncoreConfig config);
 
-/// Prepares every workload under `config` with `jobs`-way parallelism
-/// (0 = hardware concurrency); results come back in suite order.
-std::vector<PreparedWorkload> prepareSuite(const EncoreConfig &config,
-                                           std::size_t jobs);
-
 /**
  * One workload's shared analysis state for configuration sweeps: the
  * module is built and profiled once, and per-region dataflow results
@@ -73,15 +70,11 @@ class WorkloadSession
     std::unique_ptr<AnalysisCache> cache_;
 };
 
-/// Runs `fn` for every workload in suite order.
-void forEachWorkload(
-    const std::function<void(const workloads::Workload &)> &fn);
-
-/// Parallel counterpart of forEachWorkload for the benches: runs the
-/// expensive `produce` for every workload on `jobs` threads, then runs
-/// `consume(workload, result)` sequentially in suite order, so table
-/// rows and aggregates stay deterministic while the pipeline work
-/// (build + profile + analyze + instrument) is spread across cores.
+/// Runs the expensive `produce` for every workload on `jobs` threads,
+/// then runs `consume(workload, result)` sequentially in suite order,
+/// so table rows and aggregates stay deterministic while the pipeline
+/// work (build + profile + analyze + instrument) is spread across
+/// cores.
 template <typename Produce, typename Consume>
 void
 mapWorkloads(std::size_t jobs, Produce produce, Consume consume)
@@ -118,6 +111,27 @@ void addJsonFlag(CommandLine &cli, const std::string &default_path);
 /// Registers --snapshot-stride, with the library's
 /// interp::SnapshotConfig default as its own.
 void addSnapshotStrideFlag(CommandLine &cli);
+
+/// The snapshot tier --snapshot-stride asks for: that stride, or the
+/// tier off when it is 0.
+interp::SnapshotConfig snapshotStrideFlag(const CommandLine &cli);
+
+/// The --`name` value as comma-separated positive integers, in list
+/// order. Exits 1 with "--<name> expects comma-separated positive
+/// integers, got '<entry>'" on any other entry.
+std::vector<std::uint64_t> positiveIntsFlag(const CommandLine &cli,
+                                            const std::string &name);
+
+/// The workload called `name`. On an unknown name, prints "unknown
+/// workload '<name>'; available workloads:" and the suite, then exits
+/// 1.
+const workloads::Workload &workloadNamed(const std::string &name);
+
+/// The workloads the comma-separated --workloads flag names, in list
+/// order (empty entries skipped; an empty list is the whole suite),
+/// each looked up with workloadNamed.
+std::vector<const workloads::Workload *>
+workloadsFlag(const CommandLine &cli);
 
 /// Registers --fault-model (default reg-bit) and --detector (default
 /// analytic), the injection-scenario axis shared by every binary that
@@ -156,6 +170,77 @@ bool writeJsonReport(const std::string &path,
 
 /// Prints the standard header naming the figure being reproduced.
 void printHeader(const std::string &figure, const std::string &summary);
+
+/// Wall-clock seconds elapsed since `start`.
+double secondsSince(std::chrono::steady_clock::time_point start);
+
+/**
+ * The per-workload layout of Figs. 5, 6, 7a, 7b and 8: one row per
+ * workload, with a separator where the suite changes; then a
+ * separator, one "Mean <suite>" row for each suite of
+ * workloads::suiteNames() that has rows, and "Mean ALL". A workload
+ * row holds the bench's numbers; a mean row's numbers are the column
+ * sums over its rows, added in row order, and their count. One
+ * renderer turns either into cells, so a workload row reads as its
+ * own mean at count 1.
+ */
+class SuiteTable
+{
+  public:
+    /// The value cells for column `sums` over `count` rows.
+    using Renderer = std::function<std::vector<std::string>(
+        const std::vector<double> &sums, std::size_t count)>;
+
+    struct Row
+    {
+        const workloads::Workload *workload;
+        std::vector<double> values;
+        /// Cells after the rendered ones; mean rows leave them blank.
+        std::vector<std::string> trailing;
+    };
+
+    /// Column sums over some rows, and how many rows.
+    struct Sums
+    {
+        std::vector<double> values;
+        std::size_t count = 0;
+    };
+
+    SuiteTable(std::vector<std::string> headers, Renderer render);
+
+    /// Appends `workload`'s row; the table keeps a pointer to it, so
+    /// it must outlive the table (the registry's workloads do).
+    void add(const workloads::Workload &workload,
+             std::vector<double> values,
+             std::vector<std::string> trailing = {});
+
+    const std::vector<Row> &rows() const { return rows_; }
+
+    /// Sums over the rows of `suite`, or over every row when it is
+    /// empty.
+    Sums sums(const std::string &suite = "") const;
+
+    /// The workload rows, separators and mean rows, ready to print.
+    Table table() const;
+
+    /// The "workloads" array that closes a figure's JSON report: one
+    /// object per row, its name and suite first, then what `fields`
+    /// writes from its values.
+    void writeJson(std::ostream &out,
+                   const std::function<void(std::ostream &,
+                                            const std::vector<double> &)>
+                       &fields) const;
+
+  private:
+    std::vector<std::string> headers_;
+    Renderer render_;
+    std::vector<Row> rows_;
+};
+
+/// SuiteTable renderer for means shown as percentages (fractions in,
+/// one formatPercent cell per column).
+std::vector<std::string> percentMeans(const std::vector<double> &sums,
+                                      std::size_t count);
 
 } // namespace encore::bench
 

@@ -22,18 +22,14 @@ main(int argc, char **argv)
     cli.addFlag("sizes", "5,10,25,50,100,250,500,1000",
                 "comma-separated window sizes (dynamic instructions)");
     cli.parse(argc, argv);
+    const std::vector<std::uint64_t> sizes =
+        bench::positiveIntsFlag(cli, "sizes");
 
     bench::printHeader(
         "Figure 1",
         "Fraction of fixed-size dynamic execution windows with no WAR "
         "hazard\n(fully idempotent), and the nearly-idempotent "
         "'Idempotence Target'.");
-
-    std::vector<std::uint64_t> sizes;
-    for (const std::string &field :
-         split(cli.getString("sizes"), ','))
-        sizes.push_back(static_cast<std::uint64_t>(
-            parseInt(field).value_or(100)));
 
     // Collect one trace per workload, grouped by suite.
     struct SuiteAgg
@@ -53,7 +49,7 @@ main(int argc, char **argv)
     total.idempotent.assign(sizes.size(), 0);
     total.target.assign(sizes.size(), 0);
 
-    bench::forEachWorkload([&](const workloads::Workload &w) {
+    for (const workloads::Workload &w : workloads::allWorkloads()) {
         auto module = w.build();
         interp::TraceCollector trace;
         interp::Interpreter interp(*module);
@@ -62,7 +58,7 @@ main(int argc, char **argv)
         if (!result.ok()) {
             std::cerr << "skipping " << w.name << ": " << result.error
                       << "\n";
-            return;
+            continue;
         }
         for (std::size_t s = 0; s < sizes.size(); ++s) {
             // Target tolerance: a few offending stores, scaled with
@@ -79,7 +75,7 @@ main(int argc, char **argv)
             total.idempotent[s] += win.idempotent;
             total.target[s] += win.nearly_idempotent;
         }
-    });
+    }
 
     Table table({"window (dyn instrs)", "SPEC2K-INT", "SPEC2K-FP",
                  "MEDIABENCH", "All", "Target (All)"});

@@ -6,7 +6,7 @@
  * classified Idempotent / Non-idempotent / Unknown under
  * Pmin ∈ {∅, 0.0, 0.1, 0.25}. ∅ means no profile pruning.
  */
-#include <array>
+#include <algorithm>
 #include <iostream>
 
 #include "common.h"
@@ -16,27 +16,28 @@ using namespace encore;
 
 namespace {
 
-struct Breakdown
+/// One "I/N/U" percentage cell per Pmin setting from summed counts.
+std::vector<std::string>
+renderShares(const std::vector<double> &counts, std::size_t)
 {
-    std::size_t idem = 0;
-    std::size_t non = 0;
-    std::size_t unknown = 0;
-
-    std::size_t
-    total() const
-    {
-        return idem + non + unknown;
+    std::vector<std::string> cells;
+    for (std::size_t i = 0; i + 2 < counts.size(); i += 3) {
+        const double total =
+            std::max(1.0, counts[i] + counts[i + 1] + counts[i + 2]);
+        cells.push_back(formatFixed(100.0 * counts[i] / total, 0) + "/" +
+                        formatFixed(100.0 * counts[i + 1] / total, 0) +
+                        "/" +
+                        formatFixed(100.0 * counts[i + 2] / total, 0));
     }
-};
+    return cells;
+}
 
-Breakdown
-classify(const EncoreReport &report)
+/// Idempotent share of the regions counted at offset `i`.
+double
+idempotentShare(const std::vector<double> &counts, std::size_t i)
 {
-    Breakdown b;
-    b.idem = report.countByClass(RegionClass::Idempotent);
-    b.non = report.countByClass(RegionClass::NonIdempotent);
-    b.unknown = report.countByClass(RegionClass::Unknown);
-    return b;
+    return counts[i] /
+           std::max(1.0, counts[i] + counts[i + 1] + counts[i + 2]);
 }
 
 } // namespace
@@ -56,140 +57,70 @@ main(int argc, char **argv)
         "Pmin = none, 0.0, 0.1, 0.25.\nColumns show "
         "idempotent/non-idempotent/unknown percentages per Pmin.");
 
+    // The columns: Pmin = none (no pruning), 0.0, 0.1 and 0.25.
     struct PminSetting
     {
-        const char *label;
         bool prune;
         double pmin;
     };
     const std::vector<PminSetting> settings = {
-        {"none", false, 0.0},
-        {"0.0", true, 0.0},
-        {"0.1", true, 0.1},
-        {"0.25", true, 0.25},
-    };
+        {false, 0.0}, {true, 0.0}, {true, 0.1}, {true, 0.25}};
 
-    Table table({"benchmark", "Pmin=none (I/N/U)", "Pmin=0.0 (I/N/U)",
-                 "Pmin=0.1 (I/N/U)", "Pmin=0.25 (I/N/U)"});
-
-    struct SuiteTotals
-    {
-        Breakdown per_setting[4];
-    };
-    std::map<std::string, SuiteTotals> suite_totals;
-    SuiteTotals grand;
-
-    struct JsonRow
-    {
-        std::string name;
-        std::string suite;
-        std::array<Breakdown, 4> breakdowns;
-    };
-    std::vector<JsonRow> json_rows;
-
-    std::string current_suite;
+    bench::SuiteTable table({"benchmark", "Pmin=none (I/N/U)",
+                             "Pmin=0.0 (I/N/U)", "Pmin=0.1 (I/N/U)",
+                             "Pmin=0.25 (I/N/U)"},
+                            renderShares);
     bench::mapWorkloads(
         jobs,
         // Parallel: all four pipeline configurations per workload.
         // One session per workload builds + profiles once and shares
-        // the analysis base across the four Pmin points.
+        // the analysis base across the four Pmin points. Each point
+        // adds its Idempotent / Non-idempotent / Unknown counts.
         [&](const workloads::Workload &w) {
-            std::array<Breakdown, 4> breakdowns;
+            std::vector<double> counts;
             bench::WorkloadSession session(w);
-            for (std::size_t s = 0; s < settings.size(); ++s) {
+            for (const PminSetting &setting : settings) {
                 EncoreConfig config;
-                config.prune = settings[s].prune;
-                config.pmin = settings[s].pmin;
-                breakdowns[s] = classify(session.analyze(config));
+                config.prune = setting.prune;
+                config.pmin = setting.pmin;
+                const EncoreReport report = session.analyze(config);
+                for (const RegionClass cls :
+                     {RegionClass::Idempotent, RegionClass::NonIdempotent,
+                      RegionClass::Unknown})
+                    counts.push_back(
+                        static_cast<double>(report.countByClass(cls)));
             }
-            return breakdowns;
+            return counts;
         },
-        // Sequential, suite order: rows and aggregates.
         [&](const workloads::Workload &w,
-            const std::array<Breakdown, 4> &breakdowns) {
-            json_rows.push_back(JsonRow{w.name, w.suite, breakdowns});
-            if (w.suite != current_suite) {
-                if (!current_suite.empty())
-                    table.addSeparator();
-                current_suite = w.suite;
-            }
-            std::vector<std::string> row{w.name};
-            for (std::size_t s = 0; s < settings.size(); ++s) {
-                const Breakdown &b = breakdowns[s];
-                const double total =
-                    std::max<std::size_t>(1, b.total());
-                row.push_back(
-                    formatFixed(100.0 * b.idem / total, 0) + "/" +
-                    formatFixed(100.0 * b.non / total, 0) + "/" +
-                    formatFixed(100.0 * b.unknown / total, 0));
-                suite_totals[w.suite].per_setting[s].idem += b.idem;
-                suite_totals[w.suite].per_setting[s].non += b.non;
-                suite_totals[w.suite].per_setting[s].unknown +=
-                    b.unknown;
-                grand.per_setting[s].idem += b.idem;
-                grand.per_setting[s].non += b.non;
-                grand.per_setting[s].unknown += b.unknown;
-            }
-            table.addRow(std::move(row));
-        });
+            const std::vector<double> &counts) { table.add(w, counts); });
+    table.table().print(std::cout);
 
-    auto totals_row = [&](const std::string &label,
-                          const SuiteTotals &totals) {
-        std::vector<std::string> row{label};
-        for (std::size_t s = 0; s < settings.size(); ++s) {
-            const Breakdown &b = totals.per_setting[s];
-            const double total = std::max<std::size_t>(1, b.total());
-            row.push_back(
-                formatFixed(100.0 * b.idem / total, 0) + "/" +
-                formatFixed(100.0 * b.non / total, 0) + "/" +
-                formatFixed(100.0 * b.unknown / total, 0));
-        }
-        return row;
-    };
-
-    table.addSeparator();
-    for (const std::string &suite : workloads::suiteNames())
-        table.addRow(totals_row("Mean " + suite, suite_totals[suite]));
-    table.addRow(totals_row("Mean ALL", grand));
-    table.print(std::cout);
-
-    const Breakdown &unpruned = grand.per_setting[0];
-    const Breakdown &zero = grand.per_setting[1];
+    const std::vector<double> all = table.sums().values;
     std::cout << "\nPaper shape check: idempotent share grows with "
                  "Pmin, and most of the gain\nappears already at "
                  "Pmin=0.0 (paper: 49% unpruned -> 75% at 0.0). "
                  "Here: "
-              << formatPercent(static_cast<double>(unpruned.idem) /
-                               std::max<std::size_t>(1,
-                                                     unpruned.total()))
-              << " -> "
-              << formatPercent(static_cast<double>(zero.idem) /
-                               std::max<std::size_t>(1, zero.total()))
-              << ".\n";
+              << formatPercent(idempotentShare(all, 0)) << " -> "
+              << formatPercent(idempotentShare(all, 3)) << ".\n";
 
     const bool json_ok = bench::writeJsonReport(
         json_path, [&](std::ostream &out) {
             out << "  \"bench\": \"fig5_region_idempotence\",\n"
                 << "  \"settings\": [\"none\", \"0.0\", \"0.1\", "
-                   "\"0.25\"],\n"
-                << "  \"workloads\": [\n";
-            for (std::size_t i = 0; i < json_rows.size(); ++i) {
-                const JsonRow &row = json_rows[i];
-                out << "    {\"name\": \"" << row.name
-                    << "\", \"suite\": \"" << row.suite
-                    << "\", \"classification\": [";
-                for (std::size_t s = 0; s < row.breakdowns.size();
-                     ++s) {
-                    const Breakdown &b = row.breakdowns[s];
-                    out << "{\"idempotent\": " << b.idem
-                        << ", \"non_idempotent\": " << b.non
-                        << ", \"unknown\": " << b.unknown << "}"
-                        << (s + 1 < row.breakdowns.size() ? ", " : "");
-                }
-                out << "]}"
-                    << (i + 1 < json_rows.size() ? "," : "") << "\n";
-            }
-            out << "  ]\n}\n";
+                   "\"0.25\"],\n";
+            table.writeJson(out, [](std::ostream &row,
+                                    const std::vector<double> &counts) {
+                row << "\"classification\": [";
+                for (std::size_t i = 0; i < counts.size(); i += 3)
+                    row << (i ? ", " : "") << "{\"idempotent\": "
+                        << static_cast<std::uint64_t>(counts[i])
+                        << ", \"non_idempotent\": "
+                        << static_cast<std::uint64_t>(counts[i + 1])
+                        << ", \"unknown\": "
+                        << static_cast<std::uint64_t>(counts[i + 2]) << "}";
+                row << "]";
+            });
         });
     return json_ok ? 0 : 1;
 }

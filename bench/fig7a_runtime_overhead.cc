@@ -50,23 +50,8 @@ main(int argc, char **argv)
         "baseline), Static vs\nOptimistic alias analysis, 20% budget. "
         "Paper: 14% mean with static analysis.");
 
-    Table table({"benchmark", "Static AA", "Optimistic AA"});
-
-    double sum_static = 0, sum_opt = 0;
-    int count = 0;
-    std::map<std::string, std::pair<double, int>> suite_static;
-    std::map<std::string, double> suite_opt;
-
-    struct JsonRow
-    {
-        std::string name;
-        std::string suite;
-        double static_oh;
-        double opt_oh;
-    };
-    std::vector<JsonRow> json_rows;
-
-    std::string current_suite;
+    bench::SuiteTable table({"benchmark", "Static AA", "Optimistic AA"},
+                            bench::percentMeans);
     bench::mapWorkloads(
         jobs,
         // Parallel: instrument + execute under both alias modes.
@@ -79,38 +64,14 @@ main(int argc, char **argv)
             opt_cfg.alias_mode = EncoreConfig::AliasMode::Optimistic;
             auto opt_run = bench::prepareWorkload(w, opt_cfg);
 
-            return std::pair<double, double>{measureOverhead(static_run),
-                                             measureOverhead(opt_run)};
+            return std::vector<double>{measureOverhead(static_run),
+                                       measureOverhead(opt_run)};
         },
         [&](const workloads::Workload &w,
-            const std::pair<double, double> &overheads) {
-            const auto [static_oh, opt_oh] = overheads;
-            json_rows.push_back(
-                JsonRow{w.name, w.suite, static_oh, opt_oh});
-            if (w.suite != current_suite) {
-                if (!current_suite.empty())
-                    table.addSeparator();
-                current_suite = w.suite;
-            }
-            table.addRow({w.name, formatPercent(static_oh),
-                          formatPercent(opt_oh)});
-            sum_static += static_oh;
-            sum_opt += opt_oh;
-            ++count;
-            suite_static[w.suite].first += static_oh;
-            suite_static[w.suite].second += 1;
-            suite_opt[w.suite] += opt_oh;
+            const std::vector<double> &overheads) {
+            table.add(w, overheads);
         });
-
-    table.addSeparator();
-    for (const std::string &suite : workloads::suiteNames()) {
-        const auto &[s, c] = suite_static[suite];
-        table.addRow({"Mean " + suite, formatPercent(s / c),
-                      formatPercent(suite_opt[suite] / c)});
-    }
-    table.addRow({"Mean ALL", formatPercent(sum_static / count),
-                  formatPercent(sum_opt / count)});
-    table.print(std::cout);
+    table.table().print(std::cout);
 
     std::cout << "\nPaper shape check: mean static-AA overhead in the "
                  "low-to-mid teens, under the\n20% budget; optimistic "
@@ -119,19 +80,13 @@ main(int argc, char **argv)
 
     const bool json_ok = bench::writeJsonReport(
         json_path, [&](std::ostream &out) {
-            out << "  \"bench\": \"fig7a_runtime_overhead\",\n"
-                << "  \"workloads\": [\n";
-            for (std::size_t i = 0; i < json_rows.size(); ++i) {
-                const JsonRow &row = json_rows[i];
-                out << "    {\"name\": \"" << row.name
-                    << "\", \"suite\": \"" << row.suite
-                    << "\", \"static_overhead\": "
-                    << formatFixed(row.static_oh, 6)
+            out << "  \"bench\": \"fig7a_runtime_overhead\",\n";
+            table.writeJson(out, [](std::ostream &row,
+                                    const std::vector<double> &oh) {
+                row << "\"static_overhead\": " << formatFixed(oh[0], 6)
                     << ", \"optimistic_overhead\": "
-                    << formatFixed(row.opt_oh, 6) << "}"
-                    << (i + 1 < json_rows.size() ? "," : "") << "\n";
-            }
-            out << "  ]\n}\n";
+                    << formatFixed(oh[1], 6);
+            });
         });
     return json_ok ? 0 : 1;
 }

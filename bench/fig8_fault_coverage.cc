@@ -35,14 +35,6 @@ struct WorkloadPerf
     interp::SnapshotStats snapshots;
 };
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 } // namespace
 
 int
@@ -69,17 +61,11 @@ main(int argc, char **argv)
     const bench::Scenario scenario = bench::scenarioFlags(cli);
     const std::string json_path = cli.getString("json");
 
-    std::vector<std::uint64_t> dmaxes;
-    for (const std::string &field : split(cli.getString("dmax"), ',')) {
-        const auto dmax = parseInt(field);
-        if (!dmax || *dmax <= 0) {
-            std::cerr << "error: --dmax expects comma-separated positive "
-                         "integers, got '"
-                      << field << "'\n";
-            return 1;
-        }
-        dmaxes.push_back(static_cast<std::uint64_t>(*dmax));
-    }
+    const std::vector<std::uint64_t> dmaxes =
+        bench::positiveIntsFlag(cli, "dmax");
+    const interp::SnapshotConfig snap_config = bench::snapshotStrideFlag(cli);
+    const std::vector<const workloads::Workload *> selected =
+        bench::workloadsFlag(cli);
 
     bench::printHeader(
         "Figure 8",
@@ -102,61 +88,26 @@ main(int argc, char **argv)
     // Dmax=100), or the only one when --dmax names a single value.
     const std::size_t split_d = std::min<std::size_t>(1, dmaxes.size() - 1);
     headers.push_back("idem/ckpt @" + std::to_string(dmaxes[split_d]));
-    Table table(headers);
-
-    std::vector<double> sums(dmaxes.size(), 0.0);
-    int count = 0;
-    std::map<std::string, std::vector<double>> suite_sums;
-    std::map<std::string, int> suite_counts;
+    bench::SuiteTable table(headers, bench::percentMeans);
     std::vector<WorkloadPerf> perf;
     double campaign_seconds = 0.0;
     std::uint64_t total_replay_cost = 0;
 
-    interp::SnapshotConfig snap_config;
-    const std::uint64_t snap_stride = cli.getUint("snapshot-stride");
-    snap_config.enabled = snap_stride > 0;
-    snap_config.stride = snap_stride;
-
-    std::vector<std::string> only;
-    for (const std::string &field :
-         split(cli.getString("workloads"), ','))
-        if (!field.empty())
-            only.push_back(field);
-
-    // Phase 1 — pipeline every workload (build + profile + analyze +
-    // instrument) across the pool; order of results is suite order.
-    EncoreConfig config;
+    // Phase 1 — pipeline every selected workload (build + profile +
+    // analyze + instrument) across the pool, in list order.
     const auto prep_start = std::chrono::steady_clock::now();
-    std::vector<bench::PreparedWorkload> suite;
-    if (only.empty()) {
-        suite = bench::prepareSuite(config, jobs);
-    } else {
-        for (const std::string &name : only) {
-            const workloads::Workload *w = workloads::findWorkload(name);
-            if (w == nullptr) {
-                std::cerr << "error: unknown workload '" << name
-                          << "'; valid names:\n";
-                for (const workloads::Workload &known :
-                     workloads::allWorkloads())
-                    std::cerr << "  " << known.name << " ("
-                              << known.suite << ")\n";
-                return 1;
-            }
-            suite.push_back(bench::prepareWorkload(*w, config));
-        }
-    }
-    const double prep_seconds = secondsSince(prep_start);
+    std::vector<bench::PreparedWorkload> suite(selected.size());
+    ThreadPool(jobs).parallelFor(selected.size(),
+                                 [&](std::uint64_t i, std::size_t) {
+                                     suite[i] = bench::prepareWorkload(
+                                         *selected[i], EncoreConfig{});
+                                 });
+    const double prep_seconds = bench::secondsSince(prep_start);
 
     // Phase 2 — per workload, golden run + campaigns; the trials of
     // each campaign run across the same number of jobs.
-    std::string current_suite;
     for (bench::PreparedWorkload &prepared : suite) {
         const workloads::Workload &w = *prepared.workload;
-        if (w.suite != current_suite) {
-            if (!current_suite.empty())
-                table.addSeparator();
-            current_suite = w.suite;
-        }
         fault::FaultInjector injector(*prepared.module, prepared.report);
         injector.configureSnapshots(snap_config);
         if (!injector.prepare(w.entry, w.train_args)) {
@@ -164,17 +115,17 @@ main(int argc, char **argv)
             continue;
         }
 
-        std::vector<std::string> row{w.name};
+        // Campaign seeds follow the row's position in the table.
+        const std::size_t position = table.rows().size();
+        std::vector<double> covered;
         std::string split_cell;
-        suite_sums.try_emplace(w.suite,
-                               std::vector<double>(dmaxes.size(), 0.0));
         WorkloadPerf wp;
         wp.name = w.name;
         const auto wl_start = std::chrono::steady_clock::now();
         for (std::size_t d = 0; d < dmaxes.size(); ++d) {
             fault::CampaignConfig campaign;
             campaign.trials = trials;
-            campaign.seed = seed + d * 7919 + count;
+            campaign.seed = seed + d * 7919 + position;
             campaign.jobs = jobs;
             campaign.masking_rate = mask_rate;
             campaign.trial.dmax = dmaxes[d];
@@ -183,10 +134,7 @@ main(int argc, char **argv)
             const fault::CampaignResult result =
                 injector.runCampaign(campaign);
             total_replay_cost += result.replay_cost;
-            const double covered = result.coveredFraction();
-            row.push_back(formatPercent(covered));
-            sums[d] += covered;
-            suite_sums[w.suite][d] += covered;
+            covered.push_back(result.coveredFraction());
             wp.trials += result.trials;
             if (d == split_d) {
                 split_cell =
@@ -197,38 +145,13 @@ main(int argc, char **argv)
                         fault::FaultOutcome::RecoveredCheckpoint));
             }
         }
-        wp.wall_seconds = secondsSince(wl_start);
+        wp.wall_seconds = bench::secondsSince(wl_start);
         wp.snapshots = injector.snapshotStats();
         campaign_seconds += wp.wall_seconds;
         perf.push_back(wp);
-        row.push_back(split_cell);
-        table.addRow(std::move(row));
-        ++count;
-        suite_counts[w.suite] += 1;
+        table.add(w, std::move(covered), {split_cell});
     }
-
-    table.addSeparator();
-    for (const std::string &suite_name : workloads::suiteNames()) {
-        // A --workloads filter can leave a suite with no rows; skip its
-        // mean instead of dividing an empty accumulator by zero.
-        const auto counted = suite_counts.find(suite_name);
-        if (counted == suite_counts.end() || counted->second == 0)
-            continue;
-        std::vector<std::string> row{"Mean " + suite_name};
-        for (std::size_t d = 0; d < dmaxes.size(); ++d)
-            row.push_back(formatPercent(suite_sums[suite_name][d] /
-                                        counted->second));
-        row.push_back("");
-        table.addRow(std::move(row));
-    }
-    {
-        std::vector<std::string> row{"Mean ALL"};
-        for (std::size_t d = 0; d < dmaxes.size(); ++d)
-            row.push_back(formatPercent(sums[d] / count));
-        row.push_back("");
-        table.addRow(std::move(row));
-    }
-    table.print(std::cout);
+    table.table().print(std::cout);
 
     std::uint64_t total_trials = 0;
     for (const WorkloadPerf &wp : perf)

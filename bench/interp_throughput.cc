@@ -32,14 +32,6 @@ struct InterpStats
     double fused_mips = 0.0;   // fused engine (the default)
 };
 
-double
-secondsSince(std::chrono::steady_clock::time_point start)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
 /// Runs `body` repeatedly until it has consumed at least `min_seconds`
 /// of wall time, returning the mean seconds per call.
 template <typename Fn>
@@ -52,7 +44,7 @@ timeLoop(Fn &&body, double min_seconds = 0.1)
     do {
         body();
         ++iterations;
-        elapsed = secondsSince(start);
+        elapsed = bench::secondsSince(start);
     } while (elapsed < min_seconds);
     return elapsed / iterations;
 }

@@ -79,9 +79,8 @@ main(int argc, char **argv)
                  "not recoverable"});
     for (const std::uint64_t dmax : {10ULL, 100ULL, 1000ULL, 10000ULL}) {
         fault::CampaignConfig campaign;
-        campaign.trials =
-            static_cast<std::uint64_t>(cli.getInt("trials"));
-        campaign.seed = static_cast<std::uint64_t>(cli.getInt("seed"));
+        campaign.trials = cli.getUint("trials");
+        campaign.seed = cli.getUint("seed");
         campaign.model_masking = false; // isolate Encore's contribution
         campaign.trial.dmax = dmax;
         const fault::CampaignResult result =

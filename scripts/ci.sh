@@ -10,8 +10,10 @@
 # campaign-planner smoke (sweep-reuse tally identity
 # against brute force), a scenario-matrix smoke (every fault-model x
 # detector pair byte-identical across --jobs, with the snapshot tier
-# off, and at the former default stride 1024), the repo benchmark's
-# seed-1 output digests (perfbench/), and a warn-only
+# off, and at the former default stride 1024), a figure smoke (fig5,
+# fig6, fig7a, fig7b, the ablation table and table1 byte-identical
+# across --jobs), the repo benchmark's seed-1 output digests
+# (perfbench/), and a warn-only
 # interpreter-throughput smoke (the fused superinstruction tier
 # against the decoded and reference engines, measured in one run).
 #
@@ -128,6 +130,29 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
     done
 done
 
+echo "==> [figures] figure and table benches byte-identical across --jobs"
+# The benches prepare workloads on --jobs threads and print rows in
+# suite order, so the thread count must not change a byte of their
+# output. fig8 is checked across --jobs in the scenario smoke above.
+figures_dir="${build_root}/figure_smoke"
+rm -rf "${figures_dir}" && mkdir -p "${figures_dir}"
+for run in fig5_region_idempotence fig6_dynamic_breakdown \
+    fig7a_runtime_overhead fig7b_storage_overhead ablation_heuristics \
+    table1_comparison "table1_comparison --trials 100"; do
+    read -r -a cmd <<< "${run}"
+    tag="${run// /_}"
+    for jobs in 1 4; do
+        "${build_root}/tier1/bench/${cmd[0]}" "${cmd[@]:1}" \
+            --jobs "${jobs}" > "${figures_dir}/${tag}_j${jobs}.txt"
+    done
+    diff -u "${figures_dir}/${tag}_j1.txt" "${figures_dir}/${tag}_j4.txt" || {
+        echo "figure-smoke: ${run} diverges between --jobs 1 and" \
+            "--jobs 4" >&2
+        exit 1
+    }
+done
+echo "figure-smoke: every figure and table identical at --jobs 1 and 4"
+
 echo "==> [perfbench] seed-1 output digests (campaign, durable, sweep)"
 # Hard gate on the repo benchmark's output checks: at seed 1 every
 # cell's outcome tally must hash to the digest in perfbench/digests,
@@ -179,4 +204,4 @@ if max(means, key=means.get) != "fused":
 print("interp-smoke: warn-only")
 EOF
 
-echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + planner smoke + scenario matrix + perfbench digests + interp smoke)"
+echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + planner smoke + scenario matrix + figure smoke + perfbench digests + interp smoke)"

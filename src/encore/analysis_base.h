@@ -108,12 +108,6 @@ class AnalysisBase
 
     const interp::ProfileData &profile() const { return profile_; }
 
-    const analysis::DynamicAddressProfile &
-    addrProfile() const
-    {
-        return addr_profile_;
-    }
-
     const analysis::AliasAnalysis &alias(EncoreConfig::AliasMode mode) const;
 
     FunctionContextCache &contexts() const { return contexts_; }

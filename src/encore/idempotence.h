@@ -131,13 +131,6 @@ class IdempotenceAnalysis
 
     IdempotenceResult analyzeRegion(const Region &region);
 
-    const Options &options() const { return options_; }
-
-    const analysis::LocationInterner &interner() const { return interner_; }
-
-    /// Memoized pair queries answered so far (diagnostics).
-    std::size_t aliasCacheSize() const { return filter_.cacheSize(); }
-
   private:
     struct LoopSummaryData;
     struct Subgraph;

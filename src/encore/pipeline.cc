@@ -69,7 +69,8 @@ EncoreReport::avgStorageBytes() const
 namespace {
 
 double
-entryWeightedStorage(const EncoreReport &report, int component)
+entryWeightedStorage(const EncoreReport &report,
+                     double RegionReport::*component)
 {
     double weight = 0.0;
     double total = 0.0;
@@ -77,11 +78,7 @@ entryWeightedStorage(const EncoreReport &report, int component)
         if (!region.selected || region.entries <= 0.0)
             continue;
         weight += region.entries;
-        const double value =
-            component == 0   ? region.static_storage_mem_bytes
-            : component == 1 ? region.static_storage_reg_bytes
-                             : region.storage_bytes;
-        total += region.entries * value;
+        total += region.entries * (region.*component);
     }
     return weight > 0.0 ? total / weight : 0.0;
 }
@@ -91,19 +88,15 @@ entryWeightedStorage(const EncoreReport &report, int component)
 double
 EncoreReport::avgStorageMemBytes() const
 {
-    return entryWeightedStorage(*this, 0);
+    return entryWeightedStorage(*this,
+                                &RegionReport::static_storage_mem_bytes);
 }
 
 double
 EncoreReport::avgStorageRegBytes() const
 {
-    return entryWeightedStorage(*this, 1);
-}
-
-double
-EncoreReport::avgDynStorageBytes() const
-{
-    return entryWeightedStorage(*this, 2);
+    return entryWeightedStorage(*this,
+                                &RegionReport::static_storage_reg_bytes);
 }
 
 double
@@ -118,16 +111,6 @@ EncoreReport::meanSelectedRegionLength() const
         total += region.entries * region.hot_path_length;
     }
     return weight > 0.0 ? total / weight : 0.0;
-}
-
-RegionClass
-EncoreReport::classOf(ir::RegionId id) const
-{
-    for (const RegionReport &region : regions) {
-        if (region.id == id)
-            return region.cls;
-    }
-    return RegionClass::Unknown;
 }
 
 namespace {

@@ -141,16 +141,10 @@ struct EncoreReport
     double avgStorageBytes() const;
     double avgStorageMemBytes() const;
     double avgStorageRegBytes() const;
-    /// Entry-weighted average *dynamic* undo-log size per region
-    /// instance (extension: actual log growth including loop trips).
-    double avgDynStorageBytes() const;
 
     /// Mean dynamic region length (instructions per region entry) over
     /// selected regions — the "interval length" row of Table 1.
     double meanSelectedRegionLength() const;
-
-    /// Class of a region id (for fault-outcome attribution).
-    RegionClass classOf(ir::RegionId id) const;
 
     /// Canonical byte serialization of every field (doubles rendered
     /// with full precision) — two reports are bit-identical iff their

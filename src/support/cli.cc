@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <sstream>
 
 #include "support/diagnostics.h"
@@ -84,10 +85,13 @@ CommandLine::getString(const std::string &name) const
 std::int64_t
 CommandLine::getInt(const std::string &name) const
 {
-    const auto parsed = parseInt(find(name).value);
+    const std::string &text = find(name).value;
+    const auto parsed = parseInt(text, 10);
     if (!parsed)
-        fatalf("flag '--", name, "' expects an integer, got '",
-               find(name).value, "'");
+        fatalf("flag '--", name, "' expects a base-10 integer in [",
+               std::numeric_limits<std::int64_t>::min(), ", ",
+               std::numeric_limits<std::int64_t>::max(), "], got '", text,
+               "'");
     return *parsed;
 }
 

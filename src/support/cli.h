@@ -31,11 +31,15 @@ class CommandLine
     void parse(int argc, char **argv);
 
     std::string getString(const std::string &name) const;
+    /// Base 10 only (`010` is ten, `0x10` is refused); fatal — naming
+    /// the flag and the offending value — on anything else, including
+    /// a value outside int64_t, which is refused instead of clamped.
     std::int64_t getInt(const std::string &name) const;
     /// For inherently non-negative quantities (counts, seeds, sizes):
-    /// fatal — naming the flag and the offending value — on a negative
-    /// argument, instead of letting a later cast wrap it into a huge
-    /// unsigned count.
+    /// getInt, and fatal on a negative argument, instead of letting a
+    /// later cast wrap it into a huge unsigned count. The range stays
+    /// [0, INT64_MAX], so `value + 1` (as in `Rng::below(dmax + 1)`)
+    /// cannot wrap to 0.
     std::uint64_t getUint(const std::string &name) const;
     double getDouble(const std::string &name) const;
     bool getBool(const std::string &name) const;

@@ -1,6 +1,7 @@
 #include "support/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -64,15 +65,16 @@ startsWith(std::string_view text, std::string_view prefix)
 }
 
 std::optional<std::int64_t>
-parseInt(std::string_view text)
+parseInt(std::string_view text, int base)
 {
     text = trim(text);
     if (text.empty())
         return std::nullopt;
     std::string buf(text);
     char *end = nullptr;
-    const long long value = std::strtoll(buf.c_str(), &end, 0);
-    if (end != buf.c_str() + buf.size())
+    errno = 0;
+    const long long value = std::strtoll(buf.c_str(), &end, base);
+    if (end != buf.c_str() + buf.size() || errno == ERANGE)
         return std::nullopt;
     return static_cast<std::int64_t>(value);
 }

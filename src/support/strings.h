@@ -25,8 +25,10 @@ std::vector<std::string> splitWhitespace(std::string_view text);
 /// True if `text` begins with `prefix`.
 bool startsWith(std::string_view text, std::string_view prefix);
 
-/// Parses a signed 64-bit integer (decimal or 0x hex); nullopt on error.
-std::optional<std::int64_t> parseInt(std::string_view text);
+/// Parses a signed 64-bit integer in `base` (the default 0 also reads
+/// 0x hex and leading-0 octal); nullopt on malformed text or a value
+/// outside int64_t.
+std::optional<std::int64_t> parseInt(std::string_view text, int base = 0);
 
 /// Formats a fraction as a fixed-width percentage, e.g. "97.3%".
 std::string formatPercent(double fraction, int decimals = 1);

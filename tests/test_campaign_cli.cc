@@ -167,6 +167,28 @@ TEST(CampaignCli, UnknownWorkloadListsAvailable)
     EXPECT_NE(result.output.find(kWorkload), std::string::npos);
 }
 
+TEST(CampaignCli, IntegerFlagsAreBaseTen)
+{
+    // A leading zero once made --trials octal: 010 ran 8 trials.
+    const CommandResult result =
+        runTool("run --workload rawcaudio --trials 010 --jobs 1");
+    EXPECT_EQ(result.exit_code, 0) << result.output;
+    EXPECT_NE(result.output.find("executed 10 of 10"), std::string::npos)
+        << result.output;
+}
+
+TEST(CampaignCli, OutOfRangeSeedIsRefusedByName)
+{
+    // Past INT64_MAX the seed was once clamped to it and the campaign
+    // ran.
+    const CommandResult result =
+        runTool("run --workload rawcaudio --trials 10 --jobs 1 --seed "
+                "18446744073709551615");
+    EXPECT_EQ(result.exit_code, 1) << result.output;
+    EXPECT_NE(result.output.find("'--seed'"), std::string::npos)
+        << result.output;
+}
+
 TEST(CampaignCli, InvalidConfigRejectedAtEntry)
 {
     const CommandResult result = runTool(

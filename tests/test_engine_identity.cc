@@ -8,9 +8,9 @@
  * interpreter, this pins the whole campaign stack.
  *
  * The same file checks that the bench binaries (fig8 via
- * ENCORE_FIG8_TOOL, table1, fig6 and ablation_heuristics) reject
- * malformed and removed flags with exit status 1 and a message naming
- * the flag, instead of crashing or guessing.
+ * ENCORE_FIG8_TOOL, table1, fig6, fig1, ablation_heuristics and
+ * encore_opstats) reject malformed and removed flags with exit status
+ * 1 and a message naming the flag, instead of crashing or guessing.
  */
 #include <gtest/gtest.h>
 
@@ -21,6 +21,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "encore/pipeline.h"
 #include "fault/injector.h"
@@ -167,6 +168,8 @@ TEST(BenchFlags, Fig8RejectsBadFlags)
                        "integers, got '-5'"},
         {" --jobs -2", "flag '--jobs' expects a non-negative integer, "
                        "got '-2'"},
+        {" --workloads rawdaudio,nosuch",
+         "unknown workload 'nosuch'; available workloads:"},
         // Removed: the snapshot budget is SnapshotConfig's fixed 64 MiB.
         {" --snapshot" "-budget-mb 64", "unknown flag '--snapshot"
                                         "-budget-mb'"},
@@ -192,15 +195,47 @@ TEST(BenchFlags, Fig8AcceptsASingleDmax)
         << out;
 }
 
+/// A run that must exit 1 with `message` in its output.
+struct Refusal
+{
+    const char *tool;
+    const char *args;
+    const char *message;
+};
+
+void
+expectRefusals(const std::vector<Refusal> &cases)
+{
+    for (const Refusal &c : cases) {
+        SCOPED_TRACE(std::string(c.tool) + " " + c.args);
+        int exit_code = -1;
+        const std::string out = runStripped(c.tool, c.args, &exit_code);
+        EXPECT_EQ(exit_code, 1) << out;
+        EXPECT_NE(out.find(c.message), std::string::npos) << out;
+    }
+}
+
 TEST(BenchFlags, Table1RejectsNegativeTrials)
 {
-    int exit_code = -1;
-    const std::string out =
-        runStripped(ENCORE_TABLE1_TOOL, "--trials -1", &exit_code);
-    EXPECT_EQ(exit_code, 1) << out;
-    EXPECT_NE(out.find("'--trials' expects a non-negative integer"),
-              std::string::npos)
-        << out;
+    expectRefusals({{ENCORE_TABLE1_TOOL, "--trials -1",
+                     "'--trials' expects a non-negative integer"}});
+}
+
+TEST(BenchFlags, ListFlagsRejectBadEntries)
+{
+    // fig1 once read an unparsable window size as 100 and a negative
+    // one as 2^64 - 3; every list entry must be a positive integer or
+    // a known workload.
+    expectRefusals({
+        {ENCORE_FIG1_TOOL, "--sizes 5,abc,1000",
+         "--sizes expects comma-separated positive integers, got 'abc'"},
+        {ENCORE_FIG1_TOOL, "--sizes 0,100",
+         "--sizes expects comma-separated positive integers, got '0'"},
+        {ENCORE_FIG1_TOOL, "--sizes 100,-3",
+         "--sizes expects comma-separated positive integers, got '-3'"},
+        {ENCORE_OPSTATS_TOOL, "--workloads nosuch",
+         "unknown workload 'nosuch'; available workloads:"},
+    });
 }
 
 TEST(BenchFlags, AnalysisBenchesRejectCampaignFlags)
@@ -209,12 +244,7 @@ TEST(BenchFlags, AnalysisBenchesRejectCampaignFlags)
     // --seed or --trials; the ablation table's planner sweep moved to
     // perfbench's `sweep` workload. Spelled in pieces so a search for
     // the removed flags finds no live use.
-    const struct
-    {
-        const char *tool;
-        const char *args;
-        const char *message;
-    } cases[] = {
+    expectRefusals({
         {ENCORE_FIG6_TOOL, "--trials 5", "unknown flag '--trials'"},
         {ENCORE_FIG6_TOOL, "--seed 9", "unknown flag '--seed'"},
         {ENCORE_ABLATION_TOOL, "--trials 3000", "unknown flag '--trials'"},
@@ -226,14 +256,7 @@ TEST(BenchFlags, AnalysisBenchesRejectCampaignFlags)
          "unknown flag '--fault-model'"},
         {ENCORE_ABLATION_TOOL, "--detector analytic",
          "unknown flag '--detector'"},
-    };
-    for (const auto &c : cases) {
-        SCOPED_TRACE(std::string(c.tool) + " " + c.args);
-        int exit_code = -1;
-        const std::string out = runStripped(c.tool, c.args, &exit_code);
-        EXPECT_EQ(exit_code, 1) << out;
-        EXPECT_NE(out.find(c.message), std::string::npos) << out;
-    }
+    });
 }
 
 } // namespace

@@ -190,6 +190,12 @@ TEST(Strings, ParseInt)
     EXPECT_FALSE(parseInt("abc").has_value());
     EXPECT_FALSE(parseInt("12x").has_value());
     EXPECT_FALSE(parseInt("").has_value());
+    EXPECT_EQ(parseInt("010", 10).value(), 10);
+    EXPECT_FALSE(parseInt("0x10", 10).has_value());
+    // Out of range fails instead of clamping to the int64_t limits.
+    EXPECT_EQ(parseInt("9223372036854775807").value(), INT64_MAX);
+    EXPECT_FALSE(parseInt("9223372036854775808").has_value());
+    EXPECT_FALSE(parseInt("-9223372036854775809").has_value());
 }
 
 TEST(Strings, Formatting)
@@ -256,6 +262,28 @@ TEST(CommandLineTest, GetUintRejectsNegativeInsteadOfWrapping)
     EXPECT_EXIT((void)cli.getUint("trials"),
                 testing::ExitedWithCode(1),
                 "--trials.*non-negative integer.*-5");
+}
+
+TEST(CommandLineTest, GetUintIsBaseTenAndRefusesOutOfRange)
+{
+    // Flags were once parsed in base 0 (`010` was eight) and clamped
+    // past INT64_MAX.
+    const auto seedFlag = [](const std::string &value) {
+        CommandLine cli;
+        cli.addFlag("seed", "1", "seed");
+        const std::string arg = "--seed=" + value;
+        const char *argv[] = {"prog", arg.c_str()};
+        cli.parse(2, const_cast<char **>(argv));
+        return cli;
+    };
+    EXPECT_EQ(seedFlag("010").getUint("seed"), 10u);
+    EXPECT_EQ(seedFlag("9223372036854775807").getUint("seed"),
+              9223372036854775807u);
+    EXPECT_EXIT((void)seedFlag("9223372036854775808").getUint("seed"),
+                testing::ExitedWithCode(1),
+                "--seed.*got '9223372036854775808'");
+    EXPECT_EXIT((void)seedFlag("0x10").getUint("seed"),
+                testing::ExitedWithCode(1), "--seed.*base-10.*got '0x10'");
 }
 
 TEST(CommandLineTest, BareValueFlagBeforeAnotherFlagIsFatal)

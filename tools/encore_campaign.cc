@@ -92,23 +92,6 @@ scenarioLine(const fault::CampaignConfig &config)
     return line;
 }
 
-/// Looks up a workload by name; on failure prints the available
-/// suite to stderr and returns nullptr (the caller exits 1).
-const workloads::Workload *
-resolveWorkload(const std::string &name)
-{
-    const workloads::Workload *workload = workloads::findWorkload(name);
-    if (workload == nullptr) {
-        std::cerr << (name.empty()
-                          ? "error: --workload is required"
-                          : "error: unknown workload '" + name + "'")
-                  << "; available workloads:\n";
-        for (const workloads::Workload &w : workloads::allWorkloads())
-            std::cerr << "  " << w.name << " (" << w.suite << ")\n";
-    }
-    return workload;
-}
-
 /// The injector plus the pipeline state it references (module,
 /// report) — keep both alive together.
 struct PreparedInjector
@@ -121,7 +104,7 @@ struct PreparedInjector
 /// run itself fails. Shared by run/resume and plan.
 PreparedInjector
 prepareInjector(const workloads::Workload &workload,
-                std::uint64_t snapshot_stride)
+                const interp::SnapshotConfig &snapshots)
 {
     std::cerr << "preparing " << workload.name
               << " (build + profile + analyze + instrument)...\n";
@@ -130,10 +113,7 @@ prepareInjector(const workloads::Workload &workload,
     out.prepared = bench::prepareWorkload(workload, encore_config);
     out.injector = std::make_unique<fault::FaultInjector>(
         *out.prepared.module, out.prepared.report);
-    interp::SnapshotConfig snap_config;
-    snap_config.enabled = snapshot_stride > 0;
-    snap_config.stride = snapshot_stride;
-    out.injector->configureSnapshots(snap_config);
+    out.injector->configureSnapshots(snapshots);
     if (!out.injector->prepare(workload.entry, workload.train_args))
         fatalf("golden run failed for ", workload.name);
     return out;
@@ -294,10 +274,8 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
 
-    const workloads::Workload *workload =
-        resolveWorkload(cli.getString("workload"));
-    if (workload == nullptr)
-        return 1;
+    const workloads::Workload &workload =
+        bench::workloadNamed(cli.getString("workload"));
 
     const fault::CampaignConfig config =
         campaignFromFlags(cli, /*has_jobs=*/true);
@@ -339,20 +317,20 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     options.stop_after = cli.getUint("stop-after");
     options.progress = cli.getBool("progress");
     options.heartbeat_path = cli.getString("heartbeat");
-    options.label = workload->name + " shard " +
+    options.label = workload.name + " shard " +
                     std::to_string(options.shard.index) + "/" +
                     std::to_string(options.shard.count);
 
     PreparedInjector pi =
-        prepareInjector(*workload, cli.getUint("snapshot-stride"));
+        prepareInjector(workload, bench::snapshotStrideFlag(cli));
 
     if (planner_path) {
         campaign::CampaignPlanner planner(
             *pi.injector, pi.prepared.report, config,
-            plannerFromFlags(cli, workload->name));
+            plannerFromFlags(cli, workload.name));
         const campaign::PlanSummary summary = planner.run();
         printSnapshotTier(*pi.injector);
-        std::cout << "campaign " << workload->name << " seed "
+        std::cout << "campaign " << workload.name << " seed "
                   << config.seed << " dmax " << config.trial.dmax
                   << " (planner, sweep reuse)\n"
                   << scenarioLine(config)
@@ -360,7 +338,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
                   << campaign::formatAggregate(summary.result);
         const bool json_ok = bench::writeJsonReport(
             cli.getString("json"), [&](std::ostream &out) {
-                writePlannerJson(out, "planner", workload->name,
+                writePlannerJson(out, "planner", workload.name,
                                  config, summary);
             });
         return json_ok ? 0 : 1;
@@ -370,7 +348,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     const campaign::RunSummary summary = runner.run();
     printSnapshotTier(*pi.injector);
 
-    std::cout << "campaign " << workload->name << " seed "
+    std::cout << "campaign " << workload.name << " seed "
               << config.seed << " dmax " << config.trial.dmax
               << " shard " << options.shard.index << "/"
               << options.shard.count << "\n"
@@ -388,7 +366,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     const bool json_ok = bench::writeJsonReport(
         cli.getString("json"), [&](std::ostream &out) {
             writeCampaignJson(out, resume ? "resume" : "run",
-                              workload->name, config, summary.result);
+                              workload.name, config, summary.result);
         });
     return json_ok ? 0 : 1;
 }
@@ -414,27 +392,27 @@ cmdPlan(int argc, char **argv)
     bench::addJsonFlag(cli, "");
     cli.parse(argc, argv);
 
-    const workloads::Workload *workload =
-        resolveWorkload(cli.getString("workload"));
-    if (workload == nullptr)
-        return 1;
+    const workloads::Workload &workload =
+        bench::workloadNamed(cli.getString("workload"));
     const fault::CampaignConfig config =
         campaignFromFlags(cli, /*has_jobs=*/false);
     fault::validateCampaignConfig(config);
 
-    PreparedInjector pi = prepareInjector(*workload, 0);
+    // The dry run executes no trial, so it records no snapshots.
+    PreparedInjector pi =
+        prepareInjector(workload, {.enabled = false, .stride = 0});
     campaign::CampaignPlanner planner(
         *pi.injector, pi.prepared.report, config,
-        plannerFromFlags(cli, workload->name));
+        plannerFromFlags(cli, workload.name));
     const campaign::PlanSummary summary = planner.plan();
-    std::cout << "plan " << workload->name << " seed " << config.seed
+    std::cout << "plan " << workload.name << " seed " << config.seed
               << " dmax " << config.trial.dmax << "\n"
               << scenarioLine(config)
               << campaign::formatPlanSummary(summary);
 
     const bool json_ok = bench::writeJsonReport(
         cli.getString("json"), [&](std::ostream &out) {
-            writePlannerJson(out, "plan", workload->name, config,
+            writePlannerJson(out, "plan", workload.name, config,
                              summary);
         });
     return json_ok ? 0 : 1;

@@ -125,21 +125,8 @@ main(int argc, char **argv)
     const std::size_t top = cli.getUint("top");
     const bool instrumented = cli.getBool("instrumented");
 
-    std::vector<const workloads::Workload *> selected;
-    for (const std::string &field :
-         split(cli.getString("workloads"), ',')) {
-        if (field.empty())
-            continue;
-        const workloads::Workload *w = workloads::findWorkload(field);
-        if (w == nullptr) {
-            std::cerr << "error: unknown workload '" << field << "'\n";
-            return 1;
-        }
-        selected.push_back(w);
-    }
-    if (selected.empty())
-        for (const workloads::Workload &w : workloads::allWorkloads())
-            selected.push_back(&w);
+    const std::vector<const workloads::Workload *> selected =
+        bench::workloadsFlag(cli);
 
     struct Row
     {
