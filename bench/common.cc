@@ -115,25 +115,13 @@ positiveIntsFlag(const CommandLine &cli, const std::string &name)
     return values;
 }
 
-const workloads::Workload &
-workloadNamed(const std::string &name)
-{
-    if (const workloads::Workload *w = workloads::findWorkload(name))
-        return *w;
-    std::cerr << "error: unknown workload '" << name
-              << "'; available workloads:\n";
-    for (const workloads::Workload &w : workloads::allWorkloads())
-        std::cerr << "  " << w.name << " (" << w.suite << ")\n";
-    std::exit(1);
-}
-
 std::vector<const workloads::Workload *>
 workloadsFlag(const CommandLine &cli)
 {
     std::vector<const workloads::Workload *> selected;
     for (const std::string &name : split(cli.getString("workloads"), ','))
         if (!name.empty())
-            selected.push_back(&workloadNamed(name));
+            selected.push_back(&workloads::workloadNamed(name));
     if (selected.empty())
         for (const workloads::Workload &w : workloads::allWorkloads())
             selected.push_back(&w);

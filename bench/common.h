@@ -122,14 +122,9 @@ interp::SnapshotConfig snapshotStrideFlag(const CommandLine &cli);
 std::vector<std::uint64_t> positiveIntsFlag(const CommandLine &cli,
                                             const std::string &name);
 
-/// The workload called `name`. On an unknown name, prints "unknown
-/// workload '<name>'; available workloads:" and the suite, then exits
-/// 1.
-const workloads::Workload &workloadNamed(const std::string &name);
-
 /// The workloads the comma-separated --workloads flag names, in list
 /// order (empty entries skipped; an empty list is the whole suite),
-/// each looked up with workloadNamed.
+/// each looked up with workloads::workloadNamed.
 std::vector<const workloads::Workload *>
 workloadsFlag(const CommandLine &cli);
 

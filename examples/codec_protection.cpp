@@ -35,21 +35,19 @@ main(int argc, char **argv)
     cli.addFlag("seed", "2026", "RNG seed");
     cli.parse(argc, argv);
 
-    const workloads::Workload *w =
-        workloads::findWorkload(cli.getString("workload"));
-    if (!w)
-        fatalf("unknown workload '", cli.getString("workload"), "'");
+    const workloads::Workload &w =
+        workloads::workloadNamed(cli.getString("workload"));
 
     // --- Instrument under the default (paper) configuration. -----------
-    auto module = w->build();
+    auto module = w.build();
     EncoreConfig config;
-    for (const std::string &name : w->opaque)
+    for (const std::string &name : w.opaque)
         config.opaque_functions.insert(name);
     EncorePipeline pipeline(*module, config);
     const EncoreReport report =
-        pipeline.run({RunSpec{w->entry, w->train_args}});
+        pipeline.run({RunSpec{w.entry, w.train_args}});
 
-    std::cout << "=== " << w->name << " under Encore ===\n";
+    std::cout << "=== " << w.name << " under Encore ===\n";
     std::cout << "regions: " << report.regions.size()
               << ", mean protected region length: "
               << formatFixed(report.meanSelectedRegionLength(), 0)
@@ -59,7 +57,7 @@ main(int argc, char **argv)
 
     // --- Measure the real cost on the reference input. ------------------
     interp::Interpreter interp(*module);
-    const interp::RunResult run = interp.run(w->entry, w->ref_args);
+    const interp::RunResult run = interp.run(w.entry, w.ref_args);
     if (!run.ok())
         fatalf("instrumented run failed: ", run.error);
     const double overhead =
@@ -71,7 +69,7 @@ main(int argc, char **argv)
 
     // --- Latency sweep: measured SFI coverage vs Equation 7. -------------
     fault::FaultInjector injector(*module, report);
-    if (!injector.prepare(w->entry, w->train_args))
+    if (!injector.prepare(w.entry, w.train_args))
         fatalf("golden run failed");
 
     const double n = report.meanSelectedRegionLength();

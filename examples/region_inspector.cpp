@@ -17,7 +17,6 @@
 #include "encore/pipeline.h"
 #include "ir/dot.h"
 #include "support/cli.h"
-#include "support/diagnostics.h"
 #include "support/strings.h"
 #include "support/table.h"
 #include "workloads/workload.h"
@@ -134,10 +133,6 @@ main(int argc, char **argv)
             inspect(w, config, dot);
         return 0;
     }
-    const workloads::Workload *w = workloads::findWorkload(name);
-    if (!w)
-        fatalf("unknown workload '", name,
-               "' (try --workload=all to list everything)");
-    inspect(*w, config, dot);
+    inspect(workloads::workloadNamed(name), config, dot);
     return 0;
 }

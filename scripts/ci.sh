@@ -9,8 +9,9 @@
 # multi-threaded campaign/resume/shard/merge and planner paths), then a
 # campaign-planner smoke (sweep-reuse tally identity
 # against brute force), a scenario-matrix smoke (every fault-model x
-# detector pair byte-identical across --jobs, with the snapshot tier
-# off, and at the former default stride 1024), a figure smoke (fig5,
+# detector pair byte-identical across --jobs, fig8's snapshot counters
+# included, with the snapshot tier off, and at the former default
+# stride 1024), a figure smoke (fig5,
 # fig6, fig7a, fig7b, the ablation table and table1 byte-identical
 # across --jobs), the repo benchmark's seed-1 output digests
 # (perfbench/), and a warn-only
@@ -31,7 +32,7 @@ echo "==> [tier1] configure + build"
 cmake -B "${build_root}/tier1" -S "${repo_root}" > /dev/null
 cmake --build "${build_root}/tier1" -j "$(nproc)" > /dev/null
 echo "==> [tier1] full ctest suite"
-(cd "${build_root}/tier1" && ctest --output-on-failure -j)
+(cd "${build_root}/tier1" && ctest --output-on-failure -j "$(nproc)")
 
 echo "==> [switch] portable dispatcher: engine tests without computed goto"
 # GCC and Clang default to the computed-goto dispatcher; the dense
@@ -88,30 +89,48 @@ echo "==> [scenario] fault-model x detector matrix smoke (--jobs and snapshot id
 # is in the set because its one long region instance is where most
 # trials converge at a region entry. The Perf line (wall-clock) and
 # the "N jobs" half of the header are the only legitimate differences,
-# so they are filtered before the diff.
+# so they are filtered before the diff. The --jobs 1 and --jobs 4 runs
+# also write fig8's --json, whose snapshot_* fields (snapshots kept,
+# bytes, hit rate, resyncs, anchors, entry resyncs) must agree too: a
+# resync count that depended on the thread schedule would change no
+# outcome, only those counters. The timing fields are left out of that
+# diff.
 scenario_dir="${build_root}/scenario_smoke"
 rm -rf "${scenario_dir}" && mkdir -p "${scenario_dir}"
 fig8_bin="${build_root}/tier1/bench/fig8_fault_coverage"
+snapshot_fields() {
+    grep -o -e '"name": "[^"]*"' -e '"snapshot_[a-z_]*": [0-9.]*' "$1"
+}
 for model in reg-bit multi-bit cf-branch mem-bus; do
     for detector in analytic replay; do
         tag="${model}_${detector}"
         for variant in j1 j4 nosnap stride1024; do
             jobs=1
             stride=()
+            json=""
             [ "${variant}" = j4 ] && jobs=4
             [ "${variant}" = nosnap ] && stride=(--snapshot-stride 0)
             [ "${variant}" = stride1024 ] && stride=(--snapshot-stride 1024)
+            case "${variant}" in
+                j1 | j4) json="${scenario_dir}/${tag}_${variant}.json" ;;
+            esac
             "${fig8_bin}" --workloads rawcaudio,pegwitdec,mpeg2dec \
                 --trials 200 --fault-model "${model}" \
-                --detector "${detector}" --jobs "${jobs}" --json "" \
+                --detector "${detector}" --jobs "${jobs}" --json "${json}" \
                 "${stride[@]}" \
-                | grep -v -e '^Perf:' -e ' jobs)\.' \
+                | grep -v -e '^Perf:' -e ' jobs)\.' -e '^Wrote ' \
                 > "${scenario_dir}/${tag}_${variant}.txt"
         done
         diff -u "${scenario_dir}/${tag}_j1.txt" \
             "${scenario_dir}/${tag}_j4.txt" || {
             echo "scenario-smoke: ${model} + ${detector} diverges" \
                 "between --jobs 1 and --jobs 4" >&2
+            exit 1
+        }
+        diff -u <(snapshot_fields "${scenario_dir}/${tag}_j1.json") \
+            <(snapshot_fields "${scenario_dir}/${tag}_j4.json") || {
+            echo "scenario-smoke: ${model} + ${detector} snapshot" \
+                "counters diverge between --jobs 1 and --jobs 4" >&2
             exit 1
         }
         diff -u "${scenario_dir}/${tag}_j1.txt" \
@@ -126,7 +145,7 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
                 "between the default stride and stride 1024" >&2
             exit 1
         }
-        echo "scenario-smoke: ${model} + ${detector}: jobs, snapshot and stride identity held"
+        echo "scenario-smoke: ${model} + ${detector}: jobs, snapshot counter, snapshot and stride identity held"
     done
 done
 

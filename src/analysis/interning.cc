@@ -1,6 +1,7 @@
 #include "analysis/interning.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "support/diagnostics.h"
 
@@ -79,22 +80,10 @@ LocationInterner::internEntry(LocId loc, const ir::Instruction *origin)
 bool
 IdSet::insert(std::uint32_t id)
 {
-    if (dense_) {
-        const std::size_t word = id / 64;
-        if (word >= bits_.size())
-            bits_.resize(word + 1, 0);
-        const std::uint64_t mask = 1ull << (id % 64);
-        if (bits_[word] & mask)
-            return false;
-        bits_[word] |= mask;
-        ++count_;
-        return true;
-    }
     auto it = std::lower_bound(sorted_.begin(), sorted_.end(), id);
     if (it != sorted_.end() && *it == id)
         return false;
     sorted_.insert(it, id);
-    maybeDensify(sorted_.back());
     return true;
 }
 
@@ -103,58 +92,12 @@ IdSet::unionWith(const IdSet &other)
 {
     if (other.empty())
         return false;
-    if (dense_ && other.dense_) {
-        if (other.bits_.size() > bits_.size())
-            bits_.resize(other.bits_.size(), 0);
-        std::size_t added = 0;
-        for (std::size_t w = 0; w < other.bits_.size(); ++w) {
-            const std::uint64_t incoming = other.bits_[w] & ~bits_[w];
-            if (incoming) {
-                added += __builtin_popcountll(incoming);
-                bits_[w] |= incoming;
-            }
-        }
-        count_ += added;
-        return added != 0;
-    }
-    if (dense_) {
-        bool changed = false;
-        for (const std::uint32_t id : other.sorted_)
-            changed |= insert(id);
-        return changed;
-    }
-    if (other.dense_) {
-        bool changed = false;
-        other.forEach([&](std::uint32_t id) { changed |= insert(id); });
-        return changed;
-    }
-    // Sparse-sparse linear merge.
-    const std::vector<std::uint32_t> &a = sorted_;
-    const std::vector<std::uint32_t> &b = other.sorted_;
     std::vector<std::uint32_t> merged;
-    merged.reserve(a.size() + b.size());
-    std::size_t i = 0, j = 0;
-    bool changed = false;
-    while (i < a.size() && j < b.size()) {
-        if (a[i] < b[j]) {
-            merged.push_back(a[i++]);
-        } else if (b[j] < a[i]) {
-            merged.push_back(b[j++]);
-            changed = true;
-        } else {
-            merged.push_back(a[i++]);
-            ++j;
-        }
-    }
-    for (; i < a.size(); ++i)
-        merged.push_back(a[i]);
-    for (; j < b.size(); ++j) {
-        merged.push_back(b[j]);
-        changed = true;
-    }
+    merged.reserve(sorted_.size() + other.sorted_.size());
+    std::set_union(sorted_.begin(), sorted_.end(), other.sorted_.begin(),
+                   other.sorted_.end(), std::back_inserter(merged));
+    const bool changed = merged.size() != sorted_.size();
     sorted_ = std::move(merged);
-    if (!sorted_.empty())
-        maybeDensify(sorted_.back());
     return changed;
 }
 
@@ -163,110 +106,18 @@ IdSet::intersectWith(const IdSet &other)
 {
     if (empty())
         return;
-    if (other.empty()) {
-        *this = IdSet();
-        return;
-    }
-    if (dense_ && other.dense_) {
-        const std::size_t common =
-            std::min(bits_.size(), other.bits_.size());
-        std::size_t population = 0;
-        for (std::size_t w = 0; w < common; ++w) {
-            bits_[w] &= other.bits_[w];
-            population += __builtin_popcountll(bits_[w]);
-        }
-        bits_.resize(common);
-        count_ = population;
-        return;
-    }
-    if (dense_) {
-        // Result is at most |other|, which is sparse: rebuild sparse.
-        std::vector<std::uint32_t> kept;
-        kept.reserve(other.sorted_.size());
-        for (const std::uint32_t id : other.sorted_) {
-            if (contains(id))
-                kept.push_back(id);
-        }
-        *this = IdSet();
-        sorted_ = std::move(kept);
-        return;
-    }
-    if (other.dense_) {
-        std::vector<std::uint32_t> kept;
-        kept.reserve(sorted_.size());
-        for (const std::uint32_t id : sorted_) {
-            if (other.contains(id))
-                kept.push_back(id);
-        }
-        sorted_ = std::move(kept);
-        return;
-    }
     std::vector<std::uint32_t> kept;
     kept.reserve(std::min(sorted_.size(), other.sorted_.size()));
-    std::size_t i = 0, j = 0;
-    while (i < sorted_.size() && j < other.sorted_.size()) {
-        if (sorted_[i] < other.sorted_[j]) {
-            ++i;
-        } else if (other.sorted_[j] < sorted_[i]) {
-            ++j;
-        } else {
-            kept.push_back(sorted_[i]);
-            ++i;
-            ++j;
-        }
-    }
+    std::set_intersection(sorted_.begin(), sorted_.end(),
+                          other.sorted_.begin(), other.sorted_.end(),
+                          std::back_inserter(kept));
     sorted_ = std::move(kept);
 }
 
 bool
 IdSet::contains(std::uint32_t id) const
 {
-    if (dense_) {
-        const std::size_t word = id / 64;
-        return word < bits_.size() &&
-               (bits_[word] & (1ull << (id % 64))) != 0;
-    }
     return std::binary_search(sorted_.begin(), sorted_.end(), id);
-}
-
-std::vector<std::uint32_t>
-IdSet::toVector() const
-{
-    std::vector<std::uint32_t> out;
-    out.reserve(size());
-    forEach([&](std::uint32_t id) { out.push_back(id); });
-    return out;
-}
-
-bool
-IdSet::operator==(const IdSet &other) const
-{
-    if (size() != other.size())
-        return false;
-    if (dense_ == other.dense_)
-        return dense_ ? bits_ == other.bits_ : sorted_ == other.sorted_;
-    return toVector() == other.toVector();
-}
-
-void
-IdSet::maybeDensify(std::uint32_t max_id)
-{
-    if (sorted_.size() >= kDenseMinElems &&
-        sorted_.size() * 32 >= max_id) {
-        densify(max_id);
-    }
-}
-
-void
-IdSet::densify(std::uint32_t max_id)
-{
-    bits_.assign(max_id / 64 + 1, 0);
-    for (const std::uint32_t id : sorted_)
-        bits_[id / 64] |= 1ull << (id % 64);
-    count_ = sorted_.size();
-    sorted_.clear();
-    sorted_.shrink_to_fit();
-    dense_ = true;
 }
 
 bool

@@ -19,11 +19,10 @@
  * program order, so later analysis — including parallel analysis — is
  * lookup-only and bit-reproducible at any thread count.
  *
- * `IdSet` is the set representation: a sorted small-vector of u32 IDs
- * with linear-merge union/intersection, transparently switching to a
- * bitset once the vector would outgrow one (dense sets arise in the
- * whole-loop RS^l = AS^l rule). Iteration is always in ascending ID
- * order regardless of representation.
+ * `IdSet` is the set representation: a sorted vector of u32 IDs with
+ * linear-merge union/intersection, iterated in ascending ID order. No
+ * analysis of the workload suite builds a set crowded enough for a
+ * bitset to beat the vector.
  *
  * `AliasFilter` memoizes the Equation 4 may-alias queries in a flat
  * pair-keyed cache; for origin-insensitive analyses the key degrades to
@@ -109,10 +108,8 @@ class LocationInterner
 };
 
 /**
- * Sorted-unique set of u32 IDs with a bitset fallback for dense sets.
- * All mutators keep ascending order; forEach/toVector iterate ascending
- * in either representation, so downstream consumers are independent of
- * the storage choice.
+ * Sorted-unique set of u32 IDs. All mutators keep ascending order, so
+ * forEach/toVector iterate ascending.
  */
 class IdSet
 {
@@ -128,56 +125,24 @@ class IdSet
 
     bool contains(std::uint32_t id) const;
 
-    bool
-    empty() const
-    {
-        return size() == 0;
-    }
+    bool empty() const { return sorted_.empty(); }
 
-    std::size_t
-    size() const
-    {
-        return dense_ ? count_ : sorted_.size();
-    }
-
-    bool dense() const { return dense_; }
+    std::size_t size() const { return sorted_.size(); }
 
     template <typename Fn>
     void
     forEach(Fn fn) const
     {
-        if (!dense_) {
-            for (const std::uint32_t id : sorted_)
-                fn(id);
-            return;
-        }
-        for (std::size_t word = 0; word < bits_.size(); ++word) {
-            std::uint64_t w = bits_[word];
-            while (w) {
-                const int bit = __builtin_ctzll(w);
-                fn(static_cast<std::uint32_t>(word * 64 + bit));
-                w &= w - 1;
-            }
-        }
+        for (const std::uint32_t id : sorted_)
+            fn(id);
     }
 
-    std::vector<std::uint32_t> toVector() const;
+    const std::vector<std::uint32_t> &toVector() const { return sorted_; }
 
-    bool operator==(const IdSet &other) const;
+    bool operator==(const IdSet &) const = default;
 
   private:
-    /// Representation policy: keep the small-vector until it stops
-    /// being small *and* a bitset over the IDs seen so far would be no
-    /// bigger than the vector (4 B/element vs universe/8 B).
-    static constexpr std::size_t kDenseMinElems = 48;
-
-    void maybeDensify(std::uint32_t max_id);
-    void densify(std::uint32_t max_id);
-
-    bool dense_ = false;
     std::vector<std::uint32_t> sorted_;
-    std::vector<std::uint64_t> bits_;
-    std::size_t count_ = 0; ///< Population count when dense.
 };
 
 /**

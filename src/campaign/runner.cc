@@ -145,9 +145,7 @@ CampaignRunner::header() const
         header.snapshot_byte_budget =
             injector_.snapshotConfig().byte_budget;
         header.snapshot_page_bytes =
-            static_cast<std::uint32_t>(
-                injector_.snapshotConfig().page_words) *
-            8;
+            interp::kPageWords * sizeof(std::uint64_t);
     }
     // Scenario identity, checked by resume/merge and surfaced by
     // `inspect`.

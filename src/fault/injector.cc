@@ -598,8 +598,7 @@ FaultInjector::prepare(const std::string &entry,
         // a recording-free run.
         auto store =
             std::make_shared<interp::SnapshotStore>(snap_config_);
-        interp.memoryRef().enableDirtyTracking(
-            store->pool().page_words);
+        interp.memoryRef().enableDirtyTracking();
         interp.setSnapshotRecorder(store.get());
         golden_ = interp.run(entry, args);
         interp.setSnapshotRecorder(nullptr);
@@ -647,8 +646,7 @@ FaultInjector::runTrial(const TrialDraw &draw,
     // from O(live memory) to O(changed pages) per trial. Idempotent
     // after the first trial on this interpreter.
     if (snapshots_)
-        interp.memoryRef().enableDirtyTracking(
-            snapshots_->pool().page_words);
+        interp.memoryRef().enableDirtyTracking();
     else
         interp.memoryRef().disableDirtyTracking();
 

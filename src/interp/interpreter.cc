@@ -1284,55 +1284,18 @@ Interpreter::cursorMatches(const Frame &frame, const SnapFrame &saved)
 bool
 Interpreter::frameStateMatches(const Frame &frame, const SnapFrame &saved)
 {
-    if (!std::equal(saved.regs.begin(), saved.regs.end(), frame.regs,
-                    frame.regs + frame.func->num_regs))
-        return false;
     const RecoveryState &rec = frame.recovery;
     // rec.token (and next_token_) are deliberately excluded: tokens are
     // a session counter — a rolled-back trial's run ahead of the golden
     // run's — and nothing reads them once detection is past.
     // Everything else, including the undo log contents, is state a
     // future `restore` could observe.
-    if (rec.active != saved.rec_active || rec.region != saved.rec_region ||
-        rec.recovery_block != saved.rec_recovery_block)
-        return false;
-    if (rec.log.size() != saved.rec_log.size())
-        return false;
-    for (std::size_t u = 0; u < rec.log.size(); ++u) {
-        const Undo &a = rec.log[u];
-        const SnapUndo &b = saved.rec_log[u];
-        if ((a.kind == Undo::Kind::Mem) != b.is_mem ||
-            a.object != b.object || a.offset != b.offset ||
-            a.reg != b.reg || a.value != b.value)
-            return false;
-    }
-    return true;
-}
-
-bool
-Interpreter::entryMatches(const EntryAnchor &entry) const
-{
-    const ExecSnapshot &exec = entry.state.exec;
-    if (depth_ != exec.frames.size())
-        return false;
-    const Frame &top = frames_[depth_ - 1];
-    const SnapFrame &saved_top = exec.frames.back();
-    if (!cursorMatches(top, saved_top))
-        return false;
-    for (std::uint32_t r = 0; r < top.func->num_regs; ++r) {
-        if (top.regs[r] != saved_top.regs[r] && !entry.dead_regs.test(r))
-            return false;
-    }
-    // The budget projection of tryGoldenResync, from the entry.
-    if (dyn_count_ + (resync_golden_dyn_ - exec.dyn_count) >= max_instrs_)
-        return false;
-    for (std::size_t f = 0; f + 1 < depth_; ++f) {
-        if (!cursorMatches(frames_[f], exec.frames[f]) ||
-            !frameStateMatches(frames_[f], exec.frames[f]))
-            return false;
-    }
-    return memory_.matches(entry.state.mem, resync_store_->pool(),
-                           &entry.dead_words);
+    return std::equal(saved.regs.begin(), saved.regs.end(), frame.regs,
+                      frame.regs + frame.func->num_regs) &&
+           rec.active == saved.recovery.active &&
+           rec.region == saved.recovery.region &&
+           rec.recovery_block == saved.recovery.recovery_block &&
+           rec.log == saved.recovery.log;
 }
 
 bool
@@ -1340,57 +1303,66 @@ Interpreter::tryGoldenResync()
 {
     constexpr std::uint32_t kMaxResyncFullCompares = 8;
 
-    if (resync_entry_) {
-        if (entryMatches(*resync_entry_))
-            return true;
-        armSnapshotResync();
+    // An entry anchor gets this one compare, and a miss hands over to
+    // the snapshot watch. The snapshot watch stays armed through a
+    // miss, and disarms where it can never match.
+    const EntryAnchor *entry = resync_entry_;
+    auto miss = [&](bool give_up) {
+        if (entry)
+            armSnapshotResync();
+        else if (give_up)
+            disarmGoldenResync();
         return false;
-    }
-
-    const ExecSnapshot &exec = resync_target_->exec;
+    };
+    const Snapshot &target = entry ? entry->state : *resync_target_;
+    const ExecSnapshot &exec = target.exec;
+    const BitMask *dead_regs = entry ? &entry->dead_regs : nullptr;
 
     // Cheap-first laddering: stack depth and the top frame's cursor
     // and registers weed out nearly every non-matching boundary before
     // the full compare runs.
     if (depth_ != exec.frames.size())
-        return false;
+        return miss(false);
     const Frame &top = frames_[depth_ - 1];
-    const SnapFrame &snap_top = exec.frames.back();
-    if (top.func->index != snap_top.func_index ||
-        top.block != snap_top.block || top.ip != snap_top.ip)
-        return false;
-    if (!std::equal(snap_top.regs.begin(), snap_top.regs.end(),
-                    top.regs, top.regs + top.func->num_regs))
-        return false;
+    const SnapFrame &saved_top = exec.frames.back();
+    if (top.func->index != saved_top.func_index ||
+        top.block != saved_top.block || top.ip != saved_top.ip)
+        return miss(false);
+    for (std::uint32_t r = 0; r < top.func->num_regs; ++r) {
+        if (top.regs[r] != saved_top.regs[r] &&
+            !(dead_regs && dead_regs->test(r)))
+            return miss(false);
+    }
 
     // The fast-forwarded run stands in for executing the golden suffix
     // on top of the instructions already burned. If that projected
     // total would trip the budget, the full run ends in
     // InstructionLimit and the shortcut must not fire; dyn_count_ only
-    // grows, so disarm outright rather than re-checking forever.
-    const std::uint64_t suffix_dyn =
-        resync_golden_dyn_ - exec.dyn_count;
-    if (dyn_count_ + suffix_dyn >= max_instrs_) {
-        disarmGoldenResync();
-        return false;
-    }
+    // grows, so give up outright rather than re-checking forever.
+    if (dyn_count_ + (resync_golden_dyn_ - exec.dyn_count) >= max_instrs_)
+        return miss(true);
 
     // Full compares are capped: past the cheap tests a near-converged
-    // trial can graze the anchor repeatedly, and each graze pays an
+    // trial can graze the snapshot repeatedly, and each graze pays an
     // O(live memory) walk. A trial that hasn't locked on within the
     // cap just runs to completion the ordinary way.
-    if (++resync_full_compares_ > kMaxResyncFullCompares) {
-        disarmGoldenResync();
-        return false;
-    }
+    if (!entry && ++resync_full_compares_ > kMaxResyncFullCompares)
+        return miss(true);
 
+    // Every frame's cursor and caller wiring, and its registers and
+    // recovery state — bar an entry anchor's top frame, whose
+    // registers were compared masked above and whose recovery state
+    // its `region.enter` is about to overwrite.
     for (std::size_t f = 0; f < depth_; ++f) {
+        const bool entry_top = entry && f + 1 == depth_;
         if (!cursorMatches(frames_[f], exec.frames[f]) ||
-            !frameStateMatches(frames_[f], exec.frames[f]))
-            return false;
+            (!entry_top && !frameStateMatches(frames_[f], exec.frames[f])))
+            return miss(false);
     }
-
-    return memory_.matches(resync_target_->mem, resync_store_->pool());
+    if (!memory_.matches(target.mem, resync_store_->pool(),
+                         entry ? &entry->dead_words : nullptr))
+        return miss(false);
+    return true;
 }
 
 void
@@ -1400,23 +1372,13 @@ Interpreter::saveExecState(ExecSnapshot &out) const
     out.frames.reserve(depth_);
     for (std::size_t f = 0; f < depth_; ++f) {
         const Frame &frame = frames_[f];
-        SnapFrame saved;
-        saved.func_index = frame.func->index;
-        saved.regs.assign(frame.regs, frame.regs + frame.func->num_regs);
-        saved.block = frame.block;
-        saved.ip = frame.ip;
-        saved.caller_dest = frame.caller_dest;
-        saved.rec_active = frame.recovery.active;
-        saved.rec_region = frame.recovery.region;
-        saved.rec_token = frame.recovery.token;
-        saved.rec_recovery_block = frame.recovery.recovery_block;
-        saved.rec_log.reserve(frame.recovery.log.size());
-        for (const Undo &undo : frame.recovery.log) {
-            saved.rec_log.push_back(SnapUndo{undo.kind == Undo::Kind::Mem,
-                                             undo.object, undo.offset,
-                                             undo.reg, undo.value});
-        }
-        out.frames.push_back(std::move(saved));
+        out.frames.push_back(SnapFrame{
+            frame.func->index,
+            {frame.regs, frame.regs + frame.func->num_regs},
+            frame.block,
+            frame.ip,
+            frame.caller_dest,
+            frame.recovery});
     }
     out.dyn_count = dyn_count_;
     out.value_count = value_count_;
@@ -1446,17 +1408,7 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
         frame.block = saved.block;
         frame.ip = saved.ip;
         frame.caller_dest = saved.caller_dest;
-        frame.recovery.active = saved.rec_active;
-        frame.recovery.region = saved.rec_region;
-        frame.recovery.token = saved.rec_token;
-        frame.recovery.recovery_block = saved.rec_recovery_block;
-        frame.recovery.log.clear();
-        frame.recovery.log.reserve(saved.rec_log.size());
-        for (const SnapUndo &undo : saved.rec_log) {
-            frame.recovery.log.push_back(
-                Undo{undo.is_mem ? Undo::Kind::Mem : Undo::Kind::Reg,
-                     undo.object, undo.offset, undo.reg, undo.value});
-        }
+        frame.recovery = saved.recovery;
     }
     dyn_count_ = snap.dyn_count;
     value_count_ = snap.value_count;

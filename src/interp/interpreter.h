@@ -283,25 +283,6 @@ class Interpreter
     }
 
   private:
-    struct Undo
-    {
-        enum class Kind : std::uint8_t { Mem, Reg };
-        Kind kind;
-        ir::ObjectId object;
-        std::uint32_t offset;
-        ir::RegId reg;
-        std::uint64_t value;
-    };
-
-    struct RecoveryState
-    {
-        bool active = false;
-        ir::RegionId region = ir::kInvalidRegion;
-        std::uint64_t token = 0;
-        std::uint32_t recovery_block = kNoDecodedBlock;
-        std::vector<Undo> log;
-    };
-
     struct Frame
     {
         const DecodedFunction *func = nullptr;
@@ -374,24 +355,24 @@ class Interpreter
     /// value-barrier crossing, quiescing the hooks.
     void recomputeFuseLimits();
 
-    /// Exact-equality test of the live state against the armed resync
-    /// anchor, cheap-first: cursor (depth, function, block, ip), then
-    /// the top frame's registers, then all frames plus the full memory
-    /// image. Counters and region tokens are deliberately excluded —
-    /// they are bookkeeping, not semantic state, and a rolled-back
-    /// trial's tokens run ahead of the golden run's. Returns true when
-    /// the run may finish as a golden resync; disarms itself when the
-    /// projected full run would have hit the instruction budget or the
-    /// full-compare cap is exhausted. With an entry anchor armed it
-    /// runs the one masked compare instead (entryMatches) and, on a
-    /// miss, arms the snapshot watch.
+    /// The one resync compare: equality of the live state with the
+    /// armed state, cheap-first — depth, the top frame's cursor and
+    /// registers, the budget projection, the full-compare cap (snapshot
+    /// watch only), then every frame's cursor and state and the memory
+    /// image. Counters and region tokens are deliberately
+    /// excluded — they are bookkeeping, not semantic state, and a
+    /// rolled-back trial's tokens run ahead of the golden run's. An
+    /// entry anchor only adds its dead-register and dead-word masks
+    /// and skips the top frame's recovery state, which its
+    /// `region.enter` overwrites. Returns true when the run may finish
+    /// as a golden resync. An entry anchor gets this one compare, and
+    /// a miss arms the snapshot watch; the snapshot watch disarms
+    /// itself when the projected full run would have hit the
+    /// instruction budget or the full-compare cap is exhausted.
     bool tryGoldenResync();
 
     /// The snapshot half of armGoldenResync.
     void armSnapshotResync();
-
-    /// The masked compare against an entry anchor (armGoldenResync).
-    bool entryMatches(const EntryAnchor &entry) const;
 
     /// Cursor and caller wiring of `frame` equal `saved`'s.
     static bool cursorMatches(const Frame &frame, const SnapFrame &saved);

@@ -49,7 +49,7 @@ Memory::pushFrame(const ir::Function &func)
 {
     if (depth_ == frames_.size())
         frames_.emplace_back();
-    FrameRecord &record = frames_[depth_++];
+    MemFrame &record = frames_[depth_++];
     record.saved.clear();
     for (const ir::ObjectId id : func.localObjects()) {
         SavedLocal saved;
@@ -69,7 +69,7 @@ void
 Memory::popFrame()
 {
     ENCORE_ASSERT(depth_ > 0, "popFrame with no active frame");
-    FrameRecord &record = frames_[--depth_];
+    MemFrame &record = frames_[--depth_];
     for (auto it = record.saved.rbegin(); it != record.saved.rend(); ++it) {
         if (it->was_allocated) {
             storage_[it->id] = std::move(it->contents);
@@ -105,7 +105,7 @@ Memory::write(ir::ObjectId object, std::uint32_t offset,
         return false;
     storage_[object][offset] = value;
     if (tracking_)
-        dirty_[object][offset >> page_shift_] = 1;
+        dirty_[object][offset / kPageWords] = 1;
     return true;
 }
 
@@ -146,23 +146,18 @@ Memory::globalsEqual(
 void
 Memory::markAllDirty(ir::ObjectId object)
 {
-    const std::size_t pages =
-        (storage_[object].size() + (1u << page_shift_) - 1) >> page_shift_;
-    dirty_[object].assign(pages, 1);
+    dirty_[object].assign(
+        (storage_[object].size() + kPageWords - 1) / kPageWords, 1);
 }
 
 void
-Memory::enableDirtyTracking(std::uint32_t page_words)
+Memory::enableDirtyTracking()
 {
-    std::uint32_t shift = 0;
-    while ((1u << shift) < page_words && shift < 20)
-        ++shift;
     // Idempotent on the trial path: FaultInjector::runTrial
     // re-asserts tracking per trial, and re-marking every page would
     // throw away the mirror's whole benefit.
-    if (tracking_ && shift == page_shift_)
+    if (tracking_)
         return;
-    page_shift_ = shift;
     tracking_ = true;
     mirror_ = nullptr;
     dirty_.resize(storage_.size());
@@ -193,12 +188,8 @@ Memory::capture(MemSnapshot &out, const MemSnapshot *prev,
                 PagePool &pool) const
 {
     ENCORE_ASSERT(tracking_, "capture without dirty tracking enabled");
-    const std::uint32_t pw = 1u << page_shift_;
-    ENCORE_ASSERT(pool.page_words == pw,
-                  "capture into a pool with a different page size");
     out.objects.clear();
     out.page_refs.clear();
-    out.frames.clear();
     out.objects.reserve(storage_.size());
 
     for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
@@ -207,7 +198,7 @@ Memory::capture(MemSnapshot &out, const MemSnapshot *prev,
         if (img.allocated) {
             const std::vector<std::uint64_t> &words = storage_[id];
             img.size = static_cast<std::uint32_t>(words.size());
-            img.num_pages = (img.size + pw - 1) / pw;
+            img.num_pages = (img.size + kPageWords - 1) / kPageWords;
             img.first_ref =
                 static_cast<std::uint32_t>(out.page_refs.size());
             const MemObjectImage *prev_img =
@@ -229,33 +220,18 @@ Memory::capture(MemSnapshot &out, const MemSnapshot *prev,
                 }
                 const std::uint32_t ref =
                     static_cast<std::uint32_t>(pool.numPages());
-                pool.words.resize(pool.words.size() + pw, 0);
-                std::uint64_t *dst =
-                    pool.words.data() + std::size_t(ref) * pw;
-                const std::uint32_t base = p * pw;
-                const std::uint32_t count =
-                    std::min(pw, img.size - base);
-                for (std::uint32_t i = 0; i < count; ++i)
-                    dst[i] = words[base + i];
+                pool.words.resize(pool.words.size() + kPageWords, 0);
+                const std::uint32_t base = p * kPageWords;
+                std::copy(words.begin() + base,
+                          words.begin() + std::min(base + kPageWords, img.size),
+                          pool.words.begin() + std::size_t(ref) * kPageWords);
                 out.page_refs.push_back(ref);
             }
         }
         out.objects.push_back(img);
     }
 
-    out.frames.reserve(depth_);
-    for (std::size_t f = 0; f < depth_; ++f) {
-        MemFrameImage frame;
-        frame.saved.reserve(frames_[f].saved.size());
-        for (const SavedLocal &saved : frames_[f].saved) {
-            SavedLocalImage image;
-            image.id = saved.id;
-            image.was_allocated = saved.was_allocated;
-            image.contents = saved.contents;
-            frame.saved.push_back(std::move(image));
-        }
-        out.frames.push_back(std::move(frame));
-    }
+    out.frames.assign(frames_.begin(), frames_.begin() + depth_);
 }
 
 void
@@ -263,15 +239,13 @@ Memory::restore(const MemSnapshot &snap, const PagePool &pool)
 {
     ENCORE_ASSERT(snap.objects.size() == storage_.size(),
                   "snapshot object count mismatch");
-    const std::uint32_t pw = pool.page_words;
     // Delta mode: everything mutated since the last restore carries a
     // dirty flag (write/setWord page marks; reset/pushFrame/popFrame
     // mark whole objects), so a clean page still holds the mirror
     // snapshot's contents — and when the mirror and the target agree
     // on its pool ref, those contents are already the target's.
     const bool delta = tracking_ && mirror_ != nullptr &&
-                       mirror_pool_uid_ == pool.uid &&
-                       (1u << page_shift_) == pw;
+                       mirror_pool_uid_ == pool.uid;
     for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
         const MemObjectImage &img = snap.objects[id];
         if (!img.allocated) {
@@ -282,35 +256,25 @@ Memory::restore(const MemSnapshot &snap, const PagePool &pool)
         }
         std::vector<std::uint64_t> &words = storage_[id];
         const MemObjectImage *mi = delta ? &mirror_->objects[id] : nullptr;
-        if (mi && mi->allocated && mi->size == img.size &&
-            words.size() == img.size) {
-            const std::vector<std::uint8_t> &dirty = dirty_[id];
-            for (std::uint32_t p = 0; p < img.num_pages; ++p) {
-                const std::uint32_t ref =
-                    snap.page_refs[img.first_ref + p];
-                if (p < dirty.size() && dirty[p] == 0 &&
-                    mirror_->page_refs[mi->first_ref + p] == ref)
-                    continue;
-                const std::uint64_t *src =
-                    pool.words.data() + std::size_t(ref) * pw;
-                const std::uint32_t base = p * pw;
-                const std::uint32_t count =
-                    std::min(pw, img.size - base);
-                for (std::uint32_t i = 0; i < count; ++i)
-                    words[base + i] = src[i];
-            }
-            allocated_[id] = 1;
-            continue;
+        const bool use_mirror = mi && mi->allocated &&
+                                mi->size == img.size &&
+                                words.size() == img.size;
+        if (!use_mirror) {
+            words.resize(img.size);
+            // A local no activation has pushed yet has no pages to
+            // flag; setWord needs them once the restore allocates it.
+            if (tracking_)
+                dirty_[id].resize(img.num_pages);
         }
-        words.resize(img.size);
         for (std::uint32_t p = 0; p < img.num_pages; ++p) {
             const std::uint32_t ref = snap.page_refs[img.first_ref + p];
-            const std::uint64_t *src =
-                pool.words.data() + std::size_t(ref) * pw;
-            const std::uint32_t base = p * pw;
-            const std::uint32_t count = std::min(pw, img.size - base);
-            for (std::uint32_t i = 0; i < count; ++i)
-                words[base + i] = src[i];
+            if (use_mirror && p < dirty_[id].size() && dirty_[id][p] == 0 &&
+                mirror_->page_refs[mi->first_ref + p] == ref)
+                continue;
+            const std::uint32_t base = p * kPageWords;
+            const auto src = pool.words.begin() + std::size_t(ref) * kPageWords;
+            std::copy(src, src + std::min(kPageWords, img.size - base),
+                      words.begin() + base);
         }
         allocated_[id] = 1;
     }
@@ -318,18 +282,9 @@ Memory::restore(const MemSnapshot &snap, const PagePool &pool)
     depth_ = snap.frames.size();
     if (frames_.size() < depth_)
         frames_.resize(depth_);
-    for (std::size_t f = 0; f < depth_; ++f) {
-        FrameRecord &record = frames_[f];
-        const MemFrameImage &image = snap.frames[f];
-        record.saved.resize(image.saved.size());
-        for (std::size_t i = 0; i < image.saved.size(); ++i) {
-            record.saved[i].id = image.saved[i].id;
-            record.saved[i].was_allocated = image.saved[i].was_allocated;
-            record.saved[i].contents = image.saved[i].contents;
-        }
-    }
+    std::copy(snap.frames.begin(), snap.frames.end(), frames_.begin());
 
-    if (tracking_ && (1u << page_shift_) == pw) {
+    if (tracking_) {
         mirror_ = &snap;
         mirror_pool_uid_ = pool.uid;
         clearDirty();
@@ -344,10 +299,8 @@ Memory::matches(const MemSnapshot &snap, const PagePool &pool,
 {
     if (snap.objects.size() != storage_.size())
         return false;
-    const std::uint32_t pw = pool.page_words;
     const bool delta = tracking_ && mirror_ != nullptr &&
-                       mirror_pool_uid_ == pool.uid &&
-                       (1u << page_shift_) == pw;
+                       mirror_pool_uid_ == pool.uid;
     for (ir::ObjectId id = 0; id < storage_.size(); ++id) {
         const MemObjectImage &img = snap.objects[id];
         if (img.allocated != (allocated_[id] != 0))
@@ -370,32 +323,19 @@ Memory::matches(const MemSnapshot &snap, const PagePool &pool,
                 mirror_->page_refs[mi->first_ref + p] == ref)
                 continue;
             const std::uint64_t *src =
-                pool.words.data() + std::size_t(ref) * pw;
-            const std::uint32_t base = p * pw;
-            const std::uint32_t count = std::min(pw, img.size - base);
+                pool.words.data() + std::size_t(ref) * kPageWords;
+            const std::uint32_t base = p * kPageWords;
+            const std::uint32_t count =
+                std::min(kPageWords, img.size - base);
             for (std::uint32_t i = 0; i < count; ++i)
                 if (words[base + i] != src[i] &&
                     !(dead && dead->test(wordIndex(id, base + i))))
                     return false;
         }
     }
-
-    if (depth_ != snap.frames.size())
-        return false;
-    for (std::size_t f = 0; f < depth_; ++f) {
-        const FrameRecord &record = frames_[f];
-        const MemFrameImage &image = snap.frames[f];
-        if (record.saved.size() != image.saved.size())
-            return false;
-        for (std::size_t i = 0; i < image.saved.size(); ++i) {
-            if (record.saved[i].id != image.saved[i].id ||
-                record.saved[i].was_allocated !=
-                    image.saved[i].was_allocated ||
-                record.saved[i].contents != image.saved[i].contents)
-                return false;
-        }
-    }
-    return true;
+    return depth_ == snap.frames.size() &&
+           std::equal(snap.frames.begin(), snap.frames.end(),
+                      frames_.begin());
 }
 
 } // namespace encore::interp

@@ -19,12 +19,13 @@
  *
  * Snapshot support (the prefix-snapshot trial tier): a Memory can run
  * with dirty-page tracking enabled, in which case every mutation marks
- * the containing fixed-size page. capture() then emits a MemSnapshot —
- * a per-object page table into a shared PagePool — re-using the
- * previous snapshot's pool pages for every page left clean since the
- * last kept capture, so consecutive snapshots cost only the delta.
- * restore() rebuilds the full image from any snapshot in O(live
- * memory), independent of how many deltas were recorded after it.
+ * the containing page of kPageWords words. capture() then emits a
+ * MemSnapshot — a per-object page table into a shared PagePool plus
+ * the shadow stack's own MemFrame records — re-using the previous
+ * snapshot's pool pages for every page left clean since the last kept
+ * capture, so consecutive snapshots cost only the delta. restore()
+ * rebuilds the full image from any snapshot in O(live memory),
+ * independent of how many deltas were recorded after it.
  */
 #ifndef ENCORE_INTERP_MEMORY_H
 #define ENCORE_INTERP_MEMORY_H
@@ -36,26 +37,25 @@
 
 namespace encore::interp {
 
-/// Shared backing storage for memory snapshots: fixed-size pages of
-/// `page_words` words, appended by Memory::capture and indexed by the
-/// page references inside each MemSnapshot. Immutable once recording
-/// finishes, so any number of trial threads may restore from it.
+/// Delta page size in 64-bit words: the unit of dirty tracking and of
+/// the PagePool.
+constexpr std::uint32_t kPageWords = 64;
+
 /// Process-unique id for a PagePool instance; never reused, so a
 /// Memory can prove that page refs it recorded at a past restore still
 /// refer to the pool it is being handed now.
 std::uint64_t nextPagePoolUid();
 
+/// Shared backing storage for memory snapshots: pages of kPageWords
+/// words, appended by Memory::capture and indexed by the page
+/// references inside each MemSnapshot. Immutable once recording
+/// finishes, so any number of trial threads may restore from it.
 struct PagePool
 {
-    std::uint32_t page_words = 64;
-    std::vector<std::uint64_t> words; ///< Page i at [i * page_words].
+    std::vector<std::uint64_t> words; ///< Page i at [i * kPageWords].
     std::uint64_t uid = nextPagePoolUid();
 
-    std::size_t
-    numPages() const
-    {
-        return page_words ? words.size() / page_words : 0;
-    }
+    std::size_t numPages() const { return words.size() / kPageWords; }
 };
 
 /// Page table for one MemObject inside a snapshot.
@@ -67,19 +67,26 @@ struct MemObjectImage
     std::uint32_t num_pages = 0;
 };
 
-/// Copy of one Memory::SavedLocal (the shadow record that lets locals
-/// recurse); snapshots store these verbatim so popFrame behaves
-/// identically after a restore.
-struct SavedLocalImage
+/// One local object an activation shadowed at pushFrame (the record
+/// that lets locals recurse); popFrame puts it back.
+struct SavedLocal
 {
     ir::ObjectId id = ir::kInvalidObject;
+    /// True when the object was live in an outer activation
+    /// (recursion); `contents` then holds the shadowed words.
     bool was_allocated = false;
     std::vector<std::uint64_t> contents;
+
+    bool operator==(const SavedLocal &) const = default;
 };
 
-struct MemFrameImage
+/// The locals one activation shadowed, in pushFrame order. Memory's
+/// shadow stack holds these, and snapshots store them as they are.
+struct MemFrame
 {
-    std::vector<SavedLocalImage> saved;
+    std::vector<SavedLocal> saved;
+
+    bool operator==(const MemFrame &) const = default;
 };
 
 /// A set of small indices (memory words, registers) as a flat bit
@@ -113,7 +120,7 @@ struct MemSnapshot
 {
     std::vector<MemObjectImage> objects; ///< Indexed by ir::ObjectId.
     std::vector<std::uint32_t> page_refs;
-    std::vector<MemFrameImage> frames;
+    std::vector<MemFrame> frames; ///< The shadow stack, bottom first.
 };
 
 class Memory
@@ -152,7 +159,7 @@ class Memory
     {
         storage_[object][offset] = value;
         if (tracking_)
-            dirty_[object][offset >> page_shift_] = 1;
+            dirty_[object][offset / kPageWords] = 1;
     }
 
     std::uint32_t objectSize(ir::ObjectId object) const;
@@ -185,10 +192,9 @@ class Memory
         const std::vector<std::vector<std::uint64_t>> &snapshot) const;
 
     // --- Snapshot tier -------------------------------------------------
-    /// Turns on dirty-page tracking with the given page size (rounded
-    /// up to a power of two, minimum 1). All pages start dirty so the
-    /// first capture is a full image.
-    void enableDirtyTracking(std::uint32_t page_words);
+    /// Turns on dirty-page tracking (a no-op when it is on already).
+    /// All pages start dirty so the first capture is a full image.
+    void enableDirtyTracking();
     void disableDirtyTracking();
 
     /// Captures the current image into `out`, appending only pages
@@ -228,20 +234,6 @@ class Memory
                  const BitMask *dead = nullptr) const;
 
   private:
-    struct SavedLocal
-    {
-        ir::ObjectId id = ir::kInvalidObject;
-        /// True when the object was live in an outer activation
-        /// (recursion); `contents` then holds the shadowed words.
-        bool was_allocated = false;
-        std::vector<std::uint64_t> contents;
-    };
-
-    struct FrameRecord
-    {
-        std::vector<SavedLocal> saved;
-    };
-
     /// Sizes dirty_[object] to the object's current page count with
     /// every page marked dirty (used when whole-object state changes:
     /// reset, pushFrame, popFrame).
@@ -255,14 +247,13 @@ class Memory
     /// Byte flags (not vector<bool>): isAllocated is hot.
     std::vector<std::uint8_t> allocated_;
     /// Pooled frame records; frames_[0 .. depth_) are live.
-    std::vector<FrameRecord> frames_;
+    std::vector<MemFrame> frames_;
     std::size_t depth_ = 0;
 
     /// Dirty-page tracking (golden-run recording, and trial workers
     /// once the snapshot tier is active). Byte flags per page, per
     /// object; `tracking_` gates the setWord fast path.
     bool tracking_ = false;
-    std::uint32_t page_shift_ = 6;
     std::vector<std::vector<std::uint8_t>> dirty_;
 
     /// Restore mirror: the snapshot this image was last rebuilt from,

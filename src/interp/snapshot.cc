@@ -19,15 +19,15 @@ snapshotOverheadBytes(const Snapshot &snap)
     std::uint64_t bytes = sizeof(Snapshot);
     bytes += snap.mem.objects.size() * sizeof(MemObjectImage);
     bytes += snap.mem.page_refs.size() * sizeof(std::uint32_t);
-    for (const MemFrameImage &frame : snap.mem.frames) {
-        bytes += frame.saved.size() * sizeof(SavedLocalImage);
-        for (const SavedLocalImage &local : frame.saved)
+    for (const MemFrame &frame : snap.mem.frames) {
+        bytes += frame.saved.size() * sizeof(SavedLocal);
+        for (const SavedLocal &local : frame.saved)
             bytes += local.contents.size() * sizeof(std::uint64_t);
     }
     for (const SnapFrame &frame : snap.exec.frames) {
         bytes += sizeof(SnapFrame);
         bytes += frame.regs.size() * sizeof(std::uint64_t);
-        bytes += frame.rec_log.size() * sizeof(SnapUndo);
+        bytes += frame.recovery.log.size() * sizeof(Undo);
     }
     return bytes;
 }
@@ -202,10 +202,6 @@ class AnchorPass : public ExecHooks
 SnapshotStore::SnapshotStore(const SnapshotConfig &config)
     : config_(config), stride_(config.stride)
 {
-    std::uint32_t pw = 1;
-    while (pw < config_.page_words && pw < (1u << 20))
-        pw <<= 1;
-    pool_.page_words = pw;
     if (!config_.enabled || config_.stride == 0)
         done_ = true;
 }
@@ -303,15 +299,16 @@ SnapshotStore::recordEntryAnchors(Interpreter &interp,
     std::map<std::uint64_t, Span> spans;
     for (std::size_t k = 0; k < snapshots_.size(); ++k) {
         for (const SnapFrame &frame : snapshots_[k].exec.frames) {
-            if (!frame.rec_active)
+            if (!frame.recovery.active)
                 continue;
-            auto [it, fresh] = spans.try_emplace(frame.rec_token, Span{k, k});
+            auto [it, fresh] =
+                spans.try_emplace(frame.recovery.token, Span{k, k});
             if (!fresh)
                 it->second.last = k;
         }
     }
 
-    interp.memoryRef().enableDirtyTracking(pool_.page_words);
+    interp.memoryRef().enableDirtyTracking();
     interp.setCaptureGlobals(false);
     for (const auto &[token, span] : spans) {
         if (span.last - span.first < 2)

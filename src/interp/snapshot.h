@@ -8,11 +8,15 @@
  * instructions — the coordinate fault targets are drawn in. Each
  * snapshot is the complete machine state at a loop-top boundary
  * (between instructions): the call-frame stack with register files and
- * per-frame recovery state, every execution counter, and the full
- * memory image as a page table over a shared PagePool. Memory pages
- * are stored as deltas — a page left untouched since the previous
- * kept snapshot re-uses that snapshot's pool page — but every snapshot
- * restores in O(live memory), independent of trace position.
+ * each frame's RecoveryState, every execution counter, and the full
+ * memory image as a page table over a shared PagePool plus Memory's
+ * shadow stack of MemFrame records. The recovery state and the shadow
+ * stack are the live state's own records, copied as they are, so a
+ * snapshot holds nothing the interpreter or Memory would have to
+ * translate. Memory pages (kPageWords words each) are stored as deltas
+ * — a page left untouched since the previous kept snapshot re-uses
+ * that snapshot's pool page — but every snapshot restores in O(live
+ * memory), independent of trace position.
  *
  * A trial whose fault target lies at value index T may start from the
  * latest snapshot with value_count <= T: before the injection point a
@@ -62,6 +66,7 @@
 #include <string>
 #include <vector>
 
+#include "interp/decoded.h"
 #include "interp/memory.h"
 
 namespace encore::interp {
@@ -83,20 +88,35 @@ struct SnapshotConfig
     /// anchors (EXPERIMENTS.md "Snapshot stride" has the measurements).
     /// The budget/stride-doubling policy protects outsized workloads.
     std::uint64_t stride = 256;
-    /// Delta page size in 64-bit words (rounded up to a power of two).
-    std::uint32_t page_words = 64;
     /// Resident byte budget for the whole store (pool + snapshots).
     std::uint64_t byte_budget = 64ULL << 20;
 };
 
-/// Mirror of one checkpoint-undo record (Interpreter::Undo).
-struct SnapUndo
+/// One checkpoint-undo record: `ckpt.mem` saves a memory word and
+/// `ckpt.reg` a register; `restore` writes them back newest first.
+struct Undo
 {
-    bool is_mem = false;
-    ir::ObjectId object = ir::kInvalidObject;
-    std::uint32_t offset = 0;
-    ir::RegId reg = ir::kInvalidReg;
-    std::uint64_t value = 0;
+    enum class Kind : std::uint8_t { Mem, Reg };
+    Kind kind;
+    ir::ObjectId object;
+    std::uint32_t offset;
+    ir::RegId reg;
+    std::uint64_t value;
+
+    bool operator==(const Undo &) const = default;
+};
+
+/// One activation's recovery runtime state (§3.2): the region instance
+/// its last `region.enter` opened, where a detection redirects to, and
+/// that instance's checkpoint buffer.
+struct RecoveryState
+{
+    bool active = false;
+    ir::RegionId region = ir::kInvalidRegion;
+    /// Unique per dynamic region entry (Interpreter::currentRegionToken).
+    std::uint64_t token = 0;
+    std::uint32_t recovery_block = kNoDecodedBlock;
+    std::vector<Undo> log;
 };
 
 /// One saved activation frame. Functions are referenced by their
@@ -109,11 +129,7 @@ struct SnapFrame
     std::uint32_t block = 0;
     std::uint32_t ip = 0;
     ir::RegId caller_dest = ir::kInvalidReg;
-    bool rec_active = false;
-    ir::RegionId rec_region = ir::kInvalidRegion;
-    std::uint64_t rec_token = 0;
-    std::uint32_t rec_recovery_block = 0;
-    std::vector<SnapUndo> rec_log;
+    RecoveryState recovery;
 };
 
 /// Everything outside Memory: frames plus execution counters.

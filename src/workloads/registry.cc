@@ -5,6 +5,9 @@
  */
 #include "workloads/workload.h"
 
+#include <cstdlib>
+#include <iostream>
+
 #include "support/diagnostics.h"
 #include "workloads/builders.h"
 
@@ -81,6 +84,18 @@ findWorkload(const std::string &name)
             return &w;
     }
     return nullptr;
+}
+
+const Workload &
+workloadNamed(const std::string &name)
+{
+    if (const Workload *w = findWorkload(name))
+        return *w;
+    std::cerr << "error: unknown workload '" << name
+              << "'; available workloads:\n";
+    for (const Workload &w : allWorkloads())
+        std::cerr << "  " << w.name << " (" << w.suite << ")\n";
+    std::exit(1);
 }
 
 std::vector<const Workload *>

@@ -53,6 +53,11 @@ const std::vector<Workload> &allWorkloads();
 /// Lookup by paper name; nullptr if absent.
 const Workload *findWorkload(const std::string &name);
 
+/// The workload called `name`. On an unknown name, prints "unknown
+/// workload '<name>'; available workloads:" and the suite to stderr,
+/// then exits 1: the lookup every binary's workload flag goes through.
+const Workload &workloadNamed(const std::string &name);
+
 /// Workloads of one suite.
 std::vector<const Workload *> workloadsInSuite(const std::string &suite);
 

@@ -9,8 +9,9 @@
  *
  * The same file checks that the bench binaries (fig8 via
  * ENCORE_FIG8_TOOL, table1, fig6, fig1, ablation_heuristics and
- * encore_opstats) reject malformed and removed flags with exit status
- * 1 and a message naming the flag, instead of crashing or guessing.
+ * encore_opstats) and the region_inspector and codec_protection
+ * examples reject malformed and removed flags with exit status 1 and a
+ * message naming the flag, instead of crashing or guessing.
  */
 #include <gtest/gtest.h>
 
@@ -225,7 +226,8 @@ TEST(BenchFlags, ListFlagsRejectBadEntries)
 {
     // fig1 once read an unparsable window size as 100 and a negative
     // one as 2^64 - 3; every list entry must be a positive integer or
-    // a known workload.
+    // a known workload, and every binary that takes a workload name
+    // lists the suite on an unknown one.
     expectRefusals({
         {ENCORE_FIG1_TOOL, "--sizes 5,abc,1000",
          "--sizes expects comma-separated positive integers, got 'abc'"},
@@ -234,6 +236,10 @@ TEST(BenchFlags, ListFlagsRejectBadEntries)
         {ENCORE_FIG1_TOOL, "--sizes 100,-3",
          "--sizes expects comma-separated positive integers, got '-3'"},
         {ENCORE_OPSTATS_TOOL, "--workloads nosuch",
+         "unknown workload 'nosuch'; available workloads:"},
+        {ENCORE_REGION_INSPECTOR_TOOL, "--workload nosuch",
+         "unknown workload 'nosuch'; available workloads:"},
+        {ENCORE_CODEC_PROTECTION_TOOL, "--workload nosuch",
          "unknown workload 'nosuch'; available workloads:"},
     });
 }

@@ -41,7 +41,7 @@ expectMatchesOracle(const IdSet &set,
     ASSERT_EQ(set.size(), oracle.size());
     EXPECT_EQ(set.empty(), oracle.empty());
     EXPECT_EQ(set.toVector(), oracleVector(oracle));
-    // forEach must visit ascending in either representation.
+    // forEach must visit ascending.
     std::vector<std::uint32_t> visited;
     set.forEach([&](std::uint32_t id) { visited.push_back(id); });
     EXPECT_EQ(visited, oracleVector(oracle));
@@ -58,9 +58,7 @@ TEST(IdSetTest, RandomInsertContainsDenseTransition)
         const std::uint32_t id = pick(rng);
         EXPECT_EQ(set.insert(id), oracle.insert(id).second);
     }
-    // 400 draws from a 200-id universe: comfortably past the
-    // densification threshold (>= 48 elems, 4 B/elem > universe/8 B).
-    EXPECT_TRUE(set.dense());
+    // 400 draws from a 200-id universe: a set well past 48 elements.
     expectMatchesOracle(set, oracle);
     for (std::uint32_t id = 0; id < 220; ++id)
         EXPECT_EQ(set.contains(id), oracle.count(id) != 0) << id;
@@ -77,14 +75,12 @@ TEST(IdSetTest, SparseLargeIdsStaySparse)
         const std::uint32_t id = pick(rng);
         EXPECT_EQ(set.insert(id), oracle.insert(id).second);
     }
-    // A bitset over a ~2^30 universe would dwarf a 100-element vector.
-    EXPECT_FALSE(set.dense());
     expectMatchesOracle(set, oracle);
     EXPECT_FALSE(set.contains(pick(rng) | (1u << 31)));
 }
 
 /// Random set over one of three universes so union/intersection pairs
-/// mix sparse and dense representations.
+/// mix sparse and crowded sets.
 std::pair<IdSet, std::set<std::uint32_t>>
 randomSet(std::mt19937 &rng)
 {
@@ -153,8 +149,8 @@ TEST(IdSetTest, EqualityIsRepresentationIndependent)
         auto [b, oracle_b] = randomSet(rng);
         EXPECT_EQ(a == b, oracle_a == oracle_b);
 
-        // Same content inserted in a different order (possibly taking
-        // a different sparse/dense path) must still compare equal.
+        // Same content inserted in a different order must still
+        // compare equal.
         std::vector<std::uint32_t> shuffled = oracleVector(oracle_a);
         std::shuffle(shuffled.begin(), shuffled.end(), rng);
         IdSet c;

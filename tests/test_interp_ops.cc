@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <memory>
 #include <string>
@@ -393,8 +394,7 @@ recordSnapshots(const ir::Module &module, EngineKind engine,
     config.stride = stride;
     rec.store = std::make_unique<SnapshotStore>(config);
     Interpreter interp(rec.cache);
-    interp.memoryRef().enableDirtyTracking(
-        rec.store->pool().page_words);
+    interp.memoryRef().enableDirtyTracking();
     interp.setSnapshotRecorder(rec.store.get());
     rec.result = interp.run("main", {41});
     interp.setSnapshotRecorder(nullptr);
@@ -437,31 +437,133 @@ TEST(FusionSnapshots, FusedSequenceNeverCrossesBarrier)
     }
 }
 
+// Every activation of @walk opens a checkpointed region instance (a
+// register and a local word in its undo log) and leaves it open across
+// its recursive call, and every activation after the first shadows the
+// live %acc of the one below it. Snapshots cut anywhere in the run
+// therefore hold non-empty undo logs and shadowed locals with
+// was_allocated set.
+constexpr const char *kRecursiveRegionText = R"(
+module "m"
+global @out 2
+func @walk(1) {
+  local %acc 2
+  bb entry:
+    store [%acc], r0
+    r1 = mov 0
+    jmp region
+  bb region:
+    region.enter 0
+    ckpt.reg r1
+    ckpt.mem [%acc + 1]
+    jmp loop
+  bb loop:
+    r2 = load [%acc + 1]
+    r3 = add r2, r1
+    r4 = mul r3, 3
+    store [%acc + 1], r4
+    r1 = add r1, 1
+    r5 = cmplt r1, 6
+    br r5, loop, next
+  bb next:
+    r6 = cmple r0, 0
+    br r6, leaf, rec
+  bb leaf:
+    r7 = load [%acc + 1]
+    ret r7
+  bb rec:
+    r8 = sub r0, 1
+    r9 = call @walk(r8)
+    r10 = load [%acc]
+    r11 = load [%acc + 1]
+    r12 = add r9, r10
+    r13 = xor r12, r11
+    ret r13
+  bb __recover.0:
+    restore 0
+    jmp region
+}
+func @main(1) {
+  bb entry:
+    r1 = call @walk(r0)
+    store [@out], r1
+    ret r1
+}
+)";
+
 TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
 {
     // A restored cursor can point at the interior of what the fused
     // engine considers one sequence; resuming must execute the
     // remaining components unfused and still land on the full run's
-    // exact outcome and counters.
-    auto module = ir::parseModule(kSnapshotLoopText);
-    constexpr std::uint64_t kStride = 16;
-    const Recorded rec =
-        recordSnapshots(*module, EngineKind::Fused, kStride);
-    ASSERT_TRUE(rec.result.ok()) << rec.result.error;
-    ASSERT_GT(rec.store->size(), 5u);
+    // exact outcome and counters. The recursive program's snapshots
+    // also hold the records the live state keeps for recursion and
+    // recovery, and a restore must rebuild exactly the image its
+    // snapshot holds — with dirty tracking on (the trial path's delta
+    // restore) and off (a full rebuild, compared word by word).
+    for (const bool recursive : {false, true}) {
+        SCOPED_TRACE(recursive ? "recursive regions" : "fused loop");
+        auto module = ir::parseModule(recursive ? kRecursiveRegionText
+                                                : kSnapshotLoopText);
+        if (recursive) {
+            // The parser cannot express the recovery-target link.
+            ir::Function *walk = module->functionByName("walk");
+            walk->blockByName("region")->instructions().front().setSucc0(
+                walk->blockByName("__recover.0"));
+        }
+        constexpr std::uint64_t kStride = 16;
+        const Recorded rec =
+            recordSnapshots(*module, EngineKind::Fused, kStride);
+        ASSERT_TRUE(rec.result.ok()) << rec.result.error;
+        ASSERT_GT(rec.store->size(), 5u);
+        const PagePool &pool = rec.store->pool();
 
-    Interpreter resumer(rec.cache);
-    for (std::size_t i = 1; i <= rec.store->size(); ++i) {
-        const Snapshot *snap =
-            rec.store->findAtOrBefore(i * kStride);
-        ASSERT_NE(snap, nullptr);
-        const RunResult resumed =
-            resumer.resumeRun(*snap, rec.store->pool());
-        ASSERT_TRUE(resumed.ok()) << resumed.error;
-        EXPECT_EQ(resumed.return_value, rec.result.return_value);
-        EXPECT_EQ(resumed.dyn_instrs, rec.result.dyn_instrs);
-        EXPECT_EQ(resumed.value_instrs, rec.result.value_instrs);
-        EXPECT_EQ(resumed.globals, rec.result.globals);
+        // Snapshots cut inside a recursive activation whose shadowed
+        // local is live, under an open region instance with undo
+        // records.
+        std::size_t recursive_with_log = 0;
+        for (const bool tracking : {false, true}) {
+            SCOPED_TRACE(tracking ? "dirty tracking" : "no tracking");
+            Interpreter resumer(rec.cache);
+            if (tracking)
+                resumer.memoryRef().enableDirtyTracking();
+            for (std::size_t i = 1; i <= rec.store->size(); ++i) {
+                const Snapshot *snap =
+                    rec.store->findAtOrBefore(i * kStride);
+                ASSERT_NE(snap, nullptr);
+                resumer.memoryRef().restore(snap->mem, pool);
+                EXPECT_TRUE(resumer.memoryRef().matches(snap->mem, pool))
+                    << "snapshot " << i;
+                const bool shadowed = std::any_of(
+                    snap->mem.frames.begin(), snap->mem.frames.end(),
+                    [](const MemFrame &frame) {
+                        return std::any_of(
+                            frame.saved.begin(), frame.saved.end(),
+                            [](const SavedLocal &local) {
+                                return local.was_allocated;
+                            });
+                    });
+                const bool logged = std::any_of(
+                    snap->exec.frames.begin(), snap->exec.frames.end(),
+                    [](const SnapFrame &frame) {
+                        return frame.recovery.active &&
+                               !frame.recovery.log.empty();
+                    });
+                recursive_with_log += shadowed && logged;
+
+                const RunResult resumed = resumer.resumeRun(*snap, pool);
+                ASSERT_TRUE(resumed.ok()) << resumed.error;
+                EXPECT_EQ(resumed.return_value, rec.result.return_value);
+                EXPECT_EQ(resumed.dyn_instrs, rec.result.dyn_instrs);
+                EXPECT_EQ(resumed.value_instrs, rec.result.value_instrs);
+                EXPECT_EQ(resumed.overhead_instrs,
+                          rec.result.overhead_instrs);
+                EXPECT_EQ(resumed.globals, rec.result.globals);
+            }
+        }
+        if (recursive) {
+            EXPECT_GT(recursive_with_log, 0u);
+        }
     }
 }
 
@@ -657,7 +759,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         config.stride = kStride;
         SnapshotStore store(config);
         RecordingHooks recording(unfused);
-        interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+        interp.memoryRef().enableDirtyTracking();
         interp.setSnapshotRecorder(&store);
         interp.setHooks(&recording, k_snapshot);
         interp.run("main", {41});

@@ -469,7 +469,7 @@ TEST(SnapshotDifferential, AnchorPassIgnoresShadowedLocals)
     interp::SnapshotConfig config;
     config.stride = 64; // the 100-pass loop spans many snapshots
     interp::SnapshotStore store(config);
-    interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+    interp.memoryRef().enableDirtyTracking();
     interp.setSnapshotRecorder(&store);
     ASSERT_TRUE(interp.run("main", {100}).ok());
     interp.setSnapshotRecorder(nullptr);
@@ -538,8 +538,8 @@ snapshotsLiveAt(const interp::SnapshotStore &store, std::uint64_t token)
         live += std::any_of(snap->exec.frames.begin(),
                             snap->exec.frames.end(),
                             [&](const interp::SnapFrame &frame) {
-                                return frame.rec_active &&
-                                       frame.rec_token == token;
+                                return frame.recovery.active &&
+                                       frame.recovery.token == token;
                             });
     }
     return live;
@@ -560,7 +560,7 @@ TEST(SnapshotDifferential, AnchorsOnlyInstancesLiveAtThreeSnapshots)
     interp::SnapshotConfig config;
     config.stride = 64;
     interp::SnapshotStore store(config);
-    interp.memoryRef().enableDirtyTracking(store.pool().page_words);
+    interp.memoryRef().enableDirtyTracking();
     interp.setSnapshotRecorder(&store);
     // 3 value instructions a pass: the 45 passes of token 1 are live
     // at two snapshots, the 70 of token 2 at three.
@@ -614,6 +614,63 @@ TEST(SnapshotDifferential, AdaptiveStrideStaysWithinBudget)
     for (int i = 0;
          i < static_cast<int>(fault::FaultOutcome::NumOutcomes); ++i)
         EXPECT_EQ(a.counts[i], b.counts[i]);
+}
+
+TEST(SnapshotDifferential, TierCountersAreStableAcrossBuilds)
+{
+    // fig8's default campaign (seed 12345, 600 trials at each Dmax of
+    // 1000, 100 and 10, masking rate 0.91, seeds offset by the row's
+    // suite position) on programs that mix the two resync watches:
+    // entry anchors only (mpeg2dec, rawcaudio), both (164.gzip,
+    // 183.equake) and the snapshot watch only (175.vpr, 197.parser).
+    // ResyncIsEngineIdentical compares two engines of one build, so a
+    // compare that lost resyncs on both engines would pass it; these
+    // counts are pinned instead. Resident bytes are left out: they sum
+    // struct sizes, which vary by platform.
+    struct Pin
+    {
+        const char *workload;
+        std::uint64_t count, anchors, hits, misses, resyncs, entry_resyncs;
+    };
+    const Pin pins[] = {
+        // workload, kept, anchors, hits, misses, resyncs, at entry
+        {"164.gzip", 41, 3, 154, 2, 135, 59},
+        {"175.vpr", 61, 0, 156, 2, 79, 0},
+        {"197.parser", 114, 0, 158, 0, 131, 0},
+        {"183.equake", 194, 41, 161, 0, 137, 107},
+        {"mpeg2dec", 283, 3, 161, 0, 161, 161},
+        {"rawcaudio", 109, 3, 161, 0, 161, 161},
+    };
+    const std::vector<workloads::Workload> &suite =
+        workloads::allWorkloads();
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.workload);
+        const auto w = std::find_if(
+            suite.begin(), suite.end(), [&](const workloads::Workload &x) {
+                return x.name == pin.workload;
+            });
+        ASSERT_NE(w, suite.end());
+        const Prepared p = runPipeline(*w);
+        fault::FaultInjector injector(*p.module, p.report);
+        ASSERT_TRUE(injector.prepare(w->entry, w->train_args));
+        const std::uint64_t dmaxes[] = {1000, 100, 10};
+        for (std::size_t d = 0; d < 3; ++d) {
+            fault::CampaignConfig cc;
+            cc.trials = 600;
+            cc.seed = 12345 + d * 7919 + (w - suite.begin());
+            cc.jobs = 2;
+            cc.masking_rate = 0.91;
+            cc.trial.dmax = dmaxes[d];
+            injector.runCampaign(cc);
+        }
+        const interp::SnapshotStats stats = injector.snapshotStats();
+        EXPECT_EQ(stats.count, pin.count);
+        EXPECT_EQ(stats.anchors, pin.anchors);
+        EXPECT_EQ(stats.hits, pin.hits);
+        EXPECT_EQ(stats.misses, pin.misses);
+        EXPECT_EQ(stats.resyncs, pin.resyncs);
+        EXPECT_EQ(stats.entry_resyncs, pin.entry_resyncs);
+    }
 }
 
 } // namespace

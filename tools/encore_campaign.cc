@@ -275,7 +275,7 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     cli.parse(argc, argv);
 
     const workloads::Workload &workload =
-        bench::workloadNamed(cli.getString("workload"));
+        workloads::workloadNamed(cli.getString("workload"));
 
     const fault::CampaignConfig config =
         campaignFromFlags(cli, /*has_jobs=*/true);
@@ -393,7 +393,7 @@ cmdPlan(int argc, char **argv)
     cli.parse(argc, argv);
 
     const workloads::Workload &workload =
-        bench::workloadNamed(cli.getString("workload"));
+        workloads::workloadNamed(cli.getString("workload"));
     const fault::CampaignConfig config =
         campaignFromFlags(cli, /*has_jobs=*/false);
     fault::validateCampaignConfig(config);
