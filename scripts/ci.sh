@@ -3,11 +3,13 @@
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
 # merged), the engine tests on the portable switch dispatcher
-# (-DENCORE_COMPUTED_GOTO=OFF), the ThreadSanitizer campaign lane
-# (scripts/sanitize.sh's thread lane: the parallel loop itself, the
+# (-DENCORE_COMPUTED_GOTO=OFF), scripts/sanitize.sh's thread and
+# undefined lanes (ThreadSanitizer over the parallel loop itself, the
 # concurrent trial-store writer, the pooled trial loop and the
-# multi-threaded campaign/resume/shard/merge and planner paths), then a
-# campaign-planner smoke (sweep-reuse tally identity
+# multi-threaded campaign/resume/shard/merge and planner paths;
+# UndefinedBehaviorSanitizer, with recovery off, over the full suite,
+# so the fused dispatch code and every reader of untrusted bytes run
+# under it), then a campaign-planner smoke (sweep-reuse tally identity
 # against brute force), a scenario-matrix smoke (every fault-model x
 # detector pair byte-identical across --jobs, fig8's snapshot counters
 # included, with the snapshot tier off, and at the former default
@@ -21,8 +23,8 @@
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
 #   tier-1 lane builds into <build-root>/tier1, the switch lane into
-#   <build-root>/switch, the TSan lane into <build-root>/thread, so none
-#   touches a developer's build/.
+#   <build-root>/switch, the sanitizer lanes into <build-root>/thread
+#   and <build-root>/undefined, so none touches a developer's build/.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,8 +48,8 @@ cmake --build "${build_root}/switch" -j "$(nproc)" \
 (cd "${build_root}/switch" &&
     ctest --output-on-failure -R "${engine_tests}")
 
-echo "==> [tsan] campaign smoke: parallel loop + concurrent store writer + runner"
-"${repo_root}/scripts/sanitize.sh" "${build_root}" thread
+echo "==> [sanitize] TSan campaign smoke + UBSan full suite"
+"${repo_root}/scripts/sanitize.sh" "${build_root}" thread undefined
 
 echo "==> [planner] sweep-reuse tally identity"
 # Hard gate on the planner's central contract: a sidecar-reuse run
@@ -223,4 +225,4 @@ if max(means, key=means.get) != "fused":
 print("interp-smoke: warn-only")
 EOF
 
-echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + planner smoke + scenario matrix + figure smoke + perfbench digests + interp smoke)"
+echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + ubsan suite + planner smoke + scenario matrix + figure smoke + perfbench digests + interp smoke)"

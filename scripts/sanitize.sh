@@ -34,7 +34,7 @@
 # Usage: scripts/sanitize.sh [build-root [lane...]]
 #   build-root defaults to build-sanitize/ next to the source tree;
 #   each lane builds into <build-root>/<lane>. The lanes default to all
-#   three; scripts/ci.sh runs the thread lane.
+#   three; scripts/ci.sh runs the thread and undefined lanes.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

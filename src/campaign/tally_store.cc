@@ -27,13 +27,17 @@ readTallyStore(const std::string &path, TallyContents &out)
 {
     out = TallyContents{};
     // A record whose outcome counts do not add up to its subset is
-    // inconsistent: it ends the trusted prefix.
+    // inconsistent: it ends the trusted prefix. The sum is checked
+    // against what is left of the subset, so it cannot wrap.
     const auto record = [&](const char *bytes) {
         TallyRecord decoded;
         recordFields(decoded, FieldReader{bytes});
         std::uint64_t total = 0;
-        for (const std::uint64_t count : decoded.counts)
+        for (const std::uint64_t count : decoded.counts) {
+            if (count > decoded.subset_count - total)
+                return false;
             total += count;
+        }
         if (total != decoded.subset_count)
             return false;
         out.records.push_back(decoded);

@@ -52,11 +52,10 @@ blockIndexOf(const ir::BasicBlock *bb)
 }
 
 /// A pure value op: reads registers/immediates, writes one register,
-/// touches no memory and no address expression. These are the legal
-/// interior components of every "Alu" fused form. Div/Rem are included
-/// — their divide-by-zero throw is handled identically fused and
-/// unfused because components advance `ip` one source instruction at a
-/// time.
+/// touches no memory and no address expression (run class kCompValue).
+/// Div/Rem are included — their divide-by-zero throw is handled
+/// identically fused and unfused because components advance `ip` one
+/// source instruction at a time.
 bool
 isPureValue(ir::Opcode op)
 {
@@ -157,9 +156,9 @@ decodeFunction(const ir::Function &func, std::uint32_t index,
 }
 
 /// True when `br` is a conditional branch whose condition register is
-/// exactly `cond_dest` — the precondition for the compare+branch fused
-/// forms, which branch on the compare's freshly computed value instead
-/// of re-reading the register file.
+/// exactly `cond_dest` — the precondition for RunCmpBr, which branches
+/// on the compare's freshly computed value instead of re-reading the
+/// register file.
 bool
 branchConsumes(const DecodedInst &br, ir::RegId cond_dest)
 {
@@ -182,11 +181,8 @@ branchConsumes(const DecodedInst &br, ir::RegId cond_dest)
  * Matching works on maximal *runs*: the longest stretch of value /
  * lea / load / store instructions starting at the cursor. A run that
  * ends on a compare consumed by the following conditional branch
- * absorbs the branch too (CmpBr / AluCmpBr / RunCmpBr — the loop
- * back-edge family). The remaining run fuses as one of the dedicated
- * short shapes when one fits — their handlers know every component
- * class at compile time — or as a generic Run otherwise, chunked at
- * kMaxFuseLen.
+ * absorbs the branch too (RunCmpBr — the loop back-edge). Any other
+ * run fuses as a Run, chunked at kMaxFuseLen.
  */
 void
 fuseFunction(DecodedFunction &func)
@@ -228,59 +224,22 @@ fuseFunction(DecodedFunction &func)
                               branchConsumes(func.code[i + run],
                                              last.dest);
             if (tail && run + 1 <= kMaxFuseLen) {
-                const std::uint32_t len = run + 1;
-                if (len == 2)
-                    fuse(i, FusedOp::CmpBr, 2);
-                else if (len == 3 && isPureValue(func.code[i].op))
-                    fuse(i, FusedOp::AluCmpBr, 3);
-                else
-                    fuse(i, FusedOp::RunCmpBr, len);
-                i += len;
+                fuse(i, FusedOp::RunCmpBr, run + 1);
+                i += run + 1;
                 continue;
             }
 
             std::uint32_t len = std::min<std::uint32_t>(run, kMaxFuseLen);
             // An over-long sequence ending in a compare+branch tail:
             // stop the chunk before the compare so the next match
-            // still gets the CmpBr form.
+            // still gets the compare and its branch.
             if (tail && len == run)
                 --len;
             if (len < 2) {
                 ++i;
                 continue;
             }
-
-            const DecodedInst &i0 = func.code[i];
-            const DecodedInst &i1 = func.code[i + 1];
-            if (len >= 4) {
-                fuse(i, FusedOp::Run, len);
-            } else if (len == 3) {
-                const DecodedInst &i2 = func.code[i + 2];
-                if (i0.op == ir::Opcode::Load && isPureValue(i1.op) &&
-                    i2.op == ir::Opcode::Store)
-                    fuse(i, FusedOp::LoadAluStore, 3);
-                else if (isPureValue(i0.op) && isPureValue(i1.op) &&
-                         isPureValue(i2.op))
-                    fuse(i, FusedOp::AluAluAlu, 3);
-                else
-                    fuse(i, FusedOp::Run, 3);
-            } else { // len == 2
-                if (i0.op == ir::Opcode::Load && isPureValue(i1.op))
-                    fuse(i, FusedOp::LoadAlu, 2);
-                else if (isPureValue(i0.op) &&
-                         i1.op == ir::Opcode::Store)
-                    fuse(i, FusedOp::AluStore, 2);
-                else if (isPureValue(i0.op) &&
-                         i1.op == ir::Opcode::Load)
-                    fuse(i, FusedOp::AluLoad, 2);
-                else if (isPureValue(i0.op) && isPureValue(i1.op))
-                    fuse(i, FusedOp::AluAlu, 2);
-                else if (i0.op == ir::Opcode::Lea &&
-                         isPureValue(i1.op))
-                    fuse(i, FusedOp::LeaAlu, 2);
-                else
-                    fuse(i, FusedOp::Run, 2);
-            }
+            fuse(i, FusedOp::Run, len);
             i += len;
         }
     }

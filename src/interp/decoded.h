@@ -12,12 +12,13 @@
  * flat switch.
  *
  * Superinstruction tier: with EngineKind::Fused (the default) a
- * decode-time peephole pass additionally annotates hot static
- * sequences inside a block — compare+branch, load+op, op+store,
- * load+op+store, op chains, and address-feeding op+load — with a
- * fused execution opcode on the sequence HEAD. Fusion is strictly
- * in-place: every component instruction keeps its slot, its fields,
- * and its source pointer, so instruction indices (ip), branch
+ * decode-time peephole pass additionally annotates each straight-line
+ * run of value/lea/load/store instructions inside a block with one of
+ * two fused execution opcodes on the run's HEAD: Run, or RunCmpBr
+ * when the run ends in a compare that the block's conditional branch
+ * consumes (the branch joins the run). Fusion is strictly in-place:
+ * every component instruction keeps its slot, its fields, and its
+ * source pointer, so instruction indices (ip), branch
  * targets, snapshot cursors, and observer identities are identical
  * between the two engines. The dispatcher executes a fused head as
  * one handler covering all components (advancing every execution
@@ -80,32 +81,19 @@ constexpr std::uint32_t kNoDecodedBlock = ~0u;
 
 /**
  * Fused execution opcodes, numbered directly after ir::Opcode so one
- * dispatch table covers both. "Alu" means any pure register-operand
- * value opcode (mov/arithmetic/logic/compare/select — no memory, no
- * address); "Cmp" any comparison. Each name lists its components in
- * source order; the head slot carries the exec opcode, the components
- * follow at ip+1 / ip+2 untouched.
+ * dispatch table covers both. The head slot carries the exec opcode;
+ * the components follow at ip+1 .. ip+fused_len-1 untouched, and the
+ * handlers walk them by their decode-time class tag (comp_class).
  */
 enum class FusedOp : std::uint8_t
 {
-    CmpBr = static_cast<std::uint8_t>(ir::Opcode::NumOpcodes),
-    AluCmpBr,     ///< alu, cmp, br — the loop back-edge idiom.
-    AluAlu,       ///< two adjacent pure value ops.
-    AluAluAlu,    ///< three adjacent pure value ops (FP chains).
-    LoadAlu,      ///< load feeding (usually) the next op.
-    AluStore,     ///< computed value immediately stored.
-    LoadAluStore, ///< read-modify-write word.
-    AluLoad,      ///< address arithmetic folded into the load.
-    LeaAlu,       ///< lea feeding pointer arithmetic.
-    Run,          ///< Generic straight-line run of value/lea/load/store
-                  ///< components (length 2..kMaxFuseLen) in any order
-                  ///< the dedicated shapes above don't cover — e.g.
-                  ///< alu+alu+store, load+load+alu, store-led runs,
-                  ///< and long FP chains. Components execute through a
-                  ///< per-instruction class tag (see comp_class).
-    RunCmpBr,     ///< A Run prefix ending in cmp + consuming br: the
-                  ///< general loop back-edge (load/alu/store setup,
-                  ///< compare, branch) as one dispatch.
+    /// Straight-line run of 2..kMaxFuseLen value/lea/load/store
+    /// components in any order.
+    Run = static_cast<std::uint8_t>(ir::Opcode::NumOpcodes),
+    /// A (possibly empty) run ending in cmp + consuming br: the loop
+    /// back-edge (load/alu/store setup, compare, branch) as one
+    /// dispatch.
+    RunCmpBr,
     NumExecOps,
 };
 
@@ -120,7 +108,7 @@ constexpr std::uint8_t kMaxFuseLen = 8;
 constexpr unsigned kNumExecOps =
     static_cast<unsigned>(FusedOp::NumExecOps);
 
-/// Component classes for the generic Run/RunCmpBr handlers: every
+/// Component classes for the Run/RunCmpBr handlers: every
 /// instruction a run may contain maps to one of four executable
 /// shapes. Precomputed at decode time so the run handler's inner
 /// dispatch is a dense four-way switch instead of opcode inspection.

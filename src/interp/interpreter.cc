@@ -17,9 +17,9 @@
 #endif
 
 // The dispatch index is DecodedInst::exec_op — the source opcode for
-// ordinary instructions, or a FusedOp value (numbered after the base
-// opcodes) when the slot heads a fused sequence — so both dispatchers
-// cover the extended space with one table/switch.
+// ordinary instructions, or FusedOp::Run / FusedOp::RunCmpBr (numbered
+// after the base opcodes) when the slot heads a fused sequence — so
+// both dispatchers cover the extended space with one table/switch.
 #ifdef ENCORE_COMPUTED_GOTO
 #define ENCORE_OP(name) L_##name
 #define ENCORE_FOP(name) L_Fused##name
@@ -108,96 +108,46 @@
         ++frame.ip;                                                     \
     } while (0)
 
-// A pure value-op component (any Mov..Select), via the shared
-// semantics function.
-#define ENCORE_FUSE_ALU(comp)                                           \
-    ENCORE_FUSE_VALUE((comp),                                           \
-                      applyValueOp((comp).op, fetch(frame, (comp).a),   \
-                                   fetch(frame, (comp).b),              \
-                                   fetch(frame, (comp).c)))
-
-// Compare component of the compare+branch forms: leaves the result in
-// `vout` for the fused branch. The register write always happens, even
-// when the branch is the compare's only reader: the architectural
-// register file must be identical whether this code ran fused or
-// de-fused, because snapshot capture and the golden-resync state
-// equality compare the whole file (see DESIGN.md §8).
-#define ENCORE_FUSE_CMP(comp, vout)                                     \
-    do {                                                                \
-        std::uint64_t v_ =                                              \
-            applyValueOp((comp).op, fetch(frame, (comp).a),             \
-                         fetch(frame, (comp).b), 0);                    \
-        ++value_count_;                                                 \
-        if (hot_hooks_)                                                 \
-            v_ = hot_hooks_->filterResult(*(comp).src, my_index, v_);   \
-        frame.regs[(comp).dest] = v_;                                   \
-        ++frame.ip;                                                     \
-        (vout) = v_;                                                    \
-    } while (0)
-
-// Load/store component bodies. The observer loops of the unfused cases
-// are dropped: observers force a permanent de-fuse (fuse_value_limit_
-// is 0 while any observer is attached), so a fused handler never runs
-// with one.
-#define ENCORE_FUSE_LOAD(comp)                                          \
-    do {                                                                \
-        ir::ObjectId obj_;                                              \
-        std::uint32_t off_;                                             \
-        evalAddr(frame, (comp), obj_, off_);                            \
-        std::uint64_t v_ = memory_.wordAt(obj_, off_);                  \
-        if (hot_hooks_) {                                               \
-            hot_hooks_->onMemoryAccess(*frame.func->src, *(comp).src,   \
-                                       obj_, off_, false, my_index);    \
-        }                                                               \
-        ++value_count_;                                                 \
-        if (hot_hooks_)                                                 \
-            v_ = hot_hooks_->filterResult(*(comp).src, my_index, v_);   \
-        frame.regs[(comp).dest] = v_;                                   \
-        ++frame.ip;                                                     \
-    } while (0)
-
-#define ENCORE_FUSE_STORE(comp)                                         \
-    do {                                                                \
-        ir::ObjectId obj_;                                              \
-        std::uint32_t off_;                                             \
-        evalAddr(frame, (comp), obj_, off_);                            \
-        memory_.setWord(obj_, off_, fetch(frame, (comp).a));            \
-        if (hot_hooks_) {                                               \
-            hot_hooks_->onMemoryAccess(*frame.func->src, *(comp).src,   \
-                                       obj_, off_, true, my_index);     \
-        }                                                               \
-        ++frame.ip;                                                     \
-    } while (0)
-
-// Branch component: branches on the fused compare's result value (the
-// pass guarantees the branch condition register is the compare's
-// destination, so the value is what a register read would see).
-#define ENCORE_FUSE_BR(comp, cond)                                      \
-    enterBlock(frame, (cond) ? (comp).target0 : (comp).target1,         \
-               frame.func->blocks[frame.block].bb)
-
-// One component of a generic Run/RunCmpBr sequence, dispatched on the
-// decode-time class tag. The four bodies are the same building blocks
-// the dedicated handlers use; the tag switch is what the dedicated
-// shapes avoid, which is why they keep their own handlers.
+// One run component, dispatched on its decode-time class tag. Value
+// ops go through the shared semantics function. The observer loops of
+// the unfused load/store cases are dropped: observers force a
+// permanent de-fuse (fuse_value_limit_ is 0 while any observer is
+// attached), so a fused handler never runs with one.
 #define ENCORE_FUSE_COMP(comp)                                          \
     do {                                                                \
+        ir::ObjectId obj_;                                              \
+        std::uint32_t off_;                                             \
         switch ((comp).comp_class) {                                    \
         case kCompValue:                                                \
-            ENCORE_FUSE_ALU(comp);                                      \
+            ENCORE_FUSE_VALUE(                                          \
+                (comp), applyValueOp((comp).op, fetch(frame, (comp).a), \
+                                     fetch(frame, (comp).b),            \
+                                     fetch(frame, (comp).c)));          \
             break;                                                      \
-        case kCompLea: {                                                \
-            ir::ObjectId obj_;                                          \
-            std::uint32_t off_;                                         \
+        case kCompLea:                                                  \
             evalAddr(frame, (comp), obj_, off_);                        \
             ENCORE_FUSE_VALUE((comp),                                   \
                               ir::Pointer::encode(obj_, off_));         \
-        } break;                                                        \
-        case kCompLoad:                                                 \
-            ENCORE_FUSE_LOAD(comp);                                     \
             break;                                                      \
+        case kCompLoad: {                                               \
+            evalAddr(frame, (comp), obj_, off_);                        \
+            const std::uint64_t word_ = memory_.wordAt(obj_, off_);     \
+            if (hot_hooks_) {                                           \
+                hot_hooks_->onMemoryAccess(*frame.func->src,            \
+                                           *(comp).src, obj_, off_,     \
+                                           false, my_index);            \
+            }                                                           \
+            ENCORE_FUSE_VALUE((comp), word_);                           \
+        } break;                                                        \
         default:                                                        \
-            ENCORE_FUSE_STORE(comp);                                    \
+            evalAddr(frame, (comp), obj_, off_);                        \
+            memory_.setWord(obj_, off_, fetch(frame, (comp).a));        \
+            if (hot_hooks_) {                                           \
+                hot_hooks_->onMemoryAccess(*frame.func->src,            \
+                                           *(comp).src, obj_, off_,     \
+                                           true, my_index);             \
+            }                                                           \
+            ++frame.ip;                                                 \
             break;                                                      \
         }                                                               \
     } while (0)
@@ -515,12 +465,7 @@ Interpreter::execLoop()
                 &&L_Load,    &&L_Store,   &&L_Call,    &&L_Br,
                 &&L_Jmp,     &&L_Ret,     &&L_RegionEnter,
                 &&L_CkptMem, &&L_CkptReg, &&L_Restore,
-                &&L_FusedCmpBr,     &&L_FusedAluCmpBr,
-                &&L_FusedAluAlu,    &&L_FusedAluAluAlu,
-                &&L_FusedLoadAlu,   &&L_FusedAluStore,
-                &&L_FusedLoadAluStore, &&L_FusedAluLoad,
-                &&L_FusedLeaAlu,       &&L_FusedRun,
-                &&L_FusedRunCmpBr,
+                &&L_FusedRun, &&L_FusedRunCmpBr,
             };
             static_assert(sizeof(kJumpTable) / sizeof(kJumpTable[0]) ==
                               static_cast<std::size_t>(kNumExecOps),
@@ -860,102 +805,12 @@ Interpreter::execLoop()
             }
                 ENCORE_NEXT;
 
-            // ---- Superinstruction handlers (fused sequence heads) --
-            // Components live at ip+1 / ip+2 of the same block; the
-            // head slot's own fields are the first component's.
+            // ---- Fused sequence heads ---------------------------------
+            // Components live at ip+1 .. ip+fused_len-1 of the same
+            // block; the head slot's own fields are the first
+            // component's.
 
-            ENCORE_FOP(CmpBr): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &br = frame.func->code[frame.ip + 1];
-                std::uint64_t cond;
-                ENCORE_FUSE_CMP(inst, cond);
-                ENCORE_FUSE_STEP(br);
-                ENCORE_FUSE_BR(br, cond);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(AluCmpBr): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &cmp = frame.func->code[frame.ip + 1];
-                const DecodedInst &br = frame.func->code[frame.ip + 2];
-                ENCORE_FUSE_ALU(inst);
-                ENCORE_FUSE_STEP(cmp);
-                std::uint64_t cond;
-                ENCORE_FUSE_CMP(cmp, cond);
-                ENCORE_FUSE_STEP(br);
-                ENCORE_FUSE_BR(br, cond);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(AluAlu): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                ENCORE_FUSE_ALU(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_ALU(n1);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(AluAluAlu): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                const DecodedInst &n2 = frame.func->code[frame.ip + 2];
-                ENCORE_FUSE_ALU(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_ALU(n1);
-                ENCORE_FUSE_STEP(n2);
-                ENCORE_FUSE_ALU(n2);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(LoadAlu): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                ENCORE_FUSE_LOAD(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_ALU(n1);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(AluStore): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                ENCORE_FUSE_ALU(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_STORE(n1);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(LoadAluStore): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                const DecodedInst &n2 = frame.func->code[frame.ip + 2];
-                ENCORE_FUSE_LOAD(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_ALU(n1);
-                ENCORE_FUSE_STEP(n2);
-                ENCORE_FUSE_STORE(n2);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(AluLoad): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                ENCORE_FUSE_ALU(inst);
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_LOAD(n1);
-            }
-                ENCORE_NEXT;
-            ENCORE_FOP(LeaAlu): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst &n1 = frame.func->code[frame.ip + 1];
-                {
-                    ir::ObjectId obj_;
-                    std::uint32_t off_;
-                    evalAddr(frame, inst, obj_, off_);
-                    ENCORE_FUSE_VALUE(
-                        inst, ir::Pointer::encode(obj_, off_));
-                }
-                ENCORE_FUSE_STEP(n1);
-                ENCORE_FUSE_ALU(n1);
-            }
-                ENCORE_NEXT;
             ENCORE_FOP(Run): {
-                // Generic straight-line run (2..kMaxFuseLen value/lea/
-                // load/store components in any order).
                 ENCORE_FUSE_GUARD;
                 const DecodedInst *comp = &inst;
                 const DecodedInst *last = &inst + inst.fused_len - 1;
@@ -969,10 +824,8 @@ Interpreter::execLoop()
             }
                 ENCORE_NEXT;
             ENCORE_FOP(RunCmpBr): {
-                // Run prefix + compare + consuming branch: the general
-                // loop back-edge. Prefix length is fused_len - 2 >= 1;
-                // the 2-instruction form is CmpBr and the pure-value
-                // 3-form AluCmpBr, so this handler never sees them.
+                // Run prefix (fused_len - 2 >= 0 components) + compare
+                // + consuming branch: the loop back-edge.
                 ENCORE_FUSE_GUARD;
                 const DecodedInst *comp = &inst;
                 const DecodedInst *cmp = &inst + inst.fused_len - 2;
@@ -981,11 +834,23 @@ Interpreter::execLoop()
                     ++comp;
                     ENCORE_FUSE_STEP(*comp);
                 }
-                std::uint64_t cond;
-                ENCORE_FUSE_CMP(*cmp, cond);
+                // The register write always happens, even when the
+                // branch is the compare's only reader: the register
+                // file must be identical whether this code ran fused or
+                // de-fused, because snapshot capture and the
+                // golden-resync state equality compare the whole file
+                // (see DESIGN.md §8).
+                ENCORE_FUSE_VALUE(*cmp, applyValueOp(cmp->op,
+                                                     fetch(frame, cmp->a),
+                                                     fetch(frame, cmp->b),
+                                                     0));
+                // The pass guarantees the branch condition register is
+                // the compare's destination.
+                const std::uint64_t cond = frame.regs[cmp->dest];
                 const DecodedInst &br = cmp[1];
                 ENCORE_FUSE_STEP(br);
-                ENCORE_FUSE_BR(br, cond);
+                enterBlock(frame, cond ? br.target0 : br.target1,
+                           frame.func->blocks[frame.block].bb);
             }
                 ENCORE_NEXT;
 
@@ -1429,8 +1294,4 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
 #undef ENCORE_FUSE_GUARD
 #undef ENCORE_FUSE_STEP
 #undef ENCORE_FUSE_VALUE
-#undef ENCORE_FUSE_ALU
-#undef ENCORE_FUSE_CMP
-#undef ENCORE_FUSE_LOAD
-#undef ENCORE_FUSE_STORE
-#undef ENCORE_FUSE_BR
+#undef ENCORE_FUSE_COMP

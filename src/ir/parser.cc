@@ -114,10 +114,11 @@ class ParserImpl
         const std::string name = header.substr(at + 1, open - at - 1);
         if (module_->functionByName(name) != nullptr)
             errorHere("duplicate function name '" + name + "'");
-        const auto nparams =
-            parseInt(header.substr(open + 1, close - open - 1));
-        if (!nparams || *nparams < 0)
-            errorHere("bad parameter count");
+        const std::string nparams_text =
+            header.substr(open + 1, close - open - 1);
+        const auto nparams = parseInt(nparams_text);
+        if (!nparams || *nparams < 0 || *nparams > UINT32_MAX)
+            errorHere("bad parameter count '" + nparams_text + "'");
         func_ = module_->createFunction(
             name, static_cast<unsigned>(*nparams));
         for (unsigned p = 0; p < func_->numParams(); ++p)
@@ -240,7 +241,7 @@ class ParserImpl
             errorHere("expected a register, got '" + std::string(token) +
                       "'");
         const auto value = parseInt(token.substr(1));
-        if (!value || *value < 0)
+        if (!value || *value < 0 || *value >= kInvalidReg)
             errorHere("bad register '" + std::string(token) + "'");
         return static_cast<RegId>(*value);
     }
@@ -279,7 +280,7 @@ class ParserImpl
         if (startsWith(text, "f:")) {
             char *end = nullptr;
             const double value = std::strtod(text.c_str() + 2, &end);
-            if (end != text.c_str() + text.size())
+            if (text.size() == 2 || end != text.c_str() + text.size())
                 errorHere("bad floating immediate '" + text + "'");
             return Operand::makeFpImm(value);
         }
@@ -454,11 +455,18 @@ class ParserImpl
         if (head == "region.enter" || head == "restore") {
             if (tokens.size() != 2)
                 errorHere("expected: " + head + " <region-id>");
+            const Opcode op =
+                head == "restore" ? Opcode::Restore : Opcode::RegionEnter;
+            // kInvalidRegion is a region.enter's "clear" form (what the
+            // instrumenter emits for an unselected region); a restore
+            // always names a region.
+            const std::int64_t max_id = op == Opcode::RegionEnter
+                                            ? kInvalidRegion
+                                            : kInvalidRegion - 1;
             const auto id = parseInt(tokens[1]);
-            if (!id || *id < 0)
-                errorHere("bad region id");
-            Instruction inst(head == "restore" ? Opcode::Restore
-                                               : Opcode::RegionEnter);
+            if (!id || *id < 0 || *id > max_id)
+                errorHere("bad region id '" + tokens[1] + "'");
+            Instruction inst(op);
             inst.setRegionId(static_cast<RegionId>(*id));
             bb->append(std::move(inst));
             return;

@@ -112,7 +112,7 @@ CommandLine::getDouble(const std::string &name) const
     const std::string &text = find(name).value;
     char *end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end != text.c_str() + text.size())
+    if (text.empty() || end != text.c_str() + text.size())
         fatalf("flag '--", name, "' expects a number, got '", text, "'");
     return value;
 }

@@ -177,6 +177,22 @@ TEST(CampaignCli, IntegerFlagsAreBaseTen)
         << result.output;
 }
 
+TEST(CampaignCli, EmptyNumericFlagsAreRefusedByName)
+{
+    // An empty --mask once ran the campaign at masking rate 0 and
+    // exited 0, while an empty --trials was refused.
+    for (const char *flag : {"--mask", "--trials"}) {
+        const CommandResult result =
+            runTool(std::string("run --workload rawcaudio --trials 200 "
+                                "--jobs 1 ") +
+                    flag + " \"\"");
+        EXPECT_EQ(result.exit_code, 1) << flag << ": " << result.output;
+        EXPECT_NE(result.output.find(std::string("'") + flag + "'"),
+                  std::string::npos)
+            << flag << ": " << result.output;
+    }
+}
+
 TEST(CampaignCli, OutOfRangeSeedIsRefusedByName)
 {
     // Past INT64_MAX the seed was once clamped to it and the campaign

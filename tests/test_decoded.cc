@@ -3,17 +3,24 @@
  * Tests of the pre-decoded flat bytecode engine: structural properties
  * of the DecodedModule cache, differential equivalence against the
  * tree-walking reference engine (including detection/rollback through
- * the recovery runtime), cache sharing across interpreters, and the
- * pooled-interpreter reuse contract.
+ * the recovery runtime), cache sharing across interpreters, the
+ * pooled-interpreter reuse contract, and the fusion pass's spans over
+ * every workload's instrumented module.
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "common.h"
 #include "interp/decoded.h"
 #include "interp/interpreter.h"
 #include "interp/reference.h"
 #include "ir/parser.h"
+#include "support/checksum.h"
+#include "workloads/workload.h"
 
 namespace encore::interp {
 namespace {
@@ -272,6 +279,128 @@ TEST(Decoded, GlobalsMatchAndCaptureToggle)
     EXPECT_TRUE(uncaptured.globals.empty());
     EXPECT_EQ(uncaptured.return_value, captured.return_value);
     EXPECT_TRUE(interp.globalsMatch(captured.globals));
+}
+
+/// One workload's instrumented module (what fig8's campaigns execute)
+/// and its fused decode.
+struct FusedWorkload
+{
+    bench::PreparedWorkload prepared;
+    std::unique_ptr<const DecodedModule> decoded;
+};
+
+/// Every workload prepared as fig8 prepares it; built once and shared
+/// by the span tests.
+const std::vector<FusedWorkload> &
+fusedSuite()
+{
+    static const std::vector<FusedWorkload> suite = [] {
+        std::vector<FusedWorkload> out;
+        for (const workloads::Workload &w : workloads::allWorkloads()) {
+            FusedWorkload fw;
+            fw.prepared = bench::prepareWorkload(w, EncoreConfig{});
+            fw.decoded =
+                std::make_unique<const DecodedModule>(*fw.prepared.module);
+            out.push_back(std::move(fw));
+        }
+        return out;
+    }();
+    return suite;
+}
+
+/// FNV-1a over (function index, head ip, fused_len) of every fused
+/// head, in function and code order.
+std::uint64_t
+fusedSpanHash(const DecodedModule &decoded)
+{
+    std::uint64_t hash = fnv1a64(std::string_view{});
+    for (std::uint32_t f = 0; f < decoded.numFunctions(); ++f) {
+        const DecodedFunction &func = decoded.function(f);
+        for (std::uint32_t ip = 0; ip < func.code.size(); ++ip) {
+            if (func.code[ip].fused_len == 1)
+                continue;
+            hash = fnv1a64Mix(f, hash);
+            hash = fnv1a64Mix(ip, hash);
+            hash = fnv1a64Mix(func.code[ip].fused_len, hash);
+        }
+    }
+    return hash;
+}
+
+TEST(FusedSpans, EveryWorkloadKeepsItsPinnedSpans)
+{
+    // Which source instructions each fused head covers decides where
+    // the de-fuse guard falls back to unfused stepping and which head
+    // can cover a resync anchor, so these hashes pin every workload's
+    // spans: a change to the fusion pass that moves one shows here
+    // first, whatever exec opcode the heads carry.
+    const std::map<std::string, std::uint64_t> pinned = {
+        {"164.gzip", 0x796581808965d513ull},
+        {"175.vpr", 0x5660bc4e8cba660eull},
+        {"181.mcf", 0xea92dc3cab2cba29ull},
+        {"197.parser", 0xf090b8ea20116175ull},
+        {"256.bzip2", 0x65dba0713ab92d49ull},
+        {"300.twolf", 0xd13d16af90310e1dull},
+        {"172.mgrid", 0xc875fbf835b9d538ull},
+        {"173.applu", 0xf65389b1f16c128cull},
+        {"177.mesa", 0x5f7e4a455134007dull},
+        {"179.art", 0xd49b5e35119011c0ull},
+        {"183.equake", 0xaa88ad5e82c7b048ull},
+        {"cjpeg", 0x5e8cfd84bdc9da65ull},
+        {"djpeg", 0x1c61615f01e2c932ull},
+        {"epic", 0xd36f3e8600098933ull},
+        {"unepic", 0xee57fdbf3a080a9cull},
+        {"g721decode", 0xdbe972a8efe06e84ull},
+        {"g721encode", 0x7dce7c8f88577410ull},
+        {"mpeg2dec", 0xf8aeb246e0b863e8ull},
+        {"mpeg2enc", 0xf043e374d27e4be6ull},
+        {"pegwitdec", 0xdb763eaff3d51f5eull},
+        {"pegwitenc", 0xdb763eaff3d51f5eull},
+        {"rawcaudio", 0x7ce6517b87713c1aull},
+        {"rawdaudio", 0x9f6d5638043e080full},
+    };
+    ASSERT_EQ(fusedSuite().size(), pinned.size());
+    for (const FusedWorkload &fw : fusedSuite()) {
+        const std::string &name = fw.prepared.workload->name;
+        SCOPED_TRACE(name);
+        EXPECT_EQ(fusedSpanHash(*fw.decoded), pinned.at(name));
+    }
+}
+
+TEST(FusedSpans, HeadsAreRunsAndCompareBranchRuns)
+{
+    // Every head is a generic Run, or a RunCmpBr whose span ends in a
+    // compare and the conditional branch that reads its result; every
+    // other slot dispatches on its own source opcode.
+    for (const FusedWorkload &fw : fusedSuite()) {
+        SCOPED_TRACE(fw.prepared.workload->name);
+        std::size_t heads = 0;
+        for (std::uint32_t f = 0; f < fw.decoded->numFunctions(); ++f) {
+            const DecodedFunction &func = fw.decoded->function(f);
+            for (std::uint32_t ip = 0; ip < func.code.size(); ++ip) {
+                const DecodedInst &head = func.code[ip];
+                if (head.fused_len == 1) {
+                    EXPECT_EQ(head.exec_op,
+                              static_cast<std::uint8_t>(head.op));
+                    continue;
+                }
+                ++heads;
+                ASSERT_LE(ip + head.fused_len, func.code.size());
+                if (head.exec_op == static_cast<std::uint8_t>(FusedOp::Run))
+                    continue;
+                ASSERT_EQ(head.exec_op,
+                          static_cast<std::uint8_t>(FusedOp::RunCmpBr))
+                    << "function " << f << " ip " << ip;
+                const DecodedInst &cmp = func.code[ip + head.fused_len - 2];
+                const DecodedInst &br = func.code[ip + head.fused_len - 1];
+                EXPECT_GE(cmp.op, ir::Opcode::CmpEq);
+                EXPECT_LE(cmp.op, ir::Opcode::FCmpLt);
+                EXPECT_EQ(br.op, ir::Opcode::Br);
+                EXPECT_EQ(br.a.slot, cmp.dest);
+            }
+        }
+        EXPECT_GT(heads, 0u);
+    }
 }
 
 } // namespace

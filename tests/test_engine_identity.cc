@@ -8,10 +8,10 @@
  * interpreter, this pins the whole campaign stack.
  *
  * The same file checks that the bench binaries (fig8 via
- * ENCORE_FIG8_TOOL, table1, fig6, fig1, ablation_heuristics and
- * encore_opstats) and the region_inspector and codec_protection
- * examples reject malformed and removed flags with exit status 1 and a
- * message naming the flag, instead of crashing or guessing.
+ * ENCORE_FIG8_TOOL, table1, fig6, fig1 and ablation_heuristics) and
+ * the region_inspector and codec_protection examples reject malformed
+ * and removed flags with exit status 1 and a message naming the flag,
+ * instead of crashing or guessing.
  */
 #include <gtest/gtest.h>
 
@@ -235,8 +235,6 @@ TEST(BenchFlags, ListFlagsRejectBadEntries)
          "--sizes expects comma-separated positive integers, got '0'"},
         {ENCORE_FIG1_TOOL, "--sizes 100,-3",
          "--sizes expects comma-separated positive integers, got '-3'"},
-        {ENCORE_OPSTATS_TOOL, "--workloads nosuch",
-         "unknown workload 'nosuch'; available workloads:"},
         {ENCORE_REGION_INSPECTOR_TOOL, "--workload nosuch",
          "unknown workload 'nosuch'; available workloads:"},
         {ENCORE_CODEC_PROTECTION_TOOL, "--workload nosuch",

@@ -142,11 +142,11 @@ TEST_P(BinaryOp, EnginesAgreeInsideFusedLoop)
     expectEnginesAgree(text, {c.a, c.b});
 }
 
-// One program per family of fused shapes the decode-time pass emits,
-// each compared three ways (reference / decoded / fused). These are
-// deliberately small enough to hand-check which heads fuse, yet
-// together they execute every fused handler: cmp+br, value runs,
-// load/store runs, run+cmp+br back-edges, and lea address arithmetic.
+// Programs small enough to hand-check which heads fuse, each compared
+// three ways (reference / decoded / fused). Together they run both
+// fused handlers over every component class: value, lea, load and
+// store components in Run heads, and compare+branch back edges with
+// and without a run ahead of the compare in RunCmpBr heads.
 
 TEST(EngineDifferential, MemoryRunLoopMatchesReference)
 {

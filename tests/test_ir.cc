@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "ir/builder.h"
 #include "ir/parser.h"
 #include "ir/printer.h"
@@ -195,6 +197,7 @@ func @f(0) {
     ckpt.mem [@A + 2]
     r1 = mov 7
     store [@A + 2], r1
+    region.enter 4294967295
     ret r1
   bb rec:
     restore 3
@@ -209,6 +212,9 @@ func @f(0) {
     const auto &instrs = module->functionByName("f")->entry()->instructions();
     EXPECT_EQ(instrs.front().opcode(), Opcode::RegionEnter);
     EXPECT_EQ(instrs.front().regionId(), 3u);
+    // The sentinel id is region.enter's "clear" form, as the
+    // instrumenter emits it for an unselected region.
+    EXPECT_EQ(std::prev(instrs.end(), 2)->regionId(), kInvalidRegion);
 }
 
 TEST(Parser, FpImmediates)
@@ -296,8 +302,13 @@ func @f(0) {
 TEST(Parser, ErrorsOnDuplicateNamesAndOversizedObjects)
 {
     // Each text reaches a builder precondition (unique names, a size
-    // that fits 32 bits); the parser must reject it with a ParseError
-    // instead of letting the builder abort the process.
+    // that fits 32 bits) or names a value its field cannot hold; the
+    // parser must reject it with a ParseError instead of letting the
+    // builder abort the process or the value wrap. Register and region
+    // ids are 32-bit with ~0 as the "none" sentinel, and a parameter
+    // count is 32-bit too: r4294967296 once parsed as r0, region
+    // 4294967296 as region 0, 4294967297 parameters as 1, and an empty
+    // f: as 0.0, and every such module verified and ran.
     const struct
     {
         const char *message;
@@ -357,6 +368,52 @@ module "m"
 func @f(0) {
   local %x 4294967296
   bb entry:
+    ret
+}
+)"},
+        {"line 5: bad register 'r4294967296'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    r4294967296 = mov 1
+    ret
+}
+)"},
+        {"line 5: bad register 'r4294967295'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    ret r4294967295
+}
+)"},
+        {"line 3: bad parameter count '4294967297'", R"(
+module "m"
+func @main(4294967297) {
+  bb entry:
+    ret
+}
+)"},
+        {"line 5: bad region id '4294967296'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    region.enter 4294967296
+    ret
+}
+)"},
+        {"line 5: bad region id '4294967295'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    restore 4294967295
+    ret
+}
+)"},
+        {"line 5: bad floating immediate 'f:'", R"(
+module "m"
+func @f(0) {
+  bb entry:
+    r1 = fadd f:, f:1.5
     ret
 }
 )"},

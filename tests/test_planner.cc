@@ -537,18 +537,33 @@ TEST(TallyStore, CrcCorruptRecordStopsTheScan)
 
 TEST(TallyStore, MismatchedOutcomeSumIsTreatedAsCorrupt)
 {
-    const std::string path = tempPath("tally_sum.tally");
-    ASSERT_FALSE(createTallyStore(path).has_value());
-    TallyContents empty;
-    ASSERT_FALSE(readTallyStore(path, empty).has_value());
-    TallyRecord bad = sampleRecord(4, 10);
-    bad.counts[0] = 3; // sum(counts) != subset_count
-    ASSERT_FALSE(appendTallyRecords(path, empty, {bad}).has_value());
+    // Each record is sealed with a valid CRC, but its counts do not add
+    // up to its subset_count: they fall short, or they match only
+    // modulo 2^64 (one count above the subset, or counts that each fit
+    // but overflow together). The reader once accepted the two that
+    // wrap, and the planner folded counts near 2^64 into its aggregate.
+    const std::uint64_t half = std::uint64_t{1} << 63;
+    TallyRecord short_sum = sampleRecord(4, 10);
+    short_sum.counts[0] = 3;
+    TallyRecord above = sampleRecord(5, 10);
+    above.counts[0] = ~std::uint64_t{0};
+    above.counts[1] = 11;
+    TallyRecord overflow = sampleRecord(6, half + 5);
+    overflow.counts[1] = half;
+    overflow.counts[2] = half;
+    for (const TallyRecord &bad : {short_sum, above, overflow}) {
+        SCOPED_TRACE(bad.key);
+        const std::string path = tempPath("tally_sum.tally");
+        ASSERT_FALSE(createTallyStore(path).has_value());
+        TallyContents empty;
+        ASSERT_FALSE(readTallyStore(path, empty).has_value());
+        ASSERT_FALSE(appendTallyRecords(path, empty, {bad}).has_value());
 
-    TallyContents contents;
-    ASSERT_FALSE(readTallyStore(path, contents).has_value());
-    EXPECT_TRUE(contents.records.empty());
-    EXPECT_EQ(contents.dropped_bytes, kTallyRecordSize);
+        TallyContents contents;
+        ASSERT_FALSE(readTallyStore(path, contents).has_value());
+        EXPECT_TRUE(contents.records.empty());
+        EXPECT_EQ(contents.dropped_bytes, kTallyRecordSize);
+    }
 }
 
 TEST(TallyStore, RejectsForeignAndDamagedHeaders)

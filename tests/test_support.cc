@@ -286,6 +286,27 @@ TEST(CommandLineTest, GetUintIsBaseTenAndRefusesOutOfRange)
                 testing::ExitedWithCode(1), "--seed.*base-10.*got '0x10'");
 }
 
+TEST(CommandLineTest, GetDoubleRefusesAnEmptyValueByName)
+{
+    // An empty value once read as 0.0 (`--mask ""` ran a campaign at
+    // masking rate 0), while getInt refused the same input.
+    const auto rateFlag = [](const std::string &value) {
+        CommandLine cli;
+        cli.addFlag("rate", "0.5", "a rate");
+        const std::string arg = "--rate=" + value;
+        const char *argv[] = {"prog", arg.c_str()};
+        cli.parse(2, const_cast<char **>(argv));
+        return cli;
+    };
+    EXPECT_DOUBLE_EQ(rateFlag("0.25").getDouble("rate"), 0.25);
+    EXPECT_EXIT((void)rateFlag("").getDouble("rate"),
+                testing::ExitedWithCode(1),
+                "--rate.*expects a number, got ''");
+    EXPECT_EXIT((void)rateFlag("0.5x").getDouble("rate"),
+                testing::ExitedWithCode(1),
+                "--rate.*expects a number, got '0.5x'");
+}
+
 TEST(CommandLineTest, BareValueFlagBeforeAnotherFlagIsFatal)
 {
     // '--label --foo' used to silently parse as label=true; a value
