@@ -53,7 +53,7 @@ main(int argc, char **argv)
         auto module = w.build();
         interp::TraceCollector trace;
         interp::Interpreter interp(*module);
-        interp.addObserver(&trace);
+        interp.setHooks(&trace);
         const auto result = interp.run(w.entry, w.train_args);
         if (!result.ok()) {
             std::cerr << "skipping " << w.name << ": " << result.error
@@ -67,7 +67,8 @@ main(int argc, char **argv)
             const std::uint64_t tolerance =
                 std::max<std::uint64_t>(1, sizes[s] / 100);
             const interp::WindowIdempotence win =
-                interp::analyzeWindows(trace, sizes[s], tolerance);
+                interp::analyzeWindows(trace, result.dyn_instrs, sizes[s],
+                                       tolerance);
             agg[w.suite].windows[s] += win.windows;
             agg[w.suite].idempotent[s] += win.idempotent;
             agg[w.suite].target[s] += win.nearly_idempotent;

@@ -13,7 +13,8 @@
 # against brute force), a scenario-matrix smoke (every fault-model x
 # detector pair byte-identical across --jobs, fig8's snapshot counters
 # included, with the snapshot tier off, and at the former default
-# stride 1024), a figure smoke (fig5,
+# stride 1024), a provenance check (fig8's --json names the checked-out
+# revision), a figure smoke (fig5,
 # fig6, fig7a, fig7b, the ablation table and table1 byte-identical
 # across --jobs), the repo benchmark's seed-1 output digests
 # (perfbench/), and a warn-only
@@ -151,6 +152,26 @@ for model in reg-bit multi-bit cf-branch mem-bus; do
     done
 done
 
+echo "==> [provenance] fig8 --json names the checked-out revision"
+# The build root is reused across runs, so a build that misses a new
+# commit keeps reporting the old hash as build.git_hash in every
+# --json report. The scenario smoke's reports come from this build.
+if ! command -v git > /dev/null; then
+    echo "provenance: skipped (git is not on PATH)"
+elif [ ! -e "${repo_root}/.git" ]; then
+    echo "provenance: skipped (${repo_root} is not a git checkout)"
+else
+    want="$(git -C "${repo_root}" rev-parse --short=12 HEAD)"
+    got="$(grep -o '"git_hash": "[^"]*"' \
+        "${scenario_dir}/reg-bit_analytic_j1.json" | cut -d'"' -f4)"
+    if [ "${got}" != "${want}" ]; then
+        echo "provenance: fig8 --json reports git_hash '${got}'," \
+            "but HEAD is ${want}" >&2
+        exit 1
+    fi
+    echo "provenance: git_hash ${got} is HEAD"
+fi
+
 echo "==> [figures] figure and table benches byte-identical across --jobs"
 # The benches prepare workloads on --jobs threads and print rows in
 # suite order, so the thread count must not change a byte of their
@@ -225,4 +246,4 @@ if max(means, key=means.get) != "fused":
 print("interp-smoke: warn-only")
 EOF
 
-echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + ubsan suite + planner smoke + scenario matrix + figure smoke + perfbench digests + interp smoke)"
+echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + ubsan suite + planner smoke + scenario matrix + provenance + figure smoke + perfbench digests + interp smoke)"

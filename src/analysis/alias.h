@@ -106,8 +106,9 @@ struct AddrObservation
     void record(ir::ObjectId object, std::uint32_t offset);
 };
 
-/// Per-instruction dynamic address profile, filled by the interpreter's
-/// AddressProfiler observer.
+/// Per-instruction dynamic address profile, filled during a profiling
+/// run by the ProfileCollector (or AddressProfiler) hooks of
+/// interp/profile.h.
 struct DynamicAddressProfile
 {
     std::unordered_map<const ir::Instruction *, AddrObservation>

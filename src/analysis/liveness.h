@@ -60,11 +60,6 @@ class Liveness
         return live_out_.at(block);
     }
 
-    /// use(bb): registers read before any write within bb.
-    const RegSet &upwardExposedUses(ir::BlockId block) const
-    {
-        return use_.at(block);
-    }
     /// def(bb): registers written anywhere within bb.
     const RegSet &defs(ir::BlockId block) const { return def_.at(block); }
 

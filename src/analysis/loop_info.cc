@@ -128,8 +128,6 @@ LoopInfo::buildForest()
         loop->parent = candidate;
         if (candidate)
             candidate->subloops.push_back(loop);
-        else
-            top_level_.push_back(loop);
     }
 
     // Depths, top-down.

@@ -53,8 +53,6 @@ class LoopInfo
         return inner_first_;
     }
 
-    const std::vector<Loop *> &topLevelLoops() const { return top_level_; }
-
     /// Inner-most loop containing `node`, or nullptr.
     Loop *loopFor(NodeId node) const;
 
@@ -74,7 +72,6 @@ class LoopInfo
 
     std::vector<std::unique_ptr<Loop>> storage_;
     std::vector<Loop *> inner_first_;
-    std::vector<Loop *> top_level_;
     std::vector<Loop *> innermost_; // per node
     std::vector<Loop *> by_header_; // per node
     bool irreducible_ = false;

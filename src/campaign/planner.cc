@@ -106,10 +106,10 @@ canonicalFunctionSig(const ir::Function &func)
 
 /**
  * Value-index → fault-site attribution via one hooked golden-speed
- * run: counts filterResult callbacks exactly like the trial hooks do,
- * and at each requested index records the innermost executing
- * function and the active region id. Behaviourally a pure
- * pass-through, so the run IS the golden run.
+ * run: when the value being filtered has a requested index (read off
+ * the interpreter's value count, as the trial hooks read it), records
+ * the innermost executing function and the active region id.
+ * Behaviourally a pure pass-through, so the run IS the golden run.
  */
 class AttributionHooks : public interp::ExecHooks
 {
@@ -132,7 +132,8 @@ class AttributionHooks : public interp::ExecHooks
     {
         (void)inst;
         (void)dyn_index;
-        const std::uint64_t index = value_count_++;
+        // The interpreter counts a value before filtering it.
+        const std::uint64_t index = interp_.valueCount() - 1;
         if (cursor_ < targets_.size() && index == targets_[cursor_]) {
             sites_[cursor_].region = interp_.currentRegionId();
             sites_[cursor_].func = interp_.currentFunction();
@@ -142,14 +143,12 @@ class AttributionHooks : public interp::ExecHooks
     }
 
     const std::vector<Site> &sites() const { return sites_; }
-    std::uint64_t valueCount() const { return value_count_; }
     bool complete() const { return cursor_ == targets_.size(); }
 
   private:
     interp::Interpreter &interp_;
     const std::vector<std::uint64_t> &targets_;
     std::vector<Site> sites_;
-    std::uint64_t value_count_ = 0;
     std::size_t cursor_ = 0;
 };
 
@@ -285,7 +284,7 @@ struct CampaignPlanner::Impl
                 interp.run(injector.entry(), injector.args());
             interp.setHooks(nullptr);
             if (!run.ok() || !hooks.complete() ||
-                hooks.valueCount() != golden.value_instrs)
+                run.value_instrs != golden.value_instrs)
                 fatal("campaign planner: attribution run diverged "
                       "from the golden run (internal error)");
             sites = hooks.sites();

@@ -45,11 +45,14 @@ AnalysisBase::AnalysisBase(ir::Module &module,
     // Profiling runs (Stage 1 of the pipeline).
     double t0 = nowSeconds();
     {
-        // Observers pin superinstruction fusion off, so the run decodes
-        // without fusing.
-        interp::Interpreter interp(module_, interp::EngineKind::Decoded);
+        // The default (fused) engine: the collector's hooks leave
+        // fusion on, and it measured no slower than the decoded one
+        // (encore.profile_s over 12 alternating perfbench pairs on a
+        // 4-core VM, GCC 12 Release: pair-ratio median 0.96, lower in
+        // 9 of 12; EXPERIMENTS.md "Incremental analysis pipeline").
+        interp::Interpreter interp(module_);
         interp::ProfileCollector collector(module_);
-        interp.addObserver(&collector);
+        interp.setHooks(&collector);
         interp.setMaxInstructions(profile_max_instrs);
         for (const RunSpec &spec : profile_runs) {
             const interp::RunResult result = interp.run(spec.entry,

@@ -40,17 +40,4 @@ Region::exitingBlocks() const
     return exits;
 }
 
-std::size_t
-Region::staticInstrCount() const
-{
-    std::size_t count = 0;
-    for (const ir::BlockId id : blocks) {
-        for (const auto &inst : func->blockById(id)->instructions()) {
-            if (!inst.isPseudo())
-                ++count;
-        }
-    }
-    return count;
-}
-
 } // namespace encore

@@ -47,9 +47,6 @@ struct Region
 
     /// Blocks with an edge leaving the region or with no successors.
     std::vector<ir::BlockId> exitingBlocks() const;
-
-    /// Static (non-pseudo) instruction count over the member blocks.
-    std::size_t staticInstrCount() const;
 };
 
 /**

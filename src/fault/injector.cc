@@ -90,22 +90,17 @@ namespace {
 class TrialHooks : public interp::ExecHooks
 {
   public:
-    /// The hooks must be armed at the plan's anchor,
-    /// `plan.target_value_index` (Interpreter::setHooks): their value
-    /// counter starts there, at the value instruction their first
-    /// filterResult sees. Before the anchor the hooks would be pure
-    /// pass-throughs, so skipping the prefix callbacks changes nothing
-    /// but where the counter starts. (Every model anchors on a value
+    /// The hooks are armed at the plan's anchor,
+    /// `plan.target_value_index` (Interpreter::setHooks). Before the
+    /// anchor they would be pure pass-throughs, so skipping the prefix
+    /// callbacks changes nothing. (Every model anchors on a value
     /// index, so this holds for all of them: a branch/memory strike
     /// happens at the first matching site *after* the anchor value
     /// instruction executes.)
     TrialHooks(interp::Interpreter &interp,
                const models::InjectionPlan &plan,
                const models::DetectionPlan &detection)
-        : interp_(interp),
-          plan_(plan),
-          detection_(detection),
-          value_count_(plan.target_value_index)
+        : interp_(interp), plan_(plan), detection_(detection)
     {
     }
 
@@ -121,10 +116,10 @@ class TrialHooks : public interp::ExecHooks
     filterResult(const ir::Instruction &inst, std::uint64_t dyn_index,
                  std::uint64_t value) override
     {
-        const std::uint64_t my_value_index = value_count_++;
         if (!injected_) {
+            // The interpreter counts a value before filtering it.
             if (plan_.kind != models::InjectionPlan::Kind::RegFlip ||
-                my_value_index != plan_.target_value_index) {
+                interp_.valueCount() - 1 != plan_.target_value_index) {
                 current_load_tainted_ = false;
                 return value;
             }
@@ -209,7 +204,7 @@ class TrialHooks : public interp::ExecHooks
         if (injected_ ||
             plan_.kind != models::InjectionPlan::Kind::BranchRedirect)
             return;
-        if (value_count_ <= plan_.target_value_index)
+        if (interp_.valueCount() <= plan_.target_value_index)
             return;
         // A single-block function has no wrong block to land in; the
         // strike slides to the next branch in a bigger function.
@@ -236,7 +231,7 @@ class TrialHooks : public interp::ExecHooks
         if (injected_ ||
             plan_.kind != models::InjectionPlan::Kind::MemBus)
             return 0;
-        if (value_count_ <= plan_.target_value_index)
+        if (interp_.valueCount() <= plan_.target_value_index)
             return 0;
         markInjected(dyn_index);
         // Selector: bit 0 picks address vs data; bits 1.. give the bit
@@ -261,11 +256,10 @@ class TrialHooks : public interp::ExecHooks
     }
 
     void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
-        (void)func;
         (void)dyn_index;
         if (!injected_)
             return;
@@ -301,11 +295,8 @@ class TrialHooks : public interp::ExecHooks
     }
 
     bool
-    onRuntimeError(const std::string &message,
-                   std::uint64_t dyn_index) override
+    onRuntimeError(std::uint64_t dyn_index) override
     {
-        (void)message;
-        (void)dyn_index;
         if (!injected_)
             return false; // a real program bug: surface it
         if (error_recoveries_ >= kMaxErrorRecoveries)
@@ -325,10 +316,8 @@ class TrialHooks : public interp::ExecHooks
     }
 
     void
-    onDetectionHandled(interp::DetectionResponse response,
-                       std::uint64_t region_token) override
+    onDetectionHandled(interp::DetectionResponse response) override
     {
-        (void)region_token;
         if (response == interp::DetectionResponse::RolledBack) {
             rolled_back_ = true;
             // A rollback restores the checkpointed state; the corrupted
@@ -462,7 +451,6 @@ class TrialHooks : public interp::ExecHooks
     models::InjectionPlan plan_;
     models::DetectionPlan detection_;
 
-    std::uint64_t value_count_ = 0;
     bool injected_ = false;
     bool detected_ = false;
     bool rolled_back_ = false;
@@ -651,12 +639,10 @@ FaultInjector::runTrial(const TrialDraw &draw,
         interp.memoryRef().disableDirtyTracking();
 
     // The trial rides entirely on the hook interface (including memory
-    // taint via ExecHooks::onMemoryAccess) — the observer list stays
-    // empty, keeping per-instruction observer dispatch off the
-    // campaign hot path. The hooks arm at the anchor: the stretch from
-    // the snapshot up to it runs hook-free and fused, and so does the
-    // post-rollback replay once the hooks quiesce, leaving only the
-    // fault window hooked.
+    // taint via ExecHooks::onMemoryAccess). The hooks arm at the
+    // anchor: the stretch from the snapshot up to it runs hook-free
+    // and fused, and so does the post-rollback replay once the hooks
+    // quiesce, leaving only the fault window hooked.
     TrialHooks hooks(interp, plan, draw.detection);
     interp.setHooks(&hooks, plan.target_value_index);
     // Trials never read RunResult::globals — output equality is checked

@@ -19,7 +19,7 @@
  * consumes (the branch joins the run). Fusion is strictly in-place:
  * every component instruction keeps its slot, its fields, and its
  * source pointer, so instruction indices (ip), branch
- * targets, snapshot cursors, and observer identities are identical
+ * targets, snapshot cursors, and the objects hooks see are identical
  * between the two engines. The dispatcher executes a fused head as
  * one handler covering all components (advancing every execution
  * counter per *source* instruction and firing every hook exactly as
@@ -34,7 +34,7 @@
  * and is immutable afterwards, so one cache can be shared read-only by
  * any number of interpreters on any number of threads. Each
  * DecodedInst keeps a pointer to its source ir::Instruction purely so
- * observers and hooks see the exact same objects as before; the
+ * hooks see the exact same objects as before; the
  * referenced module must therefore outlive the cache.
  */
 #ifndef ENCORE_INTERP_DECODED_H
@@ -160,12 +160,12 @@ struct DecodedInst
     std::uint32_t callee = ~0u;
     std::uint32_t args_first = 0;
     std::uint32_t args_count = 0;
-    /// The instruction this was decoded from, for observers and hooks.
+    /// The instruction this was decoded from, for hooks.
     const ir::Instruction *src = nullptr;
 };
 
 /// Where a block lives in the flat code array, plus the source block
-/// handed to observers on entry.
+/// handed to ExecHooks::onBlockEnter.
 struct DecodedBlock
 {
     std::uint32_t first = 0; ///< Index of the block's first instruction.

@@ -109,10 +109,7 @@
     } while (0)
 
 // One run component, dispatched on its decode-time class tag. Value
-// ops go through the shared semantics function. The observer loops of
-// the unfused load/store cases are dropped: observers force a
-// permanent de-fuse (fuse_value_limit_ is 0 while any observer is
-// attached), so a fused handler never runs with one.
+// ops go through the shared semantics function.
 #define ENCORE_FUSE_COMP(comp)                                          \
     do {                                                                \
         ir::ObjectId obj_;                                              \
@@ -133,8 +130,7 @@
             evalAddr(frame, (comp), obj_, off_);                        \
             const std::uint64_t word_ = memory_.wordAt(obj_, off_);     \
             if (hot_hooks_) {                                           \
-                hot_hooks_->onMemoryAccess(*frame.func->src,            \
-                                           *(comp).src, obj_, off_,     \
+                hot_hooks_->onMemoryAccess(*(comp).src, obj_, off_,     \
                                            false, my_index);            \
             }                                                           \
             ENCORE_FUSE_VALUE((comp), word_);                           \
@@ -143,8 +139,7 @@
             evalAddr(frame, (comp), obj_, off_);                        \
             memory_.setWord(obj_, off_, fetch(frame, (comp).a));        \
             if (hot_hooks_) {                                           \
-                hot_hooks_->onMemoryAccess(*frame.func->src,            \
-                                           *(comp).src, obj_, off_,     \
+                hot_hooks_->onMemoryAccess(*(comp).src, obj_, off_,     \
                                            true, my_index);             \
             }                                                           \
             ++frame.ip;                                                 \
@@ -199,14 +194,6 @@ Interpreter::Interpreter(std::shared_ptr<const DecodedModule> decoded)
     // Frame::regs pointers stay valid for the interpreter's lifetime.
     reg_arena_.assign(
         static_cast<std::size_t>(kMaxCallDepth) * max_regs_, 0);
-}
-
-void
-Interpreter::addObserver(Observer *observer)
-{
-    observers_.push_back(observer);
-    if (observer->observesInstructions())
-        instr_observers_.push_back(observer);
 }
 
 void
@@ -272,8 +259,8 @@ Interpreter::enterBlock(Frame &frame, std::uint32_t block,
     const DecodedBlock &db = frame.func->blocks[block];
     frame.block = block;
     frame.ip = db.first;
-    for (Observer *obs : observers_)
-        obs->onBlockEnter(*frame.func->src, *db.bb, from);
+    if (hot_hooks_)
+        hot_hooks_->onBlockEnter(*frame.func->src, *db.bb, from);
 }
 
 bool
@@ -282,17 +269,15 @@ Interpreter::handleDetection(Frame &frame)
     RecoveryState &rec = frame.recovery;
     if (!rec.active || rec.recovery_block == kNoDecodedBlock) {
         if (hooks_)
-            hooks_->onDetectionHandled(DetectionResponse::Unrecoverable, 0);
+            hooks_->onDetectionHandled(DetectionResponse::Unrecoverable);
         return false;
     }
     // Redirect control to the recovery block. Its `restore` pseudo-op
     // unwinds the checkpoint buffer and its trailing jump re-enters the
     // region header.
     ++rollback_count_;
-    if (hooks_) {
-        hooks_->onDetectionHandled(DetectionResponse::RolledBack,
-                                   rec.token);
-    }
+    if (hooks_)
+        hooks_->onDetectionHandled(DetectionResponse::RolledBack);
     enterBlock(frame, rec.recovery_block, nullptr);
     return true;
 }
@@ -334,6 +319,7 @@ Interpreter::run(const std::string &func_name,
     next_token_ = 0;
     if (recorder_)
         snapshot_barrier_ = recorder_->firstBarrier();
+    beginRun();
 
     // Set up the initial frame (reusing the pooled slot, if any).
     {
@@ -354,7 +340,35 @@ Interpreter::resumeRun(const Snapshot &snap, const PagePool &pool)
                   "resumeRun from a snapshot with no frames");
     memory_.restore(snap.mem, pool);
     restoreExecState(snap.exec);
+    beginRun();
     return execLoop();
+}
+
+void
+Interpreter::beginRun()
+{
+    disarmGoldenResync();
+    trial_stop_ = false;
+    // Every run re-arms the installed hooks at their arm point; until
+    // then the hot call sites see no hooks and fusion is not pinned. A
+    // run that starts at or past its arm point arms here, not at its
+    // first loop top: the hooks see the same callbacks from that loop
+    // top on, plus run()'s entry into the entry block ahead of it.
+    hot_hooks_ = nullptr;
+    hooks_unfused_ = false;
+    arm_barrier_ = hooks_ ? hooks_arm_at_ : kNoSnapshotBarrier;
+    if (value_count_ >= arm_barrier_)
+        armHooks();
+    value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
+    recomputeFuseLimits();
+}
+
+void
+Interpreter::armHooks()
+{
+    arm_barrier_ = kNoSnapshotBarrier;
+    hot_hooks_ = hooks_;
+    hooks_unfused_ = hooks_->needsUnfusedDispatch();
 }
 
 RunResult
@@ -373,16 +387,6 @@ Interpreter::execLoop()
             result.globals = memory_.snapshotGlobals();
         return result;
     };
-
-    disarmGoldenResync();
-    trial_stop_ = false;
-    // Every run re-arms the installed hooks at their arm point; until
-    // then the hot call sites see no hooks and fusion is not pinned.
-    hot_hooks_ = nullptr;
-    hooks_unfused_ = false;
-    arm_barrier_ = hooks_ ? hooks_arm_at_ : kNoSnapshotBarrier;
-    value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
-    recomputeFuseLimits();
 
     while (true) {
         if (dyn_count_ >= max_instrs_)
@@ -438,7 +442,6 @@ Interpreter::execLoop()
             continue;
         }
 
-        const DecodedFunction *exec_func = frame.func;
         // Mutable: fused handlers re-point it at each component's
         // dynamic index, so per-component hook calls see exactly the
         // index the unfused loop would have handed them.
@@ -640,13 +643,8 @@ Interpreter::execLoop()
                 std::uint64_t value =
                     memory_.wordAt(object, offset) ^ mem_mask;
                 if (hot_hooks_) {
-                    hot_hooks_->onMemoryAccess(*frame.func->src, *inst.src,
-                                               object, offset, false,
-                                               my_index);
-                }
-                for (Observer *obs : observers_) {
-                    obs->onMemoryAccess(*frame.func->src, *inst.src,
-                                        object, offset, false, my_index);
+                    hot_hooks_->onMemoryAccess(*inst.src, object, offset,
+                                               false, my_index);
                 }
                 ++value_count_;
                 if (hot_hooks_)
@@ -673,13 +671,8 @@ Interpreter::execLoop()
                 }
                 memory_.setWord(object, offset, ENCORE_VA ^ mem_mask);
                 if (hot_hooks_) {
-                    hot_hooks_->onMemoryAccess(*frame.func->src, *inst.src,
-                                               object, offset, true,
-                                               my_index);
-                }
-                for (Observer *obs : observers_) {
-                    obs->onMemoryAccess(*frame.func->src, *inst.src,
-                                        object, offset, true, my_index);
+                    hot_hooks_->onMemoryAccess(*inst.src, object, offset,
+                                               true, my_index);
                 }
                 ++frame.ip;
             }
@@ -697,7 +690,7 @@ Interpreter::execLoop()
                 // capacity is reserved to kMaxCallDepth up front.
                 Frame &next = activateFrame(callee);
                 const DecodedOperand *call_args =
-                    exec_func->args_pool.data() + inst.args_first;
+                    frame.func->args_pool.data() + inst.args_first;
                 for (std::uint32_t i = 0; i < inst.args_count; ++i)
                     next.regs[i] = fetch(frame, call_args[i]);
                 next.caller_dest = inst.dest;
@@ -739,9 +732,6 @@ Interpreter::execLoop()
                 memory_.popFrame();
                 --depth_;
                 if (depth_ == 0) {
-                    for (Observer *obs : instr_observers_)
-                        obs->onInstruction(*exec_func->src, *inst.src,
-                                           my_index);
                     result.return_value = value;
                     return finish(RunResult::Status::Ok, "");
                 }
@@ -866,7 +856,7 @@ Interpreter::execLoop()
             // whether to treat them as an immediate detection (fault
             // injection campaigns) or to surface them (golden runs).
             const bool treat_as_detection =
-                hooks_ && hooks_->onRuntimeError(err.message, my_index);
+                hooks_ && hooks_->onRuntimeError(my_index);
             if (treat_as_detection) {
                 if (!handleDetection(frames_[depth_ - 1])) {
                     return finish(RunResult::Status::DetectedUnrecoverable,
@@ -881,11 +871,6 @@ Interpreter::execLoop()
                 continue;
             }
             return finish(RunResult::Status::Error, err.message);
-        }
-
-        if (depth_ != 0) {
-            for (Observer *obs : instr_observers_)
-                obs->onInstruction(*exec_func->src, *inst.src, my_index);
         }
     }
 }
@@ -984,11 +969,8 @@ Interpreter::crossValueBarrier()
 {
     // The de-fuse window below the barrier makes the first loop top at
     // or past it the one where value_count_ equals it exactly.
-    if (value_count_ >= arm_barrier_) {
-        arm_barrier_ = kNoSnapshotBarrier;
-        hot_hooks_ = hooks_;
-        hooks_unfused_ = hooks_->needsUnfusedDispatch();
-    }
+    if (value_count_ >= arm_barrier_)
+        armHooks();
     if (value_count_ >= snapshot_barrier_)
         snapshot_barrier_ = recorder_->capture(*this);
     value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
@@ -1015,15 +997,15 @@ Interpreter::recomputeFuseLimits()
     // component) must stay strictly below the value barrier; the worst
     // case is a maximal all-value run, kMaxFuseLen - 1 values before
     // the final component. Sequences are bounded by kMaxFuseLen source
-    // instructions, bounding the budget overshoot the same way. An
-    // attached observer, armed hooks that need unfused dispatch
-    // (branch/memory filter points exist only in the unfused
-    // handlers), or a Decoded-engine cache (which has no fused heads
-    // anyway) pins the limit to 0: every head then de-fuses and the
-    // trace is the one-instruction-per-dispatch one.
+    // instructions, bounding the budget overshoot the same way. Armed
+    // hooks that need unfused dispatch (branch/memory filter points
+    // exist only in the unfused handlers) or a Decoded-engine cache
+    // (which has no fused heads anyway) pin the limit to 0: every head
+    // then de-fuses and the trace is the one-instruction-per-dispatch
+    // one.
     constexpr std::uint64_t kMaxInteriorValues = kMaxFuseLen - 1;
     constexpr std::uint64_t kMaxFusedLen = kMaxFuseLen;
-    if (!observers_.empty() || !decoded_->fused() || hooks_unfused_)
+    if (!decoded_->fused() || hooks_unfused_)
         fuse_value_limit_ = 0;
     else
         fuse_value_limit_ = value_barrier_ >= kMaxInteriorValues

@@ -26,6 +26,11 @@
  * instance. The seed list-walking engine survives as
  * ReferenceInterpreter (interp/reference.h) for differential testing.
  *
+ * Callbacks: a run has one callback interface, ExecHooks
+ * (interp/observer.h), installed with setHooks(). The profilers and
+ * the trace collector (interp/profile.h) listen through it; the fault
+ * injector also corrupts values and fires detections through it.
+ *
  * Thread-safety contract: an Interpreter never mutates the module or
  * the decoded cache it executes — all run state (memory image, frames,
  * counters) lives in the Interpreter/Memory instances themselves.
@@ -102,26 +107,17 @@ class Interpreter
     /// Executes from a shared immutable code cache.
     explicit Interpreter(std::shared_ptr<const DecodedModule> decoded);
 
-    /// Registers a passive observer (not owned).
-    void addObserver(Observer *observer);
-
-    /// Removes all observers (reused per-worker interpreters install
-    /// fresh per-trial observers each run).
-    void
-    clearObservers()
-    {
-        observers_.clear();
-        instr_observers_.clear();
-    }
-
-    /// Installs active hooks (not owned); pass nullptr to remove. The
-    /// rare call sites (onRuntimeError, onDetectionHandled) are live
-    /// for the whole of every later run. The per-instruction ones
-    /// (filterResult, shouldTriggerDetection, onMemoryAccess, and the
+    /// Installs hooks (not owned); pass nullptr to remove. The rare
+    /// call sites (onRuntimeError, onDetectionHandled) are live for the
+    /// whole of every later run. The hot ones (filterResult,
+    /// shouldTriggerDetection, onBlockEnter, onMemoryAccess, and the
     /// branch/memory filter points) arm in each run at the first loop
     /// top whose value count reaches `arm_value_index`, so the hooks
     /// see exactly the callbacks a run armed from its start would hand
-    /// them from that boundary on, and nothing before it. Hooks whose
+    /// them from that boundary on, and nothing before it. A run that
+    /// starts at or past its arm point (every run() armed at 0) arms
+    /// before its first block entry, so the hooks also see run()'s
+    /// entry into the entry block. Hooks whose
     /// callbacks are pure pass-throughs before some value index pass
     /// that index here, and the prefix runs hook-free and fused. The
     /// hook's needsUnfusedDispatch() capability is sampled when the
@@ -182,10 +178,8 @@ class Interpreter
     /// state, and every counter are restored exactly as they were at
     /// the snapshot's loop-top boundary, then the dispatch loop
     /// continues. The interpreter must share the DecodedModule the
-    /// snapshot was recorded from. Observers do not see the skipped
-    /// prefix (the trial path runs observer-free); hooks installed via
-    /// setHooks() see the suffix exactly as a full run would after the
-    /// same prefix.
+    /// snapshot was recorded from. Hooks installed via setHooks() see
+    /// the suffix exactly as a full run would after the same prefix.
     RunResult resumeRun(const Snapshot &snap, const PagePool &pool);
 
     // --- Golden resync (fast-forward after a successful rollback) -------
@@ -271,6 +265,11 @@ class Interpreter
     std::uint64_t currentRegionToken() const;
     /// Region id active in the current frame, or ir::kInvalidRegion.
     ir::RegionId currentRegionId() const;
+    /// Value-producing instructions executed so far in the current run
+    /// (RunResult::value_instrs at its end). Inside filterResult the
+    /// instruction being filtered is already counted: its value index
+    /// is valueCount() - 1.
+    std::uint64_t valueCount() const { return value_count_; }
     /// Depth of the activation stack (1 while the entry function runs).
     std::size_t frameDepth() const { return depth_; }
     /// Source function of the innermost live frame (nullptr outside a
@@ -326,6 +325,14 @@ class Interpreter
     /// Handles a detection event; returns true if rolled back (continue
     /// executing) or false if the run must be abandoned.
     bool handleDetection(Frame &frame);
+
+    /// Per-run reset shared by run() and resumeRun() before control
+    /// enters any block: disarms the resync watch and re-arms the
+    /// installed hooks, at once when the run starts at their arm point.
+    void beginRun();
+
+    /// Makes the installed hooks hot (see setHooks).
+    void armHooks();
 
     /// The dispatch loop, shared by run() (from a freshly set-up entry
     /// frame) and resumeRun() (from a restored snapshot).
@@ -399,10 +406,6 @@ class Interpreter
     std::shared_ptr<const DecodedModule> decoded_;
     const ir::Module &module_;
     Memory memory_;
-    std::vector<Observer *> observers_;
-    /// The observers whose observesInstructions() is true: only they
-    /// get the per-instruction onInstruction call.
-    std::vector<Observer *> instr_observers_;
     ExecHooks *hooks_ = nullptr;
     /// Value index at which each run arms hooks_ (setHooks).
     std::uint64_t hooks_arm_at_ = 0;
@@ -479,8 +482,7 @@ class Interpreter
     /// source instruction per loop iteration, hitting every boundary
     /// exactly as EngineKind::Decoded would. fuse_value_limit_ is
     /// value_barrier_ minus the most values a sequence's non-final
-    /// components can produce; observers force 0 (permanent de-fuse —
-    /// observers must see each instruction). fuse_dyn_limit_ keeps the
+    /// components can produce. fuse_dyn_limit_ keeps the
     /// whole sequence under max_instrs_. The resync watch needs only
     /// its anchor position as a boundary, so it de-fuses resync_head_
     /// alone instead of feeding these limits.

@@ -1,12 +1,13 @@
 /**
  * @file
- * Passive observation and active hook interfaces for the interpreter.
+ * The interpreter's one callback interface, ExecHooks.
  *
- * Observers watch execution without changing it (profilers, trace
- * collectors). ExecHooks can mutate results and trigger detections —
- * that is how the fault injector corrupts an instruction's output and
- * later fires the (latency-delayed) detection event that exercises the
- * Encore recovery runtime.
+ * Every client that watches or steers execution implements it: the
+ * profilers and the trace collector (interp/profile.h) only listen to
+ * block entries and memory accesses, while the fault injector also
+ * corrupts an instruction's output and later fires the
+ * (latency-delayed) detection event that exercises the Encore
+ * recovery runtime.
  */
 #ifndef ENCORE_INTERP_OBSERVER_H
 #define ENCORE_INTERP_OBSERVER_H
@@ -16,58 +17,6 @@
 #include "ir/module.h"
 
 namespace encore::interp {
-
-class Observer
-{
-  public:
-    virtual ~Observer() = default;
-
-    /// Capability query, sampled once by Interpreter::addObserver: an
-    /// observer that does not override onInstruction returns false,
-    /// and the interpreter then skips the per-instruction call for it.
-    virtual bool
-    observesInstructions() const
-    {
-        return true;
-    }
-
-    /// Control entered `block`. `from` is the predecessor block when
-    /// the transfer was an intra-function branch, and nullptr for
-    /// external entries (function entry on call, rollback redirects).
-    virtual void
-    onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
-                 const ir::BasicBlock *from)
-    {
-        (void)func;
-        (void)block;
-        (void)from;
-    }
-
-    /// An instruction finished executing. `dyn_index` counts every
-    /// dynamic instruction from the start of the run.
-    virtual void
-    onInstruction(const ir::Function &func, const ir::Instruction &inst,
-                  std::uint64_t dyn_index)
-    {
-        (void)func;
-        (void)inst;
-        (void)dyn_index;
-    }
-
-    /// A load or store touched memory (after address evaluation).
-    virtual void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
-                   std::uint64_t dyn_index)
-    {
-        (void)func;
-        (void)inst;
-        (void)object;
-        (void)offset;
-        (void)is_store;
-        (void)dyn_index;
-    }
-};
 
 /// What the recovery runtime did in response to a detection event.
 enum class DetectionResponse
@@ -156,14 +105,11 @@ class ExecHooks
         return 0;
     }
 
-    /// Reports what the detection did. `region_token` is the region
-    /// instance that was active (0 if none).
+    /// Reports what the detection did.
     virtual void
-    onDetectionHandled(DetectionResponse response,
-                       std::uint64_t region_token)
+    onDetectionHandled(DetectionResponse response)
     {
         (void)response;
-        (void)region_token;
     }
 
     /// A runtime error (wild address, division by zero) occurred.
@@ -171,24 +117,32 @@ class ExecHooks
     /// detected symptom (rollback if possible); false propagates the
     /// error. The golden runs return false so real bugs surface.
     virtual bool
-    onRuntimeError(const std::string &message, std::uint64_t dyn_index)
+    onRuntimeError(std::uint64_t dyn_index)
     {
-        (void)message;
         (void)dyn_index;
         return false;
     }
 
-    /// A load or store touched memory (after address evaluation).
-    /// Mirrors Observer::onMemoryAccess so a fault model that needs
-    /// memory taint tracking can ride on the hook interface alone —
-    /// trials then run with an empty observer list, which removes the
-    /// per-instruction observer dispatch from the campaign hot path.
+    /// Control entered `block` of `func`: the run's entry block, a
+    /// callee's entry block, a branch or jump target, or a rollback's
+    /// recovery block. `from` is the predecessor block when the
+    /// transfer was an intra-function branch, and nullptr for the
+    /// other (external) entries.
     virtual void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
-                   std::uint64_t dyn_index)
+    onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
+                 const ir::BasicBlock *from)
     {
         (void)func;
+        (void)block;
+        (void)from;
+    }
+
+    /// A load or store touched memory (after address evaluation).
+    virtual void
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
+                   std::uint64_t dyn_index)
+    {
         (void)inst;
         (void)object;
         (void)offset;

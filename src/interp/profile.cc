@@ -194,12 +194,10 @@ ProfileCollector::onBlockEnter(const ir::Function &func,
 }
 
 void
-ProfileCollector::onMemoryAccess(const ir::Function &func,
-                                 const ir::Instruction &inst,
+ProfileCollector::onMemoryAccess(const ir::Instruction &inst,
                                  ir::ObjectId object, std::uint32_t offset,
                                  bool is_store, std::uint64_t dyn_index)
 {
-    (void)func;
     (void)is_store;
     (void)dyn_index;
     AddrSlot &slot = slots_[inst_index_.find(&inst)];
@@ -261,15 +259,14 @@ ProfileCollector::exportTo(ProfileData &data,
 }
 
 WindowIdempotence
-analyzeWindows(const TraceCollector &trace, std::uint64_t window,
-               std::uint64_t tolerance)
+analyzeWindows(const TraceCollector &trace, std::uint64_t length,
+               std::uint64_t window, std::uint64_t tolerance)
 {
     WindowIdempotence result;
-    if (window == 0 || trace.dynLength() == 0)
+    if (window == 0 || length == 0)
         return result;
 
     const auto &accesses = trace.accesses();
-    const std::uint64_t length = trace.dynLength();
     std::size_t cursor = 0;
 
     for (std::uint64_t start = 0; start + window <= length;

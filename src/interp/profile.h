@@ -1,6 +1,10 @@
 /**
  * @file
- * Profiling observers and the profile data consumed by Encore.
+ * Profiling hooks and the profile data consumed by Encore.
+ *
+ * Each collector below is an ExecHooks that only listens (block
+ * entries and memory accesses) and changes nothing; install it with
+ * Interpreter::setHooks for the profiled runs.
  *
  *  - Profiler / ProfileData: basic-block execution counts. These feed
  *    the Pmin pruning heuristic (§3.4.1, Figure 5), the hot-path length
@@ -9,7 +13,7 @@
  *    and 7a.
  *  - AddressProfiler: per-static-instruction concrete address sets for
  *    the optimistic alias analysis (Figure 7a's lower bound).
- *  - ProfileCollector: both of the above from one observer over flat
+ *  - ProfileCollector: both of the above from one hook over flat
  *    storage — the profiling run of the analysis pipeline. Profiler
  *    and AddressProfiler stay as its reference.
  *  - TraceCollector: the dynamic memory-access trace used to measure
@@ -91,17 +95,11 @@ class ProfileData
         external_entries_;
 };
 
-/// Observer filling a ProfileData.
-class Profiler : public Observer
+/// Hooks filling a ProfileData.
+class Profiler : public ExecHooks
 {
   public:
     explicit Profiler(ProfileData &data) : data_(data) {}
-
-    bool
-    observesInstructions() const override
-    {
-        return false;
-    }
 
     void
     onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
@@ -114,9 +112,9 @@ class Profiler : public Observer
     ProfileData &data_;
 };
 
-/// Observer filling a DynamicAddressProfile for the optimistic alias
+/// Hooks filling a DynamicAddressProfile for the optimistic alias
 /// analysis.
-class AddressProfiler : public Observer
+class AddressProfiler : public ExecHooks
 {
   public:
     explicit AddressProfiler(analysis::DynamicAddressProfile &profile)
@@ -124,18 +122,11 @@ class AddressProfiler : public Observer
     {
     }
 
-    bool
-    observesInstructions() const override
-    {
-        return false;
-    }
-
     void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
-        (void)func;
         (void)is_store;
         (void)dyn_index;
         profile_.observations[&inst].record(object, offset);
@@ -146,7 +137,7 @@ class AddressProfiler : public Observer
 };
 
 /**
- * Fills a ProfileData and a DynamicAddressProfile from one observer,
+ * Fills a ProfileData and a DynamicAddressProfile from one hook,
  * with exactly the contents Profiler + AddressProfiler would give, over
  * flat storage built up front from the module:
  *
@@ -158,29 +149,22 @@ class AddressProfiler : public Observer
  *    until AddrObservation::kMaxAddrs overflows it.
  *
  * Functions and instructions find their storage through a flat
- * pointer index; the collector takes no per-instruction callback.
- * exportTo() writes the counts out once the runs are done. The module
- * must not change while the collector observes it, and the runs must
- * be unhooked: a hook that redirects a branch off its terminator's
+ * pointer index. exportTo() writes the counts out once the runs are
+ * done. The module must not change while the collector observes it,
+ * and a branch into a block that is not one of its terminator's
  * successors is a panic here.
  */
-class ProfileCollector : public Observer
+class ProfileCollector : public ExecHooks
 {
   public:
     explicit ProfileCollector(const ir::Module &module);
 
-    bool
-    observesInstructions() const override
-    {
-        return false;
-    }
-
     void onBlockEnter(const ir::Function &func, const ir::BasicBlock &block,
                       const ir::BasicBlock *from) override;
 
-    void onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                        ir::ObjectId object, std::uint32_t offset,
-                        bool is_store, std::uint64_t dyn_index) override;
+    void onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                        std::uint32_t offset, bool is_store,
+                        std::uint64_t dyn_index) override;
 
     /// Adds everything observed so far to `data` and `profile`.
     void exportTo(ProfileData &data,
@@ -255,10 +239,10 @@ struct TraceAccess
 };
 
 /**
- * Records the dynamic memory-access stream (up to a cap) together with
- * the total dynamic instruction count, for window-idempotence analysis.
+ * Records the dynamic memory-access stream (up to a cap) for
+ * window-idempotence analysis.
  */
-class TraceCollector : public Observer
+class TraceCollector : public ExecHooks
 {
   public:
     explicit TraceCollector(std::size_t max_accesses = 4'000'000)
@@ -267,11 +251,10 @@ class TraceCollector : public Observer
     }
 
     void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
-        (void)func;
         (void)inst;
         if (accesses_.size() < max_accesses_) {
             accesses_.push_back(
@@ -281,23 +264,12 @@ class TraceCollector : public Observer
         }
     }
 
-    void
-    onInstruction(const ir::Function &func, const ir::Instruction &inst,
-                  std::uint64_t dyn_index) override
-    {
-        (void)func;
-        (void)inst;
-        last_dyn_index_ = dyn_index;
-    }
-
     const std::vector<TraceAccess> &accesses() const { return accesses_; }
-    std::uint64_t dynLength() const { return last_dyn_index_ + 1; }
     bool truncated() const { return truncated_; }
 
   private:
     std::size_t max_accesses_;
     std::vector<TraceAccess> accesses_;
-    std::uint64_t last_dyn_index_ = 0;
     bool truncated_ = false;
 };
 
@@ -323,22 +295,15 @@ struct WindowIdempotence
                              static_cast<double>(windows)
                        : 0.0;
     }
-
-    double
-    nearlyIdempotentFraction() const
-    {
-        return windows ? static_cast<double>(nearly_idempotent) /
-                             static_cast<double>(windows)
-                       : 0.0;
-    }
 };
 
 /// Computes window idempotence over a collected trace. Windows are laid
-/// back-to-back (non-overlapping) over the dynamic instruction stream.
-/// `tolerance` is the max number of violating stores for the "nearly
-/// idempotent" classification.
+/// back-to-back (non-overlapping) over the traced run's `length`
+/// dynamic instructions (its RunResult::dyn_instrs). `tolerance` is the
+/// max number of violating stores for the "nearly idempotent"
+/// classification.
 WindowIdempotence analyzeWindows(const TraceCollector &trace,
-                                 std::uint64_t window,
+                                 std::uint64_t length, std::uint64_t window,
                                  std::uint64_t tolerance);
 
 } // namespace encore::interp

@@ -12,12 +12,6 @@ ReferenceInterpreter::ReferenceInterpreter(const ir::Module &module)
 {
 }
 
-void
-ReferenceInterpreter::addObserver(Observer *observer)
-{
-    observers_.push_back(observer);
-}
-
 std::uint64_t
 ReferenceInterpreter::evalOperand(const Frame &frame, const ir::Operand &op) const
 {
@@ -174,13 +168,10 @@ ReferenceInterpreter::execValueOp(Frame &frame, const ir::Instruction &inst)
 }
 
 void
-ReferenceInterpreter::enterBlock(Frame &frame, const ir::BasicBlock *block,
-                        const ir::BasicBlock *from)
+ReferenceInterpreter::enterBlock(Frame &frame, const ir::BasicBlock *block)
 {
     frame.block = block;
     frame.ip = block->instructions().begin();
-    for (Observer *obs : observers_)
-        obs->onBlockEnter(*frame.func, *block, from);
 }
 
 bool
@@ -189,18 +180,16 @@ ReferenceInterpreter::handleDetection(Frame &frame)
     RecoveryState &rec = frame.recovery;
     if (!rec.active || !rec.recovery_block) {
         if (hooks_)
-            hooks_->onDetectionHandled(DetectionResponse::Unrecoverable, 0);
+            hooks_->onDetectionHandled(DetectionResponse::Unrecoverable);
         return false;
     }
     // Redirect control to the recovery block. Its `restore` pseudo-op
     // unwinds the checkpoint buffer and its trailing jump re-enters the
     // region header.
     ++rollback_count_;
-    if (hooks_) {
-        hooks_->onDetectionHandled(DetectionResponse::RolledBack,
-                                   rec.token);
-    }
-    enterBlock(frame, rec.recovery_block, nullptr);
+    if (hooks_)
+        hooks_->onDetectionHandled(DetectionResponse::RolledBack);
+    enterBlock(frame, rec.recovery_block);
     return true;
 }
 
@@ -261,7 +250,7 @@ ReferenceInterpreter::run(const std::string &func_name,
             frame.regs[i] = args[i];
         memory_.pushFrame(*func);
         frames_.push_back(std::move(frame));
-        enterBlock(frames_.back(), func->entry(), nullptr);
+        enterBlock(frames_.back(), func->entry());
     }
 
     while (true) {
@@ -283,7 +272,6 @@ ReferenceInterpreter::run(const std::string &func_name,
             continue;
         }
 
-        const ir::Function *exec_func = frame.func;
         const std::uint64_t my_index = dyn_count_;
         ++dyn_count_;
         if (inst.isPseudo())
@@ -298,10 +286,6 @@ ReferenceInterpreter::run(const std::string &func_name,
                 evalAddr(frame, inst.addr(), object, offset);
                 std::uint64_t value = 0;
                 memory_.read(object, offset, value);
-                for (Observer *obs : observers_) {
-                    obs->onMemoryAccess(*frame.func, inst, object, offset,
-                                        false, my_index);
-                }
                 ++value_count_;
                 if (hooks_)
                     value = hooks_->filterResult(inst, my_index, value);
@@ -327,10 +311,6 @@ ReferenceInterpreter::run(const std::string &func_name,
                 evalAddr(frame, inst.addr(), object, offset);
                 memory_.write(object, offset,
                               evalOperand(frame, inst.a()));
-                for (Observer *obs : observers_) {
-                    obs->onMemoryAccess(*frame.func, inst, object, offset,
-                                        true, my_index);
-                }
                 ++frame.ip;
                 break;
               }
@@ -350,17 +330,16 @@ ReferenceInterpreter::run(const std::string &func_name,
                 ++frame.ip; // return point
                 memory_.pushFrame(*callee);
                 frames_.push_back(std::move(next));
-                enterBlock(frames_.back(), callee->entry(), nullptr);
+                enterBlock(frames_.back(), callee->entry());
                 break;
               }
               case Opcode::Br: {
                 const std::uint64_t cond = evalOperand(frame, inst.a());
-                enterBlock(frame, cond ? inst.succ0() : inst.succ1(),
-                           frame.block);
+                enterBlock(frame, cond ? inst.succ0() : inst.succ1());
                 break;
               }
               case Opcode::Jmp:
-                enterBlock(frame, inst.succ0(), frame.block);
+                enterBlock(frame, inst.succ0());
                 break;
               case Opcode::Ret: {
                 const std::uint64_t value = evalOperand(frame, inst.a());
@@ -368,8 +347,6 @@ ReferenceInterpreter::run(const std::string &func_name,
                 memory_.popFrame();
                 frames_.pop_back();
                 if (frames_.empty()) {
-                    for (Observer *obs : observers_)
-                        obs->onInstruction(*exec_func, inst, my_index);
                     result.return_value = value;
                     return finish(RunResult::Status::Ok, "");
                 }
@@ -447,7 +424,7 @@ ReferenceInterpreter::run(const std::string &func_name,
             // whether to treat them as an immediate detection (fault
             // injection campaigns) or to surface them (golden runs).
             const bool treat_as_detection =
-                hooks_ && hooks_->onRuntimeError(err.message, my_index);
+                hooks_ && hooks_->onRuntimeError(my_index);
             if (treat_as_detection) {
                 if (!handleDetection(frames_.back())) {
                     return finish(RunResult::Status::DetectedUnrecoverable,
@@ -456,11 +433,6 @@ ReferenceInterpreter::run(const std::string &func_name,
                 continue;
             }
             return finish(RunResult::Status::Error, err.message);
-        }
-
-        if (!frames_.empty()) {
-            for (Observer *obs : observers_)
-                obs->onInstruction(*exec_func, inst, my_index);
         }
     }
 }

@@ -9,7 +9,9 @@
  * this class preserves the original semantics so differential tests
  * can assert, over randomly generated and real programs, that the
  * decoded engine produces bit-identical RunResults (status, return
- * value, counters, globals) and identical hook/observer event streams.
+ * value, counters, globals) under the same hooks. It makes only the
+ * hook calls those tests drive: filterResult, shouldTriggerDetection,
+ * onRuntimeError and onDetectionHandled.
  *
  * Not for production use — it is deliberately left unoptimized.
  */
@@ -22,7 +24,6 @@
 
 #include "interp/interpreter.h"
 #include "interp/memory.h"
-#include "interp/observer.h"
 
 namespace encore::interp {
 
@@ -31,10 +32,7 @@ class ReferenceInterpreter
   public:
     explicit ReferenceInterpreter(const ir::Module &module);
 
-    /// Registers a passive observer (not owned).
-    void addObserver(Observer *observer);
-
-    /// Installs active hooks (not owned); pass nullptr to remove.
+    /// Installs hooks (not owned); pass nullptr to remove.
     void setHooks(ExecHooks *hooks) { hooks_ = hooks; }
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
@@ -91,13 +89,11 @@ class ReferenceInterpreter
                   ir::ObjectId &object, std::uint32_t &offset) const;
     std::uint64_t execValueOp(Frame &frame, const ir::Instruction &inst);
 
-    void enterBlock(Frame &frame, const ir::BasicBlock *block,
-                    const ir::BasicBlock *from);
+    void enterBlock(Frame &frame, const ir::BasicBlock *block);
     bool handleDetection(Frame &frame);
 
     const ir::Module &module_;
     Memory memory_;
-    std::vector<Observer *> observers_;
     ExecHooks *hooks_ = nullptr;
     std::uint64_t max_instrs_ = 200'000'000;
 

@@ -119,11 +119,10 @@ class AnchorPass : public ExecHooks
     }
 
     void
-    onMemoryAccess(const ir::Function &func, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
-        (void)func;
         (void)inst;
         (void)dyn_index;
         if (phase_ != Phase::Observe || shadowed_[object] != 0)

@@ -25,7 +25,6 @@ class IRBuilder
 
     Module *module() const { return module_; }
     Function *function() const { return func_; }
-    BasicBlock *insertBlock() const { return bb_; }
 
     // --- Function / block management ------------------------------------
     /// Starts a new function and creates+selects its entry block.

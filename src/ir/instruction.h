@@ -55,10 +55,6 @@ class Instruction
     // --- Memory ----------------------------------------------------------
     const AddrExpr &addr() const { return addr_; }
     void setAddr(AddrExpr addr) { addr_ = addr; }
-    bool accessesMemory() const
-    {
-        return opcodeReadsMemory(opcode_) || opcodeWritesMemory(opcode_);
-    }
 
     // --- Calls -----------------------------------------------------------
     const std::string &calleeName() const { return callee_name_; }
@@ -79,10 +75,6 @@ class Instruction
     RegionId regionId() const { return region_id_; }
     void setRegionId(RegionId id) { region_id_ = id; }
     bool isPseudo() const { return opcodeIsPseudo(opcode_); }
-
-    /// True for instrumentation instructions (pseudo-ops) that should be
-    /// charged as runtime overhead rather than program work.
-    bool isOverhead() const { return isPseudo(); }
 
   private:
     Opcode opcode_;

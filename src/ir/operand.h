@@ -176,14 +176,6 @@ struct AddrExpr
     bool isObjectBase() const { return base_kind == BaseKind::Object; }
     bool isRegBase() const { return base_kind == BaseKind::Reg; }
     bool isNone() const { return base_kind == BaseKind::None; }
-
-    /// True when both the base object and the offset are compile-time
-    /// constants — the easy case for alias disambiguation.
-    bool
-    isStaticallyExact() const
-    {
-        return isObjectBase() && offset.isImm();
-    }
 };
 
 /// Reinterprets a register value as a double (FP opcodes).

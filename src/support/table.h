@@ -31,8 +31,6 @@ class Table
     /// Renders the table to a string.
     std::string toString() const;
 
-    std::size_t rowCount() const { return rows_.size(); }
-
   private:
     struct Row
     {

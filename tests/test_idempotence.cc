@@ -44,7 +44,7 @@ struct Fixture
     {
         interp::Interpreter interp(*module);
         interp::Profiler profiler(*profile);
-        interp.addObserver(&profiler);
+        interp.setHooks(&profiler);
         ASSERT_TRUE(interp.run(entry, args).ok());
     }
 

@@ -1,9 +1,9 @@
 /**
  * @file
  * Interpreter tests: arithmetic semantics, memory, calls and
- * per-activation locals, error handling, observers, and — crucially —
- * the Encore recovery runtime (checkpoint buffers, rollback on
- * detection).
+ * per-activation locals, error handling, profiling hooks, and —
+ * crucially — the Encore recovery runtime (checkpoint buffers,
+ * rollback on detection).
  */
 #include <gtest/gtest.h>
 
@@ -261,7 +261,7 @@ func @main(1) {
     ProfileData data;
     Profiler profiler(data);
     Interpreter interp(*module);
-    interp.addObserver(&profiler);
+    interp.setHooks(&profiler);
     ASSERT_TRUE(interp.run("main", {10}).ok());
 
     const ir::Function &f = *module->functionByName("main");
@@ -294,11 +294,13 @@ func @main(1) {
 )");
     TraceCollector trace;
     Interpreter interp(*module);
-    interp.addObserver(&trace);
-    ASSERT_TRUE(interp.run("main", {64}).ok());
+    interp.setHooks(&trace);
+    const RunResult run = interp.run("main", {64});
+    ASSERT_TRUE(run.ok());
     EXPECT_FALSE(trace.accesses().empty());
 
-    const WindowIdempotence result = analyzeWindows(trace, 20, 1);
+    const WindowIdempotence result =
+        analyzeWindows(trace, run.dyn_instrs, 20, 1);
     EXPECT_GT(result.windows, 0u);
     EXPECT_EQ(result.idempotent, result.windows);
 }
@@ -326,9 +328,11 @@ func @main(1) {
 )");
     TraceCollector trace;
     Interpreter interp(*module);
-    interp.addObserver(&trace);
-    ASSERT_TRUE(interp.run("main", {50}).ok());
-    const WindowIdempotence result = analyzeWindows(trace, 30, 0);
+    interp.setHooks(&trace);
+    const RunResult run = interp.run("main", {50});
+    ASSERT_TRUE(run.ok());
+    const WindowIdempotence result =
+        analyzeWindows(trace, run.dyn_instrs, 30, 0);
     EXPECT_GT(result.windows, 0u);
     EXPECT_EQ(result.idempotent, 0u);
 }
@@ -352,7 +356,7 @@ class DetectAt : public ExecHooks
     }
 
     void
-    onDetectionHandled(DetectionResponse response, std::uint64_t) override
+    onDetectionHandled(DetectionResponse response) override
     {
         response_ = response;
     }
@@ -514,25 +518,29 @@ func @main(1) {
         f->blockByName("__recover.0"));
 
     // Observe tokens as the loop iterates: each region.enter must bump
-    // the instance token.
-    class TokenWatch : public Observer
+    // the instance token. The detection poll of the instruction after
+    // a region.enter sees the token that region.enter minted.
+    class TokenWatch : public ExecHooks
     {
       public:
         explicit TokenWatch(Interpreter &interp) : interp_(interp) {}
-        void
-        onInstruction(const ir::Function &, const ir::Instruction &inst,
-                      std::uint64_t) override
+        bool
+        shouldTriggerDetection(const ir::Instruction &next,
+                               std::uint64_t) override
         {
-            if (inst.opcode() == ir::Opcode::RegionEnter)
+            if (after_enter_)
                 tokens_.push_back(interp_.currentRegionToken());
+            after_enter_ = next.opcode() == ir::Opcode::RegionEnter;
+            return false;
         }
         Interpreter &interp_;
+        bool after_enter_ = false;
         std::vector<std::uint64_t> tokens_;
     };
 
     Interpreter interp(*module);
     TokenWatch watch(interp);
-    interp.addObserver(&watch);
+    interp.setHooks(&watch);
     ASSERT_TRUE(interp.run("main", {5}).ok());
     ASSERT_EQ(watch.tokens_.size(), 5u);
     for (std::size_t i = 1; i < watch.tokens_.size(); ++i)

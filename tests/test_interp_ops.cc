@@ -571,10 +571,11 @@ TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
 struct HookCall
 {
     char kind; ///< f filterResult, d detection poll, m memory access,
-               ///< b branch filter, o memory-op filter
-    const ir::Instruction *inst;
-    std::uint64_t dyn_index;
-    std::uint64_t detail; ///< value, target, or (object, offset, store)
+               ///< b branch filter, o memory-op filter, e block entry
+    const ir::Instruction *inst; ///< null for a block entry
+    std::uint64_t dyn_index;     ///< 0 for a block entry
+    /// value, target, (object, offset, store), or (block, predecessor)
+    std::uint64_t detail;
 
     bool operator==(const HookCall &) const = default;
 };
@@ -604,8 +605,17 @@ class RecordingHooks : public ExecHooks
     }
 
     void
-    onMemoryAccess(const ir::Function &, const ir::Instruction &inst,
-                   ir::ObjectId object, std::uint32_t offset, bool is_store,
+    onBlockEnter(const ir::Function &, const ir::BasicBlock &block,
+                 const ir::BasicBlock *from) override
+    {
+        const std::uint64_t pred = from ? from->id() : ~ir::BlockId{0};
+        calls.push_back({'e', nullptr, 0,
+                         (std::uint64_t{block.id()} << 32) | pred});
+    }
+
+    void
+    onMemoryAccess(const ir::Instruction &inst, ir::ObjectId object,
+                   std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
         calls.push_back({'m', &inst, dyn_index,
@@ -699,7 +709,8 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
     // the fused engine runs as one sequence, on a snapshot barrier
     // (the same loop-top compare handles both events), at 0, or past
     // the end of the program. Covered with and without the unfused-
-    // dispatch pin, which must switch on at K too.
+    // dispatch pin, which must switch on at K too. Block entries are
+    // part of every compared log.
     auto module = ir::parseModule(kSnapshotLoopText);
     constexpr std::uint64_t kStride = 16;
     const Recorded rec =
@@ -714,7 +725,12 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
     // run, so value count 19 is reached mid-sequence.
     constexpr std::uint64_t kInside = 1 + 2 * 8 + 2;
     const std::uint64_t k_past_end = rec.result.value_instrs + 10;
+    const auto has_block_entry = [](const std::vector<HookCall> &calls) {
+        return std::any_of(calls.begin(), calls.end(),
+                           [](const HookCall &c) { return c.kind == 'e'; });
+    };
 
+    std::vector<HookCall> fusable_log;
     for (const bool unfused : {false, true}) {
         SCOPED_TRACE(unfused ? "unfused hooks" : "fusable hooks");
         Interpreter interp(rec.cache);
@@ -723,6 +739,22 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         const RunResult full = interp.run("main", {41});
         ASSERT_TRUE(full.ok()) << full.error;
         const std::vector<HookCall> &all = from_start.calls;
+        // Armed at 0, the hooks are hot for run()'s entry into the
+        // entry block, ahead of the first loop top.
+        ASSERT_FALSE(all.empty());
+        EXPECT_EQ(all.front().kind, 'e');
+        if (!unfused) {
+            fusable_log = all;
+        } else {
+            // Fused or not, the handlers make the same hook calls,
+            // block entries included, bar the filter points that only
+            // unfused dispatch has.
+            std::vector<HookCall> without_filters;
+            for (const HookCall &call : all)
+                if (call.kind != 'b' && call.kind != 'o')
+                    without_filters.push_back(call);
+            EXPECT_TRUE(fusable_log == without_filters);
+        }
 
         const DecodedFunction &main_fn =
             *rec.cache->functionByName("main");
@@ -742,6 +774,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
             EXPECT_EQ(run.value_instrs, full.value_instrs);
             expectCallsFromValue(armed.calls, all, k);
             EXPECT_EQ(armed.calls.empty(), k == k_past_end);
+            EXPECT_EQ(has_block_entry(armed.calls), k != k_past_end);
         }
 
         // A run resumed from the snapshot and armed at its value count
@@ -752,6 +785,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
             interp.resumeRun(*snap, rec.store->pool());
         EXPECT_EQ(from_snap.dyn_instrs, full.dyn_instrs);
         expectCallsFromValue(resumed.calls, all, k_snapshot);
+        EXPECT_TRUE(has_block_entry(resumed.calls));
 
         // Recording while the hooks arm on a barrier: every capture
         // still lands exactly on its barrier.

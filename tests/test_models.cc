@@ -124,7 +124,7 @@ class CostFixture : public ::testing::Test
         module = ir::parseModule(kCostText);
         interp::Interpreter interp(*module);
         interp::Profiler profiler(profile);
-        interp.addObserver(&profiler);
+        interp.setHooks(&profiler);
         ASSERT_TRUE(interp.run("f", {32}).ok());
 
         aa = std::make_unique<analysis::StaticAliasAnalysis>(*module);

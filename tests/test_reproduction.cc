@@ -140,12 +140,14 @@ TEST(Reproduction, WindowIdempotenceDropsWithSize)
     auto module = w->build();
     interp::TraceCollector trace;
     interp::Interpreter interp(*module);
-    interp.addObserver(&trace);
-    ASSERT_TRUE(interp.run(w->entry, w->train_args).ok());
+    interp.setHooks(&trace);
+    const interp::RunResult run = interp.run(w->entry, w->train_args);
+    ASSERT_TRUE(run.ok());
 
     double prev = 1.1;
     for (const std::uint64_t size : {10ULL, 50ULL, 250ULL, 1000ULL}) {
-        const auto win = interp::analyzeWindows(trace, size, 0);
+        const auto win =
+            interp::analyzeWindows(trace, run.dyn_instrs, size, 0);
         ASSERT_GT(win.windows, 0u);
         EXPECT_LE(win.idempotentFraction(), prev + 0.02);
         prev = win.idempotentFraction();

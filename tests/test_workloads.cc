@@ -104,7 +104,8 @@ TEST_P(WorkloadTest, PipelinePreservesSemantics)
 TEST_P(WorkloadTest, ProfileCollectorMatchesReferenceProfilers)
 {
     // The analysis pipeline profiles with ProfileCollector; Profiler +
-    // AddressProfiler are its reference. One train run feeds all three.
+    // AddressProfiler are its reference. The train input runs once per
+    // profiler, each installed as the run's only hooks.
     const Workload &w = workload();
     auto module = w.build();
     module->resolveCalls();
@@ -114,10 +115,12 @@ TEST_P(WorkloadTest, ProfileCollectorMatchesReferenceProfilers)
     interp::AddressProfiler addr_profiler(reference_addrs);
     interp::ProfileCollector collector(*module);
     interp::Interpreter interp(*module);
-    interp.addObserver(&profiler);
-    interp.addObserver(&addr_profiler);
-    interp.addObserver(&collector);
-    ASSERT_TRUE(interp.run(w.entry, w.train_args).ok());
+    interp::ExecHooks *const profilers[] = {&profiler, &addr_profiler,
+                                            &collector};
+    for (interp::ExecHooks *hooks : profilers) {
+        interp.setHooks(hooks);
+        ASSERT_TRUE(interp.run(w.entry, w.train_args).ok());
+    }
     interp::ProfileData collected;
     analysis::DynamicAddressProfile collected_addrs;
     collector.exportTo(collected, collected_addrs);
