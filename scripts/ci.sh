@@ -2,7 +2,8 @@
 # One-command CI gate: the tier-1 verify (full build + full ctest
 # suite, which includes the campaign determinism and CLI end-to-end
 # tests, among them a shard SIGKILLed mid-campaign, resumed and
-# merged), the engine tests on the portable switch dispatcher
+# merged), a warning-free Release build of the same tree (-Werror),
+# the engine tests on the portable switch dispatcher
 # (-DENCORE_COMPUTED_GOTO=OFF), scripts/sanitize.sh's thread and
 # undefined lanes (ThreadSanitizer over the parallel loop itself, the
 # concurrent trial-store writer, the pooled trial loop and the
@@ -23,9 +24,10 @@
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
-#   tier-1 lane builds into <build-root>/tier1, the switch lane into
-#   <build-root>/switch, the sanitizer lanes into <build-root>/thread
-#   and <build-root>/undefined, so none touches a developer's build/.
+#   tier-1 lane builds into <build-root>/tier1, the -Werror lane into
+#   <build-root>/werror, the switch lane into <build-root>/switch, the
+#   sanitizer lanes into <build-root>/thread and
+#   <build-root>/undefined, so none touches a developer's build/.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
@@ -36,6 +38,17 @@ cmake -B "${build_root}/tier1" -S "${repo_root}" > /dev/null
 cmake --build "${build_root}/tier1" -j "$(nproc)" > /dev/null
 echo "==> [tier1] full ctest suite"
 (cd "${build_root}/tier1" && ctest --output-on-failure -j "$(nproc)")
+
+echo "==> [werror] warning-free Release build"
+# Every target of the tier-1 tree must build without a single warning
+# in the Release configuration the benchmark uses (-O3 reaches code
+# paths -O2 does not, e.g. GCC's -Wrestrict in inlined string code), so
+# a change to the dispatch loop or anywhere else cannot add one
+# unnoticed. The errors go to stderr; stdout is dropped.
+cmake -B "${build_root}/werror" -S "${repo_root}" \
+    -DCMAKE_BUILD_TYPE=Release -DCMAKE_CXX_FLAGS=-Werror > /dev/null
+cmake --build "${build_root}/werror" -j "$(nproc)" > /dev/null
+echo "werror: Release build is warning-free"
 
 echo "==> [switch] portable dispatcher: engine tests without computed goto"
 # GCC and Clang default to the computed-goto dispatcher; the dense
@@ -246,4 +259,4 @@ if max(means, key=means.get) != "fused":
 print("interp-smoke: warn-only")
 EOF
 
-echo "==> ci passed (tier1 + switch dispatcher + tsan campaign lane + ubsan suite + planner smoke + scenario matrix + provenance + figure smoke + perfbench digests + interp smoke)"
+echo "==> ci passed (tier1 + werror + switch dispatcher + tsan campaign lane + ubsan suite + planner smoke + scenario matrix + provenance + figure smoke + perfbench digests + interp smoke)"

@@ -107,8 +107,8 @@ class TrialHooks : public interp::ExecHooks
     bool
     needsUnfusedDispatch() const override
     {
-        // Branch/memory strikes ride on filter points that exist only
-        // in the unfused handlers.
+        // Branch/memory strikes ride on filter points that fire only
+        // in unfused dispatch.
         return plan_.kind != models::InjectionPlan::Kind::RegFlip;
     }
 

@@ -51,35 +51,22 @@ blockIndexOf(const ir::BasicBlock *bb)
     return bb ? bb->id() : kNoDecodedBlock;
 }
 
-/// A pure value op: reads registers/immediates, writes one register,
-/// touches no memory and no address expression (run class kCompValue).
-/// Div/Rem are included — their divide-by-zero throw is handled
-/// identically fused and unfused because components advance `ip` one
-/// source instruction at a time.
+/// A run component: a pure value op (reads registers/immediates,
+/// writes one register; Div/Rem included — a divide-by-zero error is
+/// raised identically fused and unfused because components advance
+/// `ip` one source instruction at a time), lea, load or store.
 bool
-isPureValue(ir::Opcode op)
+isRunComponent(ir::Opcode op)
 {
-    return op >= ir::Opcode::Mov && op <= ir::Opcode::Select;
+    return (op >= ir::Opcode::Mov && op <= ir::Opcode::Select) ||
+           op == ir::Opcode::Lea || op == ir::Opcode::Load ||
+           op == ir::Opcode::Store;
 }
 
 bool
 isCmp(ir::Opcode op)
 {
     return op >= ir::Opcode::CmpEq && op <= ir::Opcode::FCmpLt;
-}
-
-std::uint8_t
-compClassOf(ir::Opcode op)
-{
-    if (isPureValue(op))
-        return kCompValue;
-    if (op == ir::Opcode::Lea)
-        return kCompLea;
-    if (op == ir::Opcode::Load)
-        return kCompLoad;
-    if (op == ir::Opcode::Store)
-        return kCompStore;
-    return kCompOther;
 }
 
 void
@@ -103,16 +90,20 @@ decodeFunction(const ir::Function &func, std::uint32_t index,
     // order is the list order, so `ip + 1` is the fall-through.
     for (ir::BlockId id = 0; id < func.numBlocks(); ++id) {
         const ir::BasicBlock *bb = func.blockById(id);
-        ENCORE_ASSERT(!bb->empty(),
-                      "cannot decode an unterminated empty block");
+        // Every block must end in a terminator: the dispatch loop then
+        // never steps past a block's last instruction, so it needs no
+        // fell-off-the-block check.
+        ENCORE_ASSERT(!bb->empty() &&
+                          ir::opcodeIsTerminator(
+                              bb->instructions().back().opcode()),
+                      "block '" + bb->name() + "' of '" + func.name() +
+                          "' does not end in a terminator");
         out.blocks[id] =
             DecodedBlock{static_cast<std::uint32_t>(out.code.size()), bb};
         for (const ir::Instruction &inst : bb->instructions()) {
             DecodedInst d;
             d.op = inst.opcode();
             d.exec_op = static_cast<std::uint8_t>(inst.opcode());
-            d.comp_class = compClassOf(inst.opcode());
-            d.is_pseudo = inst.isPseudo();
             d.dest = inst.dest();
             d.a = decodeOperand(inst.a());
             d.b = decodeOperand(inst.b());
@@ -176,7 +167,7 @@ branchConsumes(const DecodedInst &br, ir::RegId cond_dest)
  * boundary — the scan is per block — which is also what keeps them
  * from spanning a loop-top snapshot barrier: barriers are only
  * honored between dispatches, and the interpreter's de-fuse guard
- * refuses to enter a fused handler within a kMaxFuseLen window of one.
+ * runs a head unfused within a kMaxFuseLen window of one.
  *
  * Matching works on maximal *runs*: the longest stretch of value /
  * lea / load / store instructions starting at the cursor. A run that
@@ -203,7 +194,7 @@ fuseFunction(DecodedFunction &func)
             // Longest run of fusible straight-line work from i.
             std::uint32_t run = 0;
             while (i + run < end &&
-                   func.code[i + run].comp_class != kCompOther)
+                   isRunComponent(func.code[i + run].op))
                 ++run;
             if (run == 0) {
                 ++i;

@@ -20,10 +20,11 @@
  * every component instruction keeps its slot, its fields, and its
  * source pointer, so instruction indices (ip), branch
  * targets, snapshot cursors, and the objects hooks see are identical
- * between the two engines. The dispatcher executes a fused head as
- * one handler covering all components (advancing every execution
- * counter per *source* instruction and firing every hook exactly as
- * the unfused sequence would); entering a sequence mid-way — a
+ * between the two engines. The dispatcher executes a fused sequence
+ * between two loop tops, running each component through its own
+ * opcode's handler (so every execution counter advances per *source*
+ * instruction and every hook fires exactly as in the unfused
+ * sequence); entering a sequence mid-way — a
  * restored snapshot cursor or a recovery redirect — simply executes
  * the remaining components unfused, because only head slots carry a
  * fused exec_op. EngineKind::Decoded skips the pass entirely and is
@@ -83,7 +84,9 @@ constexpr std::uint32_t kNoDecodedBlock = ~0u;
  * Fused execution opcodes, numbered directly after ir::Opcode so one
  * dispatch table covers both. The head slot carries the exec opcode;
  * the components follow at ip+1 .. ip+fused_len-1 untouched, and the
- * handlers walk them by their decode-time class tag (comp_class).
+ * interpreter runs each of them through its own opcode's handler
+ * without a loop top in between. The two values name the sequence's
+ * shape; the interpreter treats them alike.
  */
 enum class FusedOp : std::uint8_t
 {
@@ -108,19 +111,6 @@ constexpr std::uint8_t kMaxFuseLen = 8;
 constexpr unsigned kNumExecOps =
     static_cast<unsigned>(FusedOp::NumExecOps);
 
-/// Component classes for the Run/RunCmpBr handlers: every
-/// instruction a run may contain maps to one of four executable
-/// shapes. Precomputed at decode time so the run handler's inner
-/// dispatch is a dense four-way switch instead of opcode inspection.
-enum : std::uint8_t
-{
-    kCompValue = 0, ///< pure register/immediate value op
-    kCompLea = 1,
-    kCompLoad = 2,
-    kCompStore = 3,
-    kCompOther = 0xff, ///< never a run component
-};
-
 /**
  * One flat instruction. Field use depends on the opcode:
  *  - value ops: dest, a/b/c
@@ -144,10 +134,6 @@ struct DecodedInst
     /// ordinary instructions, 2..kMaxFuseLen for fused heads.
     /// Component slots (the ones following a head) keep fused_len == 1.
     std::uint8_t fused_len = 1;
-    /// Run-component class (kComp*), valid for every value/lea/load/
-    /// store instruction regardless of fusion; kCompOther elsewhere.
-    std::uint8_t comp_class = kCompOther;
-    bool is_pseudo = false;
     AddrBase addr_base = AddrBase::None;
     ir::RegId dest = ir::kInvalidReg;
     DecodedOperand a, b, c;
@@ -163,6 +149,11 @@ struct DecodedInst
     /// The instruction this was decoded from, for hooks.
     const ir::Instruction *src = nullptr;
 };
+
+// One instruction per 64-byte cache line on LP64 hosts, so the
+// interpreter's pc steps and cursor write-backs are shifts.
+static_assert(sizeof(void *) != 8 || sizeof(DecodedInst) == 64,
+              "DecodedInst outgrew a cache line");
 
 /// Where a block lives in the flat code array, plus the source block
 /// handed to ExecHooks::onBlockEnter.

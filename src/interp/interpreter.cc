@@ -1,16 +1,20 @@
 #include "interp/interpreter.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 
 #include "support/diagnostics.h"
 
-// Dispatch selection. The default is a dense switch over the flat
-// decoded opcode; -DENCORE_COMPUTED_GOTO=ON replaces it with a
-// labels-as-values jump table (GCC/Clang extension), which removes the
-// bounds check and gives each opcode its own indirect-branch site.
-// Both dispatchers execute the exact same case bodies.
+// Dispatch selection. The default with GCC/Clang is a labels-as-values
+// jump table (ENCORE_COMPUTED_GOTO); the dense switch over the flat
+// decoded opcode is the portable fallback (-DENCORE_COMPUTED_GOTO=OFF).
+// Both dispatchers execute the exact same case bodies. A handler
+// returns (ENCORE_NEXT) to the one shared loop top, except inside a
+// fused sequence, where the component handlers dispatch the next
+// component themselves (ENCORE_NEXT_IN_SEQ): with computed goto each
+// of them then has its own indirect-branch site.
 #if defined(ENCORE_COMPUTED_GOTO) && !defined(__GNUC__) && \
     !defined(__clang__)
 #error "ENCORE_COMPUTED_GOTO requires GCC or Clang (labels as values)"
@@ -23,128 +27,209 @@
 #ifdef ENCORE_COMPUTED_GOTO
 #define ENCORE_OP(name) L_##name
 #define ENCORE_FOP(name) L_Fused##name
-#define ENCORE_NEXT goto L_dispatch_done
+#define ENCORE_DISPATCH(op) goto *kJumpTable[static_cast<unsigned>(op)]
 #else
 #define ENCORE_OP(name) case static_cast<unsigned>(ir::Opcode::name)
 #define ENCORE_FOP(name) case static_cast<unsigned>(FusedOp::name)
-#define ENCORE_NEXT break
+#define ENCORE_DISPATCH(op)                                             \
+    do {                                                                \
+        dispatch_op = static_cast<unsigned>(op);                        \
+        goto L_redispatch;                                              \
+    } while (0)
 #endif
+#define ENCORE_NEXT goto L_dispatch_done
 
-// Pre-resolved operand fetches for the current decoded instruction.
-#define ENCORE_VA (fetch(frame, inst.a))
-#define ENCORE_VB (fetch(frame, inst.b))
-#define ENCORE_VC (fetch(frame, inst.c))
+// ---- Register-resident loop state -------------------------------------
+//
+// execLoop keeps its hot state in locals: the counters (dyn, values,
+// overhead), the cursor (frame, its code base, its value window regs,
+// and pc, the instruction about to run) and the loop-top limits
+// (ENCORE_REREAD_LIMITS). The members they mirror are stale while the
+// loop runs, so every call-out writes the state back first
+// (ENCORE_WRITE_BACK): every ExecHooks callback, hot or rare, the
+// value-barrier crossing (snapshot capture reads the counters and the
+// cursor through saveExecState, and so may a hook), the resync compare,
+// detection handling, the runtime-error exit and the finish. A call-out
+// may move the limits, so the loop re-reads them after it returns. A
+// hot hook callback (ENCORE_HOOK) may lower the budget
+// (setMaxInstructions) or quiesce the hooks, so after one the loop
+// re-reads those two (ENCORE_REREAD_HOT); detection handling — where
+// the hooks arm the resync watch or request a trial stop — the
+// runtime-error exit and the loop's own call-outs (ENCORE_CALL_OUT) may
+// move every limit, so after those it re-reads them all. A budget
+// lowered into reach abandons the fused sequence in flight, so the run
+// ends at the same boundary on both engines. Detection handling also
+// moves the cursor, which is then re-read too (ENCORE_REREAD_CURSOR).
+// Nothing outside the loop moves the counters mid-run.
 
-// Common tail of every value-producing opcode: count it, let the hooks
-// filter (fault-inject) the result, write the destination register,
-// and fall through to the next flat instruction.
+#define ENCORE_WRITE_BACK                                               \
+    do {                                                                \
+        dyn_count_ = dyn;                                               \
+        value_count_ = values;                                          \
+        overhead_count_ = overhead;                                     \
+        frame->ip = static_cast<std::uint32_t>(pc - code);              \
+    } while (0)
+
+#define ENCORE_REREAD_HOT                                               \
+    do {                                                                \
+        hooks = hot_hooks_;                                             \
+        budget = max_instrs_;                                           \
+        fuse_dyn_limit = budget >= kMaxFuseLen ? budget - kMaxFuseLen   \
+                                               : 0;                     \
+        if (dyn > fuse_dyn_limit)                                       \
+            seq_left = 0;                                               \
+    } while (0)
+
+#define ENCORE_REREAD_LIMITS                                            \
+    do {                                                                \
+        ENCORE_REREAD_HOT;                                              \
+        value_barrier = value_barrier_;                                 \
+        fuse_value_limit = fuse_value_limit_;                           \
+        resync_pc = resync_pc_;                                         \
+        resync_head = resync_head_;                                     \
+    } while (0)
+
+#define ENCORE_REREAD_CURSOR                                            \
+    do {                                                                \
+        frame = &frames_[depth_ - 1];                                   \
+        code = frame->func->code.data();                                \
+        regs = frame->regs;                                             \
+        pc = code + frame->ip;                                          \
+    } while (0)
+
+// One call out of the loop: write back, call, re-read the limits.
+#define ENCORE_CALL_OUT(call)                                           \
+    do {                                                                \
+        ENCORE_WRITE_BACK;                                              \
+        call;                                                           \
+        ENCORE_REREAD_LIMITS;                                           \
+    } while (0)
+
+// One hot hook callback: write back, call, re-read budget and hooks.
+#define ENCORE_HOOK(call)                                               \
+    do {                                                                \
+        ENCORE_WRITE_BACK;                                              \
+        call;                                                           \
+        ENCORE_REREAD_HOT;                                              \
+    } while (0)
+
+#define ENCORE_FINISH(status, message)                                  \
+    do {                                                                \
+        ENCORE_WRITE_BACK;                                              \
+        return finish(status, message);                                 \
+    } while (0)
+
+// After a detection fired (state already written back): roll back or
+// abandon the run. A rollback moved the cursor to the recovery block,
+// so it is re-read before anything writes it back. The hook may have
+// sealed the trial's classification during onDetectionHandled (every
+// way the run could still end maps to the same outcome): finishing
+// then is observationally equivalent and skips the whole remaining
+// suffix (requestTrialStop).
+#define ENCORE_HANDLE_DETECTION(unrecoverable_message)                  \
+    do {                                                                \
+        const bool rolled_back_ = handleDetection(*frame);              \
+        ENCORE_REREAD_CURSOR;                                           \
+        ENCORE_REREAD_LIMITS;                                           \
+        if (!rolled_back_)                                              \
+            ENCORE_FINISH(RunResult::Status::DetectedUnrecoverable,     \
+                          unrecoverable_message);                       \
+        if (trial_stop_) {                                              \
+            trial_stop_ = false;                                        \
+            ENCORE_FINISH(RunResult::Status::Ok, {});                   \
+        }                                                               \
+    } while (0)
+
+#define ENCORE_VA (regs[pc->a.slot])
+#define ENCORE_VB (regs[pc->b.slot])
+#define ENCORE_VC (regs[pc->c.slot])
+
+// Dynamic index of the instruction in flight: the loop top and every
+// fused-sequence step count an instruction before its handler runs.
+#define ENCORE_INDEX (dyn - 1)
+
+// Runtime errors (wild access, division by zero) leave the handler
+// through the loop's cold error exit, with the message recorded out of
+// line; the cursor still names the instruction that trapped.
+#define ENCORE_RAISE(message)                                           \
+    do {                                                                \
+        execError(message);                                             \
+        goto L_exec_error;                                              \
+    } while (0)
+
+#define ENCORE_EVAL_ADDR(object, offset)                                \
+    do {                                                                \
+        if (!evalAddr(regs, *pc, object, offset)) [[unlikely]]          \
+            goto L_exec_error;                                          \
+    } while (0)
+
+// Common tail of every value-producing instruction, fused component or
+// not: count it, let the hooks filter (fault-inject) the result, write
+// the destination register, and step to the next flat instruction.
 #define ENCORE_WRITE_VALUE(expr)                                        \
     do {                                                                \
         std::uint64_t v_ = (expr);                                      \
-        ++value_count_;                                                 \
-        if (hot_hooks_)                                                 \
-            v_ = hot_hooks_->filterResult(*inst.src, my_index, v_);     \
-        frame.regs[inst.dest] = v_;                                     \
-        ++frame.ip;                                                     \
+        ++values;                                                       \
+        if (hooks) [[unlikely]]                                         \
+            ENCORE_HOOK(                                                \
+                v_ = hooks->filterResult(*pc->src, ENCORE_INDEX, v_));  \
+        regs[pc->dest] = v_;                                            \
+        ++pc;                                                           \
     } while (0)
 
-// ---- Fused-handler building blocks ------------------------------------
+// Control enters block `target` of the current frame's function; `from`
+// is the predecessor block index or kNoDecodedBlock (read before the
+// frame's block changes).
+#define ENCORE_ENTER_BLOCK(target, from)                                \
+    do {                                                                \
+        const std::uint32_t to_ = (target);                             \
+        const std::uint32_t from_ = (from);                             \
+        const DecodedFunction &fn_ = *frame->func;                      \
+        frame->block = to_;                                             \
+        pc = code + fn_.blocks[to_].first;                              \
+        if (hooks) [[unlikely]]                                         \
+            ENCORE_HOOK(hooks->onBlockEnter(                            \
+                *fn_.src, *fn_.blocks[to_].bb,                          \
+                from_ == kNoDecodedBlock ? nullptr                      \
+                                         : fn_.blocks[from_].bb));      \
+    } while (0)
+
+// ---- Fused sequences ---------------------------------------------------
 //
-// A fused handler executes its 2..kMaxFuseLen source instructions back to back
-// between two loop tops. Every component replays the corresponding
-// unfused case body exactly — same counter increments, same hook calls
-// in the same order, same per-component ip advance — so the observable
-// trace (injection targets, memory-access callbacks, detection poll
-// points, even the ip seen by a mid-component ExecError) is identical
-// to dispatching the components individually. The only loop-top work a
-// handler does NOT replay at interior boundaries is the value-barrier
-// (snapshot capture, hook arming), resync and budget checks;
-// ENCORE_FUSE_GUARD therefore re-dispatches the head unfused whenever
-// a value barrier or the budget could fire before the sequence ends
-// (see recomputeFuseLimits), and for the one head that covers an armed
-// resync anchor on a pass where the watch could fire inside it (see
-// armGoldenResync).
+// A fused head (FusedOp::Run or RunCmpBr, 2..kMaxFuseLen source
+// instructions) runs its components through their own handlers, back
+// to back between two loop tops: the head dispatches its first
+// component as a plain instruction with `seq_left` set to the number
+// of components after it, and each component handler's tail
+// (ENCORE_NEXT_IN_SEQ) replays the loop top's detection poll and
+// per-instruction counter for the next component and dispatches it
+// directly. The components run the very case bodies an unfused
+// dispatch runs — same counter increments, same hook calls in the same
+// order, same pc advance — so the observable trace (injection targets,
+// memory-access callbacks, detection poll points, even the cursor seen
+// by a mid-sequence runtime error) is identical to dispatching them one
+// by one. The only loop-top work a sequence skips at its interior
+// boundaries is the value-barrier (snapshot capture, hook arming),
+// resync and budget checks; the head therefore runs unfused (seq_left
+// stays 0) whenever a value barrier or the budget could fire before
+// the sequence ends (see recomputeFuseLimits), and for the one head
+// that covers an armed resync anchor on a pass where the watch could
+// fire inside it (see armGoldenResync). Only value, lea, load and store
+// instructions are components ahead of the last; a RunCmpBr ends in the
+// branch, whose handler leaves through the loop top. Detection handling
+// and the runtime-error exit end a sequence, since seq_left is reset at
+// every loop top.
 
-#define ENCORE_FUSE_GUARD                                               \
+#define ENCORE_NEXT_IN_SEQ                                              \
     do {                                                                \
-        if (value_count_ >= fuse_value_limit_ ||                        \
-            dyn_count_ > fuse_dyn_limit_ ||                             \
-            (&inst == resync_head_ && resyncCouldFireInHead())) {       \
-            dispatch_op = static_cast<unsigned>(inst.op);               \
-            goto L_redispatch;                                          \
+        if (seq_left) {                                                 \
+            --seq_left;                                                 \
+            if (hooks) [[unlikely]]                                     \
+                goto L_seq_poll;                                        \
+            ++dyn;                                                      \
+            ENCORE_DISPATCH(pc->op);                                    \
         }                                                               \
-    } while (0)
-
-// Advance to the next component: replicate the loop top's detection
-// poll and per-instruction counters for it. On a detection the rest of
-// the sequence is abandoned exactly as the unfused loop abandons its
-// suffix (control was redirected to a recovery block).
-#define ENCORE_FUSE_STEP(comp)                                          \
-    do {                                                                \
-        if (hot_hooks_ && hot_hooks_->shouldTriggerDetection(           \
-                              *(comp).src, dyn_count_)) {               \
-            if (!handleDetection(frame))                                \
-                return finish(                                          \
-                    RunResult::Status::DetectedUnrecoverable,           \
-                    "fault detected outside any active region");        \
-            if (trial_stop_) {                                          \
-                trial_stop_ = false;                                    \
-                return finish(RunResult::Status::Ok, {});               \
-            }                                                           \
-            goto L_dispatch_done;                                       \
-        }                                                               \
-        my_index = dyn_count_;                                          \
-        ++dyn_count_;                                                   \
-    } while (0)
-
-// ENCORE_WRITE_VALUE for an explicit component instruction.
-#define ENCORE_FUSE_VALUE(comp, expr)                                   \
-    do {                                                                \
-        std::uint64_t v_ = (expr);                                      \
-        ++value_count_;                                                 \
-        if (hot_hooks_)                                                 \
-            v_ = hot_hooks_->filterResult(*(comp).src, my_index, v_);   \
-        frame.regs[(comp).dest] = v_;                                   \
-        ++frame.ip;                                                     \
-    } while (0)
-
-// One run component, dispatched on its decode-time class tag. Value
-// ops go through the shared semantics function.
-#define ENCORE_FUSE_COMP(comp)                                          \
-    do {                                                                \
-        ir::ObjectId obj_;                                              \
-        std::uint32_t off_;                                             \
-        switch ((comp).comp_class) {                                    \
-        case kCompValue:                                                \
-            ENCORE_FUSE_VALUE(                                          \
-                (comp), applyValueOp((comp).op, fetch(frame, (comp).a), \
-                                     fetch(frame, (comp).b),            \
-                                     fetch(frame, (comp).c)));          \
-            break;                                                      \
-        case kCompLea:                                                  \
-            evalAddr(frame, (comp), obj_, off_);                        \
-            ENCORE_FUSE_VALUE((comp),                                   \
-                              ir::Pointer::encode(obj_, off_));         \
-            break;                                                      \
-        case kCompLoad: {                                               \
-            evalAddr(frame, (comp), obj_, off_);                        \
-            const std::uint64_t word_ = memory_.wordAt(obj_, off_);     \
-            if (hot_hooks_) {                                           \
-                hot_hooks_->onMemoryAccess(*(comp).src, obj_, off_,     \
-                                           false, my_index);            \
-            }                                                           \
-            ENCORE_FUSE_VALUE((comp), word_);                           \
-        } break;                                                        \
-        default:                                                        \
-            evalAddr(frame, (comp), obj_, off_);                        \
-            memory_.setWord(obj_, off_, fetch(frame, (comp).a));        \
-            if (hot_hooks_) {                                           \
-                hot_hooks_->onMemoryAccess(*(comp).src, obj_, off_,     \
-                                           true, my_index);             \
-            }                                                           \
-            ++frame.ip;                                                 \
-            break;                                                      \
-        }                                                               \
+        ENCORE_NEXT;                                                    \
     } while (0)
 
 namespace encore::interp {
@@ -166,6 +251,18 @@ std::uint64_t
 fromSigned(std::int64_t value)
 {
     return static_cast<std::uint64_t>(value);
+}
+
+double
+asDouble(std::uint64_t bits)
+{
+    return std::bit_cast<double>(bits);
+}
+
+std::uint64_t
+fromDouble(double value)
+{
+    return std::bit_cast<std::uint64_t>(value);
 }
 
 } // namespace
@@ -197,36 +294,56 @@ Interpreter::Interpreter(std::shared_ptr<const DecodedModule> decoded)
 }
 
 void
-Interpreter::evalAddr(const Frame &frame, const DecodedInst &inst,
-                      ir::ObjectId &object, std::uint32_t &offset) const
+Interpreter::execError(const char *message)
 {
-    std::int64_t off =
-        static_cast<std::int64_t>(fetch(frame, inst.addr_off));
+    exec_error_ = message;
+}
+
+void
+Interpreter::badAccess(ir::ObjectId object, std::int64_t offset)
+{
+    if (!memory_.isAllocated(object))
+        exec_error_ = "access to unallocated object '" +
+                      module_.object(object).name + "'";
+    else
+        exec_error_ = "out-of-bounds access to '" +
+                      module_.object(object).name + "' at offset " +
+                      std::to_string(offset);
+}
+
+inline bool
+Interpreter::evalAddr(const std::uint64_t *regs, const DecodedInst &inst,
+                      ir::ObjectId &object, std::uint32_t &offset)
+{
+    std::int64_t off = static_cast<std::int64_t>(regs[inst.addr_off.slot]);
 
     if (inst.addr_base == DecodedInst::AddrBase::Object) {
         object = inst.addr_object;
     } else if (inst.addr_base == DecodedInst::AddrBase::Reg) {
-        const std::uint64_t ptr = frame.regs[inst.addr_reg];
-        if (!ir::Pointer::isPointer(ptr))
-            throw ExecError{"dereference of a non-pointer value"};
+        const std::uint64_t ptr = regs[inst.addr_reg];
+        if (!ir::Pointer::isPointer(ptr)) [[unlikely]] {
+            execError("dereference of a non-pointer value");
+            return false;
+        }
         object = ir::Pointer::object(ptr);
-        if (object >= module_.objects().size())
-            throw ExecError{"dereference of a corrupt pointer"};
+        if (object >= module_.objects().size()) [[unlikely]] {
+            execError("dereference of a corrupt pointer");
+            return false;
+        }
         off += static_cast<std::int64_t>(ir::Pointer::offset(ptr));
-    } else {
-        throw ExecError{"memory access with no address"};
+    } else [[unlikely]] {
+        execError("memory access with no address");
+        return false;
     }
 
-    if (!memory_.isAllocated(object))
-        throw ExecError{"access to unallocated object '" +
-                        module_.object(object).name + "'"};
-    const std::uint32_t size = memory_.objectSize(object);
-    if (off < 0 || off >= static_cast<std::int64_t>(size)) {
-        throw ExecError{"out-of-bounds access to '" +
-                        module_.object(object).name + "' at offset " +
-                        std::to_string(off)};
+    if (!memory_.isAllocated(object) || off < 0 ||
+        off >= static_cast<std::int64_t>(memory_.objectSize(object)))
+        [[unlikely]] {
+        badAccess(object, off);
+        return false;
     }
     offset = static_cast<std::uint32_t>(off);
+    return true;
 }
 
 Interpreter::Frame &
@@ -388,9 +505,26 @@ Interpreter::execLoop()
         return result;
     };
 
+    // The register-resident state (see ENCORE_WRITE_BACK).
+    std::uint64_t dyn = dyn_count_;
+    std::uint64_t values = value_count_;
+    std::uint64_t overhead = overhead_count_;
+    Frame *frame;
+    const DecodedInst *code;
+    std::uint64_t *regs;
+    const DecodedInst *pc;
+    ENCORE_REREAD_CURSOR;
+    ExecHooks *hooks;
+    std::uint64_t budget, fuse_dyn_limit, value_barrier, fuse_value_limit;
+    const DecodedInst *resync_pc, *resync_head;
+    // Components left in the fused sequence in flight (see
+    // ENCORE_NEXT_IN_SEQ); 0 outside one.
+    std::uint32_t seq_left = 0;
+    ENCORE_REREAD_LIMITS;
+
     while (true) {
-        if (dyn_count_ >= max_instrs_)
-            return finish(RunResult::Status::InstructionLimit,
+        if (dyn >= budget) [[unlikely]]
+            ENCORE_FINISH(RunResult::Status::InstructionLimit,
                           "instruction limit exceeded");
 
         // Value-count events: a snapshot capture (golden run) or the
@@ -399,62 +533,48 @@ Interpreter::execLoop()
         // exactly what a trial restored here would have reached by
         // re-executing the prefix, and armed hooks see every callback
         // from this boundary on.
-        if (value_count_ >= value_barrier_)
-            crossValueBarrier();
-
-        Frame &frame = frames_[depth_ - 1];
+        if (values >= value_barrier) [[unlikely]]
+            ENCORE_CALL_OUT(crossValueBarrier());
 
         // Golden-resync watch (armed trials only): once the live state
         // exactly equals the anchor snapshot, the rest of the run is
         // the golden suffix by determinism — stop here and let the
-        // caller adopt the golden outcome. The anchor's top-frame
-        // instruction index is hoisted into resync_top_ip_ so the
-        // armed steady state (the whole rolled-back replay) pays two
-        // compares per dispatch, not a ladder call: equality is only
-        // possible at the anchor's exact code position, which stays a
-        // dispatch boundary (see armGoldenResync).
-        if (value_count_ >= resync_barrier_ &&
-            frame.ip == resync_top_ip_ && tryGoldenResync()) {
-            result.golden_resync = true;
-            result.entry_resync = resync_entry_ != nullptr;
-            return finish(RunResult::Status::Ok, {});
-        }
-
-        ENCORE_ASSERT(frame.ip < frame.func->code.size(),
-                      "fell off the end of a basic block");
-        const DecodedInst &inst = frame.func->code[frame.ip];
-
-        if (hot_hooks_ &&
-            hot_hooks_->shouldTriggerDetection(*inst.src, dyn_count_)) {
-            if (!handleDetection(frame)) {
-                return finish(RunResult::Status::DetectedUnrecoverable,
-                              "fault detected outside any active region");
-            }
-            // The hook may have sealed the trial's classification
-            // during onDetectionHandled (every possible way the run
-            // could still end maps to the same outcome) — finishing
-            // now is then observationally equivalent and skips the
-            // whole remaining suffix.
-            if (trial_stop_) {
-                trial_stop_ = false;
+        // caller adopt the golden outcome. Equality is only possible
+        // at the anchor's exact code position, which stays a dispatch
+        // boundary (see armGoldenResync), so the armed steady state
+        // (the whole rolled-back replay) pays one pointer compare per
+        // dispatch, not a ladder call; a disarmed watch compares
+        // against null.
+        if (pc == resync_pc && values >= resync_barrier_) [[unlikely]] {
+            bool resynced;
+            ENCORE_CALL_OUT(resynced = tryGoldenResync());
+            if (resynced) {
+                result.golden_resync = true;
+                result.entry_resync = resync_entry_ != nullptr;
                 return finish(RunResult::Status::Ok, {});
             }
-            continue;
         }
 
-        // Mutable: fused handlers re-point it at each component's
-        // dynamic index, so per-component hook calls see exactly the
-        // index the unfused loop would have handed them.
-        std::uint64_t my_index = dyn_count_;
-        ++dyn_count_;
-        overhead_count_ += inst.is_pseudo;
+        // No fell-off-the-block check: the decoder refuses a block that
+        // does not end in a terminator, so pc never leaves its block.
+        if (hooks) [[unlikely]] {
+            bool detect;
+            ENCORE_HOOK(detect =
+                            hooks->shouldTriggerDetection(*pc->src, dyn));
+            if (detect) {
+                ENCORE_HANDLE_DETECTION(
+                    "fault detected outside any active region");
+                continue;
+            }
+        }
 
-        try {
-            // Fused heads re-enter here with dispatch_op reset to the
-            // plain source opcode when the de-fuse guard refuses the
-            // sequence (barrier or budget too close).
-            unsigned dispatch_op = inst.exec_op;
-        L_redispatch:
+        ++dyn;
+        seq_left = 0;
+
+        // The dispatch. Every handler leaves through ENCORE_NEXT (to the
+        // loop top), ENCORE_DISPATCH (the next component of a fused
+        // sequence) or the runtime-error exit.
+        {
 #ifdef ENCORE_COMPUTED_GOTO
             // Table order must match ir::Opcode, then FusedOp.
             static const void *const kJumpTable[] = {
@@ -474,27 +594,31 @@ Interpreter::execLoop()
                               static_cast<std::size_t>(kNumExecOps),
                           "jump table out of sync with the exec-opcode "
                           "space");
-            goto *kJumpTable[dispatch_op];
+            ENCORE_DISPATCH(pc->exec_op);
 #else
+            // Fused heads and sequence steps re-enter here with the
+            // next opcode (ENCORE_DISPATCH).
+            unsigned dispatch_op = pc->exec_op;
+        L_redispatch:
             switch (dispatch_op) {
 #endif
 
             ENCORE_OP(Mov):
                 ENCORE_WRITE_VALUE(ENCORE_VA);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Add):
                 ENCORE_WRITE_VALUE(ENCORE_VA + ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Sub):
                 ENCORE_WRITE_VALUE(ENCORE_VA - ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Mul):
                 ENCORE_WRITE_VALUE(ENCORE_VA * ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Div): {
                 const std::uint64_t a = ENCORE_VA, b = ENCORE_VB;
-                if (b == 0)
-                    throw ExecError{"division by zero"};
+                if (b == 0) [[unlikely]]
+                    ENCORE_RAISE("division by zero");
                 const std::int64_t sa = asSigned(a), sb = asSigned(b);
                 std::uint64_t v;
                 if (sa == std::numeric_limits<std::int64_t>::min() &&
@@ -504,11 +628,11 @@ Interpreter::execLoop()
                     v = fromSigned(sa / sb);
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Rem): {
                 const std::uint64_t a = ENCORE_VA, b = ENCORE_VB;
-                if (b == 0)
-                    throw ExecError{"remainder by zero"};
+                if (b == 0) [[unlikely]]
+                    ENCORE_RAISE("remainder by zero");
                 const std::int64_t sa = asSigned(a), sb = asSigned(b);
                 std::uint64_t v;
                 if (sa == std::numeric_limits<std::int64_t>::min() &&
@@ -518,57 +642,53 @@ Interpreter::execLoop()
                     v = fromSigned(sa % sb);
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(And):
                 ENCORE_WRITE_VALUE(ENCORE_VA & ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Or):
                 ENCORE_WRITE_VALUE(ENCORE_VA | ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Xor):
                 ENCORE_WRITE_VALUE(ENCORE_VA ^ ENCORE_VB);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Shl):
                 ENCORE_WRITE_VALUE(ENCORE_VA << (ENCORE_VB & 63));
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Shr):
                 ENCORE_WRITE_VALUE(ENCORE_VA >> (ENCORE_VB & 63));
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Neg):
                 ENCORE_WRITE_VALUE(fromSigned(-asSigned(ENCORE_VA)));
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Not):
                 ENCORE_WRITE_VALUE(~ENCORE_VA);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FAdd):
                 ENCORE_WRITE_VALUE(
-                    ir::doubleToBits(ir::bitsToDouble(ENCORE_VA) +
-                                     ir::bitsToDouble(ENCORE_VB)));
-                ENCORE_NEXT;
+                    fromDouble(asDouble(ENCORE_VA) + asDouble(ENCORE_VB)));
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FSub):
                 ENCORE_WRITE_VALUE(
-                    ir::doubleToBits(ir::bitsToDouble(ENCORE_VA) -
-                                     ir::bitsToDouble(ENCORE_VB)));
-                ENCORE_NEXT;
+                    fromDouble(asDouble(ENCORE_VA) - asDouble(ENCORE_VB)));
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FMul):
                 ENCORE_WRITE_VALUE(
-                    ir::doubleToBits(ir::bitsToDouble(ENCORE_VA) *
-                                     ir::bitsToDouble(ENCORE_VB)));
-                ENCORE_NEXT;
+                    fromDouble(asDouble(ENCORE_VA) * asDouble(ENCORE_VB)));
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FDiv):
                 // IEEE division by zero yields inf/nan: well-defined.
                 ENCORE_WRITE_VALUE(
-                    ir::doubleToBits(ir::bitsToDouble(ENCORE_VA) /
-                                     ir::bitsToDouble(ENCORE_VB)));
-                ENCORE_NEXT;
+                    fromDouble(asDouble(ENCORE_VA) / asDouble(ENCORE_VB)));
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(IntToFp):
-                ENCORE_WRITE_VALUE(ir::doubleToBits(
-                    static_cast<double>(asSigned(ENCORE_VA))));
-                ENCORE_NEXT;
+                ENCORE_WRITE_VALUE(
+                    fromDouble(static_cast<double>(asSigned(ENCORE_VA))));
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FpToInt): {
                 // Saturating conversion: NaN -> 0, +/-inf clamp like
                 // hardware cvttsd2si-with-saturation semantics.
-                const double d = ir::bitsToDouble(ENCORE_VA);
+                const double d = asDouble(ENCORE_VA);
                 std::uint64_t v;
                 if (std::isnan(d))
                     v = 0;
@@ -582,267 +702,243 @@ Interpreter::execLoop()
                     v = fromSigned(static_cast<std::int64_t>(d));
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpEq):
                 ENCORE_WRITE_VALUE(ENCORE_VA == ENCORE_VB ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpNe):
                 ENCORE_WRITE_VALUE(ENCORE_VA != ENCORE_VB ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpLt):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) < asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpLe):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) <= asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpGt):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) > asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(CmpGe):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) >= asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(FCmpLt):
-                ENCORE_WRITE_VALUE(ir::bitsToDouble(ENCORE_VA) <
-                                           ir::bitsToDouble(ENCORE_VB)
-                                       ? 1
-                                       : 0);
-                ENCORE_NEXT;
+                ENCORE_WRITE_VALUE(
+                    asDouble(ENCORE_VA) < asDouble(ENCORE_VB) ? 1 : 0);
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Select):
                 ENCORE_WRITE_VALUE(ENCORE_VA ? ENCORE_VB : ENCORE_VC);
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
 
             ENCORE_OP(Lea): {
                 ir::ObjectId object;
                 std::uint32_t offset;
-                evalAddr(frame, inst, object, offset);
+                ENCORE_EVAL_ADDR(object, offset);
                 ENCORE_WRITE_VALUE(ir::Pointer::encode(object, offset));
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Load): {
                 ir::ObjectId object;
                 std::uint32_t offset;
-                evalAddr(frame, inst, object, offset);
+                ENCORE_EVAL_ADDR(object, offset);
                 std::uint64_t mem_mask = 0;
-                if (hot_hooks_ && hooks_unfused_) {
-                    mem_mask = hot_hooks_->filterMemoryOp(
-                        *inst.src, false, object, offset, my_index);
+                if (hooks && hooks_unfused_) [[unlikely]] {
+                    ENCORE_HOOK(mem_mask = hooks->filterMemoryOp(
+                                        *pc->src, false, object, offset,
+                                        ENCORE_INDEX));
                     // A rewritten offset is re-validated here: an
                     // address-bus fault that leaves the object surfaces
                     // as a runtime error, exactly like a wild access.
                     if (offset >= memory_.objectSize(object)) {
-                        throw ExecError{
-                            "out-of-bounds access to '" +
-                            module_.object(object).name + "' at offset " +
-                            std::to_string(offset)};
+                        badAccess(object, offset);
+                        goto L_exec_error;
                     }
                 }
                 std::uint64_t value =
                     memory_.wordAt(object, offset) ^ mem_mask;
-                if (hot_hooks_) {
-                    hot_hooks_->onMemoryAccess(*inst.src, object, offset,
-                                               false, my_index);
-                }
-                ++value_count_;
-                if (hot_hooks_)
-                    value = hot_hooks_->filterResult(*inst.src, my_index,
-                                                     value);
-                frame.regs[inst.dest] = value;
-                ++frame.ip;
+                if (hooks) [[unlikely]]
+                    ENCORE_HOOK(hooks->onMemoryAccess(
+                        *pc->src, object, offset, false, ENCORE_INDEX));
+                ENCORE_WRITE_VALUE(value);
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
             ENCORE_OP(Store): {
                 ir::ObjectId object;
                 std::uint32_t offset;
-                evalAddr(frame, inst, object, offset);
+                ENCORE_EVAL_ADDR(object, offset);
                 std::uint64_t mem_mask = 0;
-                if (hot_hooks_ && hooks_unfused_) {
-                    mem_mask = hot_hooks_->filterMemoryOp(
-                        *inst.src, true, object, offset, my_index);
+                if (hooks && hooks_unfused_) [[unlikely]] {
+                    ENCORE_HOOK(mem_mask = hooks->filterMemoryOp(
+                                        *pc->src, true, object, offset,
+                                        ENCORE_INDEX));
                     if (offset >= memory_.objectSize(object)) {
-                        throw ExecError{
-                            "out-of-bounds access to '" +
-                            module_.object(object).name + "' at offset " +
-                            std::to_string(offset)};
+                        badAccess(object, offset);
+                        goto L_exec_error;
                     }
                 }
                 memory_.setWord(object, offset, ENCORE_VA ^ mem_mask);
-                if (hot_hooks_) {
-                    hot_hooks_->onMemoryAccess(*inst.src, object, offset,
-                                               true, my_index);
-                }
-                ++frame.ip;
+                if (hooks) [[unlikely]]
+                    ENCORE_HOOK(hooks->onMemoryAccess(
+                        *pc->src, object, offset, true, ENCORE_INDEX));
+                ++pc;
             }
-                ENCORE_NEXT;
+                ENCORE_NEXT_IN_SEQ;
 
             ENCORE_OP(Call): {
-                if (inst.callee == ~0u)
-                    throw ExecError{"unresolved call"};
-                if (depth_ >= kMaxCallDepth)
-                    throw ExecError{"call stack overflow"};
+                if (pc->callee == ~0u) [[unlikely]]
+                    ENCORE_RAISE("unresolved call");
+                if (depth_ >= kMaxCallDepth) [[unlikely]]
+                    ENCORE_RAISE("call stack overflow");
+                const DecodedInst &call = *pc;
                 const DecodedFunction &callee =
-                    decoded_->function(inst.callee);
-                ++frame.ip; // return point
+                    decoded_->function(call.callee);
+                // The caller's cursor waits at the return point in
+                // memory while the callee runs.
+                frame->ip = static_cast<std::uint32_t>(pc + 1 - code);
                 // `frame` stays valid across the push: the pool's
                 // capacity is reserved to kMaxCallDepth up front.
                 Frame &next = activateFrame(callee);
                 const DecodedOperand *call_args =
-                    frame.func->args_pool.data() + inst.args_first;
-                for (std::uint32_t i = 0; i < inst.args_count; ++i)
-                    next.regs[i] = fetch(frame, call_args[i]);
-                next.caller_dest = inst.dest;
+                    frame->func->args_pool.data() + call.args_first;
+                for (std::uint32_t i = 0; i < call.args_count; ++i)
+                    next.regs[i] = regs[call_args[i].slot];
+                next.caller_dest = call.dest;
                 memory_.pushFrame(*callee.src);
-                enterBlock(next, callee.entry_block, nullptr);
+                frame = &next;
+                code = callee.code.data();
+                regs = next.regs;
+                ENCORE_ENTER_BLOCK(callee.entry_block, kNoDecodedBlock);
             }
                 ENCORE_NEXT;
             ENCORE_OP(Br): {
-                const std::uint64_t cond = ENCORE_VA;
                 std::uint32_t target =
-                    cond ? inst.target0 : inst.target1;
-                if (hot_hooks_ && hooks_unfused_) {
-                    hot_hooks_->filterBranchTarget(
-                        *inst.src, target,
+                    ENCORE_VA ? pc->target0 : pc->target1;
+                if (hooks && hooks_unfused_) [[unlikely]] {
+                    ENCORE_HOOK(hooks->filterBranchTarget(
+                        *pc->src, target,
                         static_cast<std::uint32_t>(
-                            frame.func->blocks.size()),
-                        my_index);
+                            frame->func->blocks.size()),
+                        ENCORE_INDEX));
                 }
-                enterBlock(frame, target,
-                           frame.func->blocks[frame.block].bb);
+                ENCORE_ENTER_BLOCK(target, frame->block);
             }
                 ENCORE_NEXT;
             ENCORE_OP(Jmp): {
-                std::uint32_t target = inst.target0;
-                if (hot_hooks_ && hooks_unfused_) {
-                    hot_hooks_->filterBranchTarget(
-                        *inst.src, target,
+                std::uint32_t target = pc->target0;
+                if (hooks && hooks_unfused_) [[unlikely]] {
+                    ENCORE_HOOK(hooks->filterBranchTarget(
+                        *pc->src, target,
                         static_cast<std::uint32_t>(
-                            frame.func->blocks.size()),
-                        my_index);
+                            frame->func->blocks.size()),
+                        ENCORE_INDEX));
                 }
-                enterBlock(frame, target,
-                           frame.func->blocks[frame.block].bb);
+                ENCORE_ENTER_BLOCK(target, frame->block);
             }
                 ENCORE_NEXT;
             ENCORE_OP(Ret): {
                 const std::uint64_t value = ENCORE_VA;
-                const ir::RegId dest = frame.caller_dest;
+                const ir::RegId dest = frame->caller_dest;
                 memory_.popFrame();
                 --depth_;
                 if (depth_ == 0) {
                     result.return_value = value;
-                    return finish(RunResult::Status::Ok, "");
+                    ENCORE_FINISH(RunResult::Status::Ok, "");
                 }
+                ENCORE_REREAD_CURSOR;
                 if (dest != ir::kInvalidReg)
-                    frames_[depth_ - 1].regs[dest] = value;
+                    regs[dest] = value;
             }
                 ENCORE_NEXT;
 
+            // The pseudo-ops count themselves as runtime overhead first,
+            // so a trapping ckpt.mem is counted like every other one.
             ENCORE_OP(RegionEnter): {
-                RecoveryState &rec = frame.recovery;
+                ++overhead;
+                RecoveryState &rec = frame->recovery;
                 rec.log.clear();
-                if (inst.region == ir::kInvalidRegion) {
+                if (pc->region == ir::kInvalidRegion) {
                     rec.active = false;
                     rec.region = ir::kInvalidRegion;
                     rec.token = 0;
                     rec.recovery_block = kNoDecodedBlock;
                 } else {
                     rec.active = true;
-                    rec.region = inst.region;
+                    rec.region = pc->region;
                     rec.token = ++next_token_;
-                    rec.recovery_block = inst.target0;
+                    rec.recovery_block = pc->target0;
                 }
-                ++frame.ip;
+                ++pc;
             }
                 ENCORE_NEXT;
             ENCORE_OP(CkptMem): {
+                ++overhead;
                 ir::ObjectId object;
                 std::uint32_t offset;
-                evalAddr(frame, inst, object, offset);
+                ENCORE_EVAL_ADDR(object, offset);
                 const std::uint64_t value = memory_.wordAt(object, offset);
-                if (frame.recovery.active) {
-                    frame.recovery.log.push_back(
+                if (frame->recovery.active) {
+                    frame->recovery.log.push_back(
                         Undo{Undo::Kind::Mem, object, offset,
                              ir::kInvalidReg, value});
                 }
-                ++frame.ip;
+                ++pc;
             }
                 ENCORE_NEXT;
             ENCORE_OP(CkptReg): {
-                ENCORE_ASSERT(inst.a.slot < frame.func->num_regs,
+                ++overhead;
+                ENCORE_ASSERT(pc->a.slot < frame->func->num_regs,
                               "ckpt.reg needs a register operand");
-                if (frame.recovery.active) {
-                    frame.recovery.log.push_back(
+                if (frame->recovery.active) {
+                    frame->recovery.log.push_back(
                         Undo{Undo::Kind::Reg, ir::kInvalidObject, 0,
-                             inst.a.slot, frame.regs[inst.a.slot]});
+                             pc->a.slot, regs[pc->a.slot]});
                 }
-                ++frame.ip;
+                ++pc;
             }
                 ENCORE_NEXT;
             ENCORE_OP(Restore): {
-                RecoveryState &rec = frame.recovery;
+                ++overhead;
+                RecoveryState &rec = frame->recovery;
                 for (auto it = rec.log.rbegin(); it != rec.log.rend();
                      ++it) {
                     if (it->kind == Undo::Kind::Mem)
                         memory_.write(it->object, it->offset, it->value);
                     else
-                        frame.regs[it->reg] = it->value;
+                        regs[it->reg] = it->value;
                 }
                 rec.log.clear();
-                ++frame.ip;
+                ++pc;
             }
                 ENCORE_NEXT;
 
             // ---- Fused sequence heads ---------------------------------
-            // Components live at ip+1 .. ip+fused_len-1 of the same
+            // Components live at pc+1 .. pc+fused_len-1 of the same
             // block; the head slot's own fields are the first
             // component's.
+            ENCORE_FOP(Run):
+            ENCORE_FOP(RunCmpBr):
+                if (values < fuse_value_limit && dyn <= fuse_dyn_limit &&
+                    !(pc == resync_head && resyncCouldFireInHead()))
+                    seq_left = pc->fused_len - 1u;
+                ENCORE_DISPATCH(pc->op);
 
-            ENCORE_FOP(Run): {
-                ENCORE_FUSE_GUARD;
-                const DecodedInst *comp = &inst;
-                const DecodedInst *last = &inst + inst.fused_len - 1;
-                for (;;) {
-                    ENCORE_FUSE_COMP(*comp);
-                    if (comp == last)
-                        break;
-                    ++comp;
-                    ENCORE_FUSE_STEP(*comp);
+            // The detection poll between two components, with the hooks
+            // hot; the hook-free tail of ENCORE_NEXT_IN_SEQ skips it.
+        L_seq_poll: {
+                bool detect;
+                ENCORE_HOOK(
+                    detect = hooks->shouldTriggerDetection(*pc->src, dyn));
+                if (detect) {
+                    ENCORE_HANDLE_DETECTION(
+                        "fault detected outside any active region");
+                    ENCORE_NEXT;
                 }
+                ++dyn;
+                ENCORE_DISPATCH(pc->op);
             }
-                ENCORE_NEXT;
-            ENCORE_FOP(RunCmpBr): {
-                // Run prefix (fused_len - 2 >= 0 components) + compare
-                // + consuming branch: the loop back-edge.
-                ENCORE_FUSE_GUARD;
-                const DecodedInst *comp = &inst;
-                const DecodedInst *cmp = &inst + inst.fused_len - 2;
-                while (comp != cmp) {
-                    ENCORE_FUSE_COMP(*comp);
-                    ++comp;
-                    ENCORE_FUSE_STEP(*comp);
-                }
-                // The register write always happens, even when the
-                // branch is the compare's only reader: the register
-                // file must be identical whether this code ran fused or
-                // de-fused, because snapshot capture and the
-                // golden-resync state equality compare the whole file
-                // (see DESIGN.md §8).
-                ENCORE_FUSE_VALUE(*cmp, applyValueOp(cmp->op,
-                                                     fetch(frame, cmp->a),
-                                                     fetch(frame, cmp->b),
-                                                     0));
-                // The pass guarantees the branch condition register is
-                // the compare's destination.
-                const std::uint64_t cond = frame.regs[cmp->dest];
-                const DecodedInst &br = cmp[1];
-                ENCORE_FUSE_STEP(br);
-                enterBlock(frame, cond ? br.target0 : br.target1,
-                           frame.func->blocks[frame.block].bb);
-            }
-                ENCORE_NEXT;
 
 #ifndef ENCORE_COMPUTED_GOTO
               default:
@@ -850,118 +946,24 @@ Interpreter::execLoop()
                        static_cast<int>(dispatch_op));
             }
 #endif
-        L_dispatch_done:;
-        } catch (const ExecError &err) {
+        }
+    L_dispatch_done:
+        continue;
+
+    L_exec_error: {
             // Runtime errors are execution symptoms. The hooks decide
             // whether to treat them as an immediate detection (fault
             // injection campaigns) or to surface them (golden runs).
-            const bool treat_as_detection =
-                hooks_ && hooks_->onRuntimeError(my_index);
-            if (treat_as_detection) {
-                if (!handleDetection(frames_[depth_ - 1])) {
-                    return finish(RunResult::Status::DetectedUnrecoverable,
-                                  err.message);
-                }
-                // Same outcome-sealed exit as the loop-top detection
-                // site (see requestTrialStop).
-                if (trial_stop_) {
-                    trial_stop_ = false;
-                    return finish(RunResult::Status::Ok, {});
-                }
-                continue;
-            }
-            return finish(RunResult::Status::Error, err.message);
+            // The cursor still names the instruction that trapped.
+            bool treat_as_detection = false;
+            ENCORE_CALL_OUT(treat_as_detection =
+                                hooks_ &&
+                                hooks_->onRuntimeError(ENCORE_INDEX));
+            if (!treat_as_detection)
+                ENCORE_FINISH(RunResult::Status::Error, exec_error_);
+            ENCORE_HANDLE_DETECTION(exec_error_);
         }
     }
-}
-
-std::uint64_t
-Interpreter::applyValueOp(ir::Opcode op, std::uint64_t a, std::uint64_t b,
-                          std::uint64_t c)
-{
-    switch (op) {
-    case ir::Opcode::Mov:
-        return a;
-    case ir::Opcode::Add:
-        return a + b;
-    case ir::Opcode::Sub:
-        return a - b;
-    case ir::Opcode::Mul:
-        return a * b;
-    case ir::Opcode::Div: {
-        if (b == 0)
-            throw ExecError{"division by zero"};
-        const std::int64_t sa = asSigned(a), sb = asSigned(b);
-        if (sa == std::numeric_limits<std::int64_t>::min() && sb == -1)
-            return a; // wraps, matching hardware behavior
-        return fromSigned(sa / sb);
-    }
-    case ir::Opcode::Rem: {
-        if (b == 0)
-            throw ExecError{"remainder by zero"};
-        const std::int64_t sa = asSigned(a), sb = asSigned(b);
-        if (sa == std::numeric_limits<std::int64_t>::min() && sb == -1)
-            return 0;
-        return fromSigned(sa % sb);
-    }
-    case ir::Opcode::And:
-        return a & b;
-    case ir::Opcode::Or:
-        return a | b;
-    case ir::Opcode::Xor:
-        return a ^ b;
-    case ir::Opcode::Shl:
-        return a << (b & 63);
-    case ir::Opcode::Shr:
-        return a >> (b & 63);
-    case ir::Opcode::Neg:
-        return fromSigned(-asSigned(a));
-    case ir::Opcode::Not:
-        return ~a;
-    case ir::Opcode::FAdd:
-        return ir::doubleToBits(ir::bitsToDouble(a) + ir::bitsToDouble(b));
-    case ir::Opcode::FSub:
-        return ir::doubleToBits(ir::bitsToDouble(a) - ir::bitsToDouble(b));
-    case ir::Opcode::FMul:
-        return ir::doubleToBits(ir::bitsToDouble(a) * ir::bitsToDouble(b));
-    case ir::Opcode::FDiv:
-        // IEEE division by zero yields inf/nan: well-defined.
-        return ir::doubleToBits(ir::bitsToDouble(a) / ir::bitsToDouble(b));
-    case ir::Opcode::IntToFp:
-        return ir::doubleToBits(static_cast<double>(asSigned(a)));
-    case ir::Opcode::FpToInt: {
-        // Saturating conversion: NaN -> 0, +/-inf clamp like hardware
-        // cvttsd2si-with-saturation semantics.
-        const double d = ir::bitsToDouble(a);
-        if (std::isnan(d))
-            return 0;
-        if (d >= 9.2e18)
-            return fromSigned(std::numeric_limits<std::int64_t>::max());
-        if (d <= -9.2e18)
-            return fromSigned(std::numeric_limits<std::int64_t>::min());
-        return fromSigned(static_cast<std::int64_t>(d));
-    }
-    case ir::Opcode::CmpEq:
-        return a == b ? 1 : 0;
-    case ir::Opcode::CmpNe:
-        return a != b ? 1 : 0;
-    case ir::Opcode::CmpLt:
-        return asSigned(a) < asSigned(b) ? 1 : 0;
-    case ir::Opcode::CmpLe:
-        return asSigned(a) <= asSigned(b) ? 1 : 0;
-    case ir::Opcode::CmpGt:
-        return asSigned(a) > asSigned(b) ? 1 : 0;
-    case ir::Opcode::CmpGe:
-        return asSigned(a) >= asSigned(b) ? 1 : 0;
-    case ir::Opcode::FCmpLt:
-        return ir::bitsToDouble(a) < ir::bitsToDouble(b) ? 1 : 0;
-    case ir::Opcode::Select:
-        return a ? b : c;
-    default:
-        panicf("applyValueOp on non-value opcode ",
-               static_cast<int>(op));
-    }
-    return 0; // unreachable
 }
 
 void
@@ -984,9 +986,9 @@ Interpreter::quiesceHooks()
     hooks_unfused_ = false;
     arm_barrier_ = kNoSnapshotBarrier;
     value_barrier_ = snapshot_barrier_;
-    // Runs inside a detection callback: the handler in flight is
-    // abandoned right after, so the new limits apply from the next
-    // dispatch on.
+    // Runs inside a callback: the dispatch loop re-reads the hooks when
+    // the callback returns, and the de-fuse threshold at its next full
+    // re-read (until then the stale, lower one only de-fuses more).
     recomputeFuseLimits();
 }
 
@@ -996,23 +998,21 @@ Interpreter::recomputeFuseLimits()
     // Interior boundaries of a fused sequence (after each non-final
     // component) must stay strictly below the value barrier; the worst
     // case is a maximal all-value run, kMaxFuseLen - 1 values before
-    // the final component. Sequences are bounded by kMaxFuseLen source
-    // instructions, bounding the budget overshoot the same way. Armed
+    // the final component. (Sequences are bounded by kMaxFuseLen
+    // source instructions, bounding the budget overshoot the same way;
+    // the dispatch loop derives that threshold with the budget.) Armed
     // hooks that need unfused dispatch (branch/memory filter points
-    // exist only in the unfused handlers) or a Decoded-engine cache
+    // fire only there) or a Decoded-engine cache
     // (which has no fused heads anyway) pin the limit to 0: every head
     // then de-fuses and the trace is the one-instruction-per-dispatch
     // one.
     constexpr std::uint64_t kMaxInteriorValues = kMaxFuseLen - 1;
-    constexpr std::uint64_t kMaxFusedLen = kMaxFuseLen;
     if (!decoded_->fused() || hooks_unfused_)
         fuse_value_limit_ = 0;
     else
         fuse_value_limit_ = value_barrier_ >= kMaxInteriorValues
                                 ? value_barrier_ - kMaxInteriorValues
                                 : 0;
-    fuse_dyn_limit_ =
-        max_instrs_ >= kMaxFusedLen ? max_instrs_ - kMaxFusedLen : 0;
 }
 
 void
@@ -1027,9 +1027,10 @@ Interpreter::armGoldenResync()
         // from now (restore, then the jump back through the
         // preheader), and no earlier loop top sits there: barrier 0
         // lets the watch fire at the landing.
+        const SnapFrame &top = entry->state.exec.frames.back();
         resync_entry_ = entry;
         resync_barrier_ = 0;
-        resync_top_ip_ = entry->state.exec.frames.back().ip;
+        resync_pc_ = &decoded_->function(top.func_index).code[top.ip];
         return;
     }
     armSnapshotResync();
@@ -1055,10 +1056,11 @@ Interpreter::armSnapshotResync()
     const Snapshot *anchor = resync_store_->findFirstAfter(value_count_);
     if (!anchor)
         return;
+    const SnapFrame &top = anchor->exec.frames.back();
+    const DecodedFunction &func = decoded_->function(top.func_index);
     resync_target_ = anchor;
     resync_barrier_ = anchor->exec.value_count;
-    const SnapFrame &top = anchor->exec.frames.back();
-    resync_top_ip_ = top.ip;
+    resync_pc_ = &func.code[top.ip];
     resync_full_compares_ = 0;
     // The watch may fire only where the live cursor sits on the
     // anchor's instruction at a loop top. A fused sequence passes its
@@ -1069,7 +1071,6 @@ Interpreter::armSnapshotResync()
     // Every other head stays fused: the watch then sees exactly the
     // boundaries the decoded engine sees at the anchor's instruction,
     // and fires at the same one.
-    const DecodedFunction &func = decoded_->function(top.func_index);
     const std::uint32_t reach =
         std::min<std::uint32_t>(top.ip, kMaxFuseLen - 1);
     std::uint32_t head = top.ip;
@@ -1268,12 +1269,22 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
 
 #undef ENCORE_OP
 #undef ENCORE_FOP
+#undef ENCORE_DISPATCH
 #undef ENCORE_NEXT
+#undef ENCORE_NEXT_IN_SEQ
+#undef ENCORE_WRITE_BACK
+#undef ENCORE_REREAD_HOT
+#undef ENCORE_REREAD_LIMITS
+#undef ENCORE_REREAD_CURSOR
+#undef ENCORE_CALL_OUT
+#undef ENCORE_HOOK
+#undef ENCORE_FINISH
+#undef ENCORE_HANDLE_DETECTION
 #undef ENCORE_VA
 #undef ENCORE_VB
 #undef ENCORE_VC
+#undef ENCORE_INDEX
+#undef ENCORE_RAISE
+#undef ENCORE_EVAL_ADDR
 #undef ENCORE_WRITE_VALUE
-#undef ENCORE_FUSE_GUARD
-#undef ENCORE_FUSE_STEP
-#undef ENCORE_FUSE_VALUE
-#undef ENCORE_FUSE_COMP
+#undef ENCORE_ENTER_BLOCK

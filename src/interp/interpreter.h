@@ -19,12 +19,18 @@
  * afterwards. Dispatch over the flat instruction array is a
  * computed-goto table, the default with GCC/Clang, or the portable
  * dense switch (ENCORE_COMPUTED_GOTO=OFF, the fallback for other
- * compilers, which scripts/ci.sh builds and tests). Frames, register
- * files, and checkpoint undo logs are pooled across run() calls, so a
- * reused Interpreter executes allocation-free in steady state — the
- * fault injector runs tens of thousands of trials per worker on one
- * instance. The seed list-walking engine survives as
- * ReferenceInterpreter (interp/reference.h) for differential testing.
+ * compilers, which scripts/ci.sh builds and tests). The dispatch loop
+ * keeps its counters, cursor and loop-top limits in locals, writes them
+ * back before every call-out (hooks, snapshot capture, resync compare,
+ * detection handling) and re-reads the limits after it, so a hook may
+ * lower the budget, quiesce itself or arm the resync watch mid-run and
+ * sees the live counters and cursor through the introspection calls
+ * below. Frames, register files, and checkpoint undo logs are pooled
+ * across run() calls, so a reused Interpreter executes allocation-free
+ * in steady state — the fault injector runs tens of thousands of
+ * trials per worker on one instance. The seed list-walking engine
+ * survives as ReferenceInterpreter (interp/reference.h) for
+ * differential testing.
  *
  * Callbacks: a run has one callback interface, ExecHooks
  * (interp/observer.h), installed with setHooks(). The profilers and
@@ -122,8 +128,8 @@ class Interpreter
     /// that index here, and the prefix runs hook-free and fused. The
     /// hook's needsUnfusedDispatch() capability is sampled when the
     /// hooks arm: such hooks pin superinstruction fusion off from then
-    /// until quiesceHooks() (the filter points exist only in the
-    /// unfused handlers).
+    /// until quiesceHooks() (the filter points fire only in unfused
+    /// dispatch).
     void
     setHooks(ExecHooks *hooks, std::uint64_t arm_value_index = 0)
     {
@@ -145,8 +151,11 @@ class Interpreter
     void quiesceHooks();
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
-    /// Every loop top re-reads it, so a hook that lowers it mid-run
-    /// ends the run at the next loop top.
+    /// The dispatch loop re-reads it after every hook callback, so a
+    /// hook that lowers it mid-run ends the run at the next loop top:
+    /// the instruction in flight finishes, and a fused sequence in
+    /// flight stops before its next component, so both engines end at
+    /// the same instruction.
     void setMaxInstructions(std::uint64_t limit) { max_instrs_ = limit; }
 
     /// When disabled, run() skips the RunResult::globals snapshot (an
@@ -298,28 +307,37 @@ class Interpreter
         RecoveryState recovery;
     };
 
-    // Internal error signal carrying the message.
-    struct ExecError
-    {
-        std::string message;
-    };
+    /// Resolves a lea/load/store/ckpt.mem address against the frame
+    /// value window `regs` and validates it; on a bad address records
+    /// the runtime error and returns false. Inlined into every handler.
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((always_inline))
+#endif
+    inline bool evalAddr(const std::uint64_t *regs, const DecodedInst &inst,
+                         ir::ObjectId &object, std::uint32_t &offset);
 
-    std::uint64_t
-    fetch(const Frame &frame, const DecodedOperand &op) const
-    {
-        // Registers and pooled immediates share the frame window, so
-        // there is no register/immediate branch here (see
-        // DecodedOperand).
-        return frame.regs[op.slot];
-    }
-
-    void evalAddr(const Frame &frame, const DecodedInst &inst,
-                  ir::ObjectId &object, std::uint32_t &offset) const;
+    /// Cold error paths of the dispatch loop: record a runtime error's
+    /// message in exec_error_ — a fixed one, or an access to an
+    /// unallocated object or past an object's end (naming the object).
+    /// Out of line, so the handlers carry no message-building code.
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((cold, noinline))
+#endif
+    void execError(const char *message);
+#if defined(__GNUC__) || defined(__clang__)
+    __attribute__((cold, noinline))
+#endif
+    void badAccess(ir::ObjectId object, std::int64_t offset);
 
     /// Claims (or reuses) the frame slot at depth_ and re-initializes it
     /// for an activation of `func`. Does not touch Memory.
     Frame &activateFrame(const DecodedFunction &func);
 
+    /// Moves `frame`'s cursor to the start of `block` and reports the
+    /// entry to the hot hooks. For the transfers made outside the
+    /// dispatch loop (run()'s entry, a rollback's recovery redirect);
+    /// the loop's own branches, calls and returns move its local
+    /// cursor instead (ENCORE_ENTER_BLOCK).
     void enterBlock(Frame &frame, std::uint32_t block,
                     const ir::BasicBlock *from);
     /// Handles a detection event; returns true if rolled back (continue
@@ -335,29 +353,17 @@ class Interpreter
     void armHooks();
 
     /// The dispatch loop, shared by run() (from a freshly set-up entry
-    /// frame) and resumeRun() (from a restored snapshot).
+    /// frame) and resumeRun() (from a restored snapshot). It keeps the
+    /// counters, the cursor and the loop-top limits in locals, writes
+    /// them back before every call-out and re-reads the limits after
+    /// it (see interpreter.cc).
     RunResult execLoop();
-
-    /// Semantics of every pure value opcode (Mov..Select), shared by
-    /// the fused handlers; identical to the unfused case bodies
-    /// (throws ExecError for div/rem by zero). Operands beyond the
-    /// opcode's arity are ignored. Force-inlined so every fused
-    /// component gets its own dispatch site (a shared out-of-line
-    /// switch would re-pay the indirect-branch misprediction the
-    /// fusion tier exists to remove).
-#if defined(__GNUC__) || defined(__clang__)
-    __attribute__((always_inline))
-#endif
-    static inline std::uint64_t applyValueOp(ir::Opcode op,
-                                             std::uint64_t a,
-                                             std::uint64_t b,
-                                             std::uint64_t c);
 
     /// Loop-top work at value_barrier_: arms pending hooks and/or
     /// captures a snapshot, then moves the barrier to the next event.
     void crossValueBarrier();
 
-    /// Recomputes the de-fuse guard thresholds (see fuse_value_limit_
+    /// Recomputes the value de-fuse threshold (see fuse_value_limit_
     /// below). Called whenever an input changes: loop entry, a
     /// value-barrier crossing, quiescing the hooks.
     void recomputeFuseLimits();
@@ -400,6 +406,7 @@ class Interpreter
         resync_target_ = nullptr;
         resync_entry_ = nullptr;
         resync_barrier_ = kNoSnapshotBarrier;
+        resync_pc_ = nullptr;
         resync_head_ = nullptr;
     }
 
@@ -446,9 +453,9 @@ class Interpreter
     std::uint64_t arm_barrier_ = kNoSnapshotBarrier;
     std::uint64_t value_barrier_ = kNoSnapshotBarrier;
 
-    /// Golden resync: `resync_barrier_` stays kNoSnapshotBarrier until
-    /// armGoldenResync() picks an anchor, keeping the loop-top check a
-    /// single never-taken compare on every other run.
+    /// Golden resync: `resync_pc_` stays null until armGoldenResync()
+    /// picks an anchor, keeping the loop-top check a single never-taken
+    /// compare on every other run.
     const SnapshotStore *resync_store_ = nullptr;
     std::uint64_t resync_golden_dyn_ = 0;
     const Snapshot *resync_target_ = nullptr;
@@ -456,10 +463,10 @@ class Interpreter
     /// and resync_target_ is a snapshot.
     const EntryAnchor *resync_entry_ = nullptr;
     std::uint64_t resync_barrier_ = kNoSnapshotBarrier;
-    /// Anchor's top-frame instruction index, hoisted so the armed
-    /// watch can reject every other code position with one compare
-    /// before calling into the tryGoldenResync ladder.
-    std::uint32_t resync_top_ip_ = ~0u;
+    /// The anchor's top-frame instruction, so the armed watch rejects
+    /// every other code position with one pointer compare before it
+    /// looks at the barrier or calls into the tryGoldenResync ladder.
+    const DecodedInst *resync_pc_ = nullptr;
     /// The fused head whose span covers the anchor's top-frame
     /// instruction, or null; the de-fuse guard refuses only this head,
     /// and only on passes resyncCouldFireInHead() allows.
@@ -469,25 +476,28 @@ class Interpreter
     std::vector<std::pair<ir::RegId, std::uint64_t>> resync_pins_;
     std::uint32_t resync_full_compares_ = 0;
 
+    /// Message of the runtime error the dispatch loop is raising.
+    std::string exec_error_;
+
     /// Outcome-sealed early exit (requestTrialStop): checked only on
     /// the detection-handling paths, so it costs nothing per
     /// instruction.
     bool trial_stop_ = false;
 
-    /// De-fuse guard thresholds. A fused handler runs its whole
-    /// sequence between two loop tops, so it must be entered only when
-    /// no loop-top event (snapshot barrier, resync check, instruction
-    /// budget) could fire at an interior boundary; otherwise the guard
-    /// redispatches the head unfused and the sequence executes one
-    /// source instruction per loop iteration, hitting every boundary
-    /// exactly as EngineKind::Decoded would. fuse_value_limit_ is
-    /// value_barrier_ minus the most values a sequence's non-final
-    /// components can produce. fuse_dyn_limit_ keeps the
-    /// whole sequence under max_instrs_. The resync watch needs only
-    /// its anchor position as a boundary, so it de-fuses resync_head_
-    /// alone instead of feeding these limits.
+    /// De-fuse guard threshold. A fused sequence runs between two loop
+    /// tops, so it may start only when no loop-top event (snapshot
+    /// barrier, resync check, instruction budget) could fire at an
+    /// interior boundary; otherwise the head runs unfused and the
+    /// sequence executes one source instruction per loop iteration,
+    /// hitting every boundary exactly as EngineKind::Decoded would.
+    /// fuse_value_limit_ is value_barrier_ minus the most values a
+    /// sequence's non-final components can produce; the dispatch loop
+    /// derives the budget's threshold from max_instrs_ each time it
+    /// re-reads the budget.
+    /// The resync watch needs only its anchor position as a boundary,
+    /// so it de-fuses resync_head_ alone instead of feeding these
+    /// limits.
     std::uint64_t fuse_value_limit_ = 0;
-    std::uint64_t fuse_dyn_limit_ = 0;
 };
 
 } // namespace encore::interp

@@ -109,14 +109,6 @@ Memory::write(ir::ObjectId object, std::uint32_t offset,
     return true;
 }
 
-std::uint32_t
-Memory::objectSize(ir::ObjectId object) const
-{
-    return object < storage_.size()
-               ? static_cast<std::uint32_t>(storage_[object].size())
-               : 0;
-}
-
 std::vector<std::vector<std::uint64_t>>
 Memory::snapshotGlobals() const
 {

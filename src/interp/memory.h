@@ -162,7 +162,13 @@ class Memory
             dirty_[object][offset / kPageWords] = 1;
     }
 
-    std::uint32_t objectSize(ir::ObjectId object) const;
+    std::uint32_t
+    objectSize(ir::ObjectId object) const
+    {
+        return object < storage_.size()
+                   ? static_cast<std::uint32_t>(storage_[object].size())
+                   : 0;
+    }
 
     bool
     isAllocated(ir::ObjectId object) const

@@ -33,8 +33,8 @@ class ExecHooks
     /// Capability query, sampled once per run when the hooks arm (at
     /// the value index given to Interpreter::setHooks). Hooks that need
     /// the per-instruction branch/memory filter points below must
-    /// return true: those points exist only in the unfused handlers,
-    /// so the interpreter pins superinstruction fusion off from the
+    /// return true: those points fire only in unfused dispatch, so
+    /// the interpreter pins superinstruction fusion off from the
     /// arm point until quiesceHooks() or the end of the run. Before
     /// the arm point the run stays fused.
     virtual bool

@@ -262,6 +262,13 @@ WindowIdempotence
 analyzeWindows(const TraceCollector &trace, std::uint64_t length,
                std::uint64_t window, std::uint64_t tolerance)
 {
+    // Past the cap the trace holds no accesses, so every later window
+    // would read as idempotent.
+    if (trace.truncated())
+        fatalf("analyzeWindows: the trace is truncated: it stopped "
+               "recording at its cap of ",
+               trace.accesses().size(), " accesses");
+
     WindowIdempotence result;
     if (window == 0 || length == 0)
         return result;

@@ -301,7 +301,8 @@ struct WindowIdempotence
 /// back-to-back (non-overlapping) over the traced run's `length`
 /// dynamic instructions (its RunResult::dyn_instrs). `tolerance` is the
 /// max number of violating stores for the "nearly idempotent"
-/// classification.
+/// classification. A truncated trace is refused (fatal): the windows
+/// past its cap would count as idempotent.
 WindowIdempotence analyzeWindows(const TraceCollector &trace,
                                  std::uint64_t length, std::uint64_t window,
                                  std::uint64_t tolerance);

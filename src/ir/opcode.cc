@@ -14,8 +14,6 @@ struct OpcodeInfo
     bool has_dest;
     int num_operands;
     bool terminator;
-    bool reads_mem;
-    bool writes_mem;
     bool has_addr;
     bool pseudo;
 };
@@ -24,45 +22,45 @@ constexpr std::size_t kNumOpcodes =
     static_cast<std::size_t>(Opcode::NumOpcodes);
 
 constexpr std::array<OpcodeInfo, kNumOpcodes> kInfo = {{
-    // name        dest ops term rdM  wrM  addr pseudo
-    {"mov",        true, 1, false, false, false, false, false},
-    {"add",        true, 2, false, false, false, false, false},
-    {"sub",        true, 2, false, false, false, false, false},
-    {"mul",        true, 2, false, false, false, false, false},
-    {"div",        true, 2, false, false, false, false, false},
-    {"rem",        true, 2, false, false, false, false, false},
-    {"and",        true, 2, false, false, false, false, false},
-    {"or",         true, 2, false, false, false, false, false},
-    {"xor",        true, 2, false, false, false, false, false},
-    {"shl",        true, 2, false, false, false, false, false},
-    {"shr",        true, 2, false, false, false, false, false},
-    {"neg",        true, 1, false, false, false, false, false},
-    {"not",        true, 1, false, false, false, false, false},
-    {"fadd",       true, 2, false, false, false, false, false},
-    {"fsub",       true, 2, false, false, false, false, false},
-    {"fmul",       true, 2, false, false, false, false, false},
-    {"fdiv",       true, 2, false, false, false, false, false},
-    {"i2f",        true, 1, false, false, false, false, false},
-    {"f2i",        true, 1, false, false, false, false, false},
-    {"cmpeq",      true, 2, false, false, false, false, false},
-    {"cmpne",      true, 2, false, false, false, false, false},
-    {"cmplt",      true, 2, false, false, false, false, false},
-    {"cmple",      true, 2, false, false, false, false, false},
-    {"cmpgt",      true, 2, false, false, false, false, false},
-    {"cmpge",      true, 2, false, false, false, false, false},
-    {"fcmplt",     true, 2, false, false, false, false, false},
-    {"select",     true, 3, false, false, false, false, false},
-    {"lea",        true, 0, false, false, false, true,  false},
-    {"load",       true, 0, false, true,  false, true,  false},
-    {"store",      false, 1, false, false, true, true,  false},
-    {"call",       false, 0, false, true,  true, false, false},
-    {"br",         false, 1, true,  false, false, false, false},
-    {"jmp",        false, 0, true,  false, false, false, false},
-    {"ret",        false, 1, true,  false, false, false, false},
-    {"region.enter", false, 0, false, false, false, false, true},
-    {"ckpt.mem",   false, 0, false, true,  false, true,  true},
-    {"ckpt.reg",   false, 1, false, false, false, false, true},
-    {"restore",    false, 0, false, false, false, false, true},
+    // name          dest  ops term   addr   pseudo
+    {"mov",          true,  1, false, false, false},
+    {"add",          true,  2, false, false, false},
+    {"sub",          true,  2, false, false, false},
+    {"mul",          true,  2, false, false, false},
+    {"div",          true,  2, false, false, false},
+    {"rem",          true,  2, false, false, false},
+    {"and",          true,  2, false, false, false},
+    {"or",           true,  2, false, false, false},
+    {"xor",          true,  2, false, false, false},
+    {"shl",          true,  2, false, false, false},
+    {"shr",          true,  2, false, false, false},
+    {"neg",          true,  1, false, false, false},
+    {"not",          true,  1, false, false, false},
+    {"fadd",         true,  2, false, false, false},
+    {"fsub",         true,  2, false, false, false},
+    {"fmul",         true,  2, false, false, false},
+    {"fdiv",         true,  2, false, false, false},
+    {"i2f",          true,  1, false, false, false},
+    {"f2i",          true,  1, false, false, false},
+    {"cmpeq",        true,  2, false, false, false},
+    {"cmpne",        true,  2, false, false, false},
+    {"cmplt",        true,  2, false, false, false},
+    {"cmple",        true,  2, false, false, false},
+    {"cmpgt",        true,  2, false, false, false},
+    {"cmpge",        true,  2, false, false, false},
+    {"fcmplt",       true,  2, false, false, false},
+    {"select",       true,  3, false, false, false},
+    {"lea",          true,  0, false, true,  false},
+    {"load",         true,  0, false, true,  false},
+    {"store",        false, 1, false, true,  false},
+    {"call",         false, 0, false, false, false},
+    {"br",           false, 1, true,  false, false},
+    {"jmp",          false, 0, true,  false, false},
+    {"ret",          false, 1, true,  false, false},
+    {"region.enter", false, 0, false, false, true},
+    {"ckpt.mem",     false, 0, false, true,  true},
+    {"ckpt.reg",     false, 1, false, false, true},
+    {"restore",      false, 0, false, false, true},
 }};
 
 const OpcodeInfo &
@@ -107,18 +105,6 @@ bool
 opcodeIsTerminator(Opcode op)
 {
     return info(op).terminator;
-}
-
-bool
-opcodeReadsMemory(Opcode op)
-{
-    return info(op).reads_mem;
-}
-
-bool
-opcodeWritesMemory(Opcode op)
-{
-    return info(op).writes_mem;
 }
 
 bool

@@ -94,12 +94,6 @@ int opcodeNumOperands(Opcode op);
 /// True for Br/Jmp/Ret, which must terminate a basic block.
 bool opcodeIsTerminator(Opcode op);
 
-/// True if the opcode reads memory (Load; CkptMem reads to snapshot).
-bool opcodeReadsMemory(Opcode op);
-
-/// True if the opcode writes memory (Store).
-bool opcodeWritesMemory(Opcode op);
-
 /// True if the opcode carries an address expression operand.
 bool opcodeHasAddress(Opcode op);
 

@@ -13,7 +13,7 @@ namespace {
 std::string
 regName(RegId reg)
 {
-    return "r" + std::to_string(reg);
+    return std::string("r").append(std::to_string(reg));
 }
 
 /// Prints an object reference: @name for globals, %short for locals of
@@ -27,7 +27,7 @@ objectRef(const Module &module, const Function &func, ObjectId id)
     const std::string prefix = func.name() + ".";
     ENCORE_ASSERT(obj.name.rfind(prefix, 0) == 0,
                   "local object referenced outside its function");
-    return "%" + obj.name.substr(prefix.size());
+    return std::string("%").append(obj.name, prefix.size());
 }
 
 std::string

@@ -163,6 +163,30 @@ func @main(1) {
     EXPECT_EQ(arg.slot, 0u);
 }
 
+TEST(Decoded, RefusesABlockWithoutATerminator)
+{
+    // The dispatch loop has no fell-off-the-block check: it relies on
+    // every block ending in a terminator, which decoding enforces for
+    // both engines.
+    auto module = parse(R"(
+module "m"
+func @main(1) {
+  bb entry:
+    r1 = add r0, 1
+    jmp tail
+  bb tail:
+    r2 = add r1, 1
+}
+)");
+    for (const EngineKind engine :
+         {EngineKind::Decoded, EngineKind::Fused}) {
+        SCOPED_TRACE(engineKindName(engine));
+        EXPECT_DEATH(DecodedModule(*module, engine),
+                     "block 'tail' of 'main' does not end in a "
+                     "terminator");
+    }
+}
+
 TEST(Decoded, MatchesReferenceOnPlainModule)
 {
     auto ref_module = parse(kInstrumentedText);

@@ -337,6 +337,49 @@ func @main(1) {
     EXPECT_EQ(result.idempotent, 0u);
 }
 
+TEST(Interp, WindowsRefuseATruncatedTrace)
+{
+    // The loop makes 100 accesses; a cap of 10 truncates the trace, and
+    // the analysis must refuse it instead of counting the untraced
+    // windows as idempotent.
+    auto module = parse(R"(
+module "m"
+global @A 4
+func @main(1) {
+  bb entry:
+    r1 = mov 0
+    jmp loop
+  bb loop:
+    r2 = load [@A]
+    r3 = add r2, 1
+    store [@A], r3
+    r1 = add r1, 1
+    r4 = cmplt r1, r0
+    br r4, loop, done
+  bb done:
+    ret r1
+}
+)");
+    TraceCollector capped(10);
+    Interpreter interp(*module);
+    interp.setHooks(&capped);
+    const RunResult run = interp.run("main", {50});
+    ASSERT_TRUE(run.ok());
+    ASSERT_TRUE(capped.truncated());
+    EXPECT_EQ(capped.accesses().size(), 10u);
+    EXPECT_EXIT(analyzeWindows(capped, run.dyn_instrs, 30, 0),
+                ::testing::ExitedWithCode(1),
+                "trace is truncated.*cap of 10 accesses");
+
+    // The same run under the default cap is whole and analyzable.
+    TraceCollector whole;
+    interp.setHooks(&whole);
+    ASSERT_TRUE(interp.run("main", {50}).ok());
+    EXPECT_FALSE(whole.truncated());
+    EXPECT_EQ(whole.accesses().size(), 100u);
+    EXPECT_GT(analyzeWindows(whole, run.dyn_instrs, 30, 0).windows, 0u);
+}
+
 // --- Recovery runtime -------------------------------------------------------
 
 /// Fires one detection at a fixed dynamic instruction index.

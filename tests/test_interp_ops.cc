@@ -144,7 +144,7 @@ TEST_P(BinaryOp, EnginesAgreeInsideFusedLoop)
 
 // Programs small enough to hand-check which heads fuse, each compared
 // three ways (reference / decoded / fused). Together they run both
-// fused handlers over every component class: value, lea, load and
+// fused forms over every component class: value, lea, load and
 // store components in Run heads, and compare+branch back edges with
 // and without a run ahead of the compare in RunCmpBr heads.
 
@@ -216,7 +216,7 @@ func @main(1) {
 TEST(EngineDifferential, ErrorInsideFusedRunMatchesReference)
 {
     // The div-by-zero trap fires in the *interior* of a fusable value
-    // run. The fused handler must surface the identical error with the
+    // run. The fused sequence must surface the identical error with the
     // identical counters — instructions after the trapping component
     // must not have executed or been counted.
     expectEnginesAgree(R"(
@@ -567,7 +567,8 @@ TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
     }
 }
 
-/// One hot hook callback with every argument a hook could act on.
+/// One hot hook callback with every argument a hook could act on, and
+/// the interpreter state a hook can read back during it.
 struct HookCall
 {
     char kind; ///< f filterResult, d detection poll, m memory access,
@@ -576,6 +577,14 @@ struct HookCall
     std::uint64_t dyn_index;     ///< 0 for a block entry
     /// value, target, (object, offset, store), or (block, predecessor)
     std::uint64_t detail;
+    std::uint64_t value_count;  ///< valueCount()
+    std::size_t depth;          ///< frameDepth()
+    std::uint64_t region_token; ///< currentRegionToken()
+    /// saveExecState(): the dynamic instruction count and the top
+    /// frame's cursor.
+    std::uint64_t dyn_count;
+    std::uint32_t block;
+    std::uint32_t ip;
 
     bool operator==(const HookCall &) const = default;
 };
@@ -584,7 +593,10 @@ struct HookCall
 class RecordingHooks : public ExecHooks
 {
   public:
-    explicit RecordingHooks(bool unfused) : unfused_(unfused) {}
+    RecordingHooks(const Interpreter &interp, bool unfused)
+        : interp_(interp), unfused_(unfused)
+    {
+    }
 
     bool needsUnfusedDispatch() const override { return unfused_; }
 
@@ -592,7 +604,7 @@ class RecordingHooks : public ExecHooks
     filterResult(const ir::Instruction &inst, std::uint64_t dyn_index,
                  std::uint64_t value) override
     {
-        calls.push_back({'f', &inst, dyn_index, value});
+        log('f', &inst, dyn_index, value);
         return value;
     }
 
@@ -600,7 +612,7 @@ class RecordingHooks : public ExecHooks
     shouldTriggerDetection(const ir::Instruction &next,
                            std::uint64_t dyn_index) override
     {
-        calls.push_back({'d', &next, dyn_index, 0});
+        log('d', &next, dyn_index, 0);
         return false;
     }
 
@@ -609,8 +621,7 @@ class RecordingHooks : public ExecHooks
                  const ir::BasicBlock *from) override
     {
         const std::uint64_t pred = from ? from->id() : ~ir::BlockId{0};
-        calls.push_back({'e', nullptr, 0,
-                         (std::uint64_t{block.id()} << 32) | pred});
+        log('e', nullptr, 0, (std::uint64_t{block.id()} << 32) | pred);
     }
 
     void
@@ -618,15 +629,14 @@ class RecordingHooks : public ExecHooks
                    std::uint32_t offset, bool is_store,
                    std::uint64_t dyn_index) override
     {
-        calls.push_back({'m', &inst, dyn_index,
-                         memoryDetail(object, offset, is_store)});
+        log('m', &inst, dyn_index, memoryDetail(object, offset, is_store));
     }
 
     void
     filterBranchTarget(const ir::Instruction &inst, std::uint32_t &target,
                        std::uint32_t, std::uint64_t dyn_index) override
     {
-        calls.push_back({'b', &inst, dyn_index, target});
+        log('b', &inst, dyn_index, target);
     }
 
     std::uint64_t
@@ -634,8 +644,7 @@ class RecordingHooks : public ExecHooks
                    ir::ObjectId object, std::uint32_t &offset,
                    std::uint64_t dyn_index) override
     {
-        calls.push_back({'o', &inst, dyn_index,
-                         memoryDetail(object, offset, is_store)});
+        log('o', &inst, dyn_index, memoryDetail(object, offset, is_store));
         return 0;
     }
 
@@ -649,6 +658,19 @@ class RecordingHooks : public ExecHooks
                (std::uint64_t{offset} << 1) | (is_store ? 1 : 0);
     }
 
+    void
+    log(char kind, const ir::Instruction *inst, std::uint64_t dyn_index,
+        std::uint64_t detail)
+    {
+        ExecSnapshot state;
+        interp_.saveExecState(state);
+        calls.push_back({kind, inst, dyn_index, detail, interp_.valueCount(),
+                         interp_.frameDepth(), interp_.currentRegionToken(),
+                         state.dyn_count, state.frames.back().block,
+                         state.frames.back().ip});
+    }
+
+    const Interpreter &interp_;
     bool unfused_;
 };
 
@@ -734,7 +756,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
     for (const bool unfused : {false, true}) {
         SCOPED_TRACE(unfused ? "unfused hooks" : "fusable hooks");
         Interpreter interp(rec.cache);
-        RecordingHooks from_start(unfused);
+        RecordingHooks from_start(interp, unfused);
         interp.setHooks(&from_start, 0);
         const RunResult full = interp.run("main", {41});
         ASSERT_TRUE(full.ok()) << full.error;
@@ -766,7 +788,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         for (const std::uint64_t k :
              {kInside, k_snapshot, std::uint64_t{0}, k_past_end}) {
             SCOPED_TRACE("armed at " + std::to_string(k));
-            RecordingHooks armed(unfused);
+            RecordingHooks armed(interp, unfused);
             interp.setHooks(&armed, k);
             const RunResult run = interp.run("main", {41});
             EXPECT_EQ(run.return_value, full.return_value);
@@ -779,7 +801,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
 
         // A run resumed from the snapshot and armed at its value count
         // sees the same suffix.
-        RecordingHooks resumed(unfused);
+        RecordingHooks resumed(interp, unfused);
         interp.setHooks(&resumed, k_snapshot);
         const RunResult from_snap =
             interp.resumeRun(*snap, rec.store->pool());
@@ -792,7 +814,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         SnapshotConfig config;
         config.stride = kStride;
         SnapshotStore store(config);
-        RecordingHooks recording(unfused);
+        RecordingHooks recording(interp, unfused);
         interp.memoryRef().enableDirtyTracking();
         interp.setSnapshotRecorder(&store);
         interp.setHooks(&recording, k_snapshot);
@@ -810,6 +832,246 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
                           ->exec.dyn_count);
         }
         interp.setHooks(nullptr);
+    }
+}
+
+TEST(FusionHooks, HooksSeeTheSameStateOnBothEngines)
+{
+    // Through calls, returns, region entries and recursion, a hook must
+    // read back the same counters, depth, region token and cursor at
+    // every callback whether the code runs fused or not: the fused
+    // engine with fusable hooks, the decoded engine, and unfused hooks
+    // (which also see the filter points) on either engine.
+    auto module = ir::parseModule(kRecursiveRegionText);
+    std::vector<HookCall> want;
+    for (const EngineKind engine :
+         {EngineKind::Decoded, EngineKind::Fused}) {
+        for (const bool unfused : {false, true}) {
+            SCOPED_TRACE(std::string(engineKindName(engine)) +
+                         (unfused ? ", unfused hooks" : ", fusable hooks"));
+            Interpreter interp(*module, engine);
+            RecordingHooks hooks(interp, unfused);
+            interp.setHooks(&hooks);
+            const RunResult run = interp.run("main", {4});
+            ASSERT_TRUE(run.ok()) << run.error;
+            std::vector<HookCall> got;
+            for (const HookCall &call : hooks.calls)
+                if (call.kind != 'b' && call.kind != 'o')
+                    got.push_back(call);
+            if (want.empty()) {
+                want = got;
+                // The log spans the recursion and its region instances.
+                const auto deepest = std::max_element(
+                    want.begin(), want.end(),
+                    [](const HookCall &a, const HookCall &b) {
+                        return a.depth < b.depth;
+                    });
+                EXPECT_EQ(deepest->depth, 6u);
+                const auto newest = std::max_element(
+                    want.begin(), want.end(),
+                    [](const HookCall &a, const HookCall &b) {
+                        return a.region_token < b.region_token;
+                    });
+                EXPECT_EQ(newest->region_token, 5u);
+                continue;
+            }
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t i = 0; i < got.size(); ++i)
+                ASSERT_TRUE(got[i] == want[i])
+                    << "callback " << i << " (" << got[i].kind << "@"
+                    << got[i].dyn_index << ")";
+        }
+    }
+}
+
+/// Lowers the budget to 0 from the n-th callback of one kind and
+/// records the dynamic instruction count the hook saw at that moment.
+class BudgetCut : public ExecHooks
+{
+  public:
+    BudgetCut(Interpreter &interp, char kind, std::size_t n)
+        : interp_(interp), kind_(kind), n_(n)
+    {
+    }
+
+    std::uint64_t
+    filterResult(const ir::Instruction &, std::uint64_t,
+                 std::uint64_t value) override
+    {
+        hit('f');
+        return value;
+    }
+
+    bool
+    shouldTriggerDetection(const ir::Instruction &, std::uint64_t) override
+    {
+        hit('d');
+        return false;
+    }
+
+    void
+    onBlockEnter(const ir::Function &, const ir::BasicBlock &,
+                 const ir::BasicBlock *) override
+    {
+        hit('e');
+    }
+
+    void
+    onMemoryAccess(const ir::Instruction &, ir::ObjectId, std::uint32_t,
+                   bool, std::uint64_t) override
+    {
+        hit('m');
+    }
+
+    std::size_t seen = 0; ///< Callbacks of the kind so far.
+    bool cut = false;
+    std::uint64_t cut_dyn = 0; ///< saveExecState's count at the cut.
+
+  private:
+    void
+    hit(char kind)
+    {
+        if (kind != kind_ || seen++ != n_)
+            return;
+        ExecSnapshot state;
+        interp_.saveExecState(state);
+        cut_dyn = state.dyn_count;
+        cut = true;
+        interp_.setMaxInstructions(0);
+    }
+
+    Interpreter &interp_;
+    char kind_;
+    std::size_t n_;
+};
+
+TEST(FusionHooks, LoweredBudgetEndsTheRunAtTheNextLoopTop)
+{
+    // setMaxInstructions promises that a hook lowering the budget from
+    // any callback ends the run at the next loop top. The instruction
+    // in flight finishes (the polled one runs, so a cut at a detection
+    // poll ends one instruction later) and the run stops with
+    // InstructionLimit, on both engines at the same instruction — a
+    // fused sequence in flight is abandoned at its next component. The
+    // hooks are fusable, so the fused engine runs its sequences with
+    // every callback live.
+    auto module = ir::parseModule(kSnapshotLoopText);
+    for (const char kind : {'d', 'f', 'm', 'e'}) {
+        SCOPED_TRACE(std::string("cut at callback kind ") + kind);
+        std::size_t count = 0;
+        {
+            Interpreter interp(*module, EngineKind::Decoded);
+            BudgetCut never(interp, kind, ~std::size_t{0});
+            interp.setHooks(&never);
+            ASSERT_TRUE(interp.run("main", {41}).ok());
+            count = never.seen;
+        }
+        ASSERT_GT(count, 40u);
+        // The last poll is the final `ret`'s, which returns first.
+        const std::size_t cuts = kind == 'd' ? count - 1 : count;
+        for (std::size_t n = 0; n < cuts; ++n) {
+            std::uint64_t ends[2] = {0, 0};
+            for (const EngineKind engine :
+                 {EngineKind::Decoded, EngineKind::Fused}) {
+                Interpreter interp(*module, engine);
+                BudgetCut hooks(interp, kind, n);
+                interp.setHooks(&hooks);
+                const RunResult run = interp.run("main", {41});
+                ASSERT_TRUE(hooks.cut);
+                ASSERT_EQ(run.status, RunResult::Status::InstructionLimit)
+                    << engineKindName(engine) << ", cut " << n;
+                EXPECT_EQ(run.error, "instruction limit exceeded");
+                EXPECT_EQ(run.dyn_instrs,
+                          hooks.cut_dyn + (kind == 'd' ? 1 : 0))
+                    << engineKindName(engine) << ", cut " << n;
+                ends[engine == EngineKind::Fused] = run.dyn_instrs;
+            }
+            EXPECT_EQ(ends[0], ends[1]) << "cut " << n;
+        }
+    }
+}
+
+/// Records what a hook reads back at a runtime error, which it then
+/// surfaces.
+class ErrorWatch : public ExecHooks
+{
+  public:
+    explicit ErrorWatch(const Interpreter &interp) : interp_(interp) {}
+
+    bool
+    onRuntimeError(std::uint64_t dyn_index) override
+    {
+        ExecSnapshot state;
+        interp_.saveExecState(state);
+        seen = {'r',
+                nullptr,
+                dyn_index,
+                0,
+                interp_.valueCount(),
+                interp_.frameDepth(),
+                interp_.currentRegionToken(),
+                state.dyn_count,
+                state.frames.back().block,
+                state.frames.back().ip};
+        return false;
+    }
+
+    HookCall seen{};
+
+  private:
+    const Interpreter &interp_;
+};
+
+TEST(FusionHooks, RuntimeErrorHookSeesTheTrappingInstruction)
+{
+    // The division traps on the sixth pass, as the third component of
+    // the loop's fused sequence. Whether the hooks are hot from the
+    // start or armed past the end (onRuntimeError is live either way,
+    // and the run stays hook-free and fused), on both engines the hook
+    // must see the trapping division: its dynamic index, the counts
+    // with it counted but its value not, and the cursor on it.
+    auto module = ir::parseModule(R"(
+module "m"
+global @A 8
+func @main(1) {
+  bb entry:
+    r1 = mov 0
+    jmp loop
+  bb loop:
+    r2 = add r1, 1
+    r3 = sub r0, r1
+    r4 = div r2, r3
+    store [@A], r4
+    r1 = add r1, 1
+    r5 = cmplt r1, 10
+    br r5, loop, done
+  bb done:
+    ret r1
+}
+)");
+    // 2 entry instructions and 5 passes of 7 (5 values each), then the
+    // pass's add and sub: the division is instruction 39, after 28
+    // values; it sits at index 4 of the code, in block 1.
+    const HookCall want{'r', nullptr, 39, 0, 28, 1, 0, 40, 1, 4};
+    for (const EngineKind engine :
+         {EngineKind::Decoded, EngineKind::Fused}) {
+        for (const std::uint64_t arm :
+             {std::uint64_t{0}, ~std::uint64_t{0}}) {
+            SCOPED_TRACE(std::string(engineKindName(engine)) +
+                         (arm ? ", hooks never hot" : ", hooks hot"));
+            Interpreter interp(*module, engine);
+            ErrorWatch watch(interp);
+            interp.setHooks(&watch, arm);
+            const RunResult run = interp.run("main", {5});
+            EXPECT_EQ(run.status, RunResult::Status::Error);
+            EXPECT_EQ(run.error, "division by zero");
+            EXPECT_EQ(run.dyn_instrs, 40u);
+            EXPECT_EQ(run.value_instrs, 28u);
+            EXPECT_TRUE(watch.seen == want)
+                << "index " << watch.seen.dyn_index << ", values "
+                << watch.seen.value_count << ", dyn "
+                << watch.seen.dyn_count << ", ip " << watch.seen.ip;
+        }
     }
 }
 

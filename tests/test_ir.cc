@@ -32,8 +32,6 @@ TEST(Opcode, Properties)
     EXPECT_TRUE(opcodeIsTerminator(Opcode::Br));
     EXPECT_TRUE(opcodeIsTerminator(Opcode::Ret));
     EXPECT_FALSE(opcodeIsTerminator(Opcode::Mov));
-    EXPECT_TRUE(opcodeReadsMemory(Opcode::Load));
-    EXPECT_TRUE(opcodeWritesMemory(Opcode::Store));
     EXPECT_TRUE(opcodeHasAddress(Opcode::Lea));
     EXPECT_TRUE(opcodeIsPseudo(Opcode::RegionEnter));
     EXPECT_TRUE(opcodeIsPseudo(Opcode::CkptMem));

@@ -70,11 +70,9 @@ TEST(HeartbeatJson, CarriesEveryFieldAndOutcome)
     constexpr int kNumOutcomes =
         static_cast<int>(fault::FaultOutcome::NumOutcomes);
     for (int i = 0; i < kNumOutcomes; ++i) {
-        const std::string key =
-            "\"" +
-            std::string(fault::outcomeName(
-                static_cast<fault::FaultOutcome>(i))) +
-            "\":";
+        std::string key = "\"";
+        key += fault::outcomeName(static_cast<fault::FaultOutcome>(i));
+        key += "\":";
         EXPECT_NE(json.find(key), std::string::npos) << key;
     }
     EXPECT_EQ(json.front(), '{');

@@ -50,7 +50,8 @@ class Generator
         for (int g = 0; g < num_globals; ++g) {
             const std::uint32_t size = 16u << rng_.below(3); // 16/32/64
             globals_.push_back(
-                b.global("g" + std::to_string(g), size));
+                b.global(std::string("g").append(std::to_string(g)),
+                         size));
             global_sizes_.push_back(size);
         }
 

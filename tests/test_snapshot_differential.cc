@@ -403,6 +403,94 @@ TEST(SnapshotDifferential, EntryCompareRejectsCorruptionThatSurvivesRollback)
     EXPECT_EQ(on.snapshotStats().entry_resyncs, 1u);
 }
 
+/// The survivor's loop with a fix-up: pass 150 stores 77 to @dst[4].
+/// The anchor pass stops watching the loop's entry long before pass
+/// 150 (its quiet window ends after the first stores to @dst[0..3]), so
+/// @dst[4] counts as live at the entry.
+const char *kHandOverProgram = R"(
+module "handover"
+global @src 8
+global @dst 8
+func @main(1) {
+  bb entry:
+    r1 = mov 0
+    jmp init
+  bb init:
+    r2 = add r1, 5
+    store [@src + r1], r2
+    r1 = add r1, 1
+    r3 = cmplt r1, 8
+    br r3, init, start
+  bb start:
+    r1 = mov 0
+    jmp loop
+  bb loop:
+    r9 = cmpeq r1, 150
+    br r9, fix, body
+  bb fix:
+    store [@dst + 4], 77
+    jmp body
+  bb body:
+    r4 = and r1, 3
+    r5 = add r4, 4
+    r6 = load [@src + r5]
+    r7 = add r6, r1
+    store [@dst + r4], r7
+    r1 = add r1, 1
+    r8 = cmplt r1, r0
+    br r8, loop, done
+  bb done:
+    r10 = load [@dst + 4]
+    r11 = load [@dst]
+    r12 = add r10, r11
+    ret r12
+}
+)";
+
+TEST(SnapshotDifferential, EntryMissHandsOverToTheSnapshotWatch)
+{
+    // A memory-bus address fault on pass 160's store writes @dst[4]
+    // instead of @dst[0]. The rollback leaves @dst[4] wrong, so the
+    // entry compare refuses the anchor; the replay then rewrites
+    // @dst[4] at pass 150, and the snapshot watch the miss armed must
+    // adopt the golden suffix at the first snapshot past the fault.
+    auto module = ir::parseModule(kHandOverProgram);
+    EncoreConfig config;
+    config.gamma = 1.0;
+    EncorePipeline pipeline(*module, config);
+    const EncoreReport report = pipeline.run({RunSpec{"main", {200}}});
+
+    interp::SnapshotConfig snap_on;
+    snap_on.stride = 64;
+    fault::FaultInjector on(*module, report);
+    on.configureSnapshots(snap_on);
+    ASSERT_TRUE(on.prepare("main", {200}));
+    ASSERT_GT(on.snapshotStats().anchors, 0u);
+
+    interp::SnapshotConfig snap_off;
+    snap_off.enabled = false;
+    fault::FaultInjector off(*module, report);
+    off.configureSnapshots(snap_off);
+    ASSERT_TRUE(off.prepare("main", {200}));
+
+    // Value instructions: 26 ahead of the loop, then 7 per pass: `r7 =
+    // add` of pass k is value 30 + 7k, and the first memory access
+    // after it is that pass's store (k = 160 stores to @dst[0]).
+    fault::TrialDraw draw;
+    draw.plan.kind = fault::models::InjectionPlan::Kind::MemBus;
+    draw.plan.target_value_index = 30 + 7 * 160;
+    draw.plan.selector = (2u << 1) | 1u; // address bit 2: 0 -> 4
+    draw.detection.latency = 20;
+
+    interp::Interpreter interp_on(on.decodedModule());
+    interp::Interpreter interp_off(off.decodedModule());
+    const fault::TrialResult with_tier = on.runTrial(draw, interp_on);
+    EXPECT_EQ(with_tier, off.runTrial(draw, interp_off));
+    EXPECT_NE(with_tier.outcome, fault::FaultOutcome::RecoveryFailed);
+    EXPECT_EQ(on.snapshotStats().entry_resyncs, 0u);
+    EXPECT_EQ(on.snapshotStats().resyncs, 1u);
+}
+
 /// An already instrumented module: the loop of `work` is region 0 and
 /// calls `work` itself, whose inner activation writes its own fresh
 /// %acc[0] before the outer activation reads its own. Selection never
