@@ -5,9 +5,19 @@
 #include <iostream>
 
 #include "support/build_info.h"
+#include "support/diagnostics.h"
 #include "support/strings.h"
 
 namespace encore::bench {
+
+namespace {
+
+/// Largest --jobs accepted. Every worker thread builds its own
+/// interpreter, and a campaign starts min(jobs, trials) - 1 of them,
+/// so an unbounded value would start one thread per trial.
+constexpr std::uint64_t kMaxJobs = 256;
+
+} // namespace
 
 WorkloadSession::WorkloadSession(const workloads::Workload &workload)
     : workload_(&workload), module_(workload.build())
@@ -50,7 +60,7 @@ jobsFlags()
     CommandLine cli;
     cli.addFlag("jobs", "0",
                 "worker threads for workload prep and campaigns "
-                "(0 = all hardware threads)");
+                "(0 = all hardware threads; at most 256)");
     return cli;
 }
 
@@ -67,7 +77,11 @@ campaignFlags(const std::string &trials_default)
 std::size_t
 jobsFlag(const CommandLine &cli)
 {
-    return resolveJobs(cli.getUint("jobs"));
+    const std::uint64_t jobs = cli.getUint("jobs");
+    if (jobs > kMaxJobs)
+        fatalf("flag '--jobs' expects an integer in [0, ", kMaxJobs,
+               "], got '", cli.getString("jobs"), "'");
+    return resolveJobs(static_cast<std::size_t>(jobs));
 }
 
 void

@@ -101,7 +101,7 @@ CommandLine jobsFlags();
 CommandLine campaignFlags(const std::string &trials_default);
 
 /// Resolved --jobs value: 0 (the default) means hardware concurrency;
-/// a negative value is fatal.
+/// a negative value or one above 256 is fatal.
 std::size_t jobsFlag(const CommandLine &cli);
 
 /// Registers the standard --json flag with the given default path

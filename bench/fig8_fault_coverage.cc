@@ -172,7 +172,6 @@ main(int argc, char **argv)
     const bool json_ok = bench::writeJsonReport(
         json_path, [&](std::ostream &json) {
             json << "  \"bench\": \"fig8_fault_coverage\",\n"
-                 << "  \"engine\": \"fused\",\n"
                  << "  \"fault_model\": \"" << scenario.model->name()
                  << "\",\n"
                  << "  \"detector\": \"" << scenario.detector->name()

@@ -2,11 +2,11 @@
  * @file
  * Interpreter throughput over every registered workload: decode time
  * (DecodedModule construction), and dynamic instructions per second of
- * the reference (tree-walking), decoded and fused engines on the
- * training input, all measured in one run so that their ratios divide
- * out most of the machine. Prints one row per workload; --json PATH
- * also writes the rows and the three suite means as a report, which
- * scripts/ci.sh's warn-only interpreter smoke reads.
+ * the reference (tree-walking) and decoded engines on the training
+ * input, both measured in one run so that their ratio divides out most
+ * of the machine. Prints one row per workload; --json PATH also writes
+ * the rows and the two suite means as a report, which scripts/ci.sh's
+ * warn-only interpreter smoke reads.
  */
 #include <chrono>
 #include <iostream>
@@ -28,8 +28,7 @@ struct InterpStats
     std::uint64_t dyn_instrs = 0;
     double decode_ms = 0.0;
     double ref_mips = 0.0;     // reference engine, M instrs/sec
-    double decoded_mips = 0.0; // decoded engine (fusion off)
-    double fused_mips = 0.0;   // fused engine (the default)
+    double decoded_mips = 0.0; // decoded engine
 };
 
 /// Runs `body` repeatedly until it has consumed at least `min_seconds`
@@ -68,21 +67,14 @@ measureInterpreters()
             s.dyn_instrs = r.dyn_instrs;
         });
 
-        interp::Interpreter decoded(*module,
-                                    interp::EngineKind::Decoded);
+        interp::Interpreter decoded(*module);
         const double dec_seconds =
             timeLoop([&] { decoded.run(w.entry, w.train_args); });
-
-        interp::Interpreter fused(*module, interp::EngineKind::Fused);
-        const double fused_seconds =
-            timeLoop([&] { fused.run(w.entry, w.train_args); });
 
         const double instrs = static_cast<double>(s.dyn_instrs);
         s.ref_mips = ref_seconds > 0.0 ? instrs / ref_seconds / 1e6 : 0.0;
         s.decoded_mips =
             dec_seconds > 0.0 ? instrs / dec_seconds / 1e6 : 0.0;
-        s.fused_mips =
-            fused_seconds > 0.0 ? instrs / fused_seconds / 1e6 : 0.0;
         stats.push_back(std::move(s));
     }
     return stats;
@@ -92,27 +84,18 @@ bool
 writeInterpJson(const std::vector<InterpStats> &stats,
                 const std::string &path)
 {
-    double ref_sum = 0.0, dec_sum = 0.0, fused_sum = 0.0;
+    double ref_sum = 0.0, dec_sum = 0.0;
     for (const InterpStats &s : stats) {
         ref_sum += s.ref_mips;
         dec_sum += s.decoded_mips;
-        fused_sum += s.fused_mips;
     }
     const double n = static_cast<double>(stats.size());
     return bench::writeJsonReport(path, [&](std::ostream &json) {
-    // Provenance: the default engine these numbers describe, plus the
-    // fusion flag explicitly so trajectories stay comparable across
-    // PRs even if the default ever changes. decoded_mips rows measure
-    // EngineKind::Decoded (fusion off) on the same build.
     json << "  \"bench\": \"interp_throughput\",\n"
-         << "  \"engine\": \"fused\",\n"
-         << "  \"fusion\": true,\n"
          << "  \"mean_reference_mips\": "
          << formatFixed(n > 0 ? ref_sum / n : 0.0, 3) << ",\n"
          << "  \"mean_decoded_mips\": "
          << formatFixed(n > 0 ? dec_sum / n : 0.0, 3) << ",\n"
-         << "  \"mean_fused_mips\": "
-         << formatFixed(n > 0 ? fused_sum / n : 0.0, 3) << ",\n"
          << "  \"workloads\": [\n";
     for (std::size_t i = 0; i < stats.size(); ++i) {
         const InterpStats &s = stats[i];
@@ -123,15 +106,9 @@ writeInterpJson(const std::vector<InterpStats> &stats,
              << formatFixed(s.ref_mips, 3)
              << ", \"decoded_mips\": "
              << formatFixed(s.decoded_mips, 3)
-             << ", \"fused_mips\": "
-             << formatFixed(s.fused_mips, 3)
-             << ", \"decoded_speedup\": "
-             << formatFixed(
-                    s.ref_mips > 0.0 ? s.decoded_mips / s.ref_mips : 0.0,
-                    3)
              << ", \"speedup\": "
              << formatFixed(
-                    s.ref_mips > 0.0 ? s.fused_mips / s.ref_mips : 0.0,
+                    s.ref_mips > 0.0 ? s.decoded_mips / s.ref_mips : 0.0,
                     3)
              << "}" << (i + 1 < stats.size() ? "," : "") << "\n";
     }
@@ -153,10 +130,9 @@ main(int argc, char **argv)
     for (const InterpStats &s : stats) {
         std::cout << "  " << s.name << ": reference "
                   << formatFixed(s.ref_mips, 1) << " Mi/s, decoded "
-                  << formatFixed(s.decoded_mips, 1) << " Mi/s, fused "
-                  << formatFixed(s.fused_mips, 1) << " Mi/s ("
+                  << formatFixed(s.decoded_mips, 1) << " Mi/s ("
                   << formatFixed(s.ref_mips > 0.0
-                                     ? s.fused_mips / s.ref_mips
+                                     ? s.decoded_mips / s.ref_mips
                                      : 0.0,
                                  2)
                   << "x, decode " << formatFixed(s.decode_ms, 3)

@@ -9,8 +9,8 @@
 # concurrent trial-store writer, the pooled trial loop and the
 # multi-threaded campaign/resume/shard/merge and planner paths;
 # UndefinedBehaviorSanitizer, with recovery off, over the full suite,
-# so the fused dispatch code and every reader of untrusted bytes run
-# under it), then a campaign-planner smoke (sweep-reuse tally identity
+# so the dispatch loop and every reader of untrusted bytes run under
+# it), then a campaign-planner smoke (sweep-reuse tally identity
 # against brute force), a scenario-matrix smoke (every fault-model x
 # detector pair byte-identical across --jobs, fig8's snapshot counters
 # included, with the snapshot tier off, and at the former default
@@ -19,8 +19,8 @@
 # fig6, fig7a, fig7b, the ablation table and table1 byte-identical
 # across --jobs), the repo benchmark's seed-1 output digests
 # (perfbench/), and a warn-only
-# interpreter-throughput smoke (the fused superinstruction tier
-# against the decoded and reference engines, measured in one run).
+# interpreter-throughput smoke (the decoded engine against the
+# reference engine, measured in one run).
 #
 # Usage: scripts/ci.sh [build-root]
 #   build-root defaults to build-ci/ next to the source tree. The
@@ -53,8 +53,9 @@ echo "werror: Release build is warning-free"
 echo "==> [switch] portable dispatcher: engine tests without computed goto"
 # GCC and Clang default to the computed-goto dispatcher; the dense
 # switch is the fallback for other compilers, so build it here and run
-# the tests that pin the engines against each other and the reference.
-engine_tests='test_interp_ops|test_decoded|test_random_programs|test_engine_identity|test_snapshot_differential'
+# the tests that pin the decoded engine against the reference engine,
+# the campaign and snapshot-tier identities, and the rollback oracle.
+engine_tests='test_interp_ops|test_decoded|test_random_programs|test_engine_identity|test_snapshot_differential|test_rollback_oracle'
 cmake -B "${build_root}/switch" -S "${repo_root}" \
     -DENCORE_COMPUTED_GOTO=OFF > /dev/null
 cmake --build "${build_root}/switch" -j "$(nproc)" \
@@ -211,11 +212,10 @@ echo "figure-smoke: every figure and table identical at --jobs 1 and 4"
 echo "==> [perfbench] seed-1 output digests (campaign, durable, sweep)"
 # Hard gate on the repo benchmark's output checks: at seed 1 every
 # cell's outcome tally must hash to the digest in perfbench/digests,
-# which were recorded on the decoded engine with snapshots off. One
-# unit per workload (--seconds 0) runs the default trial path (fused
-# engine, snapshot seek, hooks armed at the fault anchor, golden
-# resync) against them. run.py builds into .bench_build/ under the
-# repo root and exits non-zero on any mismatch.
+# which were recorded with snapshots off. One unit per workload
+# (--seconds 0) runs the default trial path (snapshot seek, hooks armed
+# at the fault anchor, golden resync) against them. run.py builds into
+# .bench_build/ under the repo root and exits non-zero on any mismatch.
 for workload in campaign durable sweep; do
     (cd "${repo_root}" && python3 perfbench/run.py --workload "${workload}" \
         --seed 1 --seconds 0 --trace 0) > /dev/null || {
@@ -226,11 +226,10 @@ for workload in campaign durable sweep; do
 done
 
 echo "==> [perf] interpreter-throughput smoke (warn-only)"
-# The fused superinstruction tier is the engine under every campaign
-# above; a silent regression there shows up everywhere.
-# interp_throughput measures reference/decoded/fused throughput per
-# workload in one run, and the smoke compares the three suite means
-# from that run.
+# The decoded engine runs every campaign above; a silent regression
+# there shows up everywhere. interp_throughput measures reference and
+# decoded throughput per workload in one run, and the smoke compares
+# the two suite means from that run.
 # Warn-only: throughput on a shared machine is too noisy for a hard
 # gate, and the ratios between engines of one run divide out most of
 # the machine difference.
@@ -248,14 +247,13 @@ except (OSError, ValueError) as e:
           "(skipping comparison)")
     sys.exit(0)
 means = {engine: cur[f"mean_{engine}_mips"]
-         for engine in ("reference", "decoded", "fused")}
+         for engine in ("reference", "decoded")}
 for engine, mips in means.items():
     print(f"interp-smoke: mean_{engine}_mips: {mips:.1f}")
-for other in ("reference", "decoded"):
-    ratio = means["fused"] / max(means[other], 1e-9)
-    print(f"interp-smoke: fused/{other} ratio {ratio:.2f}x")
-if max(means, key=means.get) != "fused":
-    print("interp-smoke: WARNING: fused is not the fastest engine")
+ratio = means["decoded"] / max(means["reference"], 1e-9)
+print(f"interp-smoke: decoded/reference ratio {ratio:.2f}x")
+if ratio <= 1.0:
+    print("interp-smoke: WARNING: decoded is not faster than reference")
 print("interp-smoke: warn-only")
 EOF
 

@@ -17,9 +17,9 @@
 #               (the fault-model and detector tables read from every
 #               worker)
 #               + test_snapshot_differential
-#               (parallel campaigns through the unfused branch/memory
-#               hook dispatch path) + test_injector (the pooled trial
-#               loop, fault::runTrials, at 4 threads)
+#               (parallel campaigns through the branch/memory filter
+#               hooks) + test_injector (the pooled trial loop,
+#               fault::runTrials, at 4 threads)
 #               + test_thread_pool (ThreadPool::parallelFor itself:
 #               the shared index counter, slots, exceptions)
 #   address   : the full suite (heap/stack/use-after-free gate for the
@@ -28,8 +28,9 @@
 #               the SIGKILLed-shard resume + merge in test_campaign_cli)
 #   undefined : the full suite (overflow/misalignment/OOB-shift gate
 #               for the interned-ID set machinery and bit-twiddling
-#               in the decoded engine; recovery is disabled so any
-#               report fails the test)
+#               in the interpreter's dispatch loop, the rollback
+#               oracle included; recovery is disabled so any report
+#               fails the test)
 #
 # Usage: scripts/sanitize.sh [build-root [lane...]]
 #   build-root defaults to build-sanitize/ next to the source tree;

@@ -105,10 +105,10 @@ class TrialHooks : public interp::ExecHooks
     }
 
     bool
-    needsUnfusedDispatch() const override
+    filtersBranchesAndMemory() const override
     {
-        // Branch/memory strikes ride on filter points that fire only
-        // in unfused dispatch.
+        // Branch/memory strikes ride on the branch/memory filter
+        // points.
         return plan_.kind != models::InjectionPlan::Kind::RegFlip;
     }
 
@@ -351,8 +351,8 @@ class TrialHooks : public interp::ExecHooks
             // per-instruction callbacks are silent no-ops, so drop
             // them from the dispatch loop entirely: the rollback
             // replay ahead is where most of the trial's instructions
-            // run, and it proceeds hook-free and fused (onRuntimeError
-            // stays live for the crash-loop guard).
+            // run, and it proceeds hook-free (onRuntimeError stays
+            // live for the crash-loop guard).
             interp_.armGoldenResync();
             interp_.quiesceHooks();
         }
@@ -525,10 +525,9 @@ classifyTrialOutcome(const TrialObservation &obs)
 
 FaultInjector::FaultInjector(const ir::Module &module,
                              const EncoreReport &report,
-                             interp::EngineKind engine)
+                             interp::EngineKind)
     : module_(module),
-      decoded_(
-          std::make_shared<const interp::DecodedModule>(module, engine))
+      decoded_(std::make_shared<const interp::DecodedModule>(module))
 {
     for (const RegionReport &region : report.regions) {
         if (region.id == ir::kInvalidRegion)
@@ -592,9 +591,9 @@ FaultInjector::prepare(const std::string &entry,
         interp.setSnapshotRecorder(nullptr);
         interp.memoryRef().disableDirtyTracking();
         if (golden_.ok() && store->size() > 0) {
-            // The golden run stays fused and hook-free; the entry
-            // anchors come from short recording replays of the long
-            // region instances it crossed.
+            // The golden run stays hook-free; the entry anchors come
+            // from short recording replays of the long region
+            // instances it crossed.
             store->recordEntryAnchors(interp, entry, args);
             snapshots_ = std::move(store);
         }
@@ -640,9 +639,9 @@ FaultInjector::runTrial(const TrialDraw &draw,
 
     // The trial rides entirely on the hook interface (including memory
     // taint via ExecHooks::onMemoryAccess). The hooks arm at the
-    // anchor: the stretch from the snapshot up to it runs hook-free
-    // and fused, and so does the post-rollback replay once the hooks
-    // quiesce, leaving only the fault window hooked.
+    // anchor: the stretch from the snapshot up to it runs hook-free,
+    // and so does the post-rollback replay once the hooks quiesce,
+    // leaving only the fault window hooked.
     TrialHooks hooks(interp, plan, draw.detection);
     interp.setHooks(&hooks, plan.target_value_index);
     // Trials never read RunResult::globals — output equality is checked

@@ -235,12 +235,11 @@ class FaultInjector
 {
   public:
     /// `report` supplies region-id → class attribution; the module must
-    /// already be instrumented by the pipeline. `engine` selects the
-    /// execution tier for the golden run and every trial (trial
-    /// outcomes are engine-independent; the fused default is simply
-    /// faster — see interp::EngineKind).
+    /// already be instrumented by the pipeline. The third parameter
+    /// selects nothing: perfbench/src/common.cc's reference mode passes
+    /// interp::EngineKind::Decoded, the only engine.
     FaultInjector(const ir::Module &module, const EncoreReport &report,
-                  interp::EngineKind engine = interp::EngineKind::Fused);
+                  interp::EngineKind = interp::EngineKind::Decoded);
 
     /// Selects the snapshot tier configuration for the next prepare()
     /// (snapshots are rebuilt from scratch by every prepare). Call

@@ -1,6 +1,5 @@
 #include "interp/decoded.h"
 
-#include <algorithm>
 #include <map>
 
 #include "support/diagnostics.h"
@@ -51,24 +50,6 @@ blockIndexOf(const ir::BasicBlock *bb)
     return bb ? bb->id() : kNoDecodedBlock;
 }
 
-/// A run component: a pure value op (reads registers/immediates,
-/// writes one register; Div/Rem included — a divide-by-zero error is
-/// raised identically fused and unfused because components advance
-/// `ip` one source instruction at a time), lea, load or store.
-bool
-isRunComponent(ir::Opcode op)
-{
-    return (op >= ir::Opcode::Mov && op <= ir::Opcode::Select) ||
-           op == ir::Opcode::Lea || op == ir::Opcode::Load ||
-           op == ir::Opcode::Store;
-}
-
-bool
-isCmp(ir::Opcode op)
-{
-    return op >= ir::Opcode::CmpEq && op <= ir::Opcode::FCmpLt;
-}
-
 void
 decodeFunction(const ir::Function &func, std::uint32_t index,
                const std::map<const ir::Function *, std::uint32_t> &fn_index,
@@ -103,7 +84,6 @@ decodeFunction(const ir::Function &func, std::uint32_t index,
         for (const ir::Instruction &inst : bb->instructions()) {
             DecodedInst d;
             d.op = inst.opcode();
-            d.exec_op = static_cast<std::uint8_t>(inst.opcode());
             d.dest = inst.dest();
             d.a = decodeOperand(inst.a());
             d.b = decodeOperand(inst.b());
@@ -146,118 +126,24 @@ decodeFunction(const ir::Function &func, std::uint32_t index,
         out.num_regs + static_cast<std::uint32_t>(out.consts.size());
 }
 
-/// True when `br` is a conditional branch whose condition register is
-/// exactly `cond_dest` — the precondition for RunCmpBr, which branches
-/// on the compare's freshly computed value instead of re-reading the
-/// register file.
-bool
-branchConsumes(const DecodedInst &br, ir::RegId cond_dest)
-{
-    // A register destination's slot is its register id, and immediates
-    // live in slots >= num_regs, so a plain slot compare suffices.
-    return br.op == ir::Opcode::Br && br.a.slot == cond_dest;
-}
-
-/**
- * The superinstruction pass: greedy maximal-munch over each block's
- * flat body, annotating sequence HEADS with a FusedOp exec opcode.
- * Components are left completely untouched, so any control transfer
- * into the middle of a sequence (snapshot resume, recovery redirect)
- * executes the remainder unfused. Sequences never cross a block
- * boundary — the scan is per block — which is also what keeps them
- * from spanning a loop-top snapshot barrier: barriers are only
- * honored between dispatches, and the interpreter's de-fuse guard
- * runs a head unfused within a kMaxFuseLen window of one.
- *
- * Matching works on maximal *runs*: the longest stretch of value /
- * lea / load / store instructions starting at the cursor. A run that
- * ends on a compare consumed by the following conditional branch
- * absorbs the branch too (RunCmpBr — the loop back-edge). Any other
- * run fuses as a Run, chunked at kMaxFuseLen.
- */
-void
-fuseFunction(DecodedFunction &func)
-{
-    const auto fuse = [&](std::uint32_t head, FusedOp op,
-                          std::uint32_t len) {
-        func.code[head].exec_op = static_cast<std::uint8_t>(op);
-        func.code[head].fused_len = static_cast<std::uint8_t>(len);
-    };
-    for (std::size_t b = 0; b < func.blocks.size(); ++b) {
-        const std::uint32_t first = func.blocks[b].first;
-        const std::uint32_t end = b + 1 < func.blocks.size()
-                                      ? func.blocks[b + 1].first
-                                      : static_cast<std::uint32_t>(
-                                            func.code.size());
-        std::uint32_t i = first;
-        while (i < end) {
-            // Longest run of fusible straight-line work from i.
-            std::uint32_t run = 0;
-            while (i + run < end &&
-                   isRunComponent(func.code[i + run].op))
-                ++run;
-            if (run == 0) {
-                ++i;
-                continue;
-            }
-
-            // Compare+branch tail: the run ends on a compare whose
-            // result the next instruction's conditional branch
-            // consumes. Folding the branch in removes the back-edge
-            // dispatch and the branch's condition re-fetch. (The
-            // compare result is still materialized even when the
-            // branch is its only reader: fused and de-fused execution
-            // must leave an identical register file, or snapshot
-            // capture and the golden-resync state equality would see
-            // fusion-dependent state — see DESIGN.md §8.)
-            const DecodedInst &last = func.code[i + run - 1];
-            const bool tail = i + run < end && isCmp(last.op) &&
-                              branchConsumes(func.code[i + run],
-                                             last.dest);
-            if (tail && run + 1 <= kMaxFuseLen) {
-                fuse(i, FusedOp::RunCmpBr, run + 1);
-                i += run + 1;
-                continue;
-            }
-
-            std::uint32_t len = std::min<std::uint32_t>(run, kMaxFuseLen);
-            // An over-long sequence ending in a compare+branch tail:
-            // stop the chunk before the compare so the next match
-            // still gets the compare and its branch.
-            if (tail && len == run)
-                --len;
-            if (len < 2) {
-                ++i;
-                continue;
-            }
-            fuse(i, FusedOp::Run, len);
-            i += len;
-        }
-    }
-}
-
 } // namespace
 
 std::string_view
-engineKindName(EngineKind kind)
+engineKindName(EngineKind)
 {
-    return kind == EngineKind::Fused ? "fused" : "decoded";
+    return "decoded";
 }
 
-DecodedModule::DecodedModule(const ir::Module &module, EngineKind engine)
-    : module_(&module), engine_(engine)
+DecodedModule::DecodedModule(const ir::Module &module) : module_(&module)
 {
     std::map<const ir::Function *, std::uint32_t> fn_index;
     const auto &funcs = module.functions();
     for (std::size_t i = 0; i < funcs.size(); ++i)
         fn_index[funcs[i].get()] = static_cast<std::uint32_t>(i);
     functions_.resize(funcs.size());
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
+    for (std::size_t i = 0; i < funcs.size(); ++i)
         decodeFunction(*funcs[i], static_cast<std::uint32_t>(i), fn_index,
                        functions_[i]);
-        if (engine_ == EngineKind::Fused)
-            fuseFunction(functions_[i]);
-    }
 }
 
 const DecodedFunction *

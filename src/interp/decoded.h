@@ -9,26 +9,7 @@
  * array of compact DecodedInsts — opcode, pre-resolved operands,
  * destination register, and control-flow targets as dense block
  * indices — so the interpreter's hot loop is a linear walk with a
- * flat switch.
- *
- * Superinstruction tier: with EngineKind::Fused (the default) a
- * decode-time peephole pass additionally annotates each straight-line
- * run of value/lea/load/store instructions inside a block with one of
- * two fused execution opcodes on the run's HEAD: Run, or RunCmpBr
- * when the run ends in a compare that the block's conditional branch
- * consumes (the branch joins the run). Fusion is strictly in-place:
- * every component instruction keeps its slot, its fields, and its
- * source pointer, so instruction indices (ip), branch
- * targets, snapshot cursors, and the objects hooks see are identical
- * between the two engines. The dispatcher executes a fused sequence
- * between two loop tops, running each component through its own
- * opcode's handler (so every execution counter advances per *source*
- * instruction and every hook fires exactly as in the unfused
- * sequence); entering a sequence mid-way — a
- * restored snapshot cursor or a recovery redirect — simply executes
- * the remaining components unfused, because only head slots carry a
- * fused exec_op. EngineKind::Decoded skips the pass entirely and is
- * byte-identical to the pre-fusion engine.
+ * flat dispatch on the source opcode.
  *
  * Lifetime and thread-safety contract: a DecodedModule is built from a
  * module *after* all passes that mutate it (notably the instrumenter)
@@ -50,17 +31,17 @@
 
 namespace encore::interp {
 
-/// Which execution tier a DecodedModule is prepared for. Fused is the
-/// default everywhere; Decoded reproduces the pre-fusion engine byte
-/// for byte (the tests and perfbench's reference mode use it).
-/// Outcomes are engine-independent by construction — the choice
-/// trades speed only.
+/// Kept only because perfbench/src/common.cc names it: its reference
+/// mode passes EngineKind::Decoded to FaultInjector and prints
+/// engineKindName(DecodedModule::engine()) as build provenance. There
+/// is one engine, so the value selects nothing.
 enum class EngineKind : std::uint8_t
 {
-    Decoded, ///< Flat bytecode, one dispatch per source instruction.
-    Fused,   ///< Flat bytecode plus superinstruction annotations.
+    Decoded, ///< The decoded engine, the only one.
 };
 
+/// "decoded". Kept only for perfbench/src/common.cc, which prints it as
+/// build provenance.
 std::string_view engineKindName(EngineKind kind);
 
 /// A pre-resolved operand: an index into the frame's value window.
@@ -81,37 +62,6 @@ struct DecodedOperand
 constexpr std::uint32_t kNoDecodedBlock = ~0u;
 
 /**
- * Fused execution opcodes, numbered directly after ir::Opcode so one
- * dispatch table covers both. The head slot carries the exec opcode;
- * the components follow at ip+1 .. ip+fused_len-1 untouched, and the
- * interpreter runs each of them through its own opcode's handler
- * without a loop top in between. The two values name the sequence's
- * shape; the interpreter treats them alike.
- */
-enum class FusedOp : std::uint8_t
-{
-    /// Straight-line run of 2..kMaxFuseLen value/lea/load/store
-    /// components in any order.
-    Run = static_cast<std::uint8_t>(ir::Opcode::NumOpcodes),
-    /// A (possibly empty) run ending in cmp + consuming br: the loop
-    /// back-edge (load/alu/store setup, compare, branch) as one
-    /// dispatch.
-    RunCmpBr,
-    NumExecOps,
-};
-
-/// Longest fused sequence, in source instructions. The interpreter's
-/// de-fuse guard derives its barrier windows from this, so raising it
-/// widens the window in which heads near a value barrier (snapshot
-/// capture, hook arm point) fall back to unfused stepping, and the
-/// reach of the head that can cover a resync anchor.
-constexpr std::uint8_t kMaxFuseLen = 8;
-
-/// Size of the extended dispatch space (base opcodes + fused forms).
-constexpr unsigned kNumExecOps =
-    static_cast<unsigned>(FusedOp::NumExecOps);
-
-/**
  * One flat instruction. Field use depends on the opcode:
  *  - value ops: dest, a/b/c
  *  - lea/load/store/ckpt.mem: addr_* (+ a for store)
@@ -124,16 +74,7 @@ struct DecodedInst
 {
     enum class AddrBase : std::uint8_t { None, Object, Reg };
 
-    ir::Opcode op;
-    /// Dispatch opcode: equal to `op` for ordinary instructions, or a
-    /// FusedOp value when this slot heads a fused sequence. The
-    /// dispatcher indexes its table with this; `op` stays the source
-    /// opcode so hooks, tests, and the de-fuse path are unaffected.
-    std::uint8_t exec_op = 0;
-    /// Source instructions covered by this slot's dispatch: 1 for
-    /// ordinary instructions, 2..kMaxFuseLen for fused heads.
-    /// Component slots (the ones following a head) keep fused_len == 1.
-    std::uint8_t fused_len = 1;
+    ir::Opcode op; ///< The dispatch index.
     AddrBase addr_base = AddrBase::None;
     ir::RegId dest = ir::kInvalidReg;
     DecodedOperand a, b, c;
@@ -186,16 +127,15 @@ struct DecodedFunction
 class DecodedModule
 {
   public:
-    /// Decodes every function (and, for EngineKind::Fused, runs the
-    /// superinstruction pass). The module must already be in its final
+    /// Decodes every function. The module must already be in its final
     /// (e.g. instrumented) form and must outlive this cache.
-    explicit DecodedModule(const ir::Module &module,
-                           EngineKind engine = EngineKind::Fused);
+    explicit DecodedModule(const ir::Module &module);
 
     const ir::Module &module() const { return *module_; }
 
-    EngineKind engine() const { return engine_; }
-    bool fused() const { return engine_ == EngineKind::Fused; }
+    /// Always EngineKind::Decoded; perfbench/src/common.cc reads it as
+    /// build provenance.
+    EngineKind engine() const { return EngineKind::Decoded; }
 
     const DecodedFunction &
     function(std::uint32_t index) const
@@ -210,7 +150,6 @@ class DecodedModule
 
   private:
     const ir::Module *module_;
-    EngineKind engine_;
     std::vector<DecodedFunction> functions_; ///< Module function order.
 };
 

@@ -4,38 +4,25 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "support/diagnostics.h"
 
 // Dispatch selection. The default with GCC/Clang is a labels-as-values
 // jump table (ENCORE_COMPUTED_GOTO); the dense switch over the flat
 // decoded opcode is the portable fallback (-DENCORE_COMPUTED_GOTO=OFF).
-// Both dispatchers execute the exact same case bodies. A handler
-// returns (ENCORE_NEXT) to the one shared loop top, except inside a
-// fused sequence, where the component handlers dispatch the next
-// component themselves (ENCORE_NEXT_IN_SEQ): with computed goto each
-// of them then has its own indirect-branch site.
+// Both dispatchers index DecodedInst::op and execute the exact same
+// case bodies, and every handler returns (ENCORE_NEXT) to the one
+// shared loop top.
 #if defined(ENCORE_COMPUTED_GOTO) && !defined(__GNUC__) && \
     !defined(__clang__)
 #error "ENCORE_COMPUTED_GOTO requires GCC or Clang (labels as values)"
 #endif
 
-// The dispatch index is DecodedInst::exec_op — the source opcode for
-// ordinary instructions, or FusedOp::Run / FusedOp::RunCmpBr (numbered
-// after the base opcodes) when the slot heads a fused sequence — so
-// both dispatchers cover the extended space with one table/switch.
 #ifdef ENCORE_COMPUTED_GOTO
 #define ENCORE_OP(name) L_##name
-#define ENCORE_FOP(name) L_Fused##name
-#define ENCORE_DISPATCH(op) goto *kJumpTable[static_cast<unsigned>(op)]
 #else
 #define ENCORE_OP(name) case static_cast<unsigned>(ir::Opcode::name)
-#define ENCORE_FOP(name) case static_cast<unsigned>(FusedOp::name)
-#define ENCORE_DISPATCH(op)                                             \
-    do {                                                                \
-        dispatch_op = static_cast<unsigned>(op);                        \
-        goto L_redispatch;                                              \
-    } while (0)
 #endif
 #define ENCORE_NEXT goto L_dispatch_done
 
@@ -56,11 +43,10 @@
 // re-reads those two (ENCORE_REREAD_HOT); detection handling — where
 // the hooks arm the resync watch or request a trial stop — the
 // runtime-error exit and the loop's own call-outs (ENCORE_CALL_OUT) may
-// move every limit, so after those it re-reads them all. A budget
-// lowered into reach abandons the fused sequence in flight, so the run
-// ends at the same boundary on both engines. Detection handling also
-// moves the cursor, which is then re-read too (ENCORE_REREAD_CURSOR).
-// Nothing outside the loop moves the counters mid-run.
+// move every limit, so after those it re-reads them all. Detection
+// handling also moves the cursor, which is then re-read too
+// (ENCORE_REREAD_CURSOR). Nothing outside the loop moves the counters
+// mid-run.
 
 #define ENCORE_WRITE_BACK                                               \
     do {                                                                \
@@ -74,19 +60,13 @@
     do {                                                                \
         hooks = hot_hooks_;                                             \
         budget = max_instrs_;                                           \
-        fuse_dyn_limit = budget >= kMaxFuseLen ? budget - kMaxFuseLen   \
-                                               : 0;                     \
-        if (dyn > fuse_dyn_limit)                                       \
-            seq_left = 0;                                               \
     } while (0)
 
 #define ENCORE_REREAD_LIMITS                                            \
     do {                                                                \
         ENCORE_REREAD_HOT;                                              \
         value_barrier = value_barrier_;                                 \
-        fuse_value_limit = fuse_value_limit_;                           \
         resync_pc = resync_pc_;                                         \
-        resync_head = resync_head_;                                     \
     } while (0)
 
 #define ENCORE_REREAD_CURSOR                                            \
@@ -144,8 +124,8 @@
 #define ENCORE_VB (regs[pc->b.slot])
 #define ENCORE_VC (regs[pc->c.slot])
 
-// Dynamic index of the instruction in flight: the loop top and every
-// fused-sequence step count an instruction before its handler runs.
+// Dynamic index of the instruction in flight: the loop top counts an
+// instruction before its handler runs.
 #define ENCORE_INDEX (dyn - 1)
 
 // Runtime errors (wild access, division by zero) leave the handler
@@ -163,9 +143,9 @@
             goto L_exec_error;                                          \
     } while (0)
 
-// Common tail of every value-producing instruction, fused component or
-// not: count it, let the hooks filter (fault-inject) the result, write
-// the destination register, and step to the next flat instruction.
+// Common tail of every value-producing instruction: count it, let the
+// hooks filter (fault-inject) the result, write the destination
+// register, and step to the next flat instruction.
 #define ENCORE_WRITE_VALUE(expr)                                        \
     do {                                                                \
         std::uint64_t v_ = (expr);                                      \
@@ -192,44 +172,6 @@
                 *fn_.src, *fn_.blocks[to_].bb,                          \
                 from_ == kNoDecodedBlock ? nullptr                      \
                                          : fn_.blocks[from_].bb));      \
-    } while (0)
-
-// ---- Fused sequences ---------------------------------------------------
-//
-// A fused head (FusedOp::Run or RunCmpBr, 2..kMaxFuseLen source
-// instructions) runs its components through their own handlers, back
-// to back between two loop tops: the head dispatches its first
-// component as a plain instruction with `seq_left` set to the number
-// of components after it, and each component handler's tail
-// (ENCORE_NEXT_IN_SEQ) replays the loop top's detection poll and
-// per-instruction counter for the next component and dispatches it
-// directly. The components run the very case bodies an unfused
-// dispatch runs — same counter increments, same hook calls in the same
-// order, same pc advance — so the observable trace (injection targets,
-// memory-access callbacks, detection poll points, even the cursor seen
-// by a mid-sequence runtime error) is identical to dispatching them one
-// by one. The only loop-top work a sequence skips at its interior
-// boundaries is the value-barrier (snapshot capture, hook arming),
-// resync and budget checks; the head therefore runs unfused (seq_left
-// stays 0) whenever a value barrier or the budget could fire before
-// the sequence ends (see recomputeFuseLimits), and for the one head
-// that covers an armed resync anchor on a pass where the watch could
-// fire inside it (see armGoldenResync). Only value, lea, load and store
-// instructions are components ahead of the last; a RunCmpBr ends in the
-// branch, whose handler leaves through the loop top. Detection handling
-// and the runtime-error exit end a sequence, since seq_left is reset at
-// every loop top.
-
-#define ENCORE_NEXT_IN_SEQ                                              \
-    do {                                                                \
-        if (seq_left) {                                                 \
-            --seq_left;                                                 \
-            if (hooks) [[unlikely]]                                     \
-                goto L_seq_poll;                                        \
-            ++dyn;                                                      \
-            ENCORE_DISPATCH(pc->op);                                    \
-        }                                                               \
-        ENCORE_NEXT;                                                    \
     } while (0)
 
 namespace encore::interp {
@@ -273,8 +215,8 @@ RunResult::sameOutput(const RunResult &other) const
     return return_value == other.return_value && globals == other.globals;
 }
 
-Interpreter::Interpreter(const ir::Module &module, EngineKind engine)
-    : Interpreter(std::make_shared<const DecodedModule>(module, engine))
+Interpreter::Interpreter(const ir::Module &module)
+    : Interpreter(std::make_shared<const DecodedModule>(module))
 {
 }
 
@@ -467,17 +409,16 @@ Interpreter::beginRun()
     disarmGoldenResync();
     trial_stop_ = false;
     // Every run re-arms the installed hooks at their arm point; until
-    // then the hot call sites see no hooks and fusion is not pinned. A
-    // run that starts at or past its arm point arms here, not at its
-    // first loop top: the hooks see the same callbacks from that loop
-    // top on, plus run()'s entry into the entry block ahead of it.
+    // then the hot call sites see no hooks. A run that starts at or
+    // past its arm point arms here, not at its first loop top: the
+    // hooks see the same callbacks from that loop top on, plus run()'s
+    // entry into the entry block ahead of it.
     hot_hooks_ = nullptr;
-    hooks_unfused_ = false;
+    hooks_filter_ = false;
     arm_barrier_ = hooks_ ? hooks_arm_at_ : kNoSnapshotBarrier;
     if (value_count_ >= arm_barrier_)
         armHooks();
     value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
-    recomputeFuseLimits();
 }
 
 void
@@ -485,7 +426,7 @@ Interpreter::armHooks()
 {
     arm_barrier_ = kNoSnapshotBarrier;
     hot_hooks_ = hooks_;
-    hooks_unfused_ = hooks_->needsUnfusedDispatch();
+    hooks_filter_ = hooks_->filtersBranchesAndMemory();
 }
 
 RunResult
@@ -515,11 +456,8 @@ Interpreter::execLoop()
     const DecodedInst *pc;
     ENCORE_REREAD_CURSOR;
     ExecHooks *hooks;
-    std::uint64_t budget, fuse_dyn_limit, value_barrier, fuse_value_limit;
-    const DecodedInst *resync_pc, *resync_head;
-    // Components left in the fused sequence in flight (see
-    // ENCORE_NEXT_IN_SEQ); 0 outside one.
-    std::uint32_t seq_left = 0;
+    std::uint64_t budget, value_barrier;
+    const DecodedInst *resync_pc;
     ENCORE_REREAD_LIMITS;
 
     while (true) {
@@ -540,10 +478,9 @@ Interpreter::execLoop()
         // exactly equals the anchor snapshot, the rest of the run is
         // the golden suffix by determinism — stop here and let the
         // caller adopt the golden outcome. Equality is only possible
-        // at the anchor's exact code position, which stays a dispatch
-        // boundary (see armGoldenResync), so the armed steady state
-        // (the whole rolled-back replay) pays one pointer compare per
-        // dispatch, not a ladder call; a disarmed watch compares
+        // at the anchor's exact code position, so the armed steady
+        // state (the whole rolled-back replay) pays one pointer compare
+        // per dispatch, not a ladder call; a disarmed watch compares
         // against null.
         if (pc == resync_pc && values >= resync_barrier_) [[unlikely]] {
             bool resynced;
@@ -569,14 +506,12 @@ Interpreter::execLoop()
         }
 
         ++dyn;
-        seq_left = 0;
 
         // The dispatch. Every handler leaves through ENCORE_NEXT (to the
-        // loop top), ENCORE_DISPATCH (the next component of a fused
-        // sequence) or the runtime-error exit.
+        // loop top) or the runtime-error exit.
         {
 #ifdef ENCORE_COMPUTED_GOTO
-            // Table order must match ir::Opcode, then FusedOp.
+            // Table order must match ir::Opcode.
             static const void *const kJumpTable[] = {
                 &&L_Mov,     &&L_Add,     &&L_Sub,     &&L_Mul,
                 &&L_Div,     &&L_Rem,     &&L_And,     &&L_Or,
@@ -588,33 +523,28 @@ Interpreter::execLoop()
                 &&L_Load,    &&L_Store,   &&L_Call,    &&L_Br,
                 &&L_Jmp,     &&L_Ret,     &&L_RegionEnter,
                 &&L_CkptMem, &&L_CkptReg, &&L_Restore,
-                &&L_FusedRun, &&L_FusedRunCmpBr,
             };
             static_assert(sizeof(kJumpTable) / sizeof(kJumpTable[0]) ==
-                              static_cast<std::size_t>(kNumExecOps),
-                          "jump table out of sync with the exec-opcode "
-                          "space");
-            ENCORE_DISPATCH(pc->exec_op);
+                              static_cast<std::size_t>(
+                                  ir::Opcode::NumOpcodes),
+                          "jump table out of sync with ir::Opcode");
+            goto *kJumpTable[static_cast<unsigned>(pc->op)];
 #else
-            // Fused heads and sequence steps re-enter here with the
-            // next opcode (ENCORE_DISPATCH).
-            unsigned dispatch_op = pc->exec_op;
-        L_redispatch:
-            switch (dispatch_op) {
+            switch (static_cast<unsigned>(pc->op)) {
 #endif
 
             ENCORE_OP(Mov):
                 ENCORE_WRITE_VALUE(ENCORE_VA);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Add):
                 ENCORE_WRITE_VALUE(ENCORE_VA + ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Sub):
                 ENCORE_WRITE_VALUE(ENCORE_VA - ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Mul):
                 ENCORE_WRITE_VALUE(ENCORE_VA * ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Div): {
                 const std::uint64_t a = ENCORE_VA, b = ENCORE_VB;
                 if (b == 0) [[unlikely]]
@@ -628,7 +558,7 @@ Interpreter::execLoop()
                     v = fromSigned(sa / sb);
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Rem): {
                 const std::uint64_t a = ENCORE_VA, b = ENCORE_VB;
                 if (b == 0) [[unlikely]]
@@ -642,49 +572,49 @@ Interpreter::execLoop()
                     v = fromSigned(sa % sb);
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(And):
                 ENCORE_WRITE_VALUE(ENCORE_VA & ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Or):
                 ENCORE_WRITE_VALUE(ENCORE_VA | ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Xor):
                 ENCORE_WRITE_VALUE(ENCORE_VA ^ ENCORE_VB);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Shl):
                 ENCORE_WRITE_VALUE(ENCORE_VA << (ENCORE_VB & 63));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Shr):
                 ENCORE_WRITE_VALUE(ENCORE_VA >> (ENCORE_VB & 63));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Neg):
                 ENCORE_WRITE_VALUE(fromSigned(-asSigned(ENCORE_VA)));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Not):
                 ENCORE_WRITE_VALUE(~ENCORE_VA);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FAdd):
                 ENCORE_WRITE_VALUE(
                     fromDouble(asDouble(ENCORE_VA) + asDouble(ENCORE_VB)));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FSub):
                 ENCORE_WRITE_VALUE(
                     fromDouble(asDouble(ENCORE_VA) - asDouble(ENCORE_VB)));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FMul):
                 ENCORE_WRITE_VALUE(
                     fromDouble(asDouble(ENCORE_VA) * asDouble(ENCORE_VB)));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FDiv):
                 // IEEE division by zero yields inf/nan: well-defined.
                 ENCORE_WRITE_VALUE(
                     fromDouble(asDouble(ENCORE_VA) / asDouble(ENCORE_VB)));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(IntToFp):
                 ENCORE_WRITE_VALUE(
                     fromDouble(static_cast<double>(asSigned(ENCORE_VA))));
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FpToInt): {
                 // Saturating conversion: NaN -> 0, +/-inf clamp like
                 // hardware cvttsd2si-with-saturation semantics.
@@ -702,36 +632,36 @@ Interpreter::execLoop()
                     v = fromSigned(static_cast<std::int64_t>(d));
                 ENCORE_WRITE_VALUE(v);
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpEq):
                 ENCORE_WRITE_VALUE(ENCORE_VA == ENCORE_VB ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpNe):
                 ENCORE_WRITE_VALUE(ENCORE_VA != ENCORE_VB ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpLt):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) < asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpLe):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) <= asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpGt):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) > asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(CmpGe):
                 ENCORE_WRITE_VALUE(
                     asSigned(ENCORE_VA) >= asSigned(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(FCmpLt):
                 ENCORE_WRITE_VALUE(
                     asDouble(ENCORE_VA) < asDouble(ENCORE_VB) ? 1 : 0);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Select):
                 ENCORE_WRITE_VALUE(ENCORE_VA ? ENCORE_VB : ENCORE_VC);
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
 
             ENCORE_OP(Lea): {
                 ir::ObjectId object;
@@ -739,13 +669,13 @@ Interpreter::execLoop()
                 ENCORE_EVAL_ADDR(object, offset);
                 ENCORE_WRITE_VALUE(ir::Pointer::encode(object, offset));
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Load): {
                 ir::ObjectId object;
                 std::uint32_t offset;
                 ENCORE_EVAL_ADDR(object, offset);
                 std::uint64_t mem_mask = 0;
-                if (hooks && hooks_unfused_) [[unlikely]] {
+                if (hooks && hooks_filter_) [[unlikely]] {
                     ENCORE_HOOK(mem_mask = hooks->filterMemoryOp(
                                         *pc->src, false, object, offset,
                                         ENCORE_INDEX));
@@ -764,13 +694,13 @@ Interpreter::execLoop()
                         *pc->src, object, offset, false, ENCORE_INDEX));
                 ENCORE_WRITE_VALUE(value);
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
             ENCORE_OP(Store): {
                 ir::ObjectId object;
                 std::uint32_t offset;
                 ENCORE_EVAL_ADDR(object, offset);
                 std::uint64_t mem_mask = 0;
-                if (hooks && hooks_unfused_) [[unlikely]] {
+                if (hooks && hooks_filter_) [[unlikely]] {
                     ENCORE_HOOK(mem_mask = hooks->filterMemoryOp(
                                         *pc->src, true, object, offset,
                                         ENCORE_INDEX));
@@ -785,7 +715,7 @@ Interpreter::execLoop()
                         *pc->src, object, offset, true, ENCORE_INDEX));
                 ++pc;
             }
-                ENCORE_NEXT_IN_SEQ;
+                ENCORE_NEXT;
 
             ENCORE_OP(Call): {
                 if (pc->callee == ~0u) [[unlikely]]
@@ -816,7 +746,7 @@ Interpreter::execLoop()
             ENCORE_OP(Br): {
                 std::uint32_t target =
                     ENCORE_VA ? pc->target0 : pc->target1;
-                if (hooks && hooks_unfused_) [[unlikely]] {
+                if (hooks && hooks_filter_) [[unlikely]] {
                     ENCORE_HOOK(hooks->filterBranchTarget(
                         *pc->src, target,
                         static_cast<std::uint32_t>(
@@ -828,7 +758,7 @@ Interpreter::execLoop()
                 ENCORE_NEXT;
             ENCORE_OP(Jmp): {
                 std::uint32_t target = pc->target0;
-                if (hooks && hooks_unfused_) [[unlikely]] {
+                if (hooks && hooks_filter_) [[unlikely]] {
                     ENCORE_HOOK(hooks->filterBranchTarget(
                         *pc->src, target,
                         static_cast<std::uint32_t>(
@@ -914,36 +844,10 @@ Interpreter::execLoop()
             }
                 ENCORE_NEXT;
 
-            // ---- Fused sequence heads ---------------------------------
-            // Components live at pc+1 .. pc+fused_len-1 of the same
-            // block; the head slot's own fields are the first
-            // component's.
-            ENCORE_FOP(Run):
-            ENCORE_FOP(RunCmpBr):
-                if (values < fuse_value_limit && dyn <= fuse_dyn_limit &&
-                    !(pc == resync_head && resyncCouldFireInHead()))
-                    seq_left = pc->fused_len - 1u;
-                ENCORE_DISPATCH(pc->op);
-
-            // The detection poll between two components, with the hooks
-            // hot; the hook-free tail of ENCORE_NEXT_IN_SEQ skips it.
-        L_seq_poll: {
-                bool detect;
-                ENCORE_HOOK(
-                    detect = hooks->shouldTriggerDetection(*pc->src, dyn));
-                if (detect) {
-                    ENCORE_HANDLE_DETECTION(
-                        "fault detected outside any active region");
-                    ENCORE_NEXT;
-                }
-                ++dyn;
-                ENCORE_DISPATCH(pc->op);
-            }
-
 #ifndef ENCORE_COMPUTED_GOTO
               default:
                 panicf("interpreter dispatch on invalid opcode ",
-                       static_cast<int>(dispatch_op));
+                       static_cast<int>(pc->op));
             }
 #endif
         }
@@ -969,50 +873,25 @@ Interpreter::execLoop()
 void
 Interpreter::crossValueBarrier()
 {
-    // The de-fuse window below the barrier makes the first loop top at
-    // or past it the one where value_count_ equals it exactly.
+    // Every loop top checks the barrier and an instruction adds at most
+    // one value, so the first loop top at or past it is the one where
+    // value_count_ equals it exactly.
     if (value_count_ >= arm_barrier_)
         armHooks();
     if (value_count_ >= snapshot_barrier_)
         snapshot_barrier_ = recorder_->capture(*this);
     value_barrier_ = std::min(snapshot_barrier_, arm_barrier_);
-    recomputeFuseLimits();
 }
 
 void
 Interpreter::quiesceHooks()
 {
+    // Runs inside a callback: the dispatch loop re-reads the hooks when
+    // the callback returns.
     hot_hooks_ = nullptr;
-    hooks_unfused_ = false;
+    hooks_filter_ = false;
     arm_barrier_ = kNoSnapshotBarrier;
     value_barrier_ = snapshot_barrier_;
-    // Runs inside a callback: the dispatch loop re-reads the hooks when
-    // the callback returns, and the de-fuse threshold at its next full
-    // re-read (until then the stale, lower one only de-fuses more).
-    recomputeFuseLimits();
-}
-
-void
-Interpreter::recomputeFuseLimits()
-{
-    // Interior boundaries of a fused sequence (after each non-final
-    // component) must stay strictly below the value barrier; the worst
-    // case is a maximal all-value run, kMaxFuseLen - 1 values before
-    // the final component. (Sequences are bounded by kMaxFuseLen
-    // source instructions, bounding the budget overshoot the same way;
-    // the dispatch loop derives that threshold with the budget.) Armed
-    // hooks that need unfused dispatch (branch/memory filter points
-    // fire only there) or a Decoded-engine cache
-    // (which has no fused heads anyway) pin the limit to 0: every head
-    // then de-fuses and the trace is the one-instruction-per-dispatch
-    // one.
-    constexpr std::uint64_t kMaxInteriorValues = kMaxFuseLen - 1;
-    if (!decoded_->fused() || hooks_unfused_)
-        fuse_value_limit_ = 0;
-    else
-        fuse_value_limit_ = value_barrier_ >= kMaxInteriorValues
-                                ? value_barrier_ - kMaxInteriorValues
-                                : 0;
 }
 
 void
@@ -1057,68 +936,10 @@ Interpreter::armSnapshotResync()
     if (!anchor)
         return;
     const SnapFrame &top = anchor->exec.frames.back();
-    const DecodedFunction &func = decoded_->function(top.func_index);
     resync_target_ = anchor;
     resync_barrier_ = anchor->exec.value_count;
-    resync_pc_ = &func.code[top.ip];
+    resync_pc_ = &decoded_->function(top.func_index).code[top.ip];
     resync_full_compares_ = 0;
-    // The watch may fire only where the live cursor sits on the
-    // anchor's instruction at a loop top. A fused sequence passes its
-    // interior instructions without one, so the head whose span covers
-    // the anchor (sequences are disjoint and never cross a block, so
-    // it is the nearest head before the anchor, if that one reaches
-    // it) must de-fuse on every pass where the watch could fire there.
-    // Every other head stays fused: the watch then sees exactly the
-    // boundaries the decoded engine sees at the anchor's instruction,
-    // and fires at the same one.
-    const std::uint32_t reach =
-        std::min<std::uint32_t>(top.ip, kMaxFuseLen - 1);
-    std::uint32_t head = top.ip;
-    for (std::uint32_t h = top.ip; h > top.ip - reach;) {
-        if (func.code[--h].fused_len > 1) {
-            if (h + func.code[h].fused_len > top.ip)
-                head = h;
-            break;
-        }
-    }
-    if (head == top.ip)
-        return;
-    resync_head_ = &func.code[head];
-    // The anchor usually sits in a hot loop, and de-fusing its head on
-    // every pass would cost that loop its fusion for the whole replay.
-    // But the watch fires only on a pass whose top-frame registers all
-    // equal the anchor's, and the components ahead of the anchor write
-    // only their own destinations: every other register already holds
-    // its anchor-instruction value when the head dispatches. Those are
-    // pinned, and a pass that misses one (or runs at another depth)
-    // stays fused — tryGoldenResync's cheap tests would reject it
-    // without a side effect.
-    resync_pins_.clear();
-    for (std::uint32_t r = 0; r < func.num_regs; ++r) {
-        bool written = false;
-        for (std::uint32_t i = head; i < top.ip; ++i)
-            written = written || func.code[i].dest == r;
-        if (!written)
-            resync_pins_.emplace_back(r, top.regs[r]);
-    }
-}
-
-bool
-Interpreter::resyncCouldFireInHead()
-{
-    if (depth_ != resync_target_->exec.frames.size())
-        return false;
-    const std::uint64_t *regs = frames_[depth_ - 1].regs;
-    for (std::size_t i = 0; i < resync_pins_.size(); ++i) {
-        if (regs[resync_pins_[i].first] != resync_pins_[i].second) {
-            // Try the register that told this pass apart first next
-            // time: in a loop it is usually the induction variable,
-            // which then rejects each later pass in one compare.
-            std::swap(resync_pins_[0], resync_pins_[i]);
-            return false;
-        }
-    }
-    return true;
 }
 
 bool
@@ -1268,10 +1089,7 @@ Interpreter::restoreExecState(const ExecSnapshot &snap)
 } // namespace encore::interp
 
 #undef ENCORE_OP
-#undef ENCORE_FOP
-#undef ENCORE_DISPATCH
 #undef ENCORE_NEXT
-#undef ENCORE_NEXT_IN_SEQ
 #undef ENCORE_WRITE_BACK
 #undef ENCORE_REREAD_HOT
 #undef ENCORE_REREAD_LIMITS

@@ -50,7 +50,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "interp/decoded.h"
@@ -107,8 +106,7 @@ class Interpreter
     /// Decodes the module privately. Decode the module once and use the
     /// shared-cache constructor instead when many interpreters run the
     /// same module (campaign workers).
-    explicit Interpreter(const ir::Module &module,
-                         EngineKind engine = EngineKind::Fused);
+    explicit Interpreter(const ir::Module &module);
 
     /// Executes from a shared immutable code cache.
     explicit Interpreter(std::shared_ptr<const DecodedModule> decoded);
@@ -125,11 +123,10 @@ class Interpreter
     /// before its first block entry, so the hooks also see run()'s
     /// entry into the entry block. Hooks whose
     /// callbacks are pure pass-throughs before some value index pass
-    /// that index here, and the prefix runs hook-free and fused. The
-    /// hook's needsUnfusedDispatch() capability is sampled when the
-    /// hooks arm: such hooks pin superinstruction fusion off from then
-    /// until quiesceHooks() (the filter points fire only in unfused
-    /// dispatch).
+    /// that index here, and the prefix runs hook-free. The hook's
+    /// filtersBranchesAndMemory() capability is sampled when the hooks
+    /// arm: only such hooks get the branch/memory filter calls, from
+    /// then until quiesceHooks().
     void
     setHooks(ExecHooks *hooks, std::uint64_t arm_value_index = 0)
     {
@@ -143,19 +140,13 @@ class Interpreter
     /// once they become pure pass-throughs — after a rollback dissolves
     /// the taint, every hot callback is an observationally-silent
     /// no-op, yet the post-rollback replay is exactly where most of a
-    /// trial's instructions execute. Also lifts an unfused-dispatch
-    /// pin, so the replay runs fused: only the one fused head covering
-    /// an armed golden-resync anchor de-fuses, on the passes where the
-    /// watch could fire (see armGoldenResync). The next run re-arms the
-    /// hooks.
+    /// trial's instructions execute. The next run re-arms the hooks.
     void quiesceHooks();
 
     /// Execution budget; runs exceeding it end with InstructionLimit.
     /// The dispatch loop re-reads it after every hook callback, so a
-    /// hook that lowers it mid-run ends the run at the next loop top:
-    /// the instruction in flight finishes, and a fused sequence in
-    /// flight stops before its next component, so both engines end at
-    /// the same instruction.
+    /// hook that lowers it mid-run ends the run at the next loop top,
+    /// after the instruction in flight finishes.
     void setMaxInstructions(std::uint64_t limit) { max_instrs_ = limit; }
 
     /// When disabled, run() skips the RunResult::globals snapshot (an
@@ -216,23 +207,18 @@ class Interpreter
     /// rolled-back instance.
     ///
     /// When that instance has an entry anchor, the watch compares once,
-    /// where the recovery jump lands on the preheader's `region.enter`
-    /// (never fused, so always a dispatch boundary), masked to the
-    /// anchor's live locations: lower frames, cursors, caller wiring,
-    /// allocation flags and the shadow stack exactly; the top frame's
-    /// live registers and the live memory words; not its recovery
-    /// state, which `region.enter` overwrites. A miss falls back to
-    /// the snapshot watch below.
+    /// where the recovery jump lands on the preheader's `region.enter`,
+    /// masked to the anchor's live locations: lower frames, cursors,
+    /// caller wiring, allocation flags and the shadow stack exactly; the
+    /// top frame's live registers and the live memory words; not its
+    /// recovery state, which `region.enter` overwrites. A miss falls
+    /// back to the snapshot watch below.
     ///
     /// The snapshot watch anchors at the earliest snapshot past the
     /// current value count — the replay re-executes the region from its
     /// entry, and the live memory image (which keeps uncheckpointed
     /// later-than-entry values) can only reconverge exactly with the
-    /// golden run at-or-after the current position. The anchor's
-    /// top-frame instruction must stay a dispatch boundary wherever the
-    /// watch could fire there, so the one fused head whose span covers
-    /// it (if any) de-fuses on those passes; every other head stays
-    /// fused.
+    /// golden run at-or-after the current position.
     ///
     /// On a match the dispatch loop finishes immediately with
     /// RunResult::golden_resync set.
@@ -363,11 +349,6 @@ class Interpreter
     /// captures a snapshot, then moves the barrier to the next event.
     void crossValueBarrier();
 
-    /// Recomputes the value de-fuse threshold (see fuse_value_limit_
-    /// below). Called whenever an input changes: loop entry, a
-    /// value-barrier crossing, quiescing the hooks.
-    void recomputeFuseLimits();
-
     /// The one resync compare: equality of the live state with the
     /// armed state, cheap-first — depth, the top frame's cursor and
     /// registers, the budget projection, the full-compare cap (snapshot
@@ -395,11 +376,6 @@ class Interpreter
     static bool frameStateMatches(const Frame &frame,
                                   const SnapFrame &saved);
 
-    /// De-fuse test for resync_head_: false when the current frame's
-    /// depth or a pinned register already rules out a match at the
-    /// anchor inside this pass of the sequence.
-    bool resyncCouldFireInHead();
-
     void
     disarmGoldenResync()
     {
@@ -407,7 +383,6 @@ class Interpreter
         resync_entry_ = nullptr;
         resync_barrier_ = kNoSnapshotBarrier;
         resync_pc_ = nullptr;
-        resync_head_ = nullptr;
     }
 
     std::shared_ptr<const DecodedModule> decoded_;
@@ -419,10 +394,9 @@ class Interpreter
     /// Same as hooks_ at the per-instruction call sites once armed;
     /// null before the arm point and after quiesceHooks().
     ExecHooks *hot_hooks_ = nullptr;
-    /// Cached hooks_->needsUnfusedDispatch() while armed: pins fusion
-    /// off (see recomputeFuseLimits) and gates the branch/memory filter
-    /// call sites. Cleared by quiesceHooks().
-    bool hooks_unfused_ = false;
+    /// Cached hooks_->filtersBranchesAndMemory() while armed: gates the
+    /// branch/memory filter call sites. Cleared by quiesceHooks().
+    bool hooks_filter_ = false;
     std::uint64_t max_instrs_ = 200'000'000;
     bool capture_globals_ = true;
 
@@ -467,13 +441,6 @@ class Interpreter
     /// every other code position with one pointer compare before it
     /// looks at the barrier or calls into the tryGoldenResync ladder.
     const DecodedInst *resync_pc_ = nullptr;
-    /// The fused head whose span covers the anchor's top-frame
-    /// instruction, or null; the de-fuse guard refuses only this head,
-    /// and only on passes resyncCouldFireInHead() allows.
-    const DecodedInst *resync_head_ = nullptr;
-    /// (register, anchor value) for every anchor-frame register the
-    /// head's components ahead of the anchor do not write.
-    std::vector<std::pair<ir::RegId, std::uint64_t>> resync_pins_;
     std::uint32_t resync_full_compares_ = 0;
 
     /// Message of the runtime error the dispatch loop is raising.
@@ -483,21 +450,6 @@ class Interpreter
     /// the detection-handling paths, so it costs nothing per
     /// instruction.
     bool trial_stop_ = false;
-
-    /// De-fuse guard threshold. A fused sequence runs between two loop
-    /// tops, so it may start only when no loop-top event (snapshot
-    /// barrier, resync check, instruction budget) could fire at an
-    /// interior boundary; otherwise the head runs unfused and the
-    /// sequence executes one source instruction per loop iteration,
-    /// hitting every boundary exactly as EngineKind::Decoded would.
-    /// fuse_value_limit_ is value_barrier_ minus the most values a
-    /// sequence's non-final components can produce; the dispatch loop
-    /// derives the budget's threshold from max_instrs_ each time it
-    /// re-reads the budget.
-    /// The resync watch needs only its anchor position as a boundary,
-    /// so it de-fuses resync_head_ alone instead of feeding these
-    /// limits.
-    std::uint64_t fuse_value_limit_ = 0;
 };
 
 } // namespace encore::interp

@@ -32,13 +32,12 @@ class ExecHooks
 
     /// Capability query, sampled once per run when the hooks arm (at
     /// the value index given to Interpreter::setHooks). Hooks that need
-    /// the per-instruction branch/memory filter points below must
-    /// return true: those points fire only in unfused dispatch, so
-    /// the interpreter pins superinstruction fusion off from the
-    /// arm point until quiesceHooks() or the end of the run. Before
-    /// the arm point the run stays fused.
+    /// the per-instruction branch/memory filter points below
+    /// (filterBranchTarget, filterMemoryOp) must return true; the
+    /// interpreter skips those call sites for every other hook, and
+    /// for every hook after quiesceHooks().
     virtual bool
-    needsUnfusedDispatch() const
+    filtersBranchesAndMemory() const
     {
         return false;
     }
@@ -70,10 +69,11 @@ class ExecHooks
         return false;
     }
 
-    /// Called on the unfused path after a branch/jump has computed its
-    /// taken target block and before control transfers (only when
-    /// needsUnfusedDispatch() is true). The hook may rewrite `target`
-    /// to redirect control — the control-flow fault-injection point.
+    /// Called after a branch/jump has computed its taken target block
+    /// and before control transfers (only when
+    /// filtersBranchesAndMemory() is true). The hook may rewrite
+    /// `target` to redirect control — the control-flow fault-injection
+    /// point.
     /// `num_blocks` is the current function's block count.
     virtual void
     filterBranchTarget(const ir::Instruction &inst, std::uint32_t &target,
@@ -85,13 +85,13 @@ class ExecHooks
         (void)dyn_index;
     }
 
-    /// Called on the unfused path after a load/store has evaluated and
-    /// validated its address, before the access (only when
-    /// needsUnfusedDispatch() is true). The hook may rewrite `offset`
-    /// (the interpreter re-validates it and surfaces an out-of-range
-    /// result as a runtime error — an address-bus fault) and returns an
-    /// XOR mask applied to the transferred data word (0 = clean) — the
-    /// memory-bus fault-injection point.
+    /// Called after a load/store has evaluated and validated its
+    /// address, before the access (only when
+    /// filtersBranchesAndMemory() is true). The hook may rewrite
+    /// `offset` (the interpreter re-validates it and surfaces an
+    /// out-of-range result as a runtime error — an address-bus fault)
+    /// and returns an XOR mask applied to the transferred data word
+    /// (0 = clean) — the memory-bus fault-injection point.
     virtual std::uint64_t
     filterMemoryOp(const ir::Instruction &inst, bool is_store,
                    ir::ObjectId object, std::uint32_t &offset,

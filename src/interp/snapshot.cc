@@ -39,11 +39,11 @@ snapshotOverheadBytes(const Snapshot &snap)
 constexpr std::uint64_t kQuietWindow = 1024;
 
 /// The hooks behind recordEntryAnchors. They run armed from the first
-/// loop top of a replay from `from` (or from program entry), which
-/// stays fused: before `region.enter` minting `anchor.token` they
-/// capture the anchor, then classify the first access to every
-/// anchor-frame register and memory word until the anchor frame
-/// returns or the quiet window passes, and stop the replay.
+/// loop top of a replay from `from` (or from program entry): before
+/// `region.enter` minting `anchor.token` they capture the anchor, then
+/// classify the first access to every anchor-frame register and memory
+/// word until the anchor frame returns or the quiet window passes, and
+/// stop the replay.
 class AnchorPass : public ExecHooks
 {
   public:

@@ -233,13 +233,13 @@ class SnapshotStore
     /// live at three or more kept snapshots, i.e. running across at
     /// least two whole strides: a shorter instance saves too little
     /// replay per recovered trial to pay for its recording replay.
-    /// Each is replayed, fused, from the latest snapshot before its
-    /// entry (from program entry when there is none) under recording
-    /// hooks: the state is captured at the loop top before the
-    /// instance's `region.enter`, and first accesses are classified
-    /// from there until the anchor frame returns, a quiet stretch finds
-    /// no new dead location, or the replay reaches the first snapshot
-    /// past the instance. `interp` must run the decoded module the
+    /// Each is replayed from the latest snapshot before its entry (from
+    /// program entry when there is none) under recording hooks: the
+    /// state is captured at the loop top before the instance's
+    /// `region.enter`, and first accesses are classified from there
+    /// until the anchor frame returns, a quiet stretch finds no new
+    /// dead location, or the replay reaches the first snapshot past the
+    /// instance. `interp` must run the decoded module the
     /// store was recorded from; the pass changes its hooks, instruction
     /// limit and globals capture.
     void recordEntryAnchors(Interpreter &interp, const std::string &entry,

@@ -139,10 +139,10 @@ TEST(CampaignCli, AdaptiveSamplingFlagsAreUnknown)
 {
     // Every campaign runs its fixed trial count; --sidecar alone
     // selects the planner. The snapshot budget, the trial store's
-    // flush policy, the engine (fused), the progress period (500 ms)
-    // and the run budget (4x the golden run) are fixed too. The
-    // removed flags are spelled in pieces so that a search for their
-    // names finds no live use.
+    // flush policy, the engine (there is one), the progress period
+    // (500 ms) and the run budget (4x the golden run) are fixed too.
+    // The removed flags are spelled in pieces so that a search for
+    // their names finds no live use.
     for (const char *flag :
          {"--" "adaptive", "--target" "-ci 0.01", "--no" "-planner",
           "--snapshot" "-budget-mb 64", "--flush" "-interval-ms 200",
@@ -193,16 +193,28 @@ TEST(CampaignCli, EmptyNumericFlagsAreRefusedByName)
     }
 }
 
-TEST(CampaignCli, OutOfRangeSeedIsRefusedByName)
+TEST(CampaignCli, OutOfRangeIntegerFlagsAreRefusedByName)
 {
     // Past INT64_MAX the seed was once clamped to it and the campaign
-    // ran.
-    const CommandResult result =
-        runTool("run --workload rawcaudio --trials 10 --jobs 1 --seed "
-                "18446744073709551615");
-    EXPECT_EQ(result.exit_code, 1) << result.output;
-    EXPECT_NE(result.output.find("'--seed'"), std::string::npos)
-        << result.output;
+    // ran. Past 256 workers --jobs was once taken as is, and every
+    // worker thread builds an interpreter: a campaign started one
+    // thread per trial.
+    const struct
+    {
+        const char *flags;
+        const char *name;
+    } cases[] = {
+        {"--jobs 1 --seed 18446744073709551615", "'--seed'"},
+        {"--jobs 100000", "'--jobs' expects an integer in [0, 256]"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.flags);
+        const CommandResult result = runTool(
+            std::string("run --workload rawcaudio --trials 10 ") + c.flags);
+        EXPECT_EQ(result.exit_code, 1) << result.output;
+        EXPECT_NE(result.output.find(c.name), std::string::npos)
+            << result.output;
+    }
 }
 
 TEST(CampaignCli, InvalidConfigRejectedAtEntry)

@@ -1,11 +1,10 @@
 /**
  * @file
- * Engine-identity gate: fig8's campaigns (two workloads, Dmax 1000,
- * 100 and 10) must give the same outcome tallies on the fused and the
- * decoded engine, sequentially and across a thread pool, with the
- * snapshot tier on and off. This is the campaign-level enforcement of
- * the fusion tier's contract — the unit differentials pin the
- * interpreter, this pins the whole campaign stack.
+ * Campaign-identity gate: fig8's campaigns (two workloads, Dmax 1000,
+ * 100 and 10) must give the same outcome tallies sequentially and
+ * across a thread pool, with the snapshot tier on and off. The unit
+ * differentials pin the interpreter against the reference engine; this
+ * pins the whole campaign stack.
  *
  * The same file checks that the bench binaries (fig8 via
  * ENCORE_FIG8_TOOL, table1, fig6, fig1 and ablation_heuristics) and
@@ -109,7 +108,7 @@ fig8Tallies(const fault::FaultInjector &injector, std::size_t position,
     return out.str();
 }
 
-TEST(EngineIdentity, Fig8ReportByteIdenticalAcrossEngines)
+TEST(Fig8Tallies, IdenticalAcrossJobsAndSnapshotTier)
 {
     std::size_t position = 0;
     for (const char *name : {"mpeg2dec", "rawdaudio"}) {
@@ -124,31 +123,28 @@ TEST(EngineIdentity, Fig8ReportByteIdenticalAcrossEngines)
         const EncoreReport report =
             pipeline.run({RunSpec{w->entry, w->train_args}});
 
-        const struct
-        {
-            std::size_t jobs;
-            bool snapshots;
-        } settings[] = {{1, true}, {4, true}, {1, false}};
-        for (const auto &setting : settings) {
-            SCOPED_TRACE("jobs " + std::to_string(setting.jobs) +
-                         (setting.snapshots ? ", snapshots on"
-                                            : ", snapshots off"));
-            std::string tallies[2];
-            const interp::EngineKind engines[] = {
-                interp::EngineKind::Fused, interp::EngineKind::Decoded};
-            for (int e = 0; e < 2; ++e) {
-                fault::FaultInjector injector(*module, report, engines[e]);
-                interp::SnapshotConfig snapshots;
-                snapshots.enabled = setting.snapshots;
-                injector.configureSnapshots(snapshots);
-                ASSERT_TRUE(injector.prepare(w->entry, w->train_args));
-                tallies[e] = fig8Tallies(injector, position, setting.jobs);
+        std::string want;
+        for (const bool snapshots : {true, false}) {
+            fault::FaultInjector injector(*module, report);
+            interp::SnapshotConfig tier;
+            tier.enabled = snapshots;
+            injector.configureSnapshots(tier);
+            ASSERT_TRUE(injector.prepare(w->entry, w->train_args));
+            for (const std::size_t jobs : {1u, 4u}) {
+                SCOPED_TRACE("jobs " + std::to_string(jobs) +
+                             (snapshots ? ", snapshots on"
+                                        : ", snapshots off"));
+                const std::string tallies =
+                    fig8Tallies(injector, position, jobs);
+                if (want.empty()) {
+                    // Sanity: the comparison is about real campaigns.
+                    ASSERT_NE(tallies.find("Dmax=10: trials 150"),
+                              std::string::npos)
+                        << tallies;
+                    want = tallies;
+                }
+                EXPECT_EQ(tallies, want);
             }
-            // Sanity: the comparison is about real campaigns.
-            ASSERT_NE(tallies[0].find("Dmax=10: trials 150"),
-                      std::string::npos)
-                << tallies[0];
-            EXPECT_EQ(tallies[0], tallies[1]);
         }
         ++position;
     }
@@ -161,7 +157,7 @@ TEST(BenchFlags, Fig8RejectsBadFlags)
         const char *args;
         const char *message;
     } cases[] = {
-        // Removed: every campaign runs on the fused engine.
+        // Removed: there is one engine.
         {" --eng" "ine decoded", "unknown flag '--eng" "ine'"},
         {" --dmax abc,100,10", "--dmax expects comma-separated positive "
                                "integers, got 'abc'"},
@@ -169,6 +165,10 @@ TEST(BenchFlags, Fig8RejectsBadFlags)
                        "integers, got '-5'"},
         {" --jobs -2", "flag '--jobs' expects a non-negative integer, "
                        "got '-2'"},
+        // Each worker thread builds an interpreter, and a campaign once
+        // started one per trial, up to --jobs.
+        {" --jobs 1000000000000", "flag '--jobs' expects an integer in "
+                                  "[0, 256], got '1000000000000'"},
         {" --workloads rawdaudio,nosuch",
          "unknown workload 'nosuch'; available workloads:"},
         // Removed: the snapshot budget is SnapshotConfig's fixed 64 MiB.

@@ -23,10 +23,8 @@ namespace encore::interp {
 namespace {
 
 /// Runs `main` with `args` through the tree-walking reference engine
-/// and through the flat engine at both tiers, and requires the three
-/// RunResults to agree bit for bit — status, counters, and memory.
-/// This is the per-program enforcement of the fusion tier's contract
-/// (outcomes are engine-independent by construction).
+/// and through the decoded engine, and requires the two RunResults to
+/// agree bit for bit — status, counters, and memory.
 void
 expectEnginesAgree(const std::string &text,
                    const std::vector<std::uint64_t> &args)
@@ -34,21 +32,15 @@ expectEnginesAgree(const std::string &text,
     auto module = ir::parseModule(text);
     ReferenceInterpreter ref(*module);
     const RunResult want = ref.run("main", args);
-
-    for (const EngineKind engine :
-         {EngineKind::Decoded, EngineKind::Fused}) {
-        SCOPED_TRACE(engineKindName(engine));
-        Interpreter interp(*module, engine);
-        const RunResult got = interp.run("main", args);
-        EXPECT_EQ(static_cast<int>(want.status),
-                  static_cast<int>(got.status));
-        EXPECT_EQ(want.error, got.error);
-        EXPECT_EQ(want.return_value, got.return_value);
-        EXPECT_EQ(want.dyn_instrs, got.dyn_instrs);
-        EXPECT_EQ(want.value_instrs, got.value_instrs);
-        EXPECT_EQ(want.overhead_instrs, got.overhead_instrs);
-        EXPECT_EQ(want.globals, got.globals);
-    }
+    Interpreter interp(*module);
+    const RunResult got = interp.run("main", args);
+    EXPECT_EQ(static_cast<int>(want.status), static_cast<int>(got.status));
+    EXPECT_EQ(want.error, got.error);
+    EXPECT_EQ(want.return_value, got.return_value);
+    EXPECT_EQ(want.dyn_instrs, got.dyn_instrs);
+    EXPECT_EQ(want.value_instrs, got.value_instrs);
+    EXPECT_EQ(want.overhead_instrs, got.overhead_instrs);
+    EXPECT_EQ(want.globals, got.globals);
 }
 
 struct OpCase
@@ -113,12 +105,11 @@ INSTANTIATE_TEST_SUITE_P(
         OpCase{"cmpge", static_cast<std::uint64_t>(-3),
                static_cast<std::uint64_t>(-2), 0}));
 
-TEST_P(BinaryOp, EnginesAgreeInsideFusedLoop)
+TEST_P(BinaryOp, EnginesAgreeInsideLoop)
 {
-    // The same op matrix, but placed where the fusion pass actually
-    // bites: the loop header fuses to cmp+br, the body (op + two adds)
-    // to a value run. Every engine must report the identical sum,
-    // counters included.
+    // The same op matrix inside a loop: a compare+branch header and a
+    // body of the op and two adds. Both engines must report the
+    // identical sum, counters included.
     const OpCase &c = GetParam();
     const std::string text = std::string("module \"m\"\n"
                                          "func @main(2) {\n"
@@ -142,19 +133,16 @@ TEST_P(BinaryOp, EnginesAgreeInsideFusedLoop)
     expectEnginesAgree(text, {c.a, c.b});
 }
 
-// Programs small enough to hand-check which heads fuse, each compared
-// three ways (reference / decoded / fused). Together they run both
-// fused forms over every component class: value, lea, load and
-// store components in Run heads, and compare+branch back edges with
-// and without a run ahead of the compare in RunCmpBr heads.
+// Small programs compared with the reference engine: straight-line
+// runs of value, lea, load and store instructions, compare+branch back
+// edges, and a trap in the middle of a run.
 
 TEST(EngineDifferential, MemoryRunLoopMatchesReference)
 {
-    // The loop body is one long runnable sequence mixing loads, value
+    // The loop body is one long straight-line run mixing loads, value
     // ops, stores, and a lea-fed pointer load, ending in the and/cmp
-    // that feeds the back-edge branch — a RunCmpBr head plus interior
-    // Run chunks, exercising fused memory ops on both the object- and
-    // pointer-addressed paths.
+    // that feeds the back-edge branch: memory ops on both the object-
+    // and pointer-addressed paths.
     expectEnginesAgree(R"(
 module "m"
 global @A 32
@@ -186,11 +174,10 @@ func @main(1) {
                        {41});
 }
 
-TEST(EngineDifferential, LongValueChainChunksMatchReference)
+TEST(EngineDifferential, LongValueChainMatchesReference)
 {
-    // Twelve dependent value ops in one block: longer than any single
-    // fused sequence (kMaxFuseLen), so the pass must chunk the run and
-    // the chunks must compose to the same answer and the same counters.
+    // Twelve dependent value ops in one block must compose to the same
+    // answer and the same counters.
     expectEnginesAgree(R"(
 module "m"
 func @main(1) {
@@ -213,12 +200,12 @@ func @main(1) {
                        {19});
 }
 
-TEST(EngineDifferential, ErrorInsideFusedRunMatchesReference)
+TEST(EngineDifferential, ErrorInsideValueRunMatchesReference)
 {
-    // The div-by-zero trap fires in the *interior* of a fusable value
-    // run. The fused sequence must surface the identical error with the
-    // identical counters — instructions after the trapping component
-    // must not have executed or been counted.
+    // The div-by-zero trap fires in the *interior* of a value run. The
+    // engine must surface the identical error with the identical
+    // counters — instructions after the trapping one must not have
+    // executed or been counted.
     expectEnginesAgree(R"(
 module "m"
 global @A 8
@@ -345,13 +332,9 @@ func @main(1) {
               static_cast<std::uint64_t>(-42));
 }
 
-// The loop body below is one long fusable run (11 runnable
-// instructions feeding the back-edge branch), so with a small snapshot
-// stride nearly every barrier falls in the *interior* of a fused
-// sequence. The de-fuse guard must notice and step those heads one
-// source instruction at a time — a fused head that ran through the
-// barrier would capture late (value_count past the barrier) and the
-// exactness assertions below would fail.
+// The loop body below is one long straight-line run (11 instructions
+// feeding the back-edge branch), so with a small snapshot stride
+// nearly every barrier falls in its interior.
 constexpr const char *kSnapshotLoopText = R"(
 module "m"
 global @A 32
@@ -385,11 +368,10 @@ struct Recorded
 };
 
 Recorded
-recordSnapshots(const ir::Module &module, EngineKind engine,
-                std::uint64_t stride)
+recordSnapshots(const ir::Module &module, std::uint64_t stride)
 {
     Recorded rec;
-    rec.cache = std::make_shared<const DecodedModule>(module, engine);
+    rec.cache = std::make_shared<const DecodedModule>(module);
     SnapshotConfig config;
     config.stride = stride;
     rec.store = std::make_unique<SnapshotStore>(config);
@@ -400,41 +382,6 @@ recordSnapshots(const ir::Module &module, EngineKind engine,
     interp.setSnapshotRecorder(nullptr);
     interp.memoryRef().disableDirtyTracking();
     return rec;
-}
-
-TEST(FusionSnapshots, FusedSequenceNeverCrossesBarrier)
-{
-    auto module = ir::parseModule(kSnapshotLoopText);
-    constexpr std::uint64_t kStride = 16;
-    const Recorded fused =
-        recordSnapshots(*module, EngineKind::Fused, kStride);
-    const Recorded decoded =
-        recordSnapshots(*module, EngineKind::Decoded, kStride);
-
-    // Recording must not perturb the run, and the two engines must
-    // agree on the run itself.
-    ASSERT_TRUE(fused.result.ok()) << fused.result.error;
-    EXPECT_EQ(fused.result.return_value, decoded.result.return_value);
-    EXPECT_EQ(fused.result.dyn_instrs, decoded.result.dyn_instrs);
-    EXPECT_EQ(fused.result.value_instrs, decoded.result.value_instrs);
-    EXPECT_EQ(fused.result.globals, decoded.result.globals);
-
-    // Both engines keep the same snapshots, and every capture lands
-    // exactly on its barrier — the proof that no fused head executed
-    // across a loop-top boundary.
-    ASSERT_EQ(fused.store->size(), decoded.store->size());
-    ASSERT_GT(fused.store->size(), 5u);
-    for (std::size_t i = 1; i <= fused.store->size(); ++i) {
-        const std::uint64_t barrier = i * kStride;
-        const Snapshot *f = fused.store->findAtOrBefore(barrier);
-        const Snapshot *d = decoded.store->findAtOrBefore(barrier);
-        ASSERT_NE(f, nullptr) << "barrier " << barrier;
-        ASSERT_NE(d, nullptr) << "barrier " << barrier;
-        EXPECT_EQ(f->exec.value_count, barrier);
-        EXPECT_EQ(d->exec.value_count, barrier);
-        EXPECT_EQ(f->exec.dyn_count, d->exec.dyn_count)
-            << "barrier " << barrier;
-    }
 }
 
 // Every activation of @walk opens a checkpointed region instance (a
@@ -491,18 +438,18 @@ func @main(1) {
 }
 )";
 
-TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
+TEST(InterpSnapshots, ResumeFromEverySnapshotReproducesTheRun)
 {
-    // A restored cursor can point at the interior of what the fused
-    // engine considers one sequence; resuming must execute the
-    // remaining components unfused and still land on the full run's
-    // exact outcome and counters. The recursive program's snapshots
-    // also hold the records the live state keeps for recursion and
-    // recovery, and a restore must rebuild exactly the image its
-    // snapshot holds — with dirty tracking on (the trial path's delta
-    // restore) and off (a full rebuild, compared word by word).
+    // Every capture lands exactly on its barrier, and resuming from
+    // any snapshot — its cursor usually in the interior of a
+    // straight-line run — lands on the full run's exact outcome and
+    // counters. The recursive program's snapshots also hold the
+    // records the live state keeps for recursion and recovery, and a
+    // restore must rebuild exactly the image its snapshot holds — with
+    // dirty tracking on (the trial path's delta restore) and off (a
+    // full rebuild, compared word by word).
     for (const bool recursive : {false, true}) {
-        SCOPED_TRACE(recursive ? "recursive regions" : "fused loop");
+        SCOPED_TRACE(recursive ? "recursive regions" : "memory loop");
         auto module = ir::parseModule(recursive ? kRecursiveRegionText
                                                 : kSnapshotLoopText);
         if (recursive) {
@@ -512,11 +459,15 @@ TEST(FusionSnapshots, ResumeFromEverySnapshotReproducesTheRun)
                 walk->blockByName("__recover.0"));
         }
         constexpr std::uint64_t kStride = 16;
-        const Recorded rec =
-            recordSnapshots(*module, EngineKind::Fused, kStride);
+        const Recorded rec = recordSnapshots(*module, kStride);
         ASSERT_TRUE(rec.result.ok()) << rec.result.error;
         ASSERT_GT(rec.store->size(), 5u);
         const PagePool &pool = rec.store->pool();
+        for (std::size_t i = 1; i <= rec.store->size(); ++i) {
+            const Snapshot *snap = rec.store->findAtOrBefore(i * kStride);
+            ASSERT_NE(snap, nullptr) << "barrier " << i * kStride;
+            EXPECT_EQ(snap->exec.value_count, i * kStride);
+        }
 
         // Snapshots cut inside a recursive activation whose shadowed
         // local is live, under an open region instance with undo
@@ -593,12 +544,12 @@ struct HookCall
 class RecordingHooks : public ExecHooks
 {
   public:
-    RecordingHooks(const Interpreter &interp, bool unfused)
-        : interp_(interp), unfused_(unfused)
+    RecordingHooks(const Interpreter &interp, bool filters)
+        : interp_(interp), filters_(filters)
     {
     }
 
-    bool needsUnfusedDispatch() const override { return unfused_; }
+    bool filtersBranchesAndMemory() const override { return filters_; }
 
     std::uint64_t
     filterResult(const ir::Instruction &inst, std::uint64_t dyn_index,
@@ -671,7 +622,7 @@ class RecordingHooks : public ExecHooks
     }
 
     const Interpreter &interp_;
-    bool unfused_;
+    bool filters_;
 };
 
 /// The callbacks of a run armed at value index 0 that a run armed at
@@ -686,27 +637,15 @@ callsFromValue(const std::vector<HookCall> &all, std::uint64_t k)
     return {it, all.end()};
 }
 
-/// The instruction that produced value index `k` in a full log.
-const ir::Instruction *
-valueInst(const std::vector<HookCall> &all, std::uint64_t k)
+/// `all` without the branch and memory-op filter calls.
+std::vector<HookCall>
+withoutFilters(const std::vector<HookCall> &all)
 {
+    std::vector<HookCall> out;
     for (const HookCall &call : all)
-        if (call.kind == 'f' && k-- == 0)
-            return call.inst;
-    return nullptr;
-}
-
-/// Index of the fused head whose span holds `src`, or -1.
-int
-fusedHeadOf(const DecodedFunction &func, const ir::Instruction *src)
-{
-    for (std::size_t h = 0; h < func.code.size(); ++h) {
-        const std::size_t len = func.code[h].fused_len;
-        for (std::size_t i = h; len > 1 && i < h + len; ++i)
-            if (func.code[i].src == src)
-                return static_cast<int>(h);
-    }
-    return -1;
+        if (call.kind != 'b' && call.kind != 'o')
+            out.push_back(call);
+    return out;
 }
 
 /// Requires `got` to be exactly the from-start log cut at value `k`.
@@ -723,28 +662,27 @@ expectCallsFromValue(const std::vector<HookCall> &got,
             << want[i].dyn_index;
 }
 
-TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
+TEST(InterpHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
 {
     // Hooks armed at value index K must be invisible before the first
     // loop top whose value count is K and see exactly what hooks armed
-    // from the start see from there on — whether K falls inside what
-    // the fused engine runs as one sequence, on a snapshot barrier
-    // (the same loop-top compare handles both events), at 0, or past
-    // the end of the program. Covered with and without the unfused-
-    // dispatch pin, which must switch on at K too. Block entries are
-    // part of every compared log.
+    // from the start see from there on — whether K falls in the middle
+    // of a block, on a snapshot barrier (the same loop-top compare
+    // handles both events), at 0, or past the end of the program.
+    // Covered with and without the branch/memory filter points, which
+    // must switch on at K too. Block entries are part of every
+    // compared log.
     auto module = ir::parseModule(kSnapshotLoopText);
     constexpr std::uint64_t kStride = 16;
-    const Recorded rec =
-        recordSnapshots(*module, EngineKind::Fused, kStride);
+    const Recorded rec = recordSnapshots(*module, kStride);
     ASSERT_TRUE(rec.result.ok()) << rec.result.error;
     const Snapshot *snap = rec.store->findAtOrBefore(3 * kStride);
     ASSERT_NE(snap, nullptr);
     const std::uint64_t k_snapshot = snap->exec.value_count;
     ASSERT_EQ(k_snapshot, 3 * kStride);
     // Entry produces one value and each iteration eight; the second
-    // value of iteration 2 is the load inside the body's first fused
-    // run, so value count 19 is reached mid-sequence.
+    // value of iteration 2 is the load in the middle of the body, so
+    // value count 19 is reached mid-block.
     constexpr std::uint64_t kInside = 1 + 2 * 8 + 2;
     const std::uint64_t k_past_end = rec.result.value_instrs + 10;
     const auto has_block_entry = [](const std::vector<HookCall> &calls) {
@@ -752,11 +690,11 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
                            [](const HookCall &c) { return c.kind == 'e'; });
     };
 
-    std::vector<HookCall> fusable_log;
-    for (const bool unfused : {false, true}) {
-        SCOPED_TRACE(unfused ? "unfused hooks" : "fusable hooks");
+    std::vector<HookCall> plain_log;
+    for (const bool filters : {false, true}) {
+        SCOPED_TRACE(filters ? "filter hooks" : "plain hooks");
         Interpreter interp(rec.cache);
-        RecordingHooks from_start(interp, unfused);
+        RecordingHooks from_start(interp, filters);
         interp.setHooks(&from_start, 0);
         const RunResult full = interp.run("main", {41});
         ASSERT_TRUE(full.ok()) << full.error;
@@ -765,30 +703,15 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         // entry block, ahead of the first loop top.
         ASSERT_FALSE(all.empty());
         EXPECT_EQ(all.front().kind, 'e');
-        if (!unfused) {
-            fusable_log = all;
-        } else {
-            // Fused or not, the handlers make the same hook calls,
-            // block entries included, bar the filter points that only
-            // unfused dispatch has.
-            std::vector<HookCall> without_filters;
-            for (const HookCall &call : all)
-                if (call.kind != 'b' && call.kind != 'o')
-                    without_filters.push_back(call);
-            EXPECT_TRUE(fusable_log == without_filters);
-        }
-
-        const DecodedFunction &main_fn =
-            *rec.cache->functionByName("main");
-        const int head = fusedHeadOf(main_fn, valueInst(all, kInside));
-        ASSERT_NE(head, -1);
-        EXPECT_EQ(fusedHeadOf(main_fn, valueInst(all, kInside - 1)),
-                  head);
+        if (!filters)
+            plain_log = all;
+        else
+            EXPECT_TRUE(plain_log == withoutFilters(all));
 
         for (const std::uint64_t k :
              {kInside, k_snapshot, std::uint64_t{0}, k_past_end}) {
             SCOPED_TRACE("armed at " + std::to_string(k));
-            RecordingHooks armed(interp, unfused);
+            RecordingHooks armed(interp, filters);
             interp.setHooks(&armed, k);
             const RunResult run = interp.run("main", {41});
             EXPECT_EQ(run.return_value, full.return_value);
@@ -801,7 +724,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
 
         // A run resumed from the snapshot and armed at its value count
         // sees the same suffix.
-        RecordingHooks resumed(interp, unfused);
+        RecordingHooks resumed(interp, filters);
         interp.setHooks(&resumed, k_snapshot);
         const RunResult from_snap =
             interp.resumeRun(*snap, rec.store->pool());
@@ -814,7 +737,7 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
         SnapshotConfig config;
         config.stride = kStride;
         SnapshotStore store(config);
-        RecordingHooks recording(interp, unfused);
+        RecordingHooks recording(interp, filters);
         interp.memoryRef().enableDirtyTracking();
         interp.setSnapshotRecorder(&store);
         interp.setHooks(&recording, k_snapshot);
@@ -835,51 +758,62 @@ TEST(FusionHooks, ArmedHooksSeeExactlyTheCallbacksFromTheirArmPoint)
     }
 }
 
-TEST(FusionHooks, HooksSeeTheSameStateOnBothEngines)
+TEST(InterpHooks, HooksReadBackTheStateThroughRecursion)
 {
-    // Through calls, returns, region entries and recursion, a hook must
-    // read back the same counters, depth, region token and cursor at
-    // every callback whether the code runs fused or not: the fused
-    // engine with fusable hooks, the decoded engine, and unfused hooks
-    // (which also see the filter points) on either engine.
+    // Through calls, returns, region entries and recursion, a hook
+    // reads back the live depth, region token and cursor at every
+    // callback: the recursion reaches depth 6 and region token 5, and
+    // each callback for an instruction sees the cursor on that
+    // instruction. A hook that asks for the branch/memory filter
+    // points sees the same log plus those calls.
     auto module = ir::parseModule(kRecursiveRegionText);
-    std::vector<HookCall> want;
-    for (const EngineKind engine :
-         {EngineKind::Decoded, EngineKind::Fused}) {
-        for (const bool unfused : {false, true}) {
-            SCOPED_TRACE(std::string(engineKindName(engine)) +
-                         (unfused ? ", unfused hooks" : ", fusable hooks"));
-            Interpreter interp(*module, engine);
-            RecordingHooks hooks(interp, unfused);
-            interp.setHooks(&hooks);
-            const RunResult run = interp.run("main", {4});
-            ASSERT_TRUE(run.ok()) << run.error;
-            std::vector<HookCall> got;
-            for (const HookCall &call : hooks.calls)
-                if (call.kind != 'b' && call.kind != 'o')
-                    got.push_back(call);
-            if (want.empty()) {
-                want = got;
-                // The log spans the recursion and its region instances.
-                const auto deepest = std::max_element(
-                    want.begin(), want.end(),
-                    [](const HookCall &a, const HookCall &b) {
-                        return a.depth < b.depth;
-                    });
-                EXPECT_EQ(deepest->depth, 6u);
-                const auto newest = std::max_element(
-                    want.begin(), want.end(),
-                    [](const HookCall &a, const HookCall &b) {
-                        return a.region_token < b.region_token;
-                    });
-                EXPECT_EQ(newest->region_token, 5u);
-                continue;
-            }
-            ASSERT_EQ(got.size(), want.size());
+    const auto cache = std::make_shared<const DecodedModule>(*module);
+    std::vector<HookCall> plain;
+    for (const bool filters : {false, true}) {
+        SCOPED_TRACE(filters ? "filter hooks" : "plain hooks");
+        Interpreter interp(cache);
+        RecordingHooks hooks(interp, filters);
+        interp.setHooks(&hooks);
+        const RunResult run = interp.run("main", {4});
+        ASSERT_TRUE(run.ok()) << run.error;
+        if (filters) {
+            const std::vector<HookCall> got = withoutFilters(hooks.calls);
+            EXPECT_GT(hooks.calls.size(), got.size());
+            ASSERT_EQ(got.size(), plain.size());
             for (std::size_t i = 0; i < got.size(); ++i)
-                ASSERT_TRUE(got[i] == want[i])
+                ASSERT_TRUE(got[i] == plain[i])
                     << "callback " << i << " (" << got[i].kind << "@"
                     << got[i].dyn_index << ")";
+            continue;
+        }
+        plain = hooks.calls;
+        const auto deepest = std::max_element(
+            plain.begin(), plain.end(),
+            [](const HookCall &a, const HookCall &b) {
+                return a.depth < b.depth;
+            });
+        EXPECT_EQ(deepest->depth, 6u);
+        const auto newest = std::max_element(
+            plain.begin(), plain.end(),
+            [](const HookCall &a, const HookCall &b) {
+                return a.region_token < b.region_token;
+            });
+        EXPECT_EQ(newest->region_token, 5u);
+        for (const HookCall &call : plain) {
+            if (!call.inst)
+                continue;
+            bool on_inst = false;
+            for (std::uint32_t f = 0; f < cache->numFunctions(); ++f) {
+                const DecodedFunction &func = cache->function(f);
+                on_inst = on_inst || (call.ip < func.code.size() &&
+                                      func.code[call.ip].src == call.inst);
+            }
+            EXPECT_TRUE(on_inst) << call.kind << "@" << call.dyn_index;
+            // A poll comes before its instruction is counted, every
+            // other callback after.
+            EXPECT_EQ(call.dyn_count,
+                      call.dyn_index + (call.kind == 'd' ? 0 : 1))
+                << call.kind << "@" << call.dyn_index;
         }
     }
 }
@@ -945,22 +879,19 @@ class BudgetCut : public ExecHooks
     std::size_t n_;
 };
 
-TEST(FusionHooks, LoweredBudgetEndsTheRunAtTheNextLoopTop)
+TEST(InterpHooks, LoweredBudgetEndsTheRunAtTheNextLoopTop)
 {
     // setMaxInstructions promises that a hook lowering the budget from
     // any callback ends the run at the next loop top. The instruction
     // in flight finishes (the polled one runs, so a cut at a detection
     // poll ends one instruction later) and the run stops with
-    // InstructionLimit, on both engines at the same instruction — a
-    // fused sequence in flight is abandoned at its next component. The
-    // hooks are fusable, so the fused engine runs its sequences with
-    // every callback live.
+    // InstructionLimit.
     auto module = ir::parseModule(kSnapshotLoopText);
     for (const char kind : {'d', 'f', 'm', 'e'}) {
         SCOPED_TRACE(std::string("cut at callback kind ") + kind);
         std::size_t count = 0;
         {
-            Interpreter interp(*module, EngineKind::Decoded);
+            Interpreter interp(*module);
             BudgetCut never(interp, kind, ~std::size_t{0});
             interp.setHooks(&never);
             ASSERT_TRUE(interp.run("main", {41}).ok());
@@ -970,23 +901,16 @@ TEST(FusionHooks, LoweredBudgetEndsTheRunAtTheNextLoopTop)
         // The last poll is the final `ret`'s, which returns first.
         const std::size_t cuts = kind == 'd' ? count - 1 : count;
         for (std::size_t n = 0; n < cuts; ++n) {
-            std::uint64_t ends[2] = {0, 0};
-            for (const EngineKind engine :
-                 {EngineKind::Decoded, EngineKind::Fused}) {
-                Interpreter interp(*module, engine);
-                BudgetCut hooks(interp, kind, n);
-                interp.setHooks(&hooks);
-                const RunResult run = interp.run("main", {41});
-                ASSERT_TRUE(hooks.cut);
-                ASSERT_EQ(run.status, RunResult::Status::InstructionLimit)
-                    << engineKindName(engine) << ", cut " << n;
-                EXPECT_EQ(run.error, "instruction limit exceeded");
-                EXPECT_EQ(run.dyn_instrs,
-                          hooks.cut_dyn + (kind == 'd' ? 1 : 0))
-                    << engineKindName(engine) << ", cut " << n;
-                ends[engine == EngineKind::Fused] = run.dyn_instrs;
-            }
-            EXPECT_EQ(ends[0], ends[1]) << "cut " << n;
+            Interpreter interp(*module);
+            BudgetCut hooks(interp, kind, n);
+            interp.setHooks(&hooks);
+            const RunResult run = interp.run("main", {41});
+            ASSERT_TRUE(hooks.cut);
+            ASSERT_EQ(run.status, RunResult::Status::InstructionLimit)
+                << "cut " << n;
+            EXPECT_EQ(run.error, "instruction limit exceeded");
+            EXPECT_EQ(run.dyn_instrs, hooks.cut_dyn + (kind == 'd' ? 1 : 0))
+                << "cut " << n;
         }
     }
 }
@@ -1022,14 +946,14 @@ class ErrorWatch : public ExecHooks
     const Interpreter &interp_;
 };
 
-TEST(FusionHooks, RuntimeErrorHookSeesTheTrappingInstruction)
+TEST(InterpHooks, RuntimeErrorHookSeesTheTrappingInstruction)
 {
-    // The division traps on the sixth pass, as the third component of
-    // the loop's fused sequence. Whether the hooks are hot from the
-    // start or armed past the end (onRuntimeError is live either way,
-    // and the run stays hook-free and fused), on both engines the hook
-    // must see the trapping division: its dynamic index, the counts
-    // with it counted but its value not, and the cursor on it.
+    // The division traps on the sixth pass, as the third instruction
+    // of the loop body. Whether the hooks are hot from the start or
+    // armed past the end (onRuntimeError is live either way, and the
+    // run stays hook-free), the hook must see the trapping division:
+    // its dynamic index, the counts with it counted but its value not,
+    // and the cursor on it.
     auto module = ir::parseModule(R"(
 module "m"
 global @A 8
@@ -1053,25 +977,20 @@ func @main(1) {
     // pass's add and sub: the division is instruction 39, after 28
     // values; it sits at index 4 of the code, in block 1.
     const HookCall want{'r', nullptr, 39, 0, 28, 1, 0, 40, 1, 4};
-    for (const EngineKind engine :
-         {EngineKind::Decoded, EngineKind::Fused}) {
-        for (const std::uint64_t arm :
-             {std::uint64_t{0}, ~std::uint64_t{0}}) {
-            SCOPED_TRACE(std::string(engineKindName(engine)) +
-                         (arm ? ", hooks never hot" : ", hooks hot"));
-            Interpreter interp(*module, engine);
-            ErrorWatch watch(interp);
-            interp.setHooks(&watch, arm);
-            const RunResult run = interp.run("main", {5});
-            EXPECT_EQ(run.status, RunResult::Status::Error);
-            EXPECT_EQ(run.error, "division by zero");
-            EXPECT_EQ(run.dyn_instrs, 40u);
-            EXPECT_EQ(run.value_instrs, 28u);
-            EXPECT_TRUE(watch.seen == want)
-                << "index " << watch.seen.dyn_index << ", values "
-                << watch.seen.value_count << ", dyn "
-                << watch.seen.dyn_count << ", ip " << watch.seen.ip;
-        }
+    for (const std::uint64_t arm : {std::uint64_t{0}, ~std::uint64_t{0}}) {
+        SCOPED_TRACE(arm ? "hooks never hot" : "hooks hot");
+        Interpreter interp(*module);
+        ErrorWatch watch(interp);
+        interp.setHooks(&watch, arm);
+        const RunResult run = interp.run("main", {5});
+        EXPECT_EQ(run.status, RunResult::Status::Error);
+        EXPECT_EQ(run.error, "division by zero");
+        EXPECT_EQ(run.dyn_instrs, 40u);
+        EXPECT_EQ(run.value_instrs, 28u);
+        EXPECT_TRUE(watch.seen == want)
+            << "index " << watch.seen.dyn_index << ", values "
+            << watch.seen.value_count << ", dyn " << watch.seen.dyn_count
+            << ", ip " << watch.seen.ip;
     }
 }
 

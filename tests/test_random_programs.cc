@@ -290,85 +290,32 @@ expectSameRun(const interp::RunResult &ref, const interp::RunResult &dec)
 
 TEST_P(RandomProgram, FlatEnginesMatchReferenceEngine)
 {
-    // Plain module: both tiers of the flat-bytecode engine — decoded
-    // (one dispatch per source instruction) and fused
-    // (superinstruction dispatch) — must reproduce the tree-walking
-    // reference engine's RunResult exactly.
-    for (const interp::EngineKind engine :
-         {interp::EngineKind::Decoded, interp::EngineKind::Fused}) {
-        SCOPED_TRACE(interp::engineKindName(engine));
+    // Plain module: the flat-bytecode engine must reproduce the
+    // tree-walking reference engine's RunResult exactly.
+    {
         Generator gen(GetParam());
         auto module = gen.generate();
         interp::ReferenceInterpreter ref(*module);
         ref.setMaxInstructions(2'000'000);
-        interp::Interpreter flat(*module, engine);
+        interp::Interpreter flat(*module);
         flat.setMaxInstructions(2'000'000);
         expectSameRun(ref.run("main", {GetParam() % 97}),
                       flat.run("main", {GetParam() % 97}));
     }
 
     // Instrumented module: the recovery pseudo-ops (region.enter,
-    // ckpt.*, restore) must decode and count identically too, and the
-    // fusion pass must keep its hands off sequences broken up by them.
-    for (const interp::EngineKind engine :
-         {interp::EngineKind::Decoded, interp::EngineKind::Fused}) {
-        SCOPED_TRACE(interp::engineKindName(engine));
-        Generator gen(GetParam());
-        auto module = gen.generate();
-        EncoreConfig config;
-        EncorePipeline pipeline(*module, config);
-        pipeline.run({RunSpec{"main", {7}}});
-
-        interp::ReferenceInterpreter ref(*module);
-        ref.setMaxInstructions(2'000'000);
-        interp::Interpreter flat(*module, engine);
-        flat.setMaxInstructions(2'000'000);
-        expectSameRun(ref.run("main", {7}), flat.run("main", {7}));
-    }
-}
-
-TEST_P(RandomProgram, CampaignBitIdenticalAcrossEngines)
-{
-    // Whole fault-injection campaigns must be engine-independent:
-    // identical outcome tables on the fused and the decoded engine,
-    // sequentially and across a thread pool.
+    // ckpt.*, restore) must decode and count identically too.
     Generator gen(GetParam());
     auto module = gen.generate();
     EncoreConfig config;
     EncorePipeline pipeline(*module, config);
-    const EncoreReport report = pipeline.run({RunSpec{"main", {7}}});
+    pipeline.run({RunSpec{"main", {7}}});
 
-    fault::FaultInjector fused(*module, report,
-                               interp::EngineKind::Fused);
-    ASSERT_TRUE(fused.prepare("main", {7}));
-    fault::FaultInjector decoded(*module, report,
-                                 interp::EngineKind::Decoded);
-    ASSERT_TRUE(decoded.prepare("main", {7}));
-
-    // The golden runs themselves must agree before any trial runs.
-    EXPECT_EQ(fused.golden().return_value,
-              decoded.golden().return_value);
-    EXPECT_EQ(fused.golden().dyn_instrs, decoded.golden().dyn_instrs);
-    EXPECT_EQ(fused.golden().value_instrs,
-              decoded.golden().value_instrs);
-
-    fault::CampaignConfig campaign;
-    campaign.trials = 30;
-    campaign.seed = GetParam() * 13 + 11;
-    campaign.trial.dmax = 60;
-    for (const std::size_t jobs : {1u, 4u}) {
-        campaign.jobs = jobs;
-        const auto a = fused.runCampaign(campaign);
-        const auto b = decoded.runCampaign(campaign);
-        ASSERT_EQ(a.trials, b.trials);
-        for (int i = 0;
-             i < static_cast<int>(fault::FaultOutcome::NumOutcomes);
-             ++i) {
-            EXPECT_EQ(a.counts[i], b.counts[i])
-                << "jobs " << jobs << ", outcome bucket " << i
-                << " diverged between engines";
-        }
-    }
+    interp::ReferenceInterpreter ref(*module);
+    ref.setMaxInstructions(2'000'000);
+    interp::Interpreter flat(*module);
+    flat.setMaxInstructions(2'000'000);
+    expectSameRun(ref.run("main", {7}), flat.run("main", {7}));
 }
 
 TEST_P(RandomProgram, CampaignBitIdenticalAcrossJobCounts)

@@ -144,6 +144,14 @@ TEST(SnapshotDifferential, AllWorkloadsBitIdenticalOnAndOff)
             EXPECT_LE(stats.entry_resyncs, stats.resyncs);
             entry_resyncs += stats.entry_resyncs;
         }
+        // The programs whose long region instances the entry anchors
+        // exist for must converge at a region entry.
+        for (const char *name : {"mpeg2dec", "rawcaudio", "rawdaudio",
+                                 "g721encode", "g721decode"}) {
+            if (w.name == name) {
+                EXPECT_GT(on.snapshotStats().entry_resyncs, 0u);
+            }
+        }
     }
 
     // The differential only bites if the tier actually ran: most of
@@ -222,83 +230,6 @@ TEST(SnapshotDifferential, CfBranchModelBitIdenticalOnAndOff)
             }
         }
     }
-}
-
-TEST(SnapshotDifferential, ResyncIsEngineIdentical)
-{
-    // Golden resync fires only where the live cursor sits on the
-    // anchor's instruction at a loop top. The decoded engine stops at
-    // every instruction, so its resync count is the ground truth; a
-    // fused sequence that ran across the anchor would silently drop
-    // resyncs — the trial then runs to its end instead — without
-    // changing a single outcome. Comparing the counts is what catches
-    // that. Each trial's result, replay cost included, must match too.
-    struct Scenario
-    {
-        const char *model;
-        const char *detector;
-        std::vector<std::string> workloads; ///< empty = whole suite
-    };
-    const std::vector<Scenario> scenarios = {
-        {"reg-bit", "analytic", {}},
-        {"reg-bit", "replay", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
-        {"cf-branch", "analytic", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
-        {"mem-bus", "analytic", {"rawcaudio", "pegwitdec", "mpeg2dec"}},
-    };
-
-    std::uint64_t total_resyncs = 0;
-    for (const workloads::Workload &w : workloads::allWorkloads()) {
-        SCOPED_TRACE(w.name);
-        const Prepared p = runPipeline(w);
-
-        fault::FaultInjector decoded(*p.module, p.report,
-                                     interp::EngineKind::Decoded);
-        fault::FaultInjector fused(*p.module, p.report,
-                                   interp::EngineKind::Fused);
-        ASSERT_TRUE(decoded.prepare(w.entry, w.train_args));
-        ASSERT_TRUE(fused.prepare(w.entry, w.train_args));
-        interp::Interpreter interp_decoded(decoded.decodedModule());
-        interp::Interpreter interp_fused(fused.decodedModule());
-
-        for (const Scenario &s : scenarios) {
-            if (!s.workloads.empty() &&
-                std::find(s.workloads.begin(), s.workloads.end(),
-                          w.name) == s.workloads.end())
-                continue;
-            SCOPED_TRACE(std::string(s.model) + " + " + s.detector);
-            fault::CampaignConfig cc;
-            cc.trials = 120;
-            cc.seed = 20261016;
-            cc.trial.dmax = 100;
-            cc.trial.model = fault::models::findFaultModel(s.model);
-            ASSERT_NE(cc.trial.model, nullptr);
-            cc.trial.detector = fault::models::findDetector(s.detector);
-            ASSERT_NE(cc.trial.detector, nullptr);
-            cc.model_masking = false; // every trial executes
-            for (std::uint64_t t = 0; t < cc.trials; ++t)
-                EXPECT_EQ(runTrial(fused, cc, t, interp_fused),
-                          runTrial(decoded, cc, t, interp_decoded))
-                    << "trial " << t;
-            // Cumulative over this workload's scenarios so far.
-            EXPECT_EQ(fused.snapshotStats().resyncs,
-                      decoded.snapshotStats().resyncs);
-            EXPECT_EQ(fused.snapshotStats().entry_resyncs,
-                      decoded.snapshotStats().entry_resyncs);
-        }
-        EXPECT_EQ(fused.snapshotStats().anchors,
-                  decoded.snapshotStats().anchors);
-        total_resyncs += decoded.snapshotStats().resyncs;
-        // The programs whose long region instances the entry anchors
-        // exist for must actually converge at a region entry.
-        for (const char *name : {"mpeg2dec", "rawcaudio", "rawdaudio",
-                                 "g721encode", "g721decode"}) {
-            if (w.name == name) {
-                EXPECT_GT(decoded.snapshotStats().entry_resyncs, 0u);
-            }
-        }
-    }
-    // The comparison only bites if trials actually resynced.
-    EXPECT_GT(total_resyncs, 0u);
 }
 
 /// One loop region (`loop`) that reads @src[4..7] and writes @dst[0..3]
@@ -552,8 +483,8 @@ TEST(SnapshotDifferential, AnchorPassIgnoresShadowedLocals)
         if (inst.opcode() == ir::Opcode::RegionEnter)
             inst.setSucc0(work->blockByName("recover"));
 
-    interp::Interpreter interp(std::make_shared<const interp::DecodedModule>(
-        *module, interp::EngineKind::Fused));
+    interp::Interpreter interp(
+        std::make_shared<const interp::DecodedModule>(*module));
     interp::SnapshotConfig config;
     config.stride = 64; // the 100-pass loop spans many snapshots
     interp::SnapshotStore store(config);
@@ -643,8 +574,8 @@ TEST(SnapshotDifferential, AnchorsOnlyInstancesLiveAtThreeSnapshots)
         if (inst.opcode() == ir::Opcode::RegionEnter)
             inst.setSucc0(work->blockByName("recover"));
 
-    interp::Interpreter interp(std::make_shared<const interp::DecodedModule>(
-        *module, interp::EngineKind::Fused));
+    interp::Interpreter interp(
+        std::make_shared<const interp::DecodedModule>(*module));
     interp::SnapshotConfig config;
     config.stride = 64;
     interp::SnapshotStore store(config);

@@ -250,8 +250,8 @@ cmdRunOrResume(int argc, char **argv, bool resume)
     cli.addFlag("trials", "10000", "total campaign trials (all shards)");
     cli.addFlag("seed", "12345", "campaign RNG seed");
     cli.addFlag("jobs", "0",
-                "worker threads (0 = all hardware threads); never "
-                "affects results");
+                "worker threads (0 = all hardware threads; at most "
+                "256); never affects results");
     cli.addFlag("dmax", "100",
                 "detection latency bound, dynamic instructions");
     cli.addFlag("mask", "0.91", "hardware masking rate in [0, 1]");
